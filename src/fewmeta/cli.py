@@ -102,7 +102,7 @@ def main():
 def analyze(data_path, strategy, level, exp, zh_c, max_combos, json_out):
     """Run all heterogeneity estimators and CI methods on a dataset."""
     try:
-        config = CIMethodConfig(level=level, zh_penalty_c=zh_c, max_combinations=max_combos)
+        config = CIMethodConfig(level=level, zh_penalty_c=zh_c)
         dataset = load_csv(data_path)
         sel = None
         if strategy != "none" and dataset.has_splits:
@@ -160,7 +160,7 @@ def select(data_path, strategy, histogram, max_combos):
 @click.option("--sigma-delta", default=None, help="Comma list of sigma_Delta values.")
 @click.option("--prev", default=None, help="Comma list of prevalences (fractions allowed).")
 @click.option("--seed", type=int, default=None, help="Base seed (fallback: FEWMETA_SEED).")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True, help="Worker processes (capped at the CPU and scenario counts).")
 @click.option("--sizes-meanlog", type=float, default=None)
 @click.option("--sizes-sdlog", type=float, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), help="Flat key=value config file (flags override).")
@@ -197,6 +197,8 @@ def simulate(reps, k_values, tau, delta, sigma_delta, prev, seed, jobs,
                     "file, or set FEWMETA_SEED"
                 )
             seed = int(env_seed)
+        if jobs < 1:
+            raise ValidationError("--jobs must be >= 1")
 
         kwargs = {}
         if sizes_meanlog is not None:

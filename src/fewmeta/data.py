@@ -312,14 +312,18 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
 
 def load_csv(path) -> MetaDataset:
     """Read a dataset from a CSV file (UTF-8, header row)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty file")
-        missing = set(CSV_COLUMNS) - set(reader.fieldnames)
-        if missing:
-            raise ValidationError(f"{path}: missing columns {sorted(missing)}")
-        return validate_dataset(list(reader))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ValidationError(f"{path}: empty file")
+            missing = set(CSV_COLUMNS) - set(reader.fieldnames)
+            if missing:
+                raise ValidationError(f"{path}: missing columns {sorted(missing)}")
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 ({exc.reason})") from None
+    return validate_dataset(rows)
 
 
 def dataset_to_dict(dataset: MetaDataset) -> dict:

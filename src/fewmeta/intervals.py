@@ -9,6 +9,7 @@ hybrid heterogeneity estimates and flexible degrees of freedom.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -40,7 +41,6 @@ CI_METHODS = (NORMAL, HKSJ, MKH, ZH, HCS_MAX1, HCS_MAX2)
 class CIMethodConfig:
     level: float = 0.95
     zh_penalty_c: int = 2
-    max_combinations: int = 10 ** 6
 
     def __post_init__(self):
         if not (0.0 < self.level < 1.0):
@@ -72,6 +72,10 @@ class IntervalResult:
 
 _TINY = 1e-300
 _QUANTILE_TOL = 1e-10
+# Distinct (df, p) pairs kept by the quantile caches. A report or a
+# simulation scenario needs at most two; the bound keeps memory fixed
+# whatever levels a long-running process is asked for.
+_QUANTILE_CACHE_SIZE = 256
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -144,7 +148,9 @@ def t_quantile(df: int, p: float) -> float:
     """Quantile of the central Student-t distribution.
 
     Inverts the regularized incomplete beta representation of the CDF by
-    bisection to an absolute tolerance of 1e-10.
+    bisection to an absolute tolerance of 1e-10. Each distinct (df, p)
+    with p > 0.5 is computed once per process and then served from a
+    bounded cache.
     """
     if df < 1:
         raise ValidationError("t_quantile: df must be >= 1")
@@ -154,6 +160,13 @@ def t_quantile(df: int, p: float) -> float:
         return 0.0
     if p < 0.5:
         return -t_quantile(df, 1.0 - p)
+    return _t_upper_quantile(df, p)
+
+
+@functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
+def _t_upper_quantile(df, p):
+    """Bracket-and-bisection for the t quantile at p > 0.5 (arguments
+    already checked by t_quantile)."""
     lo, hi = 0.0, 2.0
     while student_t_cdf(hi, df) < p:
         hi *= 2.0
@@ -169,13 +182,20 @@ def t_quantile(df: int, p: float) -> float:
 
 
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile, by bisection on the erf-based CDF."""
+    """Standard normal quantile, by bisection on the erf-based CDF; each
+    distinct p > 0.5 is computed once per process."""
     if not (0.0 < p < 1.0):
         raise ValidationError("normal_quantile: p must be in (0, 1)")
     if p == 0.5:
         return 0.0
     if p < 0.5:
         return -normal_quantile(1.0 - p)
+    return _normal_upper_quantile(p)
+
+
+@functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
+def _normal_upper_quantile(p):
+    """Bracket-and-bisection for the normal quantile at p > 0.5."""
     lo, hi = 0.0, 2.0
     cdf = lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
     while cdf(hi) < p:

@@ -9,12 +9,14 @@ p-value per study, when those are available in the input.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MetaDataset, ValidationError, aggregate_study
+from .report import write_atomic
 
 LOCAL = "local"
 GLOBAL = "global"
@@ -196,8 +198,9 @@ def qs_histogram(
 
 
 def write_histogram_csv(values, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["combination_id", "q_s"])
-        for cid, q in values:
-            writer.writerow([cid, repr(q)])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["combination_id", "q_s"])
+    for cid, q in values:
+        writer.writerow([cid, repr(q)])
+    write_atomic(path, buf.getvalue())

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -54,6 +56,7 @@ from .intervals import (
     variance_hcs,
     zh_variance,
 )
+from .report import write_atomic
 
 K_GRID = (2, 3, 5)
 TAU_GRID = (0.0, 0.1, 0.2, 0.5, 1.0)
@@ -360,7 +363,7 @@ def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
         failures = int(n_reps - np.count_nonzero(ok))
         covered = ok & (lower <= scenario.mu) & (scenario.mu <= upper)
         coverage = float(np.count_nonzero(covered)) / n_reps
-        lengths = np.sort((upper - lower)[ok])
+        lengths = (upper - lower)[ok]
         ci_metrics[method] = {
             "coverage": coverage,
             "coverage_mc_se": float(np.sqrt(coverage * (1.0 - coverage) / n_reps)),
@@ -375,10 +378,12 @@ def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
 
 def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1, level=0.95):
     """Run many scenarios, optionally across processes. Output order and
-    values are independent of the worker count."""
-    if jobs <= 1 or len(scenarios) <= 1:
+    values are independent of the worker count, which is capped at the
+    CPU count and the number of scenarios."""
+    workers = min(jobs, os.cpu_count() or 1, len(scenarios))
+    if workers <= 1:
         return [run_scenario(s, level) for s in scenarios]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_scenario, scenarios, [level] * len(scenarios)))
 
 
@@ -455,10 +460,11 @@ def metrics_rows(results: Sequence[ScenarioMetrics]):
 
 
 def write_metrics_csv(results: Sequence[ScenarioMetrics], path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        writer.writerows(metrics_rows(results))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(_CSV_HEADER)
+    writer.writerows(metrics_rows(results))
+    write_atomic(path, buf.getvalue())
 
 
 def metrics_to_json(results: Sequence[ScenarioMetrics]) -> str:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from fewmeta import intervals
 from fewmeta.data import ValidationError
 from fewmeta.intervals import (
     CIMethodConfig,
@@ -76,6 +77,46 @@ def test_t_quantile_errors():
         t_quantile(0, 0.975)
     with pytest.raises(ValidationError):
         t_quantile(3, 1.0)
+
+
+def test_t_quantile_cache_is_bit_identical():
+    uncached = intervals._t_upper_quantile.__wrapped__
+    for df in range(1, 61):
+        for p in (0.95, 0.975, 0.995, 0.025):
+            expected = uncached(df, p) if p > 0.5 else -uncached(df, 1.0 - p)
+            assert t_quantile(df, p) == expected
+            assert t_quantile(df, p) == expected  # served from the cache
+
+
+def test_quantile_caches_skip_repeat_work(monkeypatch):
+    calls = []
+    cdf = intervals.student_t_cdf
+    monkeypatch.setattr(
+        intervals, "student_t_cdf", lambda t, df: calls.append(df) or cdf(t, df)
+    )
+    first = t_quantile(37, 0.9123)
+    n_first = len(calls)
+    assert n_first > 0
+    assert t_quantile(37, 0.9123) == first
+    assert -t_quantile(37, 1.0 - 0.9123) == first
+    assert len(calls) == n_first
+    assert normal_quantile(0.9123) == normal_quantile(0.9123)
+    assert normal_quantile(0.9123) == intervals._normal_upper_quantile.__wrapped__(0.9123)
+
+
+def test_quantile_caches_are_bounded():
+    for cached in (intervals._t_upper_quantile, intervals._normal_upper_quantile):
+        assert cached.cache_info().maxsize is not None
+
+
+def test_quantile_errors_raise_on_every_call():
+    for _ in range(3):
+        for df, p in ((0, 0.975), (-2, 0.975), (3, 0.0), (3, 1.0), (3, 1.5), (3, math.nan)):
+            with pytest.raises(ValidationError):
+                t_quantile(df, p)
+        for p in (0.0, 1.0, -0.5, math.nan):
+            with pytest.raises(ValidationError):
+                normal_quantile(p)
 
 
 def test_normal_quantile_against_scipy():

@@ -89,6 +89,20 @@ def test_cli_analyze_validation_error(tmp_path):
     assert result.exit_code == 2
 
 
+def test_cli_non_utf8_input_is_a_validation_error(tmp_path):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(
+        b"study_id,label,level,split,arm,y,se,n\ns1,caf\xe9 \xff,study,,,0.1,0.2,10\n"
+    )
+    runner = CliRunner()
+    for command in ("analyze", "select"):
+        result = runner.invoke(main, [command, str(bad)])
+        assert result.exit_code == 2, result.output
+        error = json.loads(result.stderr)
+        assert error["error"] == "validation"
+        assert "not UTF-8" in error["message"]
+
+
 def test_cli_analyze_exp_presentation_only(tmp_path):
     runner = CliRunner()
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -144,6 +158,21 @@ def test_cli_simulate_seed_required(tmp_path, monkeypatch):
     monkeypatch.setenv("FEWMETA_SEED", "99")
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
+
+
+def test_cli_simulate_rejects_jobs_below_one(tmp_path):
+    runner = CliRunner()
+    out = tmp_path / "m.csv"
+    for jobs in ("0", "-3"):
+        result = runner.invoke(
+            main,
+            ["simulate", "--k", "2", "--tau", "0", "--delta", "0",
+             "--sigma-delta", "0", "--prev", "1/2", "--reps", "20",
+             "--seed", "1", "--jobs", jobs, "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.stderr)["error"] == "validation"
+    assert not out.exists()
 
 
 def test_cli_simulate_config_file(tmp_path):

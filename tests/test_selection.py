@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fewmeta.selection import (
     select_local,
     select_pvalue,
     within_study_q,
+    write_histogram_csv,
 )
 
 from conftest import make_dataset, make_split
@@ -82,6 +85,23 @@ def test_histogram_max_equals_global(sglt2):
     assert threshold == 11
     glo = select_global(sglt2)
     assert max(q for _, q in values) == glo.q_s
+
+
+def test_write_histogram_csv_keeps_target_on_failure(tmp_path):
+    path = tmp_path / "qs.csv"
+    path.write_text("previous run\n")
+
+    def values():
+        yield 0, 1.5
+        raise RuntimeError("enumeration interrupted")
+
+    with pytest.raises(RuntimeError):
+        write_histogram_csv(values(), path)
+    assert path.read_text() == "previous run\n"
+    assert os.listdir(tmp_path) == ["qs.csv"]
+
+    write_histogram_csv([(0, 1.5), (1, 0.25)], path)
+    assert path.read_bytes() == b"combination_id,q_s\r\n0,1.5\r\n1,0.25\r\n"
 
 
 def test_budget_refusal(sglt2):

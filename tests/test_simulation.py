@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from fewmeta import report, simulation
 from fewmeta.data import ValidationError
 from fewmeta.estimators import mu_ce, mu_ce_subgroup
 from fewmeta.simulation import (
@@ -129,6 +131,41 @@ def test_run_scenarios_schedule_independent():
         assert a.ci_metrics == b.ci_metrics
 
 
+def test_run_scenarios_caps_workers(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the worker count and
+        runs the work in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    scenarios = scenario_grid(
+        k=2, tau=[0.0, 0.5, 1.0], delta=0.0, sigma_delta=0.0, p=0.5, n_reps=20, seed=5
+    )
+    serial = run_scenarios(scenarios, jobs=1)
+    for cpus, jobs, expected in ((2, 10 ** 6, 2), (64, 10 ** 6, 3), (64, 2, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        capped = run_scenarios(scenarios, jobs=jobs)
+        assert pools[-1] == expected
+        assert [m.ci_metrics for m in capped] == [m.ci_metrics for m in serial]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_scenarios(scenarios, jobs=10 ** 6)
+    run_scenarios(scenarios, jobs=0)
+    assert len(pools) == 3
+
+
 def test_zero_count_identity():
     sc = _scenario(k=2, n_reps=1000)
     m = run_scenario(sc)
@@ -174,8 +211,27 @@ def test_metrics_output(tmp_path):
     write_metrics_csv(results, path)
     lines = path.read_text().splitlines()
     assert len(lines) == len(rows) + 1
+    header = b"k,tau,delta,sigma_delta,p,n_reps,seed,kind,method,metric,value\r\n"
+    assert path.read_bytes().startswith(header)
     payload = metrics_to_json(results)
     import json
 
     parsed = json.loads(payload)
     assert parsed[0]["scenario"]["k"] == 2
+
+
+def test_write_metrics_csv_keeps_target_on_failure(tmp_path, monkeypatch):
+    path = tmp_path / "metrics.csv"
+    path.write_text("previous run\n")
+    good = run_scenario(_scenario(n_reps=20))
+    with pytest.raises(AttributeError):
+        write_metrics_csv([good, None], path)  # fails after the first rows
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(report.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        write_metrics_csv([good], path)
+    assert path.read_text() == "previous run\n"
+    assert os.listdir(tmp_path) == ["metrics.csv"]
