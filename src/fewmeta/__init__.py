@@ -15,17 +15,11 @@ from .data import (
     ValidationError,
     load_csv,
 )
-from .estimators import (
-    HeterogeneityEstimate,
-    all_tau2,
-    tau2_dl,
-    tau2_dls,
-    tau2_dls_adj,
-    tau2_max,
-)
+from .estimators import HeterogeneityEstimate
 from .intervals import (
     CIMethodConfig,
     IntervalResult,
+    all_tau2,
     run_all_methods,
     t_quantile,
 )
@@ -45,10 +39,6 @@ __all__ = [
     "load_csv",
     "HeterogeneityEstimate",
     "all_tau2",
-    "tau2_dl",
-    "tau2_dls",
-    "tau2_dls_adj",
-    "tau2_max",
     "CIMethodConfig",
     "IntervalResult",
     "run_all_methods",

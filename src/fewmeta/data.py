@@ -22,6 +22,20 @@ class ValidationError(ValueError):
     """Raised when input data violate the dataset contract."""
 
 
+# Effects and standard errors are squared (weights 1/se^2, squared
+# deviations) and summed in double precision; within these bounds every
+# such intermediate stays finite and nonzero.
+MAX_ABS_EFFECT = 1e40
+SE_RANGE = (1e-40, 1e40)
+
+
+def _check_effect(y, se, who):
+    if not abs(y) <= MAX_ABS_EFFECT:
+        raise ValidationError(f"{who}: effect must be finite with |y| <= {MAX_ABS_EFFECT:g}")
+    if not SE_RANGE[0] <= se <= SE_RANGE[1]:
+        raise ValidationError(f"{who}: se must be in [{SE_RANGE[0]:g}, {SE_RANGE[1]:g}]")
+
+
 @dataclass(frozen=True)
 class StudyEstimate:
     """One study's effect estimate on the linear-predictor scale."""
@@ -32,10 +46,7 @@ class StudyEstimate:
     n: Optional[int] = None
 
     def __post_init__(self):
-        if not math.isfinite(self.y):
-            raise ValidationError(f"study {self.study_id!r}: non-finite effect")
-        if not (self.se > 0) or not math.isfinite(self.se):
-            raise ValidationError(f"study {self.study_id!r}: se must be > 0")
+        _check_effect(self.y, self.se, f"study {self.study_id!r}")
         if self.n is not None and self.n < 1:
             raise ValidationError(f"study {self.study_id!r}: n must be >= 1")
 
@@ -52,10 +63,7 @@ class SubgroupArm:
     def __post_init__(self):
         if self.j not in (1, 2):
             raise ValidationError(f"arm index must be 1 or 2, got {self.j}")
-        if not math.isfinite(self.y):
-            raise ValidationError("arm: non-finite effect")
-        if not (self.se > 0) or not math.isfinite(self.se):
-            raise ValidationError("arm: se must be > 0")
+        _check_effect(self.y, self.se, "arm")
         if self.n < 1:
             raise ValidationError("arm: n must be >= 1")
 
@@ -213,6 +221,14 @@ def _parse_float(value, where):
         raise ValidationError(f"{where}: cannot parse number {value!r}") from None
 
 
+def _parse_count(value, where):
+    """A count such as n: a whole number >= 1 ("12" and "12.0" both give 12)."""
+    n = _parse_float(value, where)
+    if not (math.isfinite(n) and n >= 1 and n == int(n)):
+        raise ValidationError(f"{where}: n must be a whole number >= 1, got {value!r}")
+    return int(n)
+
+
 def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
     """Build a MetaDataset from tabular rows.
 
@@ -279,11 +295,11 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
                         j=j,
                         y=_parse_float(r.get("y"), f"{sid}/{name}/arm{j}"),
                         se=_parse_float(r.get("se"), f"{sid}/{name}/arm{j}"),
-                        n=int(float(nval)),
+                        n=_parse_count(nval, f"{sid}/{name}/arm{j}"),
                     )
                 )
             row_p = subgroup_rows[(sid, name, 1)].get("p_interaction")
-            p_int = float(row_p) if row_p not in (None, "") else None
+            p_int = _parse_float(row_p, f"{sid}/{name}") if row_p not in (None, "") else None
             splits.append(SubgroupSplit(name, tuple(arms), p_interaction=p_int))
 
         y_raw, se_raw = row.get("y"), row.get("se")
@@ -296,7 +312,7 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
             est = aggregate_study(splits[0], sid)
         else:
             nval = row.get("n")
-            n = int(float(nval)) if nval not in (None, "") else None
+            n = _parse_count(nval, sid) if nval not in (None, "") else None
             est = StudyEstimate(
                 study_id=sid,
                 y=_parse_float(y_raw, sid),

@@ -2,8 +2,11 @@
 
 Numeric functions accept arrays whose *last* axis runs over studies (or,
 for subgroup quantities, last two axes run over studies x arms); leading
-axes broadcast, so the Monte Carlo harness can evaluate thousands of
-replicates in one call. Dataset-facing wrappers return small record types.
+axes broadcast over replicates. The raw estimators (dl_raw, dls_raw,
+shrinkage_coefficients) are combined into the five tau^2 estimates in one
+place, the kernel `intervals.meta_kernel`, which serves both a Monte Carlo
+batch and a single dataset (its R = 1 slice); the HeterogeneityEstimate
+records of a dataset are built from that slice.
 """
 
 from __future__ import annotations
@@ -54,17 +57,6 @@ class ShrinkageTerms:
 
     A: float
     B_coefficient: float
-
-
-def _wrap(method, tau2_raw, winner=None) -> HeterogeneityEstimate:
-    tau2 = max(0.0, float(tau2_raw))
-    return HeterogeneityEstimate(
-        method=method,
-        tau2=tau2,
-        tau2_raw=float(tau2_raw),
-        is_zero=(tau2 == 0.0),
-        winner=winner,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +112,6 @@ def dl_raw(y, se):
     if np.any(denom <= 0):
         raise ValidationError("tau2_dl: degenerate weight configuration")
     return (cochran_q(y, se) - (k - 1)) / denom
-
-
-def tau2_dl(y, se) -> HeterogeneityEstimate:
-    """Truncated DerSimonian-Laird estimate from study-level data."""
-    return _wrap(DL, dl_raw(y, se))
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +177,6 @@ def dls_raw(y_sub, se_sub):
     return (qs_raw(y_sub, se_sub) - (2 * k - 1)) / denom
 
 
-def tau2_dls(dataset: MetaDataset) -> HeterogeneityEstimate:
-    dataset.require_k2()
-    y, se, _ = subgroup_arrays(dataset)
-    return _wrap(DLS, dls_raw(y, se))
-
-
 def shrinkage_coefficients(se_sub, p):
     """A and B_coefficient from arm standard errors and prevalences.
 
@@ -230,50 +211,6 @@ def dls_adj_raw(y_sub, se_sub, p):
     """
     a, _ = shrinkage_coefficients(se_sub, p)
     return np.maximum(0.0, dls_raw(y_sub, se_sub)) / a
-
-
-def tau2_dls_adj(dataset: MetaDataset) -> HeterogeneityEstimate:
-    dataset.require_k2()
-    y, se, p = subgroup_arrays(dataset)
-    return _wrap(DLS_ADJ, dls_adj_raw(y, se, p))
-
-
-def tau2_max(dataset: MetaDataset, variant: int) -> HeterogeneityEstimate:
-    """Hybrid estimator: max of the study-level DL estimate and the
-    subgroup-level DLS (variant 1) or adjusted DLS (variant 2).
-
-    Exact ties resolve to the study side, which maps to the smaller
-    degrees of freedom in the flexible-df interval.
-    """
-    if variant not in (1, 2):
-        raise ValidationError(f"tau2_max: variant must be 1 or 2, got {variant}")
-    y, se = study_arrays(dataset)
-    study = tau2_dl(y, se)
-    sub = tau2_dls(dataset) if variant == 1 else tau2_dls_adj(dataset)
-    method = MAX1 if variant == 1 else MAX2
-    if sub.tau2 > study.tau2:
-        return HeterogeneityEstimate(
-            method, sub.tau2, sub.tau2_raw, sub.is_zero, winner=SUBGROUP_SIDE
-        )
-    return HeterogeneityEstimate(
-        method, study.tau2, study.tau2_raw, study.is_zero, winner=STUDY_SIDE
-    )
-
-
-def all_tau2(dataset: MetaDataset) -> dict:
-    """All five heterogeneity estimates, keyed by method tag.
-
-    Subgroup-based entries are omitted when the dataset carries no
-    selected splits.
-    """
-    y, se = study_arrays(dataset)
-    out = {DL: tau2_dl(y, se)}
-    if dataset.fully_selected:
-        out[DLS] = tau2_dls(dataset)
-        out[DLS_ADJ] = tau2_dls_adj(dataset)
-        out[MAX1] = tau2_max(dataset, 1)
-        out[MAX2] = tau2_max(dataset, 2)
-    return out
 
 
 def expected_tau2_dls(se_sub, p, tau, delta, sigma_delta):

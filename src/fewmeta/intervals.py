@@ -5,6 +5,12 @@ Hartung-Knapp-Sidik-Jonkman t-interval and its truncated modification,
 a leverage-penalized robust-variance t-interval, and two t-intervals
 around the common-effect estimate using a Henmi-Copas-type variance with
 hybrid heterogeneity estimates and flexible degrees of freedom.
+
+One kernel, meta_kernel, computes the five tau^2 estimates and all six
+intervals for a batch of R datasets; the Monte Carlo harness calls it on
+a scenario's replicates. A single dataset is its R = 1 slice
+(dataset_kernel), from which run_all_methods, all_tau2 and the report
+build their records.
 """
 
 from __future__ import annotations
@@ -12,19 +18,28 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .data import MetaDataset, ValidationError
 from .estimators import (
+    DL,
+    DLS,
+    DLS_ADJ,
+    MAX1,
+    MAX2,
+    STUDY_SIDE,
     SUBGROUP_SIDE,
+    HeterogeneityEstimate,
+    dl_raw,
+    dls_raw,
     mu_ce,
+    mu_ce_subgroup,
     mu_re,
+    shrinkage_coefficients,
     study_arrays,
     subgroup_arrays,
-    tau2_dl,
-    tau2_max,
 )
 
 NORMAL = "NORMAL"
@@ -165,20 +180,8 @@ def t_quantile(df: int, p: float) -> float:
 
 @functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
 def _t_upper_quantile(df, p):
-    """Bracket-and-bisection for the t quantile at p > 0.5 (arguments
-    already checked by t_quantile)."""
-    lo, hi = 0.0, 2.0
-    while student_t_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e100:
-            raise ArithmeticError("t_quantile: bracket expansion failed")
-    while hi - lo > _QUANTILE_TOL:
-        mid = 0.5 * (lo + hi)
-        if student_t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """The t quantile at p > 0.5 (arguments already checked by t_quantile)."""
+    return _upper_quantile(lambda t: student_t_cdf(t, df), p)
 
 
 def normal_quantile(p: float) -> float:
@@ -195,11 +198,18 @@ def normal_quantile(p: float) -> float:
 
 @functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
 def _normal_upper_quantile(p):
-    """Bracket-and-bisection for the normal quantile at p > 0.5."""
+    """The normal quantile at p > 0.5."""
+    return _upper_quantile(lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))), p)
+
+
+def _upper_quantile(cdf, p):
+    """Bracket-and-bisection for the quantile at p > 0.5 of a distribution
+    symmetric about zero, to an absolute tolerance of _QUANTILE_TOL."""
     lo, hi = 0.0, 2.0
-    cdf = lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
     while cdf(hi) < p:
         hi *= 2.0
+        if hi > 1e100:
+            raise ArithmeticError("quantile: bracket expansion failed")
     while hi - lo > _QUANTILE_TOL:
         mid = 0.5 * (lo + hi)
         if cdf(mid) < p:
@@ -261,111 +271,179 @@ def variance_hcs(tau2, w):
 
 
 # ---------------------------------------------------------------------------
-# interval constructions
+# the kernel: tau^2 and all six intervals over a batch of R datasets
 # ---------------------------------------------------------------------------
 
-def _interval(method, point, variance, df, quantile, level, tau2, fallback=False):
-    half = quantile * math.sqrt(variance)
-    return IntervalResult(
-        method=method,
-        point=float(point),
-        variance=float(variance),
-        df=df,
-        lower=float(point - half),
-        upper=float(point + half),
-        level=level,
-        tau2=float(tau2),
-        fallback=fallback,
-    )
+class BatchInterval(NamedTuple):
+    """One interval method over a batch, as (R,) arrays. df is None for the
+    normal interval; tau2 is the heterogeneity estimate plugged in."""
+
+    point: np.ndarray
+    variance: np.ndarray
+    df: Optional[np.ndarray]
+    lower: np.ndarray
+    upper: np.ndarray
+    tau2: np.ndarray
 
 
-def ci_normal(y, se, level=0.95) -> IntervalResult:
-    """Normal-approximation interval with plug-in DL heterogeneity."""
-    est = tau2_dl(y, se)
-    mu, var = mu_re(y, se, est.tau2)
-    z = normal_quantile(0.5 + level / 2.0)
-    return _interval(NORMAL, mu, var, None, z, level, est.tau2)
+@dataclass(frozen=True)
+class KernelResult:
+    """Everything meta_kernel computes for a batch of R datasets.
+
+    tau2 and tau2_raw map each estimator (only DL without arms) to its
+    truncated and untruncated (R,) values; for MAX1 and MAX2 the raw value
+    is the winning side's. subgroup_wins maps MAX1 and MAX2 to (R,) masks.
+    intervals maps each CI method, in CI_METHODS order, to a BatchInterval.
+    errors maps every estimator or method that could not be computed to the
+    message of the first quantity it needs that failed; its arrays hold NaN.
+    At R = 1, `estimates` and `interval_results` give the records.
+    """
+
+    tau2: dict
+    tau2_raw: dict
+    subgroup_wins: dict
+    intervals: dict
+    errors: dict
+    level: float
+    fallback: bool
+
+    def estimates(self) -> dict:
+        """The HeterogeneityEstimates of an R = 1 result, keyed by method
+        tag. Raises ValidationError for the first estimate that could not
+        be computed."""
+        estimates = {}
+        for tag in self.tau2:
+            if tag in self.errors:
+                raise ValidationError(self.errors[tag])
+            tau2 = float(self.tau2[tag][0])
+            wins = self.subgroup_wins.get(tag)
+            winner = None if wins is None else SUBGROUP_SIDE if wins[0] else STUDY_SIDE
+            estimates[tag] = HeterogeneityEstimate(
+                tag, tau2, float(self.tau2_raw[tag][0]), tau2 == 0.0, winner
+            )
+        return estimates
+
+    def interval_results(self):
+        """(results, errors) of an R = 1 result: IntervalResults in
+        CI_METHODS order for the methods that succeeded, and the error
+        messages of the others keyed by method tag."""
+        results, errors = [], {}
+        for method, ci in self.intervals.items():
+            if method in self.errors:
+                errors[method] = self.errors[method]
+                continue
+            results.append(IntervalResult(
+                method, float(ci.point[0]), float(ci.variance[0]),
+                None if ci.df is None else int(ci.df[0]),
+                float(ci.lower[0]), float(ci.upper[0]), self.level, float(ci.tau2[0]),
+                fallback=self.fallback and method in (HCS_MAX1, HCS_MAX2),
+            ))
+        return results, errors
 
 
-def ci_hksj(y, se, level=0.95) -> IntervalResult:
-    """HKSJ t-interval: variance scaled by q, k-1 degrees of freedom."""
-    est = tau2_dl(y, se)
-    mu, var, q = hksj_scale(y, se, est.tau2)
-    k = np.asarray(y).shape[-1]
-    t = t_quantile(k - 1, 0.5 + level / 2.0)
-    return _interval(HKSJ, mu, q * var, k - 1, t, level, est.tau2)
+def meta_kernel(y, se, y_sub=None, se_sub=None, p=None, level=0.95, c=2) -> KernelResult:
+    """All five tau^2 estimates and all six intervals for R datasets at once.
 
-
-def ci_mkh(y, se, level=0.95) -> IntervalResult:
-    """Modified Knapp-Hartung: the scale factor is truncated at one."""
-    est = tau2_dl(y, se)
-    mu, var, q = hksj_scale(y, se, est.tau2)
-    k = np.asarray(y).shape[-1]
-    t = t_quantile(k - 1, 0.5 + level / 2.0)
-    return _interval(MKH, mu, max(1.0, float(q)) * var, k - 1, t, level, est.tau2)
-
-
-def ci_zh(y, se, level=0.95, c=2) -> IntervalResult:
-    """Robust-variance t-interval with leverage penalty exponent c."""
-    est = tau2_dl(y, se)
-    mu, var = zh_variance(y, se, est.tau2, c)
-    k = np.asarray(y).shape[-1]
-    t = t_quantile(k - 1, 0.5 + level / 2.0)
-    return _interval(ZH, mu, var, k - 1, t, level, est.tau2)
-
-
-def ci_hcs(dataset: MetaDataset, variant: int, level=0.95) -> IntervalResult:
-    """Common-effect t-interval with Henmi-Copas-type variance.
-
-    Uses the hybrid heterogeneity estimate (variant 1 or 2). Degrees of
-    freedom are k-1 when the study-level estimate wins the maximum and
-    2k-1 when the subgroup-level estimate wins. Datasets without a full
-    subgroup selection fall back to study-level data with the DL estimate
+    y, se: (R, k) study rows; y_sub, se_sub: (R, k, 2) arms of the selected
+    splits; p: (R, k) prevalences of arm 1; c: the ZH leverage exponent.
+    DL feeds NORMAL, HKSJ, MKH and ZH. MAX1 (MAX2) is the larger of DL and
+    DLS (DLS_ADJ); it feeds the Henmi-Copas-type variance around the
+    common-effect mean, and the side that wins sets the HCS degrees of
+    freedom: k-1 for the study side, which also takes exact ties, 2k-1 for
+    the subgroup side. Without arms (y_sub=None) only DL is estimated and
+    both HCS intervals fall back to the study-level common effect with DL
     and k-1 degrees of freedom.
     """
-    dataset.require_k2()
-    k = dataset.k
-    method = HCS_MAX1 if variant == 1 else HCS_MAX2
-    y_stu, se_stu = study_arrays(dataset)
-    if not dataset.fully_selected:
-        est = tau2_dl(y_stu, se_stu)
-        w = se_stu ** -2.0
-        mu = mu_ce(y_stu, w)
-        var = variance_hcs(est.tau2, w)
-        t = t_quantile(k - 1, 0.5 + level / 2.0)
-        return _interval(method, mu, var, k - 1, t, level, est.tau2, fallback=True)
+    k = y.shape[-1]
+    failed = {}
 
-    est = tau2_max(dataset, variant)
-    y_sub, se_sub, _ = subgroup_arrays(dataset)
-    w_arm = se_sub ** -2.0
-    w = np.sum(w_arm, axis=-1)  # per-study common-effect weights
-    mu = np.sum(w_arm * y_sub) / np.sum(w_arm)
-    var = variance_hcs(est.tau2, w)
-    df = 2 * k - 1 if est.winner == SUBGROUP_SIDE else k - 1
-    t = t_quantile(df, 0.5 + level / 2.0)
-    return _interval(method, mu, var, df, t, level, est.tau2)
+    def attempt(name, fn, *args):
+        try:
+            return fn(*args)
+        except ValidationError as exc:
+            failed[name] = str(exc)
+            return np.full(y.shape[:-1], np.nan)
+
+    raw = {DL: attempt(DL, dl_raw, y, se)}
+    tau2 = {DL: np.maximum(0.0, raw[DL])}
+    needs = dict.fromkeys((DL,) + CI_METHODS, (DL,))
+    wins = {}
+    p_upper = 0.5 + level / 2.0
+    t_lo = t_quantile(k - 1, p_upper)
+    df_lo = np.full(y.shape[:-1], k - 1)
+    # mu and var are the random-effects mean and its model variance
+    mu, var, q = hksj_scale(y, se, tau2[DL])
+    mu_zh, var_zh = zh_variance(y, se, tau2[DL], c)
+
+    def interval(point, variance, df, quantile, t2):
+        half = quantile * np.sqrt(variance)
+        return BatchInterval(point, variance, df, point - half, point + half, t2)
+
+    intervals = {
+        NORMAL: interval(mu, var, None, normal_quantile(p_upper), tau2[DL]),
+        HKSJ: interval(mu, q * var, df_lo, t_lo, tau2[DL]),
+        MKH: interval(mu, np.maximum(1.0, q) * var, df_lo, t_lo, tau2[DL]),
+        ZH: interval(mu_zh, var_zh, df_lo, t_lo, tau2[DL]),
+    }
+    if y_sub is None:
+        w = se ** -2.0
+        intervals[HCS_MAX1] = intervals[HCS_MAX2] = interval(
+            mu_ce(y, w), variance_hcs(tau2[DL], w), df_lo, t_lo, tau2[DL]
+        )
+    else:
+        raw[DLS] = attempt(DLS, dls_raw, y_sub, se_sub)
+        a = attempt("A", lambda: shrinkage_coefficients(se_sub, p)[0])
+        tau2[DLS] = np.maximum(0.0, raw[DLS])
+        tau2[DLS_ADJ] = raw[DLS_ADJ] = tau2[DLS] / a
+        needs.update({DLS: (DLS,), DLS_ADJ: ("A", DLS)})
+        t_hi = t_quantile(2 * k - 1, p_upper)
+        w = np.sum(se_sub ** -2.0, axis=-1)  # per-study common-effect weights
+        mu_sub = mu_ce_subgroup(y_sub, se_sub)
+        for tag, side, method in ((MAX1, DLS, HCS_MAX1), (MAX2, DLS_ADJ, HCS_MAX2)):
+            wins[tag] = tau2[side] > tau2[DL]
+            tau2[tag] = np.maximum(tau2[DL], tau2[side])
+            raw[tag] = np.where(wins[tag], raw[side], raw[DL])
+            needs[tag] = needs[method] = (DL,) + needs[side]
+            df = np.where(wins[tag], 2 * k - 1, k - 1)
+            t = np.where(wins[tag], t_hi, t_lo)
+            intervals[method] = interval(mu_sub, variance_hcs(tau2[tag], w), df, t, tau2[tag])
+    errors = {
+        tag: next(failed[d] for d in deps if d in failed)
+        for tag, deps in needs.items()
+        if any(d in failed for d in deps)
+    }
+    return KernelResult(tau2, raw, wins, intervals, errors, level, y_sub is None)
+
+
+# ---------------------------------------------------------------------------
+# one dataset: the kernel's R = 1 slice
+# ---------------------------------------------------------------------------
+
+def dataset_kernel(dataset: MetaDataset, config: CIMethodConfig = CIMethodConfig()) -> KernelResult:
+    """The kernel at R = 1: the dataset's study rows, plus its selected arms
+    when every study has a selection (otherwise the HCS fallback)."""
+    dataset.require_k2()
+    y, se = study_arrays(dataset)
+    arms = ()
+    if dataset.fully_selected:
+        y_sub, se_sub, p = subgroup_arrays(dataset)
+        arms = (y_sub[None], se_sub[None], p[None])
+    return meta_kernel(y[None], se[None], *arms, level=config.level, c=config.zh_penalty_c)
+
+
+def all_tau2(dataset: MetaDataset) -> dict:
+    """All five heterogeneity estimates, keyed by method tag.
+
+    Subgroup-based entries are omitted when the dataset carries no
+    selected splits.
+    """
+    return dataset_kernel(dataset).estimates()
 
 
 def run_all_methods(dataset: MetaDataset, config: CIMethodConfig = CIMethodConfig()):
     """Run every interval method on a dataset.
 
     Returns (results, errors): results in a fixed deterministic order,
-    errors keyed by method tag for any method that raised.
+    errors keyed by method tag for any method that could not be computed.
     """
-    dataset.require_k2()
-    y, se = study_arrays(dataset)
-    results, errors = [], {}
-    runners = [
-        (NORMAL, lambda: ci_normal(y, se, config.level)),
-        (HKSJ, lambda: ci_hksj(y, se, config.level)),
-        (MKH, lambda: ci_mkh(y, se, config.level)),
-        (ZH, lambda: ci_zh(y, se, config.level, config.zh_penalty_c)),
-        (HCS_MAX1, lambda: ci_hcs(dataset, 1, config.level)),
-        (HCS_MAX2, lambda: ci_hcs(dataset, 2, config.level)),
-    ]
-    for tag, fn in runners:
-        try:
-            results.append(fn())
-        except (ValidationError, ArithmeticError) as exc:
-            errors[tag] = str(exc)
-    return results, errors
+    return dataset_kernel(dataset, config).interval_results()

@@ -13,13 +13,15 @@ import json
 import math
 import os
 import tempfile
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .data import MetaDataset, consistency_gaps
-from .estimators import all_tau2
-from .intervals import CIMethodConfig, run_all_methods
+from .intervals import CIMethodConfig, dataset_kernel
 
 REPORT_SCHEMA_VERSION = 1
+
+# decimal half-up, with enough digits to quantize any finite double
+_HALF_UP = Context(prec=400, rounding=ROUND_HALF_UP)
 
 
 def round_half_up(value: float, digits: int = 3) -> float:
@@ -27,7 +29,15 @@ def round_half_up(value: float, digits: int = 3) -> float:
     if not math.isfinite(value):
         return value
     quantum = Decimal(1).scaleb(-digits)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(_HALF_UP.quantize(Decimal(repr(value)), quantum))
+
+
+def _exp(value: float) -> float:
+    """exp on the ratio scale; a ratio too large for a double reads inf."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
 
 
 def _interval_entry(result) -> dict:
@@ -43,9 +53,9 @@ def _interval_entry(result) -> dict:
         "tau": math.sqrt(result.tau2),
         "fallback": result.fallback,
         "exp": {
-            "point": math.exp(result.point),
-            "lower": math.exp(result.lower),
-            "upper": math.exp(result.upper),
+            "point": _exp(result.point),
+            "lower": _exp(result.lower),
+            "upper": _exp(result.upper),
         },
     }
 
@@ -56,8 +66,9 @@ def build_report(dataset: MetaDataset, selection=None, config=CIMethodConfig()) 
     `selection` is an optional SelectionResult; when given, its choices
     must already be applied to the dataset (see MetaDataset.with_selection).
     """
-    results, errors = run_all_methods(dataset, config)
-    tau2 = all_tau2(dataset)
+    result = dataset_kernel(dataset, config)
+    results, errors = result.interval_results()
+    tau2 = result.estimates()
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dataset": {

@@ -66,16 +66,21 @@ def _require_candidates(dataset: MetaDataset):
 
 
 def _split_moments(dataset: MetaDataset):
-    """Per (study, split) sufficient statistics (sum w, sum w*y, sum w*y^2)."""
+    """Per (study, split) sufficient statistics (sum w, sum w*d, sum w*d^2)
+    of the arm deviations d = y - c. The one reference c, the mean study
+    effect, keeps S2 - S1^2 / S0 from cancelling when the effects sit far
+    from zero; being shared by all splits, it leaves Q_S exact in theory."""
+    c = np.mean([study.estimate.y for study in dataset.studies])
     moments = []
     for study in dataset.studies:
         rows = []
         for split in study.splits:
             w = np.array([a.se ** -2 for a in split.arms])
-            y = np.array([a.y for a in split.arms])
-            rows.append((w.sum(), (w * y).sum(), (w * y * y).sum()))
+            d = np.array([a.y for a in split.arms]) - c
+            rows.append((w.sum(), (w * d).sum(), (w * d * d).sum()))
         moments.append(rows)
     return moments
+
 
 def _qs_from_moments(moments, choices) -> float:
     s0 = s1 = s2 = 0.0

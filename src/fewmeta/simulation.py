@@ -7,11 +7,11 @@ theta_{i,2} = theta_i + p delta_i (so the prevalence-weighted average is
 theta_i exactly), and observations y_{i,j} ~ N(theta_{i,j}, s_{i,j}^2)
 with s_{i,j} = sigma_u / sqrt(n_{i,j}).
 
-All replicate-level computation is vectorized: the estimator and variance
-cores accept a leading replicate axis, so one scenario is a handful of
-array operations. Scenarios are embarrassingly parallel and each derives
-its own RNG stream from a content hash, making results independent of the
-execution schedule.
+All replicate-level computation is vectorized: one call of the kernel
+`intervals.meta_kernel` evaluates every tau^2 estimator and CI method over
+a scenario's replicates, the same code that analyses one dataset at R = 1.
+Scenarios are embarrassingly parallel and each derives its own RNG stream
+from a content hash, making results independent of the execution schedule.
 """
 
 from __future__ import annotations
@@ -22,40 +22,14 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import ValidationError, MetaDataset, Study, StudyEstimate, SubgroupArm, SubgroupSplit
-from .estimators import (
-    DL,
-    DLS,
-    DLS_ADJ,
-    MAX1,
-    MAX2,
-    TAU2_METHODS,
-    dl_raw,
-    dls_raw,
-    expected_tau2_dls,
-    mu_ce_subgroup,
-    mu_re,
-    shrinkage_coefficients,
-)
-from .intervals import (
-    CI_METHODS,
-    HCS_MAX1,
-    HCS_MAX2,
-    HKSJ,
-    MKH,
-    NORMAL,
-    ZH,
-    hksj_scale,
-    normal_quantile,
-    t_quantile,
-    variance_hcs,
-    zh_variance,
-)
+from .estimators import TAU2_METHODS, dls_raw, expected_tau2_dls
+from .intervals import CI_METHODS, meta_kernel
 from .report import write_atomic
 
 K_GRID = (2, 3, 5)
@@ -210,23 +184,27 @@ def generate_meta_analysis(scenario: Scenario, rng) -> MetaDataset:
     """One simulated dataset as a MetaDataset, with the single generated
     split per study pre-selected."""
     y_sub, se_sub, n_arm = _draw_replicates(scenario, rng, 1)
+    return _replicate_dataset(y_sub[0], se_sub[0], n_arm[0])
+
+
+def _replicate_dataset(y_sub, se_sub, n_arm) -> MetaDataset:
+    """One replicate's (k, 2) arm arrays as a MetaDataset: study rows
+    aggregated from the arms, the single split per study selected."""
     y_stu, se_stu = _study_rows(y_sub, se_sub)
     studies = []
-    for i in range(scenario.k):
+    for i in range(len(y_sub)):
         sid = f"study-{i + 1}"
         arms = tuple(
             SubgroupArm(
                 j=j + 1,
-                y=float(y_sub[0, i, j]),
-                se=float(se_sub[0, i, j]),
-                n=int(n_arm[0, i, j]),
+                y=float(y_sub[i, j]),
+                se=float(se_sub[i, j]),
+                n=int(n_arm[i, j]),
             )
             for j in (0, 1)
         )
         split = SubgroupSplit("subgroup", arms)
-        est = StudyEstimate(
-            sid, float(y_stu[0, i]), float(se_stu[0, i]), n=int(n_arm[0, i].sum())
-        )
+        est = StudyEstimate(sid, float(y_stu[i]), float(se_stu[i]), n=int(n_arm[i].sum()))
         studies.append(Study(est, (split,), selected=0))
     return MetaDataset(tuple(studies))
 
@@ -277,59 +255,6 @@ def scenario_grid(
     return scenarios
 
 
-def _tau2_batch(y_stu, se_stu, y_sub, se_sub, p_arr):
-    """All five tau^2 estimates over a replicate batch.
-
-    Returns (tau2 dict of (R,) arrays, subgroup-winner mask per hybrid)."""
-    dl_t = np.maximum(0.0, dl_raw(y_stu, se_stu))
-    dls_t = np.maximum(0.0, dls_raw(y_sub, se_sub))
-    a, _ = shrinkage_coefficients(se_sub, p_arr)
-    adj_t = dls_t / a
-    tau2 = {
-        DL: dl_t,
-        DLS: dls_t,
-        DLS_ADJ: adj_t,
-        MAX1: np.maximum(dl_t, dls_t),
-        MAX2: np.maximum(dl_t, adj_t),
-    }
-    winners = {MAX1: dls_t > dl_t, MAX2: adj_t > dl_t}
-    return tau2, winners
-
-
-def _ci_batch(scenario, y_stu, se_stu, y_sub, se_sub, tau2, winners, level=0.95):
-    """Lower/upper limits of every CI method over a replicate batch."""
-    k = scenario.k
-    z = normal_quantile(0.5 + level / 2.0)
-    t_lo = t_quantile(k - 1, 0.5 + level / 2.0)
-    t_hi = t_quantile(2 * k - 1, 0.5 + level / 2.0)
-
-    out = {}
-    dl_t = tau2[DL]
-
-    mu, var = mu_re(y_stu, se_stu, dl_t)
-    out[NORMAL] = (mu - z * np.sqrt(var), mu + z * np.sqrt(var))
-
-    mu, var, q = hksj_scale(y_stu, se_stu, dl_t)
-    half = t_lo * np.sqrt(q * var)
-    out[HKSJ] = (mu - half, mu + half)
-    half = t_lo * np.sqrt(np.maximum(1.0, q) * var)
-    out[MKH] = (mu - half, mu + half)
-
-    mu, var = zh_variance(y_stu, se_stu, dl_t)
-    half = t_lo * np.sqrt(var)
-    out[ZH] = (mu - half, mu + half)
-
-    w_arm = se_sub ** -2.0
-    w_stu = np.sum(w_arm, axis=-1)
-    mu = mu_ce_subgroup(y_sub, se_sub)
-    for method, variant in ((HCS_MAX1, MAX1), (HCS_MAX2, MAX2)):
-        var = variance_hcs(tau2[variant], w_stu)
-        t = np.where(winners[variant], t_hi, t_lo)
-        half = t * np.sqrt(var)
-        out[method] = (mu - half, mu + half)
-    return out
-
-
 def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
     """Simulate n_reps meta-analyses and aggregate estimator and interval
     metrics. Deterministic given the scenario (including its seed)."""
@@ -339,11 +264,13 @@ def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
     y_stu, se_stu = _study_rows(y_sub, se_sub)
     p_arr = n_arm[..., 0] / np.sum(n_arm, axis=-1)
 
-    tau2, winners = _tau2_batch(y_stu, se_stu, y_sub, se_sub, p_arr)
+    result = meta_kernel(y_stu, se_stu, y_sub, se_sub, p_arr, level)
+    if result.errors:
+        raise ValidationError(next(iter(result.errors.values())))
 
     tau_metrics = {}
     for method in TAU2_METHODS:
-        t2 = tau2[method]
+        t2 = result.tau2[method]
         bias = np.sqrt(t2) - scenario.tau
         zero_count = int(np.count_nonzero(t2 == 0.0))
         tau_metrics[method] = {
@@ -355,10 +282,9 @@ def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
             "zero_count": zero_count,
         }
 
-    limits = _ci_batch(scenario, y_stu, se_stu, y_sub, se_sub, tau2, winners, level)
     ci_metrics = {}
     for method in CI_METHODS:
-        lower, upper = limits[method]
+        lower, upper = result.intervals[method].lower, result.intervals[method].upper
         ok = np.isfinite(lower) & np.isfinite(upper)
         failures = int(n_reps - np.count_nonzero(ok))
         covered = ok & (lower <= scenario.mu) & (scenario.mu <= upper)
@@ -470,19 +396,7 @@ def write_metrics_csv(results: Sequence[ScenarioMetrics], path):
 def metrics_to_json(results: Sequence[ScenarioMetrics]) -> str:
     payload = [
         {
-            "scenario": {
-                "k": r.scenario.k,
-                "mu": r.scenario.mu,
-                "tau": r.scenario.tau,
-                "delta": r.scenario.delta,
-                "sigma_delta": r.scenario.sigma_delta,
-                "p": r.scenario.p,
-                "sigma_u": r.scenario.sigma_u,
-                "n_reps": r.scenario.n_reps,
-                "seed": r.scenario.seed,
-                "sizes_meanlog": r.scenario.sizes_meanlog,
-                "sizes_sdlog": r.scenario.sizes_sdlog,
-            },
+            "scenario": asdict(r.scenario),
             "tau_metrics": r.tau_metrics,
             "ci_metrics": r.ci_metrics,
         }

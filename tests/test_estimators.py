@@ -7,11 +7,11 @@ from fewmeta.data import ValidationError
 from fewmeta.estimators import (
     DL,
     DLS,
+    DLS_ADJ,
     MAX1,
     MAX2,
     STUDY_SIDE,
     SUBGROUP_SIDE,
-    all_tau2,
     cochran_q,
     dl_raw,
     dls_adj_raw,
@@ -24,11 +24,8 @@ from fewmeta.estimators import (
     qs_raw,
     shrinkage_coefficients,
     shrinkage_terms,
-    tau2_dl,
-    tau2_dls,
-    tau2_dls_adj,
-    tau2_max,
 )
+from fewmeta.intervals import all_tau2
 
 from conftest import make_dataset, make_split
 
@@ -79,21 +76,23 @@ def test_cochran_q_examples():
     assert cochran_q([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]) == pytest.approx(2.0)
 
 
+def _study_rows(ys, ses):
+    """Dataset of study rows only."""
+    return make_dataset([(y, se, []) for y, se in zip(ys, ses)])
+
+
 def test_tau2_dl_examples():
-    est = tau2_dl([1.0, 1.0], [0.5, 0.5])
+    est = all_tau2(_study_rows([1.0, 1.0], [0.5, 0.5]))[DL]
     assert est.tau2 == 0.0
     assert est.tau2_raw == pytest.approx(-0.25)
     assert est.is_zero
-    est = tau2_dl([0.0, 1.0], [0.5, 0.5])
+    est = all_tau2(_study_rows([0.0, 1.0], [0.5, 0.5]))[DL]
     assert est.tau2 == pytest.approx(0.25)
     assert not est.is_zero
 
 
 def test_tau2_dl_respire14(respire14):
-    from fewmeta.estimators import study_arrays
-
-    y, se = study_arrays(respire14)
-    assert tau2_dl(y, se).tau == pytest.approx(0.3, abs=0.005)
+    assert all_tau2(respire14)[DL].tau == pytest.approx(0.3, abs=0.005)
 
 
 def test_q_subgroup_examples():
@@ -112,7 +111,7 @@ def test_q_subgroup_requires_selection():
 def test_tau2_dls_example():
     ds = _subgroup_dataset([(-1.0, 1.0), (-1.0, 1.0)], [(1, 1), (1, 1)])
     assert q_subgroup(ds) == pytest.approx(4.0)
-    est = tau2_dls(ds)
+    est = all_tau2(ds)[DLS]
     assert est.tau2 == pytest.approx(1.0 / 3.0)
 
 
@@ -138,9 +137,9 @@ def test_shrinkage_a_tends_to_one():
 
 def test_tau2_dls_adj_examples():
     ds = _subgroup_dataset([(0.3, 0.3), (0.3, 0.3)], [(1, 1), (1, 1)])
-    assert tau2_dls_adj(ds).tau2 == 0.0
+    assert all_tau2(ds)[DLS_ADJ].tau2 == 0.0
     ds = _subgroup_dataset([(-1.0, 1.0), (-1.0, 1.0)], [(1, 1), (1, 1)])
-    assert tau2_dls_adj(ds).tau2 == pytest.approx(0.5)
+    assert all_tau2(ds)[DLS_ADJ].tau2 == pytest.approx(0.5)
 
 
 def test_tau2_max_semantics():
@@ -150,12 +149,9 @@ def test_tau2_max_semantics():
     ds = make_dataset(
         [(0.0, 0.5, [split_lo]), (1.0, 0.5, [split_hi])], selected=[0, 0]
     )
-    est = tau2_max(ds, 1)
+    est = all_tau2(ds)[MAX1]
     assert est.tau2 == pytest.approx(0.25)
     assert est.winner == STUDY_SIDE
-
-    with pytest.raises(ValidationError):
-        tau2_max(ds, 3)
 
 
 def test_tau2_max_tie_prefers_study_side():
@@ -164,8 +160,8 @@ def test_tau2_max_tie_prefers_study_side():
     ds = make_dataset(
         [(0.0, 0.7, [split]), (0.0, 0.7, [split])], selected=[0, 0]
     )
-    for variant in (1, 2):
-        est = tau2_max(ds, variant)
+    for variant in (MAX1, MAX2):
+        est = all_tau2(ds)[variant]
         assert est.tau2 == 0.0
         assert est.winner == STUDY_SIDE
 
@@ -174,7 +170,7 @@ def test_tau2_max_respire14(respire14):
     from fewmeta.selection import select_local
 
     ds = respire14.with_selection(select_local(respire14).choices)
-    est = tau2_max(ds, 1)
+    est = all_tau2(ds)[MAX1]
     assert est.tau == pytest.approx(0.396, abs=0.005)
     assert est.winner == SUBGROUP_SIDE
 
@@ -183,8 +179,8 @@ def test_tau2_max_respire28(respire28):
     from fewmeta.selection import select_local
 
     ds = respire28.with_selection(select_local(respire28).choices)
-    assert tau2_max(ds, 1).tau2 == 0.0
-    assert tau2_max(ds, 2).tau2 == 0.0
+    assert all_tau2(ds)[MAX1].tau2 == 0.0
+    assert all_tau2(ds)[MAX2].tau2 == 0.0
 
 
 def test_expected_tau2_dls_symbolic():
@@ -256,4 +252,4 @@ def test_all_tau2_keys(respire14):
     assert set(out) == {DL}
     ds = respire14.with_selection(select_local(respire14).choices)
     out = all_tau2(ds)
-    assert set(out) == {DL, DLS, "DLS_ADJ", MAX1, MAX2}
+    assert set(out) == {DL, DLS, DLS_ADJ, MAX1, MAX2}

@@ -10,11 +10,10 @@ from fewmeta.intervals import (
     CIMethodConfig,
     HCS_MAX1,
     HCS_MAX2,
-    ci_hcs,
-    ci_hksj,
-    ci_mkh,
-    ci_normal,
-    ci_zh,
+    HKSJ,
+    MKH,
+    NORMAL,
+    ZH,
     hksj_scale,
     normal_quantile,
     regularized_incomplete_beta,
@@ -130,11 +129,22 @@ def test_normal_quantile_against_scipy():
 # interval constructions
 # ---------------------------------------------------------------------------
 
+def _method(method, dataset):
+    """The interval `method` computes on a dataset."""
+    results, _ = run_all_methods(dataset)
+    return {r.method: r for r in results}[method]
+
+
+def _study_rows(method, ys, ses):
+    """The interval `method` computes on a dataset of study rows only."""
+    return _method(method, make_dataset([(y, se, []) for y, se in zip(ys, ses)]))
+
+
 def test_ci_normal_examples():
-    res = ci_normal([0.7, 0.7], [0.4, 1.0])
+    res = _study_rows(NORMAL, [0.7, 0.7], [0.4, 1.0])
     assert res.point == pytest.approx(0.7)
     assert res.lower < 0.7 < res.upper
-    res = ci_normal([0.0, 1.0], [0.5, 0.5])
+    res = _study_rows(NORMAL, [0.0, 1.0], [0.5, 0.5])
     assert res.tau2 == pytest.approx(0.25)
     assert res.lower == pytest.approx(-0.48, abs=0.01)
     assert res.upper == pytest.approx(1.48, abs=0.01)
@@ -143,7 +153,7 @@ def test_ci_normal_examples():
 
 def test_ci_hksj_hand_case():
     # tau2 = 0.25 -> RE weights 2 each -> q = 1 exactly for k = 2
-    res = ci_hksj([0.0, 1.0], [0.5, 0.5])
+    res = _study_rows(HKSJ, [0.0, 1.0], [0.5, 0.5])
     _, _, q = hksj_scale([0.0, 1.0], [0.5, 0.5], 0.25)
     assert q == pytest.approx(1.0, abs=1e-12)
     assert res.df == 1
@@ -153,8 +163,8 @@ def test_ci_hksj_hand_case():
 
 def test_ci_mkh_matches_hksj_when_q_large():
     y, se = [0.0, 2.0, -1.0], [0.2, 0.5, 0.3]
-    h = ci_hksj(y, se)
-    m = ci_mkh(y, se)
+    h = _study_rows(HKSJ, y, se)
+    m = _study_rows(MKH, y, se)
     _, _, q = hksj_scale(y, se, h.tau2)
     assert q > 1.0
     assert m.lower == pytest.approx(h.lower)
@@ -188,7 +198,7 @@ def test_variance_hcs_affine_increasing():
 
 def test_ci_hcs_fallback_without_splits():
     ds = make_dataset([(0.0, 0.5, []), (1.0, 0.5, [])])
-    res = ci_hcs(ds, 1)
+    res = _method(HCS_MAX1, ds)
     assert res.fallback
     assert res.df == 1
     assert res.method == HCS_MAX1
@@ -201,13 +211,13 @@ def test_ci_hcs_df_rule():
     ds = make_dataset(
         [(0.0, 0.5, [split_lo]), (1.0, 0.5, [split_hi])], selected=[0, 0]
     )
-    res = ci_hcs(ds, 1)
+    res = _method(HCS_MAX1, ds)
     assert res.df == 1
     assert not res.fallback
 
 
 def test_interval_contains_point_and_width():
-    res = ci_normal([0.0, 1.0], [0.5, 0.5])
+    res = _study_rows(NORMAL, [0.0, 1.0], [0.5, 0.5])
     assert res.lower <= res.point <= res.upper
     assert res.width == pytest.approx(res.upper - res.lower)
     assert res.point - res.lower == pytest.approx(res.upper - res.point, rel=1e-12)
@@ -217,9 +227,9 @@ def test_translation_equivariance():
     y = np.array([0.1, -0.7, 0.4])
     se = np.array([0.3, 0.6, 0.5])
     c = 2.5
-    for fn in (ci_normal, ci_hksj, ci_mkh, ci_zh):
-        a = fn(y, se)
-        b = fn(y + c, se)
+    for method in (NORMAL, HKSJ, MKH, ZH):
+        a = _study_rows(method, y, se)
+        b = _study_rows(method, y + c, se)
         assert b.lower == pytest.approx(a.lower + c, rel=1e-10, abs=1e-10)
         assert b.upper == pytest.approx(a.upper + c, rel=1e-10, abs=1e-10)
 

@@ -1,12 +1,17 @@
+import csv
+import io
 import json
 import math
 import os
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fewmeta.cli import main, run_self_checks
-from fewmeta.intervals import CIMethodConfig
+from fewmeta.data import ValidationError, load_csv
+from fewmeta.intervals import CIMethodConfig, run_all_methods
 from fewmeta.report import (
     build_report,
     render_text,
@@ -194,3 +199,152 @@ def test_self_checks_pass():
     checks = run_self_checks(seed=0)
     failed = [(name, detail) for name, ok, detail in checks if not ok]
     assert failed == []
+
+
+DEGENERATE_STUDY_ROWS = (
+    "study_id,label,level,split,arm,y,se,n\n"
+    "s1,,study,,,0.1,1e-08,\n"
+    "s2,,study,,,0.4,1,\n"
+)
+DEGENERATE_ARMS = (
+    "study_id,label,level,split,arm,y,se,n\n"
+    "s1,,study,,,0.1,0.3,\n"
+    "s1,,subgroup,g,1,0.1,1e-08,10\n"
+    "s1,,subgroup,g,2,0.3,1,10\n"
+    "s2,,study,,,0.4,0.6,\n"
+    "s2,,subgroup,g,1,0.2,1,10\n"
+    "s2,,subgroup,g,2,0.6,1,10\n"
+)
+DL_DEGENERATE = "tau2_dl: degenerate weight configuration"
+DLS_DEGENERATE = "tau2_dls: degenerate weight configuration"
+SHRINKAGE_DEGENERATE = "shrinkage terms: degenerate weight configuration"
+
+
+@pytest.mark.parametrize(
+    "text, succeeded, errors, report_error",
+    [
+        (DEGENERATE_STUDY_ROWS, [],
+         dict.fromkeys(["NORMAL", "HKSJ", "MKH", "ZH", "HCS_MAX1", "HCS_MAX2"],
+                       DL_DEGENERATE),
+         DL_DEGENERATE),
+        (DEGENERATE_ARMS, ["NORMAL", "HKSJ", "MKH", "ZH"],
+         {"HCS_MAX1": DLS_DEGENERATE, "HCS_MAX2": SHRINKAGE_DEGENERATE},
+         DLS_DEGENERATE),
+    ],
+    ids=["study-rows", "arms"],
+)
+def test_degenerate_weights_attributed_per_method(
+    tmp_path, text, succeeded, errors, report_error
+):
+    path = tmp_path / "degenerate.csv"
+    path.write_text(text)
+    ds = load_csv(str(path))
+    if ds.has_splits:
+        ds = ds.with_selection(select_local(ds).choices)
+    results, got = run_all_methods(ds)
+    assert [r.method for r in results] == succeeded
+    assert got == errors
+    with pytest.raises(ValidationError, match=report_error):
+        build_report(ds)
+    result = CliRunner().invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {"error": "validation", "message": report_error}
+
+
+def _respire14_with(row, column, value):
+    """respire14.csv as text, with one field of data row `row` (0-based)
+    replaced; a p_interaction column is added when it is the one set."""
+    with open(dataset_path("respire14"), encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        fields, rows = list(reader.fieldnames), list(reader)
+    if column not in fields:
+        fields.append(column)
+    rows[row][column] = value
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fields)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "row, column, value, where",
+    [
+        (2, "n", "nan", "RESPIRE-1/sex/arm1"),
+        (2, "n", "inf", "RESPIRE-1/sex/arm1"),
+        (2, "n", "abc", "RESPIRE-1/sex/arm1"),
+        (2, "n", "4.7", "RESPIRE-1/sex/arm1"),
+        (2, "n", "0.5", "RESPIRE-1/sex/arm1"),
+        (0, "n", "abc", "RESPIRE-1"),
+        (0, "n", "nan", "RESPIRE-1"),
+        (2, "p_interaction", "abc", "RESPIRE-1/sex"),
+    ],
+)
+def test_cli_malformed_numbers_are_validation_errors(tmp_path, row, column, value, where):
+    path = tmp_path / "malformed.csv"
+    path.write_text(_respire14_with(row, column, value), encoding="utf-8")
+    result = CliRunner().invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr)
+    assert error["error"] == "validation"
+    assert error["message"].startswith(where + ":")
+    assert repr(value) in error["message"]
+
+
+_JUNK = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "abc", "nan", "-inf", "1e999", "1e-320", "1e-200", "1e300",
+                     "900", "-1e30", "0", "-1", "4.7"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text: a well-formed dataset of 2-4 studies with the same zero to
+    two splits each, in which up to two fields are replaced by any float or
+    junk or a row is cut short, rows shuffled; or, one time in ten,
+    arbitrary text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text())
+    y, se = st.floats(-3, 3).map(repr), st.floats(0.01, 3).map(repr)
+    n, p = st.integers(1, 500).map(str), st.floats(0, 1).map(repr)
+    width = draw(st.sampled_from([9, 8]))  # with or without p_interaction
+    splits = draw(st.sampled_from([(), ("a",), ("a", "b")]))
+    rows = []
+    for i in range(draw(st.integers(2, 4))):
+        sid = f"s{i + 1}"
+        rows.append([sid, "", "study", "", "", draw(y), draw(se), draw(n), ""][:width])
+        for split in splits:
+            for arm in ("1", "2"):
+                rows.append([sid, "", "subgroup", split, arm,
+                             draw(y), draw(se), draw(n), draw(p)][:width])
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        col = draw(st.integers(0, max(len(row) - 1, 0)))
+        if not row or draw(st.integers(0, 4)) == 0:
+            del row[col:]
+        else:
+            row[col] = draw(_JUNK)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["study_id", "label", "level", "split", "arm", "y", "se", "n",
+                     "p_interaction"][:width])
+    writer.writerows(draw(st.permutations(rows)))
+    return buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_csv_texts(), command=st.sampled_from(
+    [["analyze"], ["analyze", "--select", "global", "--exp"], ["select"]]
+))
+def test_cli_any_csv_text_ends_in_a_documented_exit_code(text, command):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("in.csv", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        result = runner.invoke(main, [command[0], "in.csv", *command[1:]])
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        repr(result.exception)
+    )
+    assert result.exit_code in (0, 2, 3), result.output

@@ -3,7 +3,14 @@ import os
 import numpy as np
 import pytest
 
-from fewmeta.data import ValidationError
+from fewmeta.data import (
+    MetaDataset,
+    Study,
+    StudyEstimate,
+    SubgroupArm,
+    SubgroupSplit,
+    ValidationError,
+)
 from fewmeta.estimators import q_subgroup
 from fewmeta.selection import (
     CombinationBudgetError,
@@ -159,3 +166,42 @@ def test_sglt2_local_vs_global_disagree_only_on_one_study(sglt2):
     study = sglt2.studies[i]
     assert study.splits[loc.choices[i]].split_name == "diuretic"
     assert study.splits[glo.choices[i]].split_name == "eGFR"
+
+
+def _affine(dataset, shift, scale):
+    """The dataset with every effect y mapped to scale * y + shift and every
+    se to scale * se."""
+    studies = []
+    for study in dataset.studies:
+        est = study.estimate
+        splits = tuple(
+            SubgroupSplit(
+                split.split_name,
+                tuple(
+                    SubgroupArm(a.j, scale * a.y + shift, scale * a.se, a.n)
+                    for a in split.arms
+                ),
+                split.p_interaction,
+            )
+            for split in study.splits
+        )
+        moved = StudyEstimate(est.study_id, scale * est.y + shift, scale * est.se, est.n)
+        studies.append(Study(moved, splits, study.selected))
+    return MetaDataset(tuple(studies))
+
+
+@pytest.mark.parametrize(
+    "shift, scale",
+    [(1e5, 1.0), (1e7, 1.0), (-1e7, 1.0), (0.0, 1e-3), (0.0, 1e3), (1e7, 1e3)],
+)
+def test_selection_shift_and_scale_invariant(sglt2, shift, scale):
+    moved = _affine(sglt2, shift, scale)
+    for select_fn in (select_local, select_global):
+        before, after = select_fn(sglt2), select_fn(moved)
+        assert after.choices == before.choices
+        assert after.q_s == pytest.approx(before.q_s, rel=1e-6)
+    before, threshold = qs_histogram(sglt2)
+    after, moved_threshold = qs_histogram(moved)
+    assert moved_threshold == threshold
+    assert [cid for cid, _ in after] == [cid for cid, _ in before]
+    assert np.allclose([q for _, q in after], [q for _, q in before], rtol=1e-6, atol=0)

@@ -6,7 +6,8 @@ import pytest
 
 from fewmeta import report, simulation
 from fewmeta.data import ValidationError
-from fewmeta.estimators import mu_ce, mu_ce_subgroup
+from fewmeta.estimators import MAX1, MAX2, mu_ce, mu_ce_subgroup
+from fewmeta.intervals import meta_kernel, run_all_methods
 from fewmeta.simulation import (
     Scenario,
     draw_study_sizes,
@@ -235,3 +236,46 @@ def test_write_metrics_csv_keeps_target_on_failure(tmp_path, monkeypatch):
         write_metrics_csv([good], path)
     assert path.read_text() == "previous run\n"
     assert os.listdir(tmp_path) == ["metrics.csv"]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_dataset_path_equals_batch_path():
+    """run_all_methods on each replicate, rebuilt as a MetaDataset, gives the
+    batch's limits and df exactly, and the kernel on a stacked batch equals
+    one R = 1 call per row, bit for bit."""
+    sides = {MAX1: set(), MAX2: set()}
+    for k, tau, delta in ((2, 0.0, 0.0), (3, 0.5, 0.0), (5, 0.0, 1.0), (3, 0.5, 1.0)):
+        sc = _scenario(k=k, tau=tau, delta=delta, sigma_delta=0.2, p=1 / 3)
+        y_sub, se_sub, n_arm = simulation._draw_replicates(sc, scenario_rng(sc), 150)
+        y_stu, se_stu = simulation._study_rows(y_sub, se_sub)
+        p = n_arm[..., 0] / np.sum(n_arm, axis=-1)
+        batch = meta_kernel(y_stu, se_stu, y_sub, se_sub, p)
+        assert batch.errors == {}
+        for tag, side in sides.items():
+            side.update(batch.subgroup_wins[tag].tolist())
+        for r in range(len(y_sub)):
+            ds = simulation._replicate_dataset(y_sub[r], se_sub[r], n_arm[r])
+            results, errors = run_all_methods(ds)
+            assert errors == {}
+            for res in results:
+                ci = batch.intervals[res.method]
+                assert res.lower == ci.lower[r] and res.upper == ci.upper[r]
+                assert res.df == (None if ci.df is None else ci.df[r])
+
+            rows = slice(r, r + 1)
+            row = meta_kernel(y_stu[rows], se_stu[rows], y_sub[rows], se_sub[rows], p[rows])
+            for field_name in ("tau2", "tau2_raw", "subgroup_wins"):
+                whole, single = getattr(batch, field_name), getattr(row, field_name)
+                assert whole.keys() == single.keys()
+                for tag in whole:
+                    assert _same_bits(whole[tag][rows], single[tag])
+            for method, ci in batch.intervals.items():
+                for whole, single in zip(ci, row.intervals[method]):
+                    if whole is None:
+                        assert single is None
+                    else:
+                        assert _same_bits(whole[rows], single)
+    assert sides == {MAX1: {False, True}, MAX2: {False, True}}
