@@ -221,6 +221,14 @@ def _parse_float(value, where):
         raise ValidationError(f"{where}: cannot parse number {value!r}") from None
 
 
+def _parse_effect(y, se, where):
+    """An effect and its standard error, parsed and checked against the
+    bounds of StudyEstimate/SubgroupArm so that an error names its row."""
+    y, se = _parse_float(y, where), _parse_float(se, where)
+    _check_effect(y, se, where)
+    return y, se
+
+
 def _parse_count(value, where):
     """A count such as n: a whole number >= 1 ("12" and "12.0" both give 12)."""
     n = _parse_float(value, where)
@@ -290,14 +298,9 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
                     raise ValidationError(
                         f"split {sid!r}/{name!r} arm {j}: n is required on subgroup rows"
                     )
-                arms.append(
-                    SubgroupArm(
-                        j=j,
-                        y=_parse_float(r.get("y"), f"{sid}/{name}/arm{j}"),
-                        se=_parse_float(r.get("se"), f"{sid}/{name}/arm{j}"),
-                        n=_parse_count(nval, f"{sid}/{name}/arm{j}"),
-                    )
-                )
+                where = f"{sid}/{name}/arm{j}"
+                y, se = _parse_effect(r.get("y"), r.get("se"), where)
+                arms.append(SubgroupArm(j=j, y=y, se=se, n=_parse_count(nval, where)))
             row_p = subgroup_rows[(sid, name, 1)].get("p_interaction")
             p_int = _parse_float(row_p, f"{sid}/{name}") if row_p not in (None, "") else None
             splits.append(SubgroupSplit(name, tuple(arms), p_interaction=p_int))
@@ -313,12 +316,8 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
         else:
             nval = row.get("n")
             n = _parse_count(nval, sid) if nval not in (None, "") else None
-            est = StudyEstimate(
-                study_id=sid,
-                y=_parse_float(y_raw, sid),
-                se=_parse_float(se_raw, sid),
-                n=n,
-            )
+            y, se = _parse_effect(y_raw, se_raw, sid)
+            est = StudyEstimate(study_id=sid, y=y, se=se, n=n)
         studies.append(Study(est, tuple(splits)))
 
     dataset = MetaDataset(tuple(studies))

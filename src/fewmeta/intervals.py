@@ -204,7 +204,8 @@ def _normal_upper_quantile(p):
 
 def _upper_quantile(cdf, p):
     """Bracket-and-bisection for the quantile at p > 0.5 of a distribution
-    symmetric about zero, to an absolute tolerance of _QUANTILE_TOL."""
+    symmetric about zero, to an absolute tolerance of _QUANTILE_TOL, or to
+    adjacent doubles where the quantile is too large for that tolerance."""
     lo, hi = 0.0, 2.0
     while cdf(hi) < p:
         hi *= 2.0
@@ -212,6 +213,8 @@ def _upper_quantile(cdf, p):
             raise ArithmeticError("quantile: bracket expansion failed")
     while hi - lo > _QUANTILE_TOL:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if cdf(mid) < p:
             lo = mid
         else:

@@ -63,6 +63,31 @@ def test_t_quantile_against_scipy():
             )
 
 
+def _old_upper_quantile(cdf, p):
+    """The bisection as it stood before it could stop at adjacent doubles."""
+    lo, hi = 0.0, 2.0
+    while cdf(hi) < p:
+        hi *= 2.0
+    while hi - lo > intervals._QUANTILE_TOL:
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_t_quantile_far_tail_ends():
+    # The quantile is ~6.4e9, where doubles are too coarse for the absolute
+    # tolerance; the bisection must still end, at adjacent doubles.
+    p = 0.99999999995
+    assert t_quantile(1, p) == pytest.approx(scipy.stats.t.ppf(p, 1), rel=1e-5)
+    for df in (1, 2, 5, 30):
+        for p in (0.6, 0.975, 0.995, 0.9999):
+            cdf = lambda t: student_t_cdf(t, df)
+            assert intervals._upper_quantile(cdf, p) == _old_upper_quantile(cdf, p)
+
+
 def test_t_quantile_monotonicity():
     qs = [t_quantile(df, 0.975) for df in range(1, 30)]
     assert all(a > b for a, b in zip(qs, qs[1:]))

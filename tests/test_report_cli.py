@@ -291,6 +291,34 @@ def test_cli_malformed_numbers_are_validation_errors(tmp_path, row, column, valu
     assert repr(value) in error["message"]
 
 
+@pytest.mark.parametrize(
+    "row, column, value, where",
+    [
+        (2, "se", "1e-200", "RESPIRE-1/sex/arm1"),
+        (2, "y", "1e300", "RESPIRE-1/sex/arm1"),
+        (3, "se", "inf", "RESPIRE-1/sex/arm2"),
+        (0, "se", "1e-200", "RESPIRE-1"),
+        (0, "y", "nan", "RESPIRE-1"),
+    ],
+)
+def test_cli_out_of_range_effects_name_the_row(tmp_path, row, column, value, where):
+    path = tmp_path / "out_of_range.csv"
+    path.write_text(_respire14_with(row, column, value), encoding="utf-8")
+    result = CliRunner().invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr)
+    assert error["error"] == "validation"
+    assert error["message"].startswith(where + ":")
+
+
+def test_cli_extreme_level_ends():
+    # k = 2 gives df = 1, whose quantile at this level is ~6.4e9.
+    result = CliRunner().invoke(
+        main, ["analyze", dataset_path("respire14"), "--level", "0.9999999999"]
+    )
+    assert result.exit_code in (0, 2), result.output
+
+
 _JUNK = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["", "abc", "nan", "-inf", "1e999", "1e-320", "1e-200", "1e300",

@@ -1,7 +1,13 @@
+import hashlib
+import math
 import os
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+
+from fewmeta import selection
+from fewmeta.cli import main
 
 from fewmeta.data import (
     MetaDataset,
@@ -23,7 +29,7 @@ from fewmeta.selection import (
     write_histogram_csv,
 )
 
-from conftest import make_dataset, make_split
+from conftest import dataset_path, make_dataset, make_split
 
 
 def test_within_study_q_hand_case():
@@ -205,3 +211,97 @@ def test_selection_shift_and_scale_invariant(sglt2, shift, scale):
     assert moved_threshold == threshold
     assert [cid for cid, _ in after] == [cid for cid, _ in before]
     assert np.allclose([q for _, q in after], [q for _, q in before], rtol=1e-6, atol=0)
+
+
+def _enumerate(counts):
+    """Study-major enumeration of combinations (last study fastest): the
+    loop the numpy evaluator replaced, kept as its reference."""
+    choices = [0] * len(counts)
+    while True:
+        yield tuple(choices)
+        for pos in range(len(counts) - 1, -1, -1):
+            choices[pos] += 1
+            if choices[pos] < counts[pos]:
+                break
+            choices[pos] = 0
+        else:
+            return
+
+
+def _qs_loop(dataset):
+    """Every (choices, Q_S) pair, summed one combination at a time."""
+    moments = selection._split_moments(dataset)
+    out = []
+    for choices in _enumerate([len(s.splits) for s in dataset.studies]):
+        s0 = s1 = s2 = 0.0
+        for rows, c in zip(moments, choices):
+            a, b, d = rows[c]
+            s0 += a
+            s1 += b
+            s2 += d
+        out.append((choices, s2 - s1 * s1 / s0))
+    return out
+
+
+def _random_datasets():
+    """Datasets of 2-4 studies with 1-4 splits each: plain, with every
+    effect shifted far from zero, and with duplicated splits (tied Q_S)."""
+    rng = np.random.default_rng(13)
+    for case in range(24):
+        specs = []
+        for i in range(rng.integers(2, 5)):
+            splits = [
+                make_split(f"s{j}", rng.normal(0, 1, 2), rng.uniform(0.2, 1.5, 2))
+                for j in range(rng.integers(1, 5))
+            ]
+            if case % 3 == 2:
+                splits += [make_split(f"d{j}", [a.y for a in sp.arms], [a.se for a in sp.arms])
+                           for j, sp in enumerate(splits)]
+            specs.append((rng.normal(), 0.7, splits))
+        ds = make_dataset(specs)
+        yield _affine(ds, 1e6, 1.0) if case % 3 == 1 else ds
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 50])
+def test_qs_all_equals_loop_bit_for_bit(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(selection, "_QS_BLOCK", block)
+    for ds in _random_datasets():
+        expected = _qs_loop(ds)
+        got = selection._qs_all(ds)
+        assert got.dtype == np.float64
+        assert got.tolist() == [q for _, q in expected]
+        sizes = [len(q) for q in selection._qs_blocks(ds)]
+        assert sum(sizes) == len(expected)
+        assert max(sizes) <= selection._QS_BLOCK
+        best_choices, best_q = expected[0]
+        for choices, q in expected:
+            if q > best_q:
+                best_choices, best_q = choices, q
+        res = select_global(ds)
+        assert res.choices == best_choices
+        assert res.q_s == best_q and type(res.q_s) is float
+        values, _ = qs_histogram(ds)
+        assert values == [(cid, q) for cid, (_, q) in enumerate(expected)]
+
+
+def test_select_histogram_golden_bytes(tmp_path):
+    path = tmp_path / "h.csv"
+    result = CliRunner().invoke(
+        main, ["select", dataset_path("sglt2"), "--histogram", str(path)]
+    )
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f9f4a2c79badf333197970d338a96cd3f2d890106c406d8fa125d8b08600315b"
+    )
+
+
+def test_select_global_skips_nan(monkeypatch):
+    a = make_split("a", (0.5, -0.5), (1.0, 1.0))
+    b = make_split("b", (0.1, -0.1), (1.0, 1.0))
+    ds = make_dataset([(0.0, 0.7, [a, b]), (0.0, 0.7, [a, b])])
+    moments = [[(1.0, math.nan, 0.0), (1.0, 1.0, 2.0)], [(1.0, 0.0, 0.0), (1.0, 1.0, 2.0)]]
+    monkeypatch.setattr(selection, "_split_moments", lambda dataset: moments)
+    res = select_global(ds)
+    assert res.choices == (1, 1)
+    assert res.q_s == 4.0 - 4.0 / 2.0
