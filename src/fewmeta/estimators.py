@@ -2,17 +2,18 @@
 
 Numeric functions accept arrays whose *last* axis runs over studies (or,
 for subgroup quantities, last two axes run over studies x arms); leading
-axes broadcast over replicates. The raw estimators (dl_raw, dls_raw,
-shrinkage_coefficients) are combined into the five tau^2 estimates in one
-place, the kernel `intervals.meta_kernel`, which serves both a Monte Carlo
-batch and a single dataset (its R = 1 slice); the HeterogeneityEstimate
-records of a dataset are built from that slice.
+axes broadcast over replicates. The five tau^2 estimates are combined in
+one place, the kernel `intervals.meta_kernel`, which serves both a Monte
+Carlo batch and a single dataset (its R = 1 slice); the
+HeterogeneityEstimate records of a dataset are built from that slice.
+Every weighted sum goes through one pooling step (_Pool), which the kernel
+runs once per level and batch and the public helpers here call too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,19 +60,81 @@ class ShrinkageTerms:
     B_coefficient: float
 
 
+class _Pool(NamedTuple):
+    """Inverse-variance pooling of y over its trailing `axes`: weights w, their
+    sum sw, the weighted mean mu and the squared deviations dev2 from it."""
+
+    w: np.ndarray
+    sw: np.ndarray
+    mu: np.ndarray
+    dev2: np.ndarray
+    axes: tuple
+
+    def q(self):
+        """sum w (y - mu)^2: Cochran's Q, Q_S over arms, or the HKSJ sum."""
+        return np.sum(self.w * self.dev2, axis=self.axes)
+
+    def moment_tau2(self, sw2, df, name):
+        """Untruncated moment estimate (Q - df) / (sw - sw2 / sw), sw2 = sum w^2."""
+        denom = self.sw - sw2 / self.sw
+        if np.any(denom <= 0):
+            raise ValidationError(f"{name}: degenerate weight configuration")
+        return (self.q() - df) / denom
+
+
+def _pool(y, w, axes=(-1,)):
+    sw = np.sum(w, axis=axes)
+    mu = np.sum(w * y, axis=axes) / sw
+    return _Pool(w, sw, mu, (y - mu[(...,) + (None,) * len(axes)]) ** 2, axes)
+
+
+def _re_pool(y, se, tau2):
+    """Pooling under random-effects weights (se^2 + tau2)^-1."""
+    y, se, tau2 = (np.asarray(a, dtype=float) for a in (y, se, tau2))
+    return _pool(y, 1.0 / (se ** 2 + (tau2[..., None] if tau2.ndim else tau2)))
+
+
+def _require_k2(k, name):
+    if k < 2:
+        raise ValidationError(f"{name}: at least 2 studies required")
+
+
+def _check_ce_weights(y, w):
+    if y.shape[-1] == 0:
+        raise ValidationError("mu_ce: empty input")
+    if np.any(w <= 0):
+        raise ValidationError("mu_ce: weights must be positive")
+
+
+def _dl(y, study, sw2):
+    """Untruncated DL from the study pool; checks as dl_raw, in its order."""
+    raw = study.moment_tau2(sw2, y.shape[-1] - 1, "tau2_dl")
+    _check_ce_weights(y, study.w)
+    return raw
+
+
+def _dls(arms, sw2):
+    """Untruncated DLS from the arm pool: 2k arms, 2k - 1 degrees of freedom."""
+    return arms.moment_tau2(sw2, 2 * arms.w.shape[-2] - 1, "tau2_dls")
+
+
+def _shrinkage_a(w, sw, sw2):
+    """The shrinkage factor A of arm weights, and (sum w)^2 - sum w^2."""
+    denom = sw ** 2 - sw2
+    if np.any(denom <= 0):
+        raise ValidationError("shrinkage terms: degenerate weight configuration")
+    return 1.0 - 2.0 * np.sum(w[..., 0] * w[..., 1], axis=-1) / denom, denom
+
+
 # ---------------------------------------------------------------------------
 # study-level statistics
 # ---------------------------------------------------------------------------
 
 def mu_ce(y, w):
     """Inverse-variance weighted (common-effect) mean."""
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if y.shape[-1] == 0:
-        raise ValidationError("mu_ce: empty input")
-    if np.any(w <= 0):
-        raise ValidationError("mu_ce: weights must be positive")
-    return np.sum(w * y, axis=-1) / np.sum(w, axis=-1)
+    y, w = np.asarray(y, dtype=float), np.asarray(w, dtype=float)
+    _check_ce_weights(y, w)
+    return _pool(y, w).mu
 
 
 def mu_re(y, se, tau2):
@@ -80,38 +143,24 @@ def mu_re(y, se, tau2):
     Weights are (se^2 + tau2)^-1; with tau2 = 0 this reduces to the
     common-effect estimate and variance.
     """
-    y = np.asarray(y, dtype=float)
-    se = np.asarray(se, dtype=float)
-    tau2 = np.asarray(tau2, dtype=float)
-    t2 = tau2[..., None] if tau2.ndim else tau2
-    w = 1.0 / (se ** 2 + t2)
-    mu = np.sum(w * y, axis=-1) / np.sum(w, axis=-1)
-    var = 1.0 / np.sum(w, axis=-1)
-    return mu, var
+    re = _re_pool(y, se, tau2)
+    return re.mu, 1.0 / re.sw
 
 
 def cochran_q(y, se):
     """Cochran's Q homogeneity statistic about the common-effect mean."""
     y = np.asarray(y, dtype=float)
-    se = np.asarray(se, dtype=float)
-    w = se ** -2.0
-    mu = mu_ce(y, w)
-    return np.sum(w * (y - mu[..., None]) ** 2, axis=-1)
+    w = np.asarray(se, dtype=float) ** -2.0
+    _check_ce_weights(y, w)
+    return _pool(y, w).q()
 
 
 def dl_raw(y, se):
     """Untruncated study-level moment estimate of tau^2."""
-    y = np.asarray(y, dtype=float)
-    se = np.asarray(se, dtype=float)
-    k = y.shape[-1]
-    if k < 2:
-        raise ValidationError("tau2_dl: at least 2 studies required")
-    w = se ** -2.0
-    sw = np.sum(w, axis=-1)
-    denom = sw - np.sum(w ** 2, axis=-1) / sw
-    if np.any(denom <= 0):
-        raise ValidationError("tau2_dl: degenerate weight configuration")
-    return (cochran_q(y, se) - (k - 1)) / denom
+    y, se = np.asarray(y, dtype=float), np.asarray(se, dtype=float)
+    _require_k2(y.shape[-1], "tau2_dl")
+    study = _pool(y, se ** -2.0)
+    return _dl(y, study, np.sum(study.w ** 2, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +190,18 @@ def study_arrays(dataset: MetaDataset):
     return y, se
 
 
+def _arm_pool(y_sub, se_sub):
+    return _pool(np.asarray(y_sub, dtype=float), np.asarray(se_sub, dtype=float) ** -2.0, (-2, -1))
+
+
 def mu_ce_subgroup(y_sub, se_sub):
     """Common-effect mean pooled over all 2k subgroup arms."""
-    y = np.asarray(y_sub, dtype=float)
-    w = np.asarray(se_sub, dtype=float) ** -2.0
-    return np.sum(w * y, axis=(-2, -1)) / np.sum(w, axis=(-2, -1))
+    return _arm_pool(y_sub, se_sub).mu
 
 
 def qs_raw(y_sub, se_sub):
     """Subgroup-level Q statistic over the 2k arm estimates."""
-    y = np.asarray(y_sub, dtype=float)
-    w = np.asarray(se_sub, dtype=float) ** -2.0
-    mu = mu_ce_subgroup(y_sub, se_sub)
-    return np.sum(w * (y - mu[..., None, None]) ** 2, axis=(-2, -1))
+    return _arm_pool(y_sub, se_sub).q()
 
 
 def q_subgroup(dataset: MetaDataset) -> float:
@@ -165,16 +213,9 @@ def q_subgroup(dataset: MetaDataset) -> float:
 
 def dls_raw(y_sub, se_sub):
     """Untruncated moment estimate of tau^2 from subgroup-level data."""
-    y = np.asarray(y_sub, dtype=float)
-    k = y.shape[-2]
-    if k < 2:
-        raise ValidationError("tau2_dls: at least 2 studies required")
-    w = np.asarray(se_sub, dtype=float) ** -2.0
-    sw = np.sum(w, axis=(-2, -1))
-    denom = sw - np.sum(w ** 2, axis=(-2, -1)) / sw
-    if np.any(denom <= 0):
-        raise ValidationError("tau2_dls: degenerate weight configuration")
-    return (qs_raw(y_sub, se_sub) - (2 * k - 1)) / denom
+    _require_k2(np.shape(y_sub)[-2], "tau2_dls")
+    arms = _arm_pool(y_sub, se_sub)
+    return _dls(arms, np.sum(arms.w ** 2, axis=(-2, -1)))
 
 
 def shrinkage_coefficients(se_sub, p):
@@ -186,12 +227,7 @@ def shrinkage_coefficients(se_sub, p):
     w = np.asarray(se_sub, dtype=float) ** -2.0
     p = np.asarray(p, dtype=float)
     sw = np.sum(w, axis=(-2, -1))
-    sw2 = np.sum(w ** 2, axis=(-2, -1))
-    denom = sw ** 2 - sw2
-    if np.any(denom <= 0):
-        raise ValidationError("shrinkage terms: degenerate weight configuration")
-    cross = np.sum(w[..., 0] * w[..., 1], axis=-1)
-    a = 1.0 - 2.0 * cross / denom
+    a, denom = _shrinkage_a(w, sw, np.sum(w ** 2, axis=(-2, -1)))
     pq = (p * (1.0 - p))[..., None]
     b = np.sum(w * pq, axis=(-2, -1)) * sw / denom
     return a, b

@@ -7,10 +7,11 @@ around the common-effect estimate using a Henmi-Copas-type variance with
 hybrid heterogeneity estimates and flexible degrees of freedom.
 
 One kernel, meta_kernel, computes the five tau^2 estimates and all six
-intervals for a batch of R datasets; the Monte Carlo harness calls it on
-a scenario's replicates. A single dataset is its R = 1 slice
+intervals for a batch of R datasets; the Monte Carlo harness calls it on a
+scenario's replicates. A single dataset is its R = 1 slice
 (dataset_kernel), from which run_all_methods, all_tau2 and the report
-build their records.
+build their records. Studies, random effects and arms are each pooled once
+per batch; hksj_scale, zh_variance and variance_hcs call the same pieces.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from .estimators import (
     STUDY_SIDE,
     SUBGROUP_SIDE,
     HeterogeneityEstimate,
-    dl_raw,
-    dls_raw,
-    mu_ce,
-    mu_ce_subgroup,
-    mu_re,
-    shrinkage_coefficients,
+    _arm_pool,
+    _check_ce_weights,
+    _dl,
+    _dls,
+    _pool,
+    _re_pool,
+    _require_k2,
+    _shrinkage_a,
     study_arrays,
     subgroup_arrays,
 )
@@ -162,10 +165,10 @@ def student_t_cdf(t: float, df: float) -> float:
 def t_quantile(df: int, p: float) -> float:
     """Quantile of the central Student-t distribution.
 
-    Inverts the regularized incomplete beta representation of the CDF by
-    bisection to an absolute tolerance of 1e-10. Each distinct (df, p)
-    with p > 0.5 is computed once per process and then served from a
-    bounded cache.
+    Inverts the regularized incomplete beta representation of the upper
+    tail, P(T > t) = student_t_cdf(-t), by bisection to an absolute
+    tolerance of 1e-10. Each distinct (df, p) with p > 0.5 is computed once
+    per process and then served from a bounded cache.
     """
     if df < 1:
         raise ValidationError("t_quantile: df must be >= 1")
@@ -181,12 +184,12 @@ def t_quantile(df: int, p: float) -> float:
 @functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
 def _t_upper_quantile(df, p):
     """The t quantile at p > 0.5 (arguments already checked by t_quantile)."""
-    return _upper_quantile(lambda t: student_t_cdf(t, df), p)
+    return _upper_quantile(lambda t: -student_t_cdf(-t, df), p - 1.0)
 
 
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile, by bisection on the erf-based CDF; each
-    distinct p > 0.5 is computed once per process."""
+    """Standard normal quantile, by bisection on the erfc-based upper tail;
+    each distinct p > 0.5 is computed once per process."""
     if not (0.0 < p < 1.0):
         raise ValidationError("normal_quantile: p must be in (0, 1)")
     if p == 0.5:
@@ -199,15 +202,17 @@ def normal_quantile(p: float) -> float:
 @functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
 def _normal_upper_quantile(p):
     """The normal quantile at p > 0.5."""
-    return _upper_quantile(lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))), p)
+    return _upper_quantile(lambda z: -0.5 * math.erfc(z / math.sqrt(2.0)), p - 1.0)
 
 
-def _upper_quantile(cdf, p):
-    """Bracket-and-bisection for the quantile at p > 0.5 of a distribution
-    symmetric about zero, to an absolute tolerance of _QUANTILE_TOL, or to
-    adjacent doubles where the quantile is too large for that tolerance."""
+def _upper_quantile(f, target):
+    """Bracket-and-bisection on t >= 0 for where the increasing f reaches
+    target, to an absolute tolerance of _QUANTILE_TOL, or to adjacent doubles
+    where the point is too large for that tolerance. The quantiles pass minus
+    the upper tail and p - 1 (exact for p >= 0.5): unlike the CDF against p,
+    the tails keep their relative precision as p approaches 1."""
     lo, hi = 0.0, 2.0
-    while cdf(hi) < p:
+    while f(hi) < target:
         hi *= 2.0
         if hi > 1e100:
             raise ArithmeticError("quantile: bracket expansion failed")
@@ -215,7 +220,7 @@ def _upper_quantile(cdf, p):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if cdf(mid) < p:
+        if f(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -232,44 +237,37 @@ def hksj_scale(y, se, tau2):
     q is the weighted residual mean square under random-effects weights,
     q = sum w_i (y_i - mu_RE)^2 / (k - 1).
     """
-    y = np.asarray(y, dtype=float)
-    se = np.asarray(se, dtype=float)
-    k = y.shape[-1]
-    if k < 2:
-        raise ValidationError("hksj_scale: at least 2 studies required")
-    mu, var = mu_re(y, se, tau2)
-    t2 = np.asarray(tau2, dtype=float)
-    t2 = t2[..., None] if t2.ndim else t2
-    w = 1.0 / (se ** 2 + t2)
-    q = np.sum(w * (y - mu[..., None]) ** 2, axis=-1) / (k - 1)
-    return mu, var, q
+    k = np.shape(y)[-1]
+    _require_k2(k, "hksj_scale")
+    re = _re_pool(y, se, tau2)
+    return re.mu, 1.0 / re.sw, re.q() / (k - 1)
 
 
 def zh_variance(y, se, tau2, c=2):
     """Leverage-penalized robust variance of the random-effects mean."""
-    y = np.asarray(y, dtype=float)
-    se = np.asarray(se, dtype=float)
-    mu, _ = mu_re(y, se, tau2)
-    t2 = np.asarray(tau2, dtype=float)
-    t2 = t2[..., None] if t2.ndim else t2
-    w = 1.0 / (se ** 2 + t2)
-    sw = np.sum(w, axis=-1)
-    leverage = w / sw[..., None]
-    terms = w ** 2 * (y - mu[..., None]) ** 2 * (1.0 - leverage) ** (-c)
-    return mu, np.sum(terms, axis=-1) / sw ** 2
+    re = _re_pool(y, se, tau2)
+    return re.mu, _zh_variance(re, c)
+
+
+def _zh_variance(re, c):
+    leverage = re.w / re.sw[..., None]
+    terms = re.w ** 2 * re.dev2 * (1.0 - leverage) ** (-c)
+    return np.sum(terms, axis=-1) / re.sw ** 2
 
 
 def variance_hcs(tau2, w):
     """Henmi-Copas-type variance of the common-effect estimator:
     (tau2 * sum w^2 + sum w) / (sum w)^2, with common-effect weights w."""
-    tau2 = np.asarray(tau2, dtype=float)
-    w = np.asarray(w, dtype=float)
+    w, tau2 = np.asarray(w, dtype=float), np.asarray(tau2, dtype=float)
+    return _variance_hcs(tau2, w, np.sum(w, axis=-1), np.sum(w ** 2, axis=-1))
+
+
+def _variance_hcs(tau2, w, sw, sw2):
+    """variance_hcs, given sum w (sw) and sum w^2 (sw2)."""
     if np.any(tau2 < 0):
         raise ValidationError("variance_hcs: tau2 must be >= 0")
     if np.any(w <= 0):
         raise ValidationError("variance_hcs: weights must be positive")
-    sw = np.sum(w, axis=-1)
-    sw2 = np.sum(w ** 2, axis=-1)
     return (tau2 * sw2 + sw) / sw ** 2
 
 
@@ -344,20 +342,22 @@ class KernelResult:
         return results, errors
 
 
-def meta_kernel(y, se, y_sub=None, se_sub=None, p=None, level=0.95, c=2) -> KernelResult:
+def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2) -> KernelResult:
     """All five tau^2 estimates and all six intervals for R datasets at once.
 
     y, se: (R, k) study rows; y_sub, se_sub: (R, k, 2) arms of the selected
-    splits; p: (R, k) prevalences of arm 1; c: the ZH leverage exponent.
-    DL feeds NORMAL, HKSJ, MKH and ZH. MAX1 (MAX2) is the larger of DL and
-    DLS (DLS_ADJ); it feeds the Henmi-Copas-type variance around the
-    common-effect mean, and the side that wins sets the HCS degrees of
-    freedom: k-1 for the study side, which also takes exact ties, 2k-1 for
-    the subgroup side. Without arms (y_sub=None) only DL is estimated and
-    both HCS intervals fall back to the study-level common effect with DL
-    and k-1 degrees of freedom.
+    splits; c: the ZH leverage exponent. DL feeds NORMAL, HKSJ, MKH and ZH.
+    MAX1 (MAX2) is the larger of DL and DLS (DLS_ADJ); it feeds the
+    Henmi-Copas-type variance around the common-effect mean, and the side
+    that wins sets the HCS degrees of freedom: k-1 for the study side, which
+    also takes exact ties, 2k-1 for the subgroup side. Without arms
+    (y_sub=None) only DL is estimated and both HCS intervals fall back to the
+    study-level common effect with DL and k-1 degrees of freedom. Weights,
+    sums and means are pooled once per batch at each level: studies, random
+    effects and arms.
     """
     k = y.shape[-1]
+    _require_k2(k, "hksj_scale")
     failed = {}
 
     def attempt(name, fn, *args):
@@ -367,41 +367,45 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, p=None, level=0.95, c=2) -> Kern
             failed[name] = str(exc)
             return np.full(y.shape[:-1], np.nan)
 
-    raw = {DL: attempt(DL, dl_raw, y, se)}
+    study = _pool(y, se ** -2.0)
+    sw2 = np.sum(study.w ** 2, axis=-1)
+    raw = {DL: attempt(DL, _dl, y, study, sw2)}
     tau2 = {DL: np.maximum(0.0, raw[DL])}
     needs = dict.fromkeys((DL,) + CI_METHODS, (DL,))
     wins = {}
     p_upper = 0.5 + level / 2.0
     t_lo = t_quantile(k - 1, p_upper)
     df_lo = np.full(y.shape[:-1], k - 1)
-    # mu and var are the random-effects mean and its model variance
-    mu, var, q = hksj_scale(y, se, tau2[DL])
-    mu_zh, var_zh = zh_variance(y, se, tau2[DL], c)
+    re = _re_pool(y, se, tau2[DL])
+    var = 1.0 / re.sw  # the model variance of the random-effects mean
+    q = re.q() / (k - 1)
 
     def interval(point, variance, df, quantile, t2):
         half = quantile * np.sqrt(variance)
         return BatchInterval(point, variance, df, point - half, point + half, t2)
 
     intervals = {
-        NORMAL: interval(mu, var, None, normal_quantile(p_upper), tau2[DL]),
-        HKSJ: interval(mu, q * var, df_lo, t_lo, tau2[DL]),
-        MKH: interval(mu, np.maximum(1.0, q) * var, df_lo, t_lo, tau2[DL]),
-        ZH: interval(mu_zh, var_zh, df_lo, t_lo, tau2[DL]),
+        NORMAL: interval(re.mu, var, None, normal_quantile(p_upper), tau2[DL]),
+        HKSJ: interval(re.mu, q * var, df_lo, t_lo, tau2[DL]),
+        MKH: interval(re.mu, np.maximum(1.0, q) * var, df_lo, t_lo, tau2[DL]),
+        ZH: interval(re.mu, _zh_variance(re, c), df_lo, t_lo, tau2[DL]),
     }
     if y_sub is None:
-        w = se ** -2.0
+        _check_ce_weights(y, study.w)
         intervals[HCS_MAX1] = intervals[HCS_MAX2] = interval(
-            mu_ce(y, w), variance_hcs(tau2[DL], w), df_lo, t_lo, tau2[DL]
+            study.mu, _variance_hcs(tau2[DL], study.w, study.sw, sw2), df_lo, t_lo, tau2[DL]
         )
     else:
-        raw[DLS] = attempt(DLS, dls_raw, y_sub, se_sub)
-        a = attempt("A", lambda: shrinkage_coefficients(se_sub, p)[0])
+        arms = _arm_pool(y_sub, se_sub)
+        arms_sw2 = np.sum(arms.w ** 2, axis=(-2, -1))
+        raw[DLS] = attempt(DLS, _dls, arms, arms_sw2)
+        a = attempt("A", lambda: _shrinkage_a(arms.w, arms.sw, arms_sw2)[0])
         tau2[DLS] = np.maximum(0.0, raw[DLS])
         tau2[DLS_ADJ] = raw[DLS_ADJ] = tau2[DLS] / a
         needs.update({DLS: (DLS,), DLS_ADJ: ("A", DLS)})
         t_hi = t_quantile(2 * k - 1, p_upper)
-        w = np.sum(se_sub ** -2.0, axis=-1)  # per-study common-effect weights
-        mu_sub = mu_ce_subgroup(y_sub, se_sub)
+        w = np.sum(arms.w, axis=-1)  # per-study common-effect weights
+        w_sums = (w, np.sum(w, axis=-1), np.sum(w ** 2, axis=-1))
         for tag, side, method in ((MAX1, DLS, HCS_MAX1), (MAX2, DLS_ADJ, HCS_MAX2)):
             wins[tag] = tau2[side] > tau2[DL]
             tau2[tag] = np.maximum(tau2[DL], tau2[side])
@@ -409,7 +413,8 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, p=None, level=0.95, c=2) -> Kern
             needs[tag] = needs[method] = (DL,) + needs[side]
             df = np.where(wins[tag], 2 * k - 1, k - 1)
             t = np.where(wins[tag], t_hi, t_lo)
-            intervals[method] = interval(mu_sub, variance_hcs(tau2[tag], w), df, t, tau2[tag])
+            variance = _variance_hcs(tau2[tag], *w_sums)
+            intervals[method] = interval(arms.mu, variance, df, t, tau2[tag])
     errors = {
         tag: next(failed[d] for d in deps if d in failed)
         for tag, deps in needs.items()
@@ -429,8 +434,8 @@ def dataset_kernel(dataset: MetaDataset, config: CIMethodConfig = CIMethodConfig
     y, se = study_arrays(dataset)
     arms = ()
     if dataset.fully_selected:
-        y_sub, se_sub, p = subgroup_arrays(dataset)
-        arms = (y_sub[None], se_sub[None], p[None])
+        y_sub, se_sub, _ = subgroup_arrays(dataset)
+        arms = (y_sub[None], se_sub[None])
     return meta_kernel(y[None], se[None], *arms, level=config.level, c=config.zh_penalty_c)
 
 

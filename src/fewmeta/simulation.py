@@ -9,16 +9,15 @@ with s_{i,j} = sigma_u / sqrt(n_{i,j}).
 
 All replicate-level computation is vectorized: one call of the kernel
 `intervals.meta_kernel` evaluates every tau^2 estimator and CI method over
-a scenario's replicates, the same code that analyses one dataset at R = 1.
-Scenarios are embarrassingly parallel and each derives its own RNG stream
-from a content hash, making results independent of the execution schedule.
+a scenario's replicates, the same code that analyses one dataset at R = 1,
+and each metric is aggregated for all methods in one call. Scenarios are
+embarrassingly parallel and each derives its own RNG stream from a content
+hash, making results independent of the execution schedule.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -260,42 +259,43 @@ def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
     metrics. Deterministic given the scenario (including its seed)."""
     rng = scenario_rng(scenario)
     n_reps = scenario.n_reps
-    y_sub, se_sub, n_arm = _draw_replicates(scenario, rng, n_reps)
+    y_sub, se_sub, _ = _draw_replicates(scenario, rng, n_reps)
     y_stu, se_stu = _study_rows(y_sub, se_sub)
-    p_arr = n_arm[..., 0] / np.sum(n_arm, axis=-1)
 
-    result = meta_kernel(y_stu, se_stu, y_sub, se_sub, p_arr, level)
+    result = meta_kernel(y_stu, se_stu, y_sub, se_sub, level=level)
     if result.errors:
         raise ValidationError(next(iter(result.errors.values())))
 
-    tau_metrics = {}
-    for method in TAU2_METHODS:
-        t2 = result.tau2[method]
-        bias = np.sqrt(t2) - scenario.tau
-        zero_count = int(np.count_nonzero(t2 == 0.0))
-        tau_metrics[method] = {
-            "bias": float(np.mean(bias)),
-            "bias_mc_se": float(np.std(bias, ddof=1) / np.sqrt(n_reps))
-            if n_reps > 1
-            else 0.0,
-            "zero_proportion": zero_count / n_reps,
-            "zero_count": zero_count,
-        }
+    t2 = np.stack([result.tau2[method] for method in TAU2_METHODS])
+    bias = np.sqrt(t2) - scenario.tau
+    bias_se = np.std(bias, axis=-1, ddof=1) / np.sqrt(n_reps) if n_reps > 1 else np.zeros(len(t2))
+    means, zeros = np.mean(bias, axis=-1), np.count_nonzero(t2 == 0.0, axis=-1)
+    tau_metrics = {
+        method: {"bias": b, "bias_mc_se": se, "zero_proportion": z / n_reps, "zero_count": z}
+        for method, b, se, z in zip(TAU2_METHODS, means.tolist(), bias_se.tolist(), zeros.tolist())
+    }
 
-    ci_metrics = {}
-    for method in CI_METHODS:
-        lower, upper = result.intervals[method].lower, result.intervals[method].upper
-        ok = np.isfinite(lower) & np.isfinite(upper)
-        failures = int(n_reps - np.count_nonzero(ok))
-        covered = ok & (lower <= scenario.mu) & (scenario.mu <= upper)
-        coverage = float(np.count_nonzero(covered)) / n_reps
-        lengths = (upper - lower)[ok]
-        ci_metrics[method] = {
-            "coverage": coverage,
-            "coverage_mc_se": float(np.sqrt(coverage * (1.0 - coverage) / n_reps)),
-            "median_length": float(np.median(lengths)) if lengths.size else float("nan"),
-            "failures": failures,
-        }
+    lower = np.stack([result.intervals[method].lower for method in CI_METHODS])
+    upper = np.stack([result.intervals[method].upper for method in CI_METHODS])
+    ok = np.isfinite(lower) & np.isfinite(upper)
+    covered = ok & (lower <= scenario.mu) & (scenario.mu <= upper)
+    coverage = np.count_nonzero(covered, axis=-1) / n_reps
+    coverage_se = np.sqrt(coverage * (1.0 - coverage) / n_reps)
+    failures = n_reps - np.count_nonzero(ok, axis=-1)
+    lengths = upper - lower
+    if ok.all():  # one median call serves every method
+        median_length = np.median(lengths, axis=-1).tolist()
+    else:  # each method's median over its finite intervals
+        median_length = [
+            float(np.median(row[keep])) if keep.any() else float("nan")
+            for row, keep in zip(lengths, ok)
+        ]
+    ci_metrics = {
+        method: {"coverage": c, "coverage_mc_se": se, "median_length": m, "failures": f}
+        for method, c, se, m, f in zip(
+            CI_METHODS, coverage.tolist(), coverage_se.tolist(), median_length, failures.tolist()
+        )
+    }
 
     return ScenarioMetrics(
         scenario=scenario, n_reps=n_reps, tau_metrics=tau_metrics, ci_metrics=ci_metrics
@@ -355,42 +355,21 @@ def validate_expectation(scenario: Scenario, n_reps: Optional[int] = None, sizes
 # output formats
 # ---------------------------------------------------------------------------
 
-_CSV_HEADER = [
-    "k",
-    "tau",
-    "delta",
-    "sigma_delta",
-    "p",
-    "n_reps",
-    "seed",
-    "kind",
-    "method",
-    "metric",
-    "value",
-]
-
-
-def metrics_rows(results: Sequence[ScenarioMetrics]):
-    """Tidy rows: one per scenario x method x metric."""
-    rows = []
-    for res in results:
-        s = res.scenario
-        base = [s.k, repr(s.tau), repr(s.delta), repr(s.sigma_delta), repr(s.p), s.n_reps, s.seed]
-        for method in TAU2_METHODS:
-            for metric, value in sorted(res.tau_metrics[method].items()):
-                rows.append(base + ["tau2", method, metric, repr(value)])
-        for method in CI_METHODS:
-            for metric, value in sorted(res.ci_metrics[method].items()):
-                rows.append(base + ["ci", method, metric, repr(value)])
-    return rows
+_CSV_HEADER = "k,tau,delta,sigma_delta,p,n_reps,seed,kind,method,metric,value\r\n"
 
 
 def write_metrics_csv(results: Sequence[ScenarioMetrics], path):
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(_CSV_HEADER)
-    writer.writerows(metrics_rows(results))
-    write_atomic(path, buf.getvalue())
+    """Tidy CSV, one row per scenario x method x metric, written atomically."""
+    rows = [_CSV_HEADER]
+    for res in results:
+        s = res.scenario
+        base = f"{s.k},{s.tau!r},{s.delta!r},{s.sigma_delta!r},{s.p!r},{s.n_reps},{s.seed}"
+        for kind, methods, metrics in (("tau2", TAU2_METHODS, res.tau_metrics),
+                                       ("ci", CI_METHODS, res.ci_metrics)):
+            for method in methods:
+                for metric, value in sorted(metrics[method].items()):
+                    rows.append(f"{base},{kind},{method},{metric},{value!r}\r\n")
+    write_atomic(path, "".join(rows))
 
 
 def metrics_to_json(results: Sequence[ScenarioMetrics]) -> str:

@@ -88,6 +88,19 @@ def test_t_quantile_far_tail_ends():
             assert intervals._upper_quantile(cdf, p) == _old_upper_quantile(cdf, p)
 
 
+def test_quantiles_keep_relative_accuracy_near_one():
+    # The bisection compares upper tails with 1 - p (exact in doubles), so
+    # the quantile keeps its relative accuracy however close p is to 1.
+    for q in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-16):
+        p = 1.0 - q
+        for df in (1, 2, 3, 10, 30, 200):
+            expected = scipy.stats.t.isf(1.0 - p, df)
+            assert t_quantile(df, p) == pytest.approx(expected, rel=1e-9)
+            assert t_quantile(df, 1.0 - p) == pytest.approx(-expected, rel=1e-9)
+        expected = scipy.stats.norm.isf(1.0 - p)
+        assert normal_quantile(p) == pytest.approx(expected, rel=1e-9)
+
+
 def test_t_quantile_monotonicity():
     qs = [t_quantile(df, 0.975) for df in range(1, 30)]
     assert all(a > b for a, b in zip(qs, qs[1:]))

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 
@@ -12,7 +13,6 @@ from fewmeta.simulation import (
     Scenario,
     draw_study_sizes,
     generate_meta_analysis,
-    metrics_rows,
     metrics_to_json,
     run_scenario,
     run_scenarios,
@@ -205,15 +205,20 @@ def test_validate_expectation_fixed_weights():
 def test_metrics_output(tmp_path):
     sc = _scenario(n_reps=100)
     results = [run_scenario(sc)]
-    rows = metrics_rows(results)
-    # 5 tau estimators x 4 metrics + 6 CI methods x 4 metrics
-    assert len(rows) == 5 * 4 + 6 * 4
     path = tmp_path / "metrics.csv"
     write_metrics_csv(results, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(rows) + 1
     header = b"k,tau,delta,sigma_delta,p,n_reps,seed,kind,method,metric,value\r\n"
     assert path.read_bytes().startswith(header)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    # 5 tau estimators x 4 metrics + 6 CI methods x 4 metrics
+    assert len(rows) == 5 * 4 + 6 * 4
+    assert all(len(row) == 11 for row in rows)
+    base = [str(sc.k), repr(sc.tau), repr(sc.delta), repr(sc.sigma_delta), repr(sc.p)]
+    for row in rows:
+        assert row[:7] == base + [str(sc.n_reps), str(sc.seed)]
+        metrics = results[0].tau_metrics if row[7] == "tau2" else results[0].ci_metrics
+        assert row[10] == repr(metrics[row[8]][row[9]])
     payload = metrics_to_json(results)
     import json
 
@@ -251,8 +256,7 @@ def test_dataset_path_equals_batch_path():
         sc = _scenario(k=k, tau=tau, delta=delta, sigma_delta=0.2, p=1 / 3)
         y_sub, se_sub, n_arm = simulation._draw_replicates(sc, scenario_rng(sc), 150)
         y_stu, se_stu = simulation._study_rows(y_sub, se_sub)
-        p = n_arm[..., 0] / np.sum(n_arm, axis=-1)
-        batch = meta_kernel(y_stu, se_stu, y_sub, se_sub, p)
+        batch = meta_kernel(y_stu, se_stu, y_sub, se_sub)
         assert batch.errors == {}
         for tag, side in sides.items():
             side.update(batch.subgroup_wins[tag].tolist())
@@ -266,7 +270,7 @@ def test_dataset_path_equals_batch_path():
                 assert res.df == (None if ci.df is None else ci.df[r])
 
             rows = slice(r, r + 1)
-            row = meta_kernel(y_stu[rows], se_stu[rows], y_sub[rows], se_sub[rows], p[rows])
+            row = meta_kernel(y_stu[rows], se_stu[rows], y_sub[rows], se_sub[rows])
             for field_name in ("tau2", "tau2_raw", "subgroup_wins"):
                 whole, single = getattr(batch, field_name), getattr(row, field_name)
                 assert whole.keys() == single.keys()
