@@ -8,10 +8,11 @@ hybrid heterogeneity estimates and flexible degrees of freedom.
 
 One kernel, meta_kernel, computes the five tau^2 estimates and all six
 intervals for a batch of R datasets; the Monte Carlo harness calls it on a
-scenario's replicates. A single dataset is its R = 1 slice
-(dataset_kernel), from which run_all_methods, all_tau2 and the report
-build their records. Studies, random effects and arms are each pooled once
-per batch; hksj_scale, zh_variance and variance_hcs call the same pieces.
+scenario's replicates. A single dataset runs the same code without the
+replicate axis (dataset_kernel), and run_all_methods, all_tau2 and the
+report build their records from its 0-d results. Studies, random effects
+and arms are each pooled once per batch; hksj_scale, zh_variance and
+variance_hcs call the same pieces.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .estimators import (
     STUDY_SIDE,
     SUBGROUP_SIDE,
     HeterogeneityEstimate,
-    _arm_pool,
+    _arm_weights,
     _check_ce_weights,
     _dl,
     _dls,
@@ -41,6 +42,7 @@ from .estimators import (
     _re_pool,
     _require_k2,
     _shrinkage_a,
+    _sum,
     study_arrays,
     subgroup_arrays,
 )
@@ -252,14 +254,14 @@ def zh_variance(y, se, tau2, c=2):
 def _zh_variance(re, c):
     leverage = re.w / re.sw[..., None]
     terms = re.w ** 2 * re.dev2 * (1.0 - leverage) ** (-c)
-    return np.sum(terms, axis=-1) / re.sw ** 2
+    return _sum(terms) / np.square(re.sw)
 
 
 def variance_hcs(tau2, w):
     """Henmi-Copas-type variance of the common-effect estimator:
     (tau2 * sum w^2 + sum w) / (sum w)^2, with common-effect weights w."""
     w, tau2 = np.asarray(w, dtype=float), np.asarray(tau2, dtype=float)
-    return _variance_hcs(tau2, w, np.sum(w, axis=-1), np.sum(w ** 2, axis=-1))
+    return _variance_hcs(tau2, w, _sum(w), _sum(w ** 2))
 
 
 def _variance_hcs(tau2, w, sw, sw2):
@@ -268,7 +270,7 @@ def _variance_hcs(tau2, w, sw, sw2):
         raise ValidationError("variance_hcs: tau2 must be >= 0")
     if np.any(w <= 0):
         raise ValidationError("variance_hcs: weights must be positive")
-    return (tau2 * sw2 + sw) / sw ** 2
+    return (tau2 * sw2 + sw) / np.square(sw)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +299,8 @@ class KernelResult:
     intervals maps each CI method, in CI_METHODS order, to a BatchInterval.
     errors maps every estimator or method that could not be computed to the
     message of the first quantity it needs that failed; its arrays hold NaN.
-    At R = 1, `estimates` and `interval_results` give the records.
+    For one dataset (no replicate axis, 0-d values), `estimates` and
+    `interval_results` give the records.
     """
 
     tau2: dict
@@ -309,23 +312,23 @@ class KernelResult:
     fallback: bool
 
     def estimates(self) -> dict:
-        """The HeterogeneityEstimates of an R = 1 result, keyed by method
+        """The HeterogeneityEstimates of a one-dataset result, keyed by method
         tag. Raises ValidationError for the first estimate that could not
         be computed."""
         estimates = {}
         for tag in self.tau2:
             if tag in self.errors:
                 raise ValidationError(self.errors[tag])
-            tau2 = float(self.tau2[tag][0])
+            tau2 = float(self.tau2[tag])
             wins = self.subgroup_wins.get(tag)
-            winner = None if wins is None else SUBGROUP_SIDE if wins[0] else STUDY_SIDE
+            winner = None if wins is None else SUBGROUP_SIDE if wins else STUDY_SIDE
             estimates[tag] = HeterogeneityEstimate(
-                tag, tau2, float(self.tau2_raw[tag][0]), tau2 == 0.0, winner
+                tag, tau2, float(self.tau2_raw[tag]), tau2 == 0.0, winner
             )
         return estimates
 
     def interval_results(self):
-        """(results, errors) of an R = 1 result: IntervalResults in
+        """(results, errors) of a one-dataset result: IntervalResults in
         CI_METHODS order for the methods that succeeded, and the error
         messages of the others keyed by method tag."""
         results, errors = [], {}
@@ -334,19 +337,20 @@ class KernelResult:
                 errors[method] = self.errors[method]
                 continue
             results.append(IntervalResult(
-                method, float(ci.point[0]), float(ci.variance[0]),
-                None if ci.df is None else int(ci.df[0]),
-                float(ci.lower[0]), float(ci.upper[0]), self.level, float(ci.tau2[0]),
+                method, float(ci.point), float(ci.variance),
+                None if ci.df is None else int(ci.df),
+                float(ci.lower), float(ci.upper), self.level, float(ci.tau2),
                 fallback=self.fallback and method in (HCS_MAX1, HCS_MAX2),
             ))
         return results, errors
 
 
-def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2) -> KernelResult:
+def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2, *,
+                arm_weights=None) -> KernelResult:
     """All five tau^2 estimates and all six intervals for R datasets at once.
 
     y, se: (R, k) study rows; y_sub, se_sub: (R, k, 2) arms of the selected
-    splits; c: the ZH leverage exponent. DL feeds NORMAL, HKSJ, MKH and ZH.
+    splits (one dataset: (k,) and (k, 2)); c: the ZH leverage exponent. DL feeds NORMAL, HKSJ, MKH and ZH.
     MAX1 (MAX2) is the larger of DL and DLS (DLS_ADJ); it feeds the
     Henmi-Copas-type variance around the common-effect mean, and the side
     that wins sets the HCS degrees of freedom: k-1 for the study side, which
@@ -354,10 +358,12 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2) -> KernelResult
     (y_sub=None) only DL is estimated and both HCS intervals fall back to the
     study-level common effect with DL and k-1 degrees of freedom. Weights,
     sums and means are pooled once per batch at each level: studies, random
-    effects and arms.
+    effects and arms. arm_weights is estimators._arm_weights(se_sub), for a
+    caller that already holds it (the simulation aggregates its study rows
+    from the same weights).
     """
     k = y.shape[-1]
-    _require_k2(k, "hksj_scale")
+    _require_k2(k, "meta_kernel")
     failed = {}
 
     def attempt(name, fn, *args):
@@ -368,7 +374,7 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2) -> KernelResult
             return np.full(y.shape[:-1], np.nan)
 
     study = _pool(y, se ** -2.0)
-    sw2 = np.sum(study.w ** 2, axis=-1)
+    sw2 = _sum(study.w ** 2)
     raw = {DL: attempt(DL, _dl, y, study, sw2)}
     tau2 = {DL: np.maximum(0.0, raw[DL])}
     needs = dict.fromkeys((DL,) + CI_METHODS, (DL,))
@@ -396,16 +402,16 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2) -> KernelResult
             study.mu, _variance_hcs(tau2[DL], study.w, study.sw, sw2), df_lo, t_lo, tau2[DL]
         )
     else:
-        arms = _arm_pool(y_sub, se_sub)
-        arms_sw2 = np.sum(arms.w ** 2, axis=(-2, -1))
+        w_sub, w = _arm_weights(se_sub) if arm_weights is None else arm_weights
+        arms = _pool(y_sub, w_sub, (-2, -1))
+        arms_sw2 = _sum(arms.w ** 2, (-2, -1))
         raw[DLS] = attempt(DLS, _dls, arms, arms_sw2)
         a = attempt("A", lambda: _shrinkage_a(arms.w, arms.sw, arms_sw2)[0])
         tau2[DLS] = np.maximum(0.0, raw[DLS])
         tau2[DLS_ADJ] = raw[DLS_ADJ] = tau2[DLS] / a
         needs.update({DLS: (DLS,), DLS_ADJ: ("A", DLS)})
         t_hi = t_quantile(2 * k - 1, p_upper)
-        w = np.sum(arms.w, axis=-1)  # per-study common-effect weights
-        w_sums = (w, np.sum(w, axis=-1), np.sum(w ** 2, axis=-1))
+        w_sums = (w, _sum(w), _sum(w ** 2))  # per-study common-effect weights
         for tag, side, method in ((MAX1, DLS, HCS_MAX1), (MAX2, DLS_ADJ, HCS_MAX2)):
             wins[tag] = tau2[side] > tau2[DL]
             tau2[tag] = np.maximum(tau2[DL], tau2[side])
@@ -424,19 +430,19 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2) -> KernelResult
 
 
 # ---------------------------------------------------------------------------
-# one dataset: the kernel's R = 1 slice
+# one dataset: the kernel without a replicate axis
 # ---------------------------------------------------------------------------
 
 def dataset_kernel(dataset: MetaDataset, config: CIMethodConfig = CIMethodConfig()) -> KernelResult:
-    """The kernel at R = 1: the dataset's study rows, plus its selected arms
-    when every study has a selection (otherwise the HCS fallback)."""
+    """The kernel on one dataset: its (k,) study rows, plus its (k, 2)
+    selected arms when every study has a selection (otherwise the HCS
+    fallback). With no replicate axis the kernel's study and arm sums are
+    numpy scalars, which cost less to add than one-element arrays; the
+    values are those of the same rows in a batch, bit for bit."""
     dataset.require_k2()
     y, se = study_arrays(dataset)
-    arms = ()
-    if dataset.fully_selected:
-        y_sub, se_sub, _ = subgroup_arrays(dataset)
-        arms = (y_sub[None], se_sub[None])
-    return meta_kernel(y[None], se[None], *arms, level=config.level, c=config.zh_penalty_c)
+    arms = subgroup_arrays(dataset)[:2] if dataset.fully_selected else ()
+    return meta_kernel(y, se, *arms, level=config.level, c=config.zh_penalty_c)
 
 
 def all_tau2(dataset: MetaDataset) -> dict:

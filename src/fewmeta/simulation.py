@@ -9,10 +9,11 @@ with s_{i,j} = sigma_u / sqrt(n_{i,j}).
 
 All replicate-level computation is vectorized: one call of the kernel
 `intervals.meta_kernel` evaluates every tau^2 estimator and CI method over
-a scenario's replicates, the same code that analyses one dataset at R = 1,
-and each metric is aggregated for all methods in one call. Scenarios are
-embarrassingly parallel and each derives its own RNG stream from a content
-hash, making results independent of the execution schedule.
+a scenario's replicates, the same code that analyses one dataset, and each
+metric is aggregated for all methods in one call. The arm weights are
+computed once per scenario and shared by the study rows and the kernel.
+Scenarios are embarrassingly parallel and each derives its own RNG stream
+from a content hash, making results independent of the execution schedule.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import ValidationError, MetaDataset, Study, StudyEstimate, SubgroupArm, SubgroupSplit
-from .estimators import TAU2_METHODS, dls_raw, expected_tau2_dls
+from .estimators import TAU2_METHODS, _arm_weights, _sum, dls_raw, expected_tau2_dls
 from .intervals import CI_METHODS, meta_kernel
 from .report import write_atomic
 
@@ -41,6 +42,14 @@ DEFAULT_SIGMA_U = 4.0
 DEFAULT_SIZES_MEANLOG = 5.0
 DEFAULT_SIZES_SDLOG = 1.0
 DEFAULT_N_REPS = 1000
+
+# Upper bound on n_reps x k per scenario. A scenario draws every replicate at
+# once: at its peak, _draw_replicates' (R, k, 2) arrays and the kernel's
+# weights, pools and per-replicate results hold at most about 400 bytes per
+# replicate-study (measured with tracemalloc at R = 200 000: 360 B at k = 2,
+# 207 B at k = 5, 185 B at k = 9), so the cap keeps one scenario, and so each
+# worker process, below about 1 GB.
+MAX_REPLICATE_STUDIES = 2_500_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,11 @@ class Scenario:
             raise ValidationError("scenario: sigma_u must be > 0")
         if self.n_reps < 1:
             raise ValidationError("scenario: n_reps must be >= 1")
+        if self.n_reps * self.k > MAX_REPLICATE_STUDIES:
+            raise ValidationError(
+                f"scenario: n_reps x k = {self.n_reps} x {self.k} exceeds "
+                f"{MAX_REPLICATE_STUDIES} replicate-studies (about 1 GB)"
+            )
         if self.sizes_sdlog < 0:
             raise ValidationError("scenario: sizes_sdlog must be >= 0")
 
@@ -157,26 +171,24 @@ def _draw_replicates(scenario: Scenario, rng, n_reps: int, sizes=None):
         )
     else:
         n = np.broadcast_to(np.asarray(sizes, dtype=int), (n_reps, k))
-    n1, n2 = _arm_sizes(n, scenario.p)
-    n_arm = np.stack([n1, n2], axis=-1)
+    n_arm = np.empty((n_reps, k, 2), dtype=int)
+    n_arm[..., 0], n_arm[..., 1] = _arm_sizes(n, scenario.p)
     se = scenario.sigma_u / np.sqrt(n_arm)
 
     theta = scenario.mu + scenario.tau * rng.standard_normal((n_reps, k))
     delta_i = scenario.delta + scenario.sigma_delta * rng.standard_normal((n_reps, k))
-    theta_sub = np.stack(
-        [theta - (1.0 - scenario.p) * delta_i, theta + scenario.p * delta_i],
-        axis=-1,
-    )
-    y_sub = theta_sub + se * rng.standard_normal((n_reps, k, 2))
+    y_sub = np.empty((n_reps, k, 2))  # theta_sub, then the sampling noise added in place
+    np.subtract(theta, (1.0 - scenario.p) * delta_i, out=y_sub[..., 0])
+    np.add(theta, scenario.p * delta_i, out=y_sub[..., 1])
+    y_sub += se * rng.standard_normal((n_reps, k, 2))
     return y_sub, se, n_arm
 
 
-def _study_rows(y_sub, se_sub):
-    """Aggregate arm estimates into study-level rows (inverse-variance)."""
-    w = se_sub ** -2.0
-    sw = np.sum(w, axis=-1)
-    y = np.sum(w * y_sub, axis=-1) / sw
-    return y, sw ** -0.5
+def _study_rows(y_sub, se_sub, arm_weights=None):
+    """Aggregate arm estimates into study-level rows (inverse-variance);
+    arm_weights is _arm_weights(se_sub), for a caller that already holds it."""
+    w_sub, sw = _arm_weights(se_sub) if arm_weights is None else arm_weights
+    return _sum(w_sub * y_sub) / sw, sw ** -0.5
 
 
 def generate_meta_analysis(scenario: Scenario, rng) -> MetaDataset:
@@ -260,13 +272,17 @@ def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
     rng = scenario_rng(scenario)
     n_reps = scenario.n_reps
     y_sub, se_sub, _ = _draw_replicates(scenario, rng, n_reps)
-    y_stu, se_stu = _study_rows(y_sub, se_sub)
+    # Replicate-minor memory, same shape and values: each study or arm column
+    # the kernel adds is then a contiguous run of n_reps values.
+    y_sub, se_sub = np.asfortranarray(y_sub), np.asfortranarray(se_sub)
+    weights = _arm_weights(se_sub)  # shared by the study rows and the arm pool
+    y_stu, se_stu = _study_rows(y_sub, se_sub, weights)
 
-    result = meta_kernel(y_stu, se_stu, y_sub, se_sub, level=level)
+    result = meta_kernel(y_stu, se_stu, y_sub, se_sub, level=level, arm_weights=weights)
     if result.errors:
         raise ValidationError(next(iter(result.errors.values())))
 
-    t2 = np.stack([result.tau2[method] for method in TAU2_METHODS])
+    t2 = np.array([result.tau2[method] for method in TAU2_METHODS])
     bias = np.sqrt(t2) - scenario.tau
     bias_se = np.std(bias, axis=-1, ddof=1) / np.sqrt(n_reps) if n_reps > 1 else np.zeros(len(t2))
     means, zeros = np.mean(bias, axis=-1), np.count_nonzero(t2 == 0.0, axis=-1)
@@ -275,8 +291,8 @@ def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
         for method, b, se, z in zip(TAU2_METHODS, means.tolist(), bias_se.tolist(), zeros.tolist())
     }
 
-    lower = np.stack([result.intervals[method].lower for method in CI_METHODS])
-    upper = np.stack([result.intervals[method].upper for method in CI_METHODS])
+    lower = np.array([result.intervals[method].lower for method in CI_METHODS])
+    upper = np.array([result.intervals[method].upper for method in CI_METHODS])
     ok = np.isfinite(lower) & np.isfinite(upper)
     covered = ok & (lower <= scenario.mu) & (scenario.mu <= upper)
     coverage = np.count_nonzero(covered, axis=-1) / n_reps

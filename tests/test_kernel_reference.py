@@ -157,7 +157,7 @@ def test_kernel_failures_are_attributed_as_before():
     assert set(errors) == {"DLS", "DLS_ADJ", "MAX1", "MAX2", "HCS_MAX1", "HCS_MAX2"}
     assert errors["DLS_ADJ"] == "shrinkage terms: degenerate weight configuration"
     assert errors["DLS"] == "tau2_dls: degenerate weight configuration"
-    with pytest.raises(ValidationError, match="hksj_scale: at least 2 studies required"):
+    with pytest.raises(ValidationError, match="meta_kernel: at least 2 studies required"):
         meta_kernel(y[:, :1], se[:, :1])
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -20,6 +21,7 @@ from fewmeta.report import (
     write_atomic,
 )
 from fewmeta.selection import select_local
+from fewmeta.simulation import MAX_REPLICATE_STUDIES
 
 from conftest import dataset_path
 
@@ -177,6 +179,26 @@ def test_cli_simulate_rejects_jobs_below_one(tmp_path):
         )
         assert result.exit_code == 2, result.output
         assert json.loads(result.stderr)["error"] == "validation"
+    assert not out.exists()
+
+
+def test_cli_simulate_rejects_reps_above_the_cap_before_allocating(tmp_path):
+    out = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        result = CliRunner().invoke(
+            main,
+            ["simulate", "--k", "2,5", "--tau", "0", "--delta", "0", "--sigma-delta", "0",
+             "--prev", "1/2", "--reps", str(10 ** 15), "--seed", "1", "--out", str(out)],
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr)
+    assert error["error"] == "validation"
+    assert str(MAX_REPLICATE_STUDIES) in error["message"]
+    assert peak < 10 * 2 ** 20
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from fewmeta.data import ValidationError
 from fewmeta.estimators import MAX1, MAX2, mu_ce, mu_ce_subgroup
 from fewmeta.intervals import meta_kernel, run_all_methods
 from fewmeta.simulation import (
+    MAX_REPLICATE_STUDIES,
     Scenario,
     draw_study_sizes,
     generate_meta_analysis,
@@ -38,6 +39,17 @@ def test_scenario_validation():
         _scenario(p=0.0)
     with pytest.raises(ValidationError):
         _scenario(n_reps=0)
+
+
+def test_scenario_replicates_are_capped():
+    for k in (2, 5):
+        _scenario(k=k, n_reps=MAX_REPLICATE_STUDIES // k)
+        with pytest.raises(ValidationError, match="replicate-studies"):
+            _scenario(k=k, n_reps=MAX_REPLICATE_STUDIES // k + 1)
+    with pytest.raises(ValidationError, match="replicate-studies"):
+        _scenario(n_reps=10 ** 15)
+    with pytest.raises(ValidationError, match="replicate-studies"):
+        validate_expectation(_scenario(k=2), n_reps=MAX_REPLICATE_STUDIES)
 
 
 def test_draw_study_sizes_rules():
