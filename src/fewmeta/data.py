@@ -10,7 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
 SCHEMA_VERSION = 1
@@ -24,7 +27,8 @@ class ValidationError(ValueError):
 
 # Effects and standard errors are squared (weights 1/se^2, squared
 # deviations) and summed in double precision; within these bounds every
-# such intermediate stays finite and nonzero.
+# such intermediate stays finite and nonzero. The bounds also hold for the
+# aggregate of every split, which SubgroupSplit checks.
 MAX_ABS_EFFECT = 1e40
 SE_RANGE = (1e-40, 1e40)
 
@@ -70,11 +74,20 @@ class SubgroupArm:
 
 @dataclass(frozen=True)
 class SubgroupSplit:
-    """A named candidate two-way partition of one study."""
+    """A named candidate two-way partition of one study.
+
+    The arm weights w = se^-2, their sum and the aggregate of the arms (see
+    aggregate_study) are computed once, as plain floats, when the split is
+    made; selection, the consistency diagnostics and the derived study rows
+    all read them from here.
+    """
 
     split_name: str
     arms: tuple
     p_interaction: Optional[float] = None
+    weights: tuple = field(init=False, repr=False, compare=False)
+    agg_y: float = field(init=False, repr=False, compare=False)
+    agg_se: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.arms) != 2:
@@ -88,6 +101,20 @@ class SubgroupSplit:
         if self.arms[0].j == 2:
             # normalize storage order to (arm 1, arm 2)
             object.__setattr__(self, "arms", (self.arms[1], self.arms[0]))
+        a1, a2 = self.arms
+        w1, w2 = a1.se ** -2, a2.se ** -2
+        sw = w1 + w2
+        se = sw ** -0.5
+        # The aggregate effect lies between the arms' and its se below both,
+        # so only the se floor can be crossed: two arms at 1e-40 give 7.1e-41.
+        if se < SE_RANGE[0]:
+            raise ValidationError(
+                f"split {self.split_name!r}: the arms aggregate to se {se:.3g}, "
+                f"below the floor {SE_RANGE[0]:g}"
+            )
+        object.__setattr__(self, "weights", (w1, w2))
+        object.__setattr__(self, "agg_y", (w1 * a1.y + w2 * a2.y) / sw)
+        object.__setattr__(self, "agg_se", se)
 
 
 @dataclass(frozen=True)
@@ -176,11 +203,8 @@ def aggregate_study(split: SubgroupSplit, study_id: str = "aggregate") -> StudyE
     and the combined weight is the sum of the arm weights, so that
     se = (s1^-2 + s2^-2)^-1/2.
     """
-    a1, a2 = split.arms
-    w1, w2 = a1.se ** -2, a2.se ** -2
-    y = (w1 * a1.y + w2 * a2.y) / (w1 + w2)
-    se = (w1 + w2) ** -0.5
-    return StudyEstimate(study_id=study_id, y=y, se=se, n=a1.n + a2.n)
+    n = split.arms[0].n + split.arms[1].n
+    return StudyEstimate(study_id=study_id, y=split.agg_y, se=split.agg_se, n=n)
 
 
 # relative disagreement between a reported study estimate and the value
@@ -199,9 +223,8 @@ def consistency_gaps(dataset: MetaDataset) -> list:
     for study in dataset.studies:
         est = study.estimate
         for split in study.splits:
-            agg = aggregate_study(split, est.study_id)
-            gap_y = abs(agg.y - est.y) / max(abs(est.y), 1.0)
-            gap_se = abs(agg.se - est.se) / est.se
+            gap_y = abs(split.agg_y - est.y) / max(abs(est.y), 1.0)
+            gap_se = abs(split.agg_se - est.se) / est.se
             gaps.append(
                 {
                     "study_id": est.study_id,
@@ -247,7 +270,7 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
     """
     study_rows = {}
     order = []
-    subgroup_rows = {}
+    subgroup_rows = {}  # study_id -> split name -> arm -> row
 
     for row in rows:
         sid = (row.get("study_id") or "").strip()
@@ -269,31 +292,32 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
                     f"subgroup row {sid!r}/{split!r}: arm must be 1 or 2"
                 )
             key = (sid, split, int(arm))
-            if key in subgroup_rows:
+            arm_rows = subgroup_rows.setdefault(sid, {}).setdefault(split, {})
+            if key[2] in arm_rows:
                 raise ValidationError(f"duplicate (study, split, arm) row {key}")
-            subgroup_rows[key] = row
+            arm_rows[key[2]] = row
         else:
             raise ValidationError(f"unknown level {level!r} for study {sid!r}")
 
-    for (sid, split, arm) in subgroup_rows:
+    for sid in subgroup_rows:  # in the order of each study's first subgroup row
         if sid not in study_rows:
             raise ValidationError(f"orphan subgroup row: unknown study_id {sid!r}")
 
     studies = []
     for sid in order:
         row = study_rows[sid]
-        split_names = sorted({s for (s2, s, _a) in subgroup_rows if s2 == sid})
         splits = []
-        for name in split_names:
+        for name, arm_rows in sorted(subgroup_rows.get(sid, {}).items()):
             arms = []
             for j in (1, 2):
-                key = (sid, name, j)
-                if key not in subgroup_rows:
+                if j not in arm_rows:
                     raise ValidationError(
                         f"split {sid!r}/{name!r}: missing arm {j}"
                     )
-                r = subgroup_rows[key]
-                nval = (r.get("n") or "").strip() if isinstance(r.get("n"), str) else r.get("n")
+                r = arm_rows[j]
+                nval = r.get("n")
+                if isinstance(nval, str):
+                    nval = nval.strip()
                 if nval in (None, ""):
                     raise ValidationError(
                         f"split {sid!r}/{name!r} arm {j}: n is required on subgroup rows"
@@ -301,9 +325,12 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
                 where = f"{sid}/{name}/arm{j}"
                 y, se = _parse_effect(r.get("y"), r.get("se"), where)
                 arms.append(SubgroupArm(j=j, y=y, se=se, n=_parse_count(nval, where)))
-            row_p = subgroup_rows[(sid, name, 1)].get("p_interaction")
+            row_p = arm_rows[1].get("p_interaction")
             p_int = _parse_float(row_p, f"{sid}/{name}") if row_p not in (None, "") else None
-            splits.append(SubgroupSplit(name, tuple(arms), p_interaction=p_int))
+            try:
+                splits.append(SubgroupSplit(name, tuple(arms), p_interaction=p_int))
+            except ValidationError as exc:  # arms in range, their aggregate not
+                raise ValidationError(f"study {sid!r} {exc}") from None
 
         y_raw, se_raw = row.get("y"), row.get("se")
         missing = (y_raw in (None, "")) or (se_raw in (None, ""))
@@ -339,6 +366,79 @@ def load_csv(path) -> MetaDataset:
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 ({exc.reason})") from None
     return validate_dataset(rows)
+
+
+_CONTAINERS = (dict, list, tuple)
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@cache
+def _level(depth):
+    """What writes a container `depth` levels deep: the stdlib's C encoder,
+    which json.dumps uses when indent is None, set to the separator of the
+    container's items; the line break before its first item; that
+    separator; and the line break before its closing bracket. On a
+    container of scalars the encoder writes what indent=2 does but for
+    those two line breaks."""
+    close = "\n" + "  " * depth
+    newline = close + "  "
+    encoder = c_make_encoder(  # positional only, in json.encoder's order:
+        None,  # markers: no circular check (a container of scalars holds none)
+        json.JSONEncoder().default,  # raises TypeError, as json.dumps does
+        encode_basestring_ascii,
+        None,  # indent
+        ": ",
+        "," + newline,
+        True,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+    return encoder, newline, "," + newline, close
+
+
+def _encode(o, depth, markers):
+    """o, `depth` levels deep, as json.dumps(indent=2) writes it."""
+    encoder, newline, sep, close = _level(depth)
+    if not isinstance(o, _CONTAINERS):
+        return encoder(o, depth)[0]
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    is_dict = isinstance(o, dict)
+    if _SCALAR_TYPES.issuperset(map(type, o.values() if is_dict else o)):
+        text = encoder(o, depth)[0]
+        return f"{text[0]}{newline}{text[1:-1]}{close}{text[-1]}"
+    if id(o) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(o))
+    # One C call writes the container with None in place of each value that
+    # is not a plain scalar; split at its item separator (its only line
+    # breaks, as strings are written escaped), those items are replaced.
+    nested = [k for k, v in (o.items() if is_dict else enumerate(o))
+              if type(v) not in _SCALAR_TYPES]
+    flat = dict(o) if is_dict else list(o)
+    for k in nested:
+        flat[k] = None
+    items = encoder(flat, depth)[0][1:-1].split(sep)
+    keys = sorted(o) if is_dict else None
+    for k in nested:
+        item = _encode(o[k], depth + 1, markers)
+        if is_dict:
+            items[bisect_left(keys, k)] = f"{encode_basestring_ascii(k)}: {item}"
+        else:
+            items[k] = item
+    markers.discard(id(o))
+    bracket = "{}" if is_dict else "[]"
+    return f"{bracket[0]}{newline}{sep.join(items)}{close}{bracket[1]}"
+
+
+def canonical_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte: the one
+    writer of every JSON file fewmeta writes. Containers of scalars go
+    through the stdlib's C encoder in one call each; Python walks only the
+    containers that hold containers. Keys must be str; a value that is not
+    JSON raises TypeError and a container that holds itself ValueError, as
+    in json.dumps."""
+    return _encode(obj, 0, set())
 
 
 def dataset_to_dict(dataset: MetaDataset) -> dict:
@@ -392,7 +492,7 @@ def dataset_from_dict(payload: dict) -> MetaDataset:
 
 
 def dataset_to_json(dataset: MetaDataset) -> str:
-    return json.dumps(dataset_to_dict(dataset), sort_keys=True, indent=2)
+    return canonical_json(dataset_to_dict(dataset))
 
 
 def dataset_from_json(text: str) -> MetaDataset:

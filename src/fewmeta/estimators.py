@@ -179,11 +179,18 @@ def _dls(arms, sw2):
 
 
 def _shrinkage_a(w, sw, sw2):
-    """The shrinkage factor A of arm weights, and (sum w)^2 - sum w^2."""
+    """The shrinkage factor A of arm weights, and (sum w)^2 - sum w^2.
+
+    A is positive in theory; it rounds to zero when one study's arms
+    outweigh all others by more than double precision resolves, and is then
+    rejected like a nonpositive denominator, as DLS_ADJ divides by it."""
     denom = np.square(sw) - sw2
     if np.any(denom <= 0):
         raise ValidationError("shrinkage terms: degenerate weight configuration")
-    return 1.0 - 2.0 * _sum(w[..., 0] * w[..., 1]) / denom, denom
+    a = 1.0 - 2.0 * _sum(w[..., 0] * w[..., 1]) / denom
+    if np.any(a <= 0):
+        raise ValidationError("shrinkage terms: degenerate weight configuration")
+    return a, denom
 
 
 # ---------------------------------------------------------------------------

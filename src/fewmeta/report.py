@@ -4,18 +4,20 @@ All analysis happens on the linear-predictor scale; the report carries
 exact exponentiated values alongside (computed before any rounding) and
 the text renderer decides which scale to present. JSON serialization is
 canonical (sorted keys, fixed indentation) so that parsing a written
-report and re-serializing it is byte-identical.
+report and re-serializing it is byte-identical. Every JSON file fewmeta
+writes (report, simulation summary, dataset) goes through the one writer
+data.canonical_json, byte-identical to json.dumps(sort_keys=True, indent=2)
+but built on the stdlib's C encoder.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
 from decimal import ROUND_HALF_UP, Context, Decimal
 
-from .data import MetaDataset, consistency_gaps
+from .data import MetaDataset, canonical_json, consistency_gaps
 from .intervals import CIMethodConfig, dataset_kernel
 
 REPORT_SCHEMA_VERSION = 1
@@ -118,7 +120,7 @@ def build_report(dataset: MetaDataset, selection=None, config=CIMethodConfig()) 
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
+    return canonical_json(report)
 
 
 def render_text(report: dict, exp: bool = False) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MetaDataset, ValidationError, aggregate_study
+from .data import MetaDataset, ValidationError
 from .report import write_atomic
 
 LOCAL = "local"
@@ -52,10 +52,8 @@ class SelectionResult:
 def within_study_q(split) -> float:
     """Two-group homogeneity statistic of a single split about its own
     aggregated estimate (equivalent to the squared two-sample t statistic)."""
-    agg = aggregate_study(split)
-    return float(
-        sum(arm.se ** -2 * (arm.y - agg.y) ** 2 for arm in split.arms)
-    )
+    (w1, w2), (a1, a2) = split.weights, split.arms
+    return w1 * (a1.y - split.agg_y) ** 2 + w2 * (a2.y - split.agg_y) ** 2
 
 
 def _require_candidates(dataset: MetaDataset):
@@ -71,15 +69,17 @@ def _split_moments(dataset: MetaDataset):
     """Per (study, split) sufficient statistics (sum w, sum w*d, sum w*d^2)
     of the arm deviations d = y - c. The one reference c, the mean study
     effect, keeps S2 - S1^2 / S0 from cancelling when the effects sit far
-    from zero; being shared by all splits, it leaves Q_S exact in theory."""
-    c = np.mean([study.estimate.y for study in dataset.studies])
+    from zero; being shared by all splits, it leaves Q_S exact in theory.
+    The two-term sums add in numpy's order, (0.0 + a) + b."""
+    c = float(np.mean([study.estimate.y for study in dataset.studies]))
     moments = []
     for study in dataset.studies:
         rows = []
         for split in study.splits:
-            w = np.array([a.se ** -2 for a in split.arms])
-            d = np.array([a.y for a in split.arms]) - c
-            rows.append((w.sum(), (w * d).sum(), (w * d * d).sum()))
+            (w1, w2), (a1, a2) = split.weights, split.arms
+            d1, d2 = a1.y - c, a2.y - c
+            wd1, wd2 = w1 * d1, w2 * d2
+            rows.append(((0.0 + w1) + w2, (0.0 + wd1) + wd2, (0.0 + wd1 * d1) + wd2 * d2))
         moments.append(rows)
     return moments
 

@@ -19,15 +19,22 @@ from a content hash, making results independent of the execution schedule.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import ValidationError, MetaDataset, Study, StudyEstimate, SubgroupArm, SubgroupSplit
+from .data import (
+    MetaDataset,
+    Study,
+    StudyEstimate,
+    SubgroupArm,
+    SubgroupSplit,
+    ValidationError,
+    canonical_json,
+)
 from .estimators import TAU2_METHODS, _arm_weights, _sum, dls_raw, expected_tau2_dls
 from .intervals import CI_METHODS, meta_kernel
 from .report import write_atomic
@@ -153,7 +160,7 @@ def _arm_sizes(n, p):
     """Split study sizes into two arm sizes, keeping both >= 1."""
     n = np.asarray(n)
     n1 = np.round(p * n).astype(int)
-    n1 = np.clip(n1, 1, n - 1)
+    n1 = np.minimum(np.maximum(n1, 1), n - 1)
     return n1, n - n1
 
 
@@ -266,6 +273,14 @@ def scenario_grid(
     return scenarios
 
 
+def _finite_median(x):
+    """np.median(x, axis=-1) of an all-finite x, bit for bit: its partition
+    at the middle ranks and its mean of them, without its NaN pass."""
+    n = x.shape[-1]
+    mid = [(n - 1) // 2, n // 2]
+    return np.mean(np.partition(x, mid, axis=-1)[..., mid[0]:mid[1] + 1], axis=-1)
+
+
 def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
     """Simulate n_reps meta-analyses and aggregate estimator and interval
     metrics. Deterministic given the scenario (including its seed)."""
@@ -300,7 +315,7 @@ def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
     failures = n_reps - np.count_nonzero(ok, axis=-1)
     lengths = upper - lower
     if ok.all():  # one median call serves every method
-        median_length = np.median(lengths, axis=-1).tolist()
+        median_length = _finite_median(lengths).tolist()
     else:  # each method's median over its finite intervals
         median_length = [
             float(np.median(row[keep])) if keep.any() else float("nan")
@@ -388,13 +403,16 @@ def write_metrics_csv(results: Sequence[ScenarioMetrics], path):
     write_atomic(path, "".join(rows))
 
 
+_SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))  # all scalars
+
+
 def metrics_to_json(results: Sequence[ScenarioMetrics]) -> str:
     payload = [
         {
-            "scenario": asdict(r.scenario),
+            "scenario": {name: getattr(r.scenario, name) for name in _SCENARIO_FIELDS},
             "tau_metrics": r.tau_metrics,
             "ci_metrics": r.ci_metrics,
         }
         for r in results
     ]
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return canonical_json(payload)

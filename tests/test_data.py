@@ -128,6 +128,49 @@ def test_validate_missing_arm():
                   ("s1", "", "subgroup", "sex", "1", "0.0", "1.0", "5")))
 
 
+def test_validate_groups_interleaved_subgroup_rows():
+    ds = validate_dataset(
+        _rows(("s2", "", "subgroup", "sex", "2", "0.2", "1.0", "5"),
+              ("s1", "", "study", "", "", "0.1", "0.2", ""),
+              ("s1", "", "subgroup", "sex", "1", "0.0", "1.0", "5"),
+              ("s2", "", "subgroup", "age", "1", "0.1", "1.0", "5"),
+              ("s1", "", "subgroup", "age", "2", "0.0", "1.0", "5"),
+              ("s2", "", "study", "", "", "0.3", "0.4", ""),
+              ("s2", "", "subgroup", "sex", "1", "0.2", "1.0", "5"),
+              ("s1", "", "subgroup", "sex", "2", "0.0", "1.0", "5"),
+              ("s2", "", "subgroup", "age", "2", "0.1", "1.0", "5"),
+              ("s1", "", "subgroup", "age", "1", "0.0", "1.0", "5")))
+    assert [s.study_id for s in ds.studies] == ["s1", "s2"]
+    assert [[sp.split_name for sp in s.splits] for s in ds.studies] == [
+        ["age", "sex"], ["age", "sex"]
+    ]
+    assert ds.studies[1].splits[1].arms[0].y == 0.2
+
+
+def test_validate_error_precedence():
+    rows = [("s1", "", "study", "", "", "0.1", "0.2", ""),
+            ("s2", "", "study", "", "", "0.3", "0.4", ""),
+            ("s1", "", "subgroup", "b", "1", "0.0", "1.0", "5"),
+            ("s1", "", "subgroup", "a", "1", "0.0", "1.0", "")]
+    # splits are built in name order: a's missing n is found before b's missing arm
+    with pytest.raises(ValidationError, match="'s1'/'a' arm 1: n is required"):
+        validate_dataset(_rows(*rows))
+    # orphans are found before any split is built
+    orphans = [("z2", "", "subgroup", "a", "1", "0.0", "1.0", "5"),
+               ("z1", "", "subgroup", "a", "1", "0.0", "1.0", "5")]
+    with pytest.raises(ValidationError, match="unknown study_id 'z2'"):
+        validate_dataset(_rows(*rows, *orphans))
+
+
+def test_split_aggregate_below_the_se_floor_is_rejected():
+    arms = (SubgroupArm(1, 0.0, 1e-40, 5), SubgroupArm(2, 0.0, 1e-40, 5))
+    floor = "split 'g': the arms aggregate to se 7.07e-41, below the floor 1e-40"
+    with pytest.raises(ValidationError, match=floor):
+        SubgroupSplit("g", arms)
+    split = SubgroupSplit("g", (arms[0], SubgroupArm(2, 0.0, 1.0, 5)))
+    assert split.agg_se == aggregate_study(split).se == 1e-40
+
+
 def test_validate_too_few_studies():
     with pytest.raises(ValidationError):
         validate_dataset(_rows(("s1", "", "study", "", "", "0.1", "0.2", "")))

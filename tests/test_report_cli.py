@@ -237,6 +237,16 @@ DEGENERATE_ARMS = (
     "s2,,subgroup,g,1,0.2,1,10\n"
     "s2,,subgroup,g,2,0.6,1,10\n"
 )
+# A's arms outweigh B's by 1e19: the shrinkage factor A rounds to zero
+A_ROUNDS_TO_ZERO = (
+    "study_id,label,level,split,arm,y,se,n\n"
+    "A,,study,,,0.1,0.2,\n"
+    "A,,subgroup,g,1,0.1,1e-10,10\n"
+    "A,,subgroup,g,2,0.2,1e-10,10\n"
+    "B,,study,,,0.3,0.2,\n"
+    "B,,subgroup,g,1,0.2,0.3,10\n"
+    "B,,subgroup,g,2,0.4,0.3,10\n"
+)
 DL_DEGENERATE = "tau2_dl: degenerate weight configuration"
 DLS_DEGENERATE = "tau2_dls: degenerate weight configuration"
 SHRINKAGE_DEGENERATE = "shrinkage terms: degenerate weight configuration"
@@ -252,8 +262,10 @@ SHRINKAGE_DEGENERATE = "shrinkage terms: degenerate weight configuration"
         (DEGENERATE_ARMS, ["NORMAL", "HKSJ", "MKH", "ZH"],
          {"HCS_MAX1": DLS_DEGENERATE, "HCS_MAX2": SHRINKAGE_DEGENERATE},
          DLS_DEGENERATE),
+        (A_ROUNDS_TO_ZERO, ["NORMAL", "HKSJ", "MKH", "ZH", "HCS_MAX1"],
+         {"HCS_MAX2": SHRINKAGE_DEGENERATE}, SHRINKAGE_DEGENERATE),
     ],
-    ids=["study-rows", "arms"],
+    ids=["study-rows", "arms", "shrinkage-a-zero"],
 )
 def test_degenerate_weights_attributed_per_method(
     tmp_path, text, succeeded, errors, report_error
@@ -271,6 +283,57 @@ def test_degenerate_weights_attributed_per_method(
     result = CliRunner().invoke(main, ["analyze", str(path)])
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr) == {"error": "validation", "message": report_error}
+
+
+@pytest.mark.parametrize("strategy", ["local", "global", "none"])
+def test_cli_arms_at_the_se_floor_are_rejected_at_load(tmp_path, strategy):
+    # Each arm is in range, but together they aggregate to se = 7.1e-41:
+    # the load names the split rather than a study row that is in range.
+    path = tmp_path / "floor.csv"
+    path.write_text(A_ROUNDS_TO_ZERO.replace("1e-10", "1e-40"))
+    result = CliRunner().invoke(main, ["analyze", str(path), "--select", strategy])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "validation",
+        "message": "study 'A' split 'g': the arms aggregate to se 7.07e-41, "
+                   "below the floor 1e-40",
+    }
+
+
+_EXTREME_Y = st.sampled_from(["0", "1", "-1", "0.5", "1e20", "1e40", "-1e40"])
+_EXTREME_SE = st.sampled_from(
+    ["1e-40", "1.5e-40", "1e-20", "1e-10", "0.3", "1", "1e20", "1e40"]
+)
+
+
+@st.composite
+def _extreme_csv_texts(draw):
+    """A well-formed dataset whose effects and standard errors sit anywhere
+    in the documented ranges, their bounds included."""
+    splits = draw(st.integers(0, 2))
+    rows = ["study_id,label,level,split,arm,y,se,n"]
+    for i in range(draw(st.integers(2, 4))):
+        rows.append(f"s{i},,study,,,{draw(_EXTREME_Y)},{draw(_EXTREME_SE)},")
+        for j in range(splits):
+            for arm in (1, 2):
+                rows.append(f"s{i},,subgroup,g{j},{arm},{draw(_EXTREME_Y)},"
+                            f"{draw(_EXTREME_SE)},{draw(st.integers(1, 50))}")
+    return "\n".join(rows) + "\n"
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_extreme_csv_texts(), strategy=st.sampled_from(["local", "global", "none"]))
+def test_cli_in_range_extremes_end_without_warnings(text, strategy):
+    # warnings are errors here, so a RuntimeWarning would end in exit 1
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("in.csv", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        result = runner.invoke(main, ["analyze", "in.csv", "--select", strategy])
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        repr(result.exception)
+    )
+    assert result.exit_code in (0, 2), result.output
 
 
 def _respire14_with(row, column, value):

@@ -16,6 +16,7 @@ from fewmeta.data import (
     SubgroupArm,
     SubgroupSplit,
     ValidationError,
+    aggregate_study,
 )
 from fewmeta.estimators import q_subgroup
 from fewmeta.selection import (
@@ -37,6 +38,48 @@ def test_within_study_q_hand_case():
     steep = make_split("B", (-1.0, 1.0), (1.0, 1.0))
     assert within_study_q(flat) == pytest.approx(0.0)
     assert within_study_q(steep) == pytest.approx(2.0)
+
+
+def _numpy_split_statistics(dataset):
+    """Per split, within_study_q and the Q_S moments as numpy sums over the
+    two arms: the formulation the plain-float statistics reproduce."""
+    c = np.mean([study.estimate.y for study in dataset.studies])
+    out = []
+    for study in dataset.studies:
+        for split in study.splits:
+            agg = aggregate_study(split)
+            w = np.array([a.se ** -2 for a in split.arms])
+            d = np.array([a.y for a in split.arms]) - c
+            q = float(sum(a.se ** -2 * (a.y - agg.y) ** 2 for a in split.arms))
+            out.append((q, (w.sum(), (w * d).sum(), (w * d * d).sum())))
+    return out
+
+
+@pytest.mark.parametrize("case", ["random", "shifted", "signed-zeros"])
+def test_split_statistics_are_the_numpy_sums_bit_for_bit(case):
+    rng = np.random.default_rng(21)
+    if case == "signed-zeros":
+        def effects(n):
+            return rng.choice([-0.0, 0.0], n)
+    else:
+        def effects(n):
+            return rng.normal(0, 1, n)
+    for _ in range(40):
+        ds = make_dataset([
+            (effects(1)[0], rng.uniform(0.2, 1.0),
+             [make_split(f"s{j}", effects(2), rng.uniform(0.2, 1.5, 2))
+              for j in range(rng.integers(1, 4))])
+            for _ in range(rng.integers(2, 5))
+        ])
+        if case == "shifted":
+            ds = _affine(ds, 1e6, 1.0)
+        expected = _numpy_split_statistics(ds)
+        q = [within_study_q(split) for study in ds.studies for split in study.splits]
+        moments = [row for rows in selection._split_moments(ds) for row in rows]
+        assert [repr(v) for v in q] == [repr(e) for e, _ in expected]
+        assert [[repr(float(v)) for v in row] for row in moments] == [
+            [repr(float(v)) for v in row] for _, row in expected
+        ]
 
 
 def test_select_local_prefers_larger_within_q():

@@ -66,6 +66,26 @@ def test_draw_study_sizes_rules():
     assert tiny[0] == 12
 
 
+@pytest.mark.parametrize("n_reps", [1, 2, 7, 1000, 1001])
+def test_finite_median_is_np_median(n_reps):
+    rng = np.random.default_rng(n_reps)
+    rows = np.concatenate([
+        rng.lognormal(0.0, 1.0, (4, n_reps)),
+        rng.integers(0, 3, (2, n_reps)).astype(float),  # ties at the middle
+    ])
+    got = simulation._finite_median(rows)
+    assert got.tobytes() == np.median(rows, axis=-1).tobytes()
+
+
+def test_arm_sizes_clip_both_arms_to_one():
+    n = np.array([[1, 2, 3, 12, 13], [24, 36, 100, 7, 2]])
+    for p in (0.01, 0.25, 1 / 3, 0.5, 0.99):
+        n1, n2 = simulation._arm_sizes(n, p)
+        expected = np.clip(np.round(p * n).astype(int), 1, n - 1)
+        assert n1.dtype == expected.dtype and np.array_equal(n1, expected)
+        assert np.array_equal(n2, n - expected)
+
+
 def test_draw_study_sizes_median():
     rng = np.random.default_rng(2)
     n = draw_study_sizes(1, rng, size=(100000,)).ravel()
