@@ -1,7 +1,7 @@
 """Subgroup-informed random-effects meta-analysis of few studies.
 
 Core objects are re-exported here; the submodules hold the full API:
-data (records, CSV/JSON ingestion), estimators (heterogeneity),
+data (records, CSV ingestion), estimators (heterogeneity),
 intervals (CI methods and t quantiles), selection (split search),
 simulation (Monte Carlo harness), report (serialization), cli.
 """

@@ -30,6 +30,7 @@ from .selection import (
     write_histogram_csv,
 )
 from .simulation import (
+    DEFAULT_N_REPS,
     Scenario,
     generate_meta_analysis,
     metrics_to_json,
@@ -59,7 +60,10 @@ def _parse_values(text, convert):
 
 
 def _as_float(token: str) -> float:
-    return float(Fraction(token)) if "/" in token else float(token)
+    try:
+        return float(Fraction(token)) if "/" in token else float(token)
+    except ZeroDivisionError:
+        raise ValidationError(f"cannot parse number {token!r}: zero denominator") from None
 
 
 def _read_config(path) -> dict:
@@ -211,16 +215,17 @@ def simulate(reps, k_values, tau, delta, sigma_delta, prev, seed, jobs,
             delta=_parse_values(delta, _as_float),
             sigma_delta=_parse_values(sigma_delta, _as_float),
             p=_parse_values(prev, _as_float),
-            n_reps=reps if reps is not None else 1000,
+            n_reps=reps if reps is not None else DEFAULT_N_REPS,
             seed=seed,
             **kwargs,
         )
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, "validation", str(exc))
     except (ValueError, OSError) as exc:
         _fail(EXIT_VALIDATION, "validation", str(exc))
+    try:
+        results = run_scenarios(scenarios, jobs=jobs)
+    except ValidationError as exc:  # e.g. drawn study sizes beyond the int range
+        _fail(EXIT_VALIDATION, "validation", str(exc))
 
-    results = run_scenarios(scenarios, jobs=jobs)
     write_metrics_csv(results, out)
     click.echo(f"{len(results)} scenario(s) -> {out}")
     if summary:

@@ -16,8 +16,6 @@ from functools import cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
-SCHEMA_VERSION = 1
-
 CSV_COLUMNS = ["study_id", "label", "level", "split", "arm", "y", "se", "n"]
 
 
@@ -439,61 +437,3 @@ def canonical_json(obj) -> str:
     JSON raises TypeError and a container that holds itself ValueError, as
     in json.dumps."""
     return _encode(obj, 0, set())
-
-
-def dataset_to_dict(dataset: MetaDataset) -> dict:
-    """JSON-ready representation (the canonical machine interchange format)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "studies": [
-            {
-                "study_id": s.study_id,
-                "y": s.estimate.y,
-                "se": s.estimate.se,
-                "n": s.estimate.n,
-                "selected": s.selected,
-                "splits": [
-                    {
-                        "split_name": sp.split_name,
-                        "p_interaction": sp.p_interaction,
-                        "arms": [
-                            {"j": a.j, "y": a.y, "se": a.se, "n": a.n}
-                            for a in sp.arms
-                        ],
-                    }
-                    for sp in s.splits
-                ],
-            }
-            for s in dataset.studies
-        ],
-    }
-
-
-def dataset_from_dict(payload: dict) -> MetaDataset:
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported schema_version {payload.get('schema_version')!r}"
-        )
-    studies = []
-    for s in payload["studies"]:
-        splits = tuple(
-            SubgroupSplit(
-                sp["split_name"],
-                tuple(SubgroupArm(**a) for a in sp["arms"]),
-                p_interaction=sp.get("p_interaction"),
-            )
-            for sp in s["splits"]
-        )
-        est = StudyEstimate(s["study_id"], s["y"], s["se"], s.get("n"))
-        studies.append(Study(est, splits, s.get("selected")))
-    dataset = MetaDataset(tuple(studies))
-    dataset.require_k2()
-    return dataset
-
-
-def dataset_to_json(dataset: MetaDataset) -> str:
-    return canonical_json(dataset_to_dict(dataset))
-
-
-def dataset_from_json(text: str) -> MetaDataset:
-    return dataset_from_dict(json.loads(text))

@@ -58,20 +58,6 @@ class HeterogeneityEstimate:
         return float(np.sqrt(self.tau2))
 
 
-@dataclass(frozen=True)
-class ShrinkageTerms:
-    """Coefficients of the analytic mean of the raw subgroup-level estimator.
-
-    The raw (untruncated) subgroup-level tau^2 estimator has expectation
-    A * tau^2 + (Delta^2 + sigma_Delta^2) * B_coefficient, where A <= 1
-    shrinks the heterogeneity and the second term is a positive bias driven
-    by subgroup interaction effects.
-    """
-
-    A: float
-    B_coefficient: float
-
-
 # numpy's pairwise_sum splits runs longer than this in two, recursively
 _PAIRWISE_BLOCK = 128
 
@@ -204,16 +190,6 @@ def mu_ce(y, w):
     return _pool(y, w).mu
 
 
-def mu_re(y, se, tau2):
-    """Random-effects mean and its model variance.
-
-    Weights are (se^2 + tau2)^-1; with tau2 = 0 this reduces to the
-    common-effect estimate and variance.
-    """
-    re = _re_pool(y, se, tau2)
-    return re.mu, 1.0 / re.sw
-
-
 def cochran_q(y, se):
     """Cochran's Q homogeneity statistic about the common-effect mean."""
     y = np.asarray(y, dtype=float)
@@ -278,13 +254,6 @@ def qs_raw(y_sub, se_sub):
     return _arm_pool(y_sub, se_sub).q()
 
 
-def q_subgroup(dataset: MetaDataset) -> float:
-    """Q statistic from the selected subgroup splits of a dataset."""
-    dataset.require_k2()
-    y, se, _ = subgroup_arrays(dataset)
-    return float(qs_raw(y, se))
-
-
 def dls_raw(y_sub, se_sub):
     """Untruncated moment estimate of tau^2 from subgroup-level data."""
     _require_k2(np.shape(y_sub)[-2], "tau2_dls")
@@ -305,13 +274,6 @@ def shrinkage_coefficients(se_sub, p):
     pq = (p * (1.0 - p))[..., None]
     b = _sum(w * pq, (-2, -1)) * sw / denom
     return a, b
-
-
-def shrinkage_terms(dataset: MetaDataset) -> ShrinkageTerms:
-    dataset.require_k2()
-    _, se, p = subgroup_arrays(dataset)
-    a, b = shrinkage_coefficients(se, p)
-    return ShrinkageTerms(A=float(a), B_coefficient=float(b))
 
 
 def dls_adj_raw(y_sub, se_sub, p):

@@ -5,7 +5,7 @@ exact exponentiated values alongside (computed before any rounding) and
 the text renderer decides which scale to present. JSON serialization is
 canonical (sorted keys, fixed indentation) so that parsing a written
 report and re-serializing it is byte-identical. Every JSON file fewmeta
-writes (report, simulation summary, dataset) goes through the one writer
+writes (report, simulation summary) goes through the one writer
 data.canonical_json, byte-identical to json.dumps(sort_keys=True, indent=2)
 but built on the stdlib's C encoder.
 """

@@ -19,6 +19,7 @@ from a content hash, making results independent of the execution schedule.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -27,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import (
+    MAX_ABS_EFFECT,
     MetaDataset,
     Study,
     StudyEstimate,
@@ -78,6 +80,14 @@ class Scenario:
     def __post_init__(self):
         if self.k < 2:
             raise ValidationError("scenario: k must be >= 2")
+        for name in ("mu", "tau", "delta", "sigma_delta"):
+            if not abs(getattr(self, name)) <= MAX_ABS_EFFECT:
+                raise ValidationError(
+                    f"scenario: {name} must be finite with |{name}| <= {MAX_ABS_EFFECT:g}"
+                )
+        for name in ("sigma_u", "sizes_meanlog", "sizes_sdlog"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"scenario: {name} must be finite")
         if self.tau < 0 or self.sigma_delta < 0:
             raise ValidationError("scenario: tau and sigma_delta must be >= 0")
         if not (0.0 < self.p < 1.0):
@@ -152,8 +162,13 @@ def draw_study_sizes(k, rng, meanlog=DEFAULT_SIZES_MEANLOG, sdlog=DEFAULT_SIZES_
         raise ValidationError("draw_study_sizes: k must be >= 1")
     shape = (k,) if size is None else tuple(size) + (k,)
     draws = rng.lognormal(mean=meanlog, sigma=sdlog, size=shape)
-    n = 12 * np.round(draws / 12.0)
-    return np.maximum(12, n).astype(int)
+    n = np.maximum(12, 12 * np.round(draws / 12.0))
+    if not np.all(n < 2.0 ** 63):  # an int64 value exists; false on NaN too
+        raise ValidationError(
+            f"draw_study_sizes: a study size drawn with meanlog={meanlog!r}, "
+            f"sdlog={sdlog!r} is not finite or exceeds the int64 range"
+        )
+    return n.astype(int)
 
 
 def _arm_sizes(n, p):

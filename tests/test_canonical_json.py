@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewmeta.cli import main
-from fewmeta.data import canonical_json, dataset_to_json, load_csv
+from fewmeta.data import canonical_json
 
 from conftest import dataset_path
 
@@ -86,12 +86,6 @@ def test_every_bundled_report_is_json_dumps(tmp_path, name, strategy):
     )
     assert result.exit_code == 0, result.output
     text = path.read_text(encoding="utf-8")
-    assert text == reference(json.loads(text))
-
-
-@pytest.mark.parametrize("name", ["sglt2", "respire14", "respire28"])
-def test_dataset_json_is_json_dumps(name):
-    text = dataset_to_json(load_csv(dataset_path(name)))
     assert text == reference(json.loads(text))
 
 

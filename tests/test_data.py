@@ -13,8 +13,6 @@ from fewmeta.data import (
     ValidationError,
     aggregate_study,
     consistency_gaps,
-    dataset_from_json,
-    dataset_to_json,
     prevalence_of,
     validate_dataset,
 )
@@ -200,15 +198,6 @@ def test_consistency_gap_diagnostic():
     gaps = consistency_gaps(ds)
     assert len(gaps) == 1
     assert gaps[0]["inconsistent"]
-
-
-def test_json_round_trip():
-    split = make_split("sex", (0.1, -0.4), (0.5, 0.7), n=(12, 24), p_interaction=0.03)
-    ds = make_dataset([(0.0, 0.3, [split]), (0.2, 0.4, [])], selected=[0, None])
-    text = dataset_to_json(ds)
-    again = dataset_from_json(text)
-    assert again == ds
-    assert dataset_to_json(again) == text
 
 
 def test_selection_application():

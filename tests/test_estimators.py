@@ -19,13 +19,11 @@ from fewmeta.estimators import (
     expected_tau2_dls,
     mu_ce,
     mu_ce_subgroup,
-    mu_re,
-    q_subgroup,
     qs_raw,
     shrinkage_coefficients,
-    shrinkage_terms,
+    subgroup_arrays,
 )
-from fewmeta.intervals import all_tau2
+from fewmeta.intervals import all_tau2, hksj_scale
 
 from conftest import make_dataset, make_split
 
@@ -60,13 +58,14 @@ def test_mu_ce_errors():
 
 
 def test_mu_re_examples():
-    mu, var = mu_re([0.0, 1.0], [0.5, 0.5], 0.0)
+    # the random-effects mean and its model variance lead hksj_scale's outputs
+    mu, var, _ = hksj_scale([0.0, 1.0], [0.5, 0.5], 0.0)
     assert mu == pytest.approx(0.5)
     assert var == pytest.approx(0.125)
-    mu, var = mu_re([0.0, 1.0], [0.5, 0.5], 0.25)
+    mu, var, _ = hksj_scale([0.0, 1.0], [0.5, 0.5], 0.25)
     assert mu == pytest.approx(0.5)
     assert var == pytest.approx(0.25)
-    mu, _ = mu_re([0.7, 0.7, 0.7], [0.2, 1.1, 0.4], 0.9)
+    mu, _, _ = hksj_scale([0.7, 0.7, 0.7], [0.2, 1.1, 0.4], 0.9)
     assert mu == pytest.approx(0.7)
 
 
@@ -95,22 +94,27 @@ def test_tau2_dl_respire14(respire14):
     assert all_tau2(respire14)[DL].tau == pytest.approx(0.3, abs=0.005)
 
 
+def _q_subgroup(ds):
+    """Q_S over the arms of each study's selected split."""
+    return qs_raw(*subgroup_arrays(ds)[:2])
+
+
 def test_q_subgroup_examples():
     ds = _subgroup_dataset([(0.3, 0.3), (0.3, 0.3)], [(1, 1), (1, 1)])
-    assert q_subgroup(ds) == pytest.approx(0.0)
+    assert _q_subgroup(ds) == pytest.approx(0.0)
     ds = _subgroup_dataset([(0.0, 0.0), (1.0, 1.0)], [(1, 1), (1, 1)])
-    assert q_subgroup(ds) == pytest.approx(1.0)
+    assert _q_subgroup(ds) == pytest.approx(1.0)
 
 
 def test_q_subgroup_requires_selection():
     ds = _subgroup_dataset([(0.0, 0.0), (1.0, 1.0)], [(1, 1), (1, 1)], selected=False)
-    with pytest.raises(ValidationError):
-        q_subgroup(ds)
+    with pytest.raises(ValidationError, match="no selected subgroup split"):
+        subgroup_arrays(ds)
 
 
 def test_tau2_dls_example():
     ds = _subgroup_dataset([(-1.0, 1.0), (-1.0, 1.0)], [(1, 1), (1, 1)])
-    assert q_subgroup(ds) == pytest.approx(4.0)
+    assert _q_subgroup(ds) == pytest.approx(4.0)
     est = all_tau2(ds)[DLS]
     assert est.tau2 == pytest.approx(1.0 / 3.0)
 
@@ -118,10 +122,10 @@ def test_tau2_dls_example():
 def test_shrinkage_symbolic_cases():
     # k=2, all four subgroup weights equal: A = 1 - 1/(2k-1) = 2/3
     ds = _subgroup_dataset([(-1.0, 1.0), (-1.0, 1.0)], [(1, 1), (1, 1)])
-    terms = shrinkage_terms(ds)
-    assert terms.A == pytest.approx(2.0 / 3.0)
+    a, b = shrinkage_coefficients(*subgroup_arrays(ds)[1:])
+    assert a == pytest.approx(2.0 / 3.0)
     # plus p = 1/2: B = k / (2(2k-1)) = 1/3
-    assert terms.B_coefficient == pytest.approx(1.0 / 3.0)
+    assert b == pytest.approx(1.0 / 3.0)
 
 
 def test_shrinkage_a_tends_to_one():

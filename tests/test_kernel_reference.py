@@ -78,7 +78,6 @@ def _compare(y, se, y_sub, se_sub, p, level=0.95, c=2):
     w = se ** -2.0
     for new, old, args in (
         (estimators.mu_ce, ref.mu_ce, (y, w)),
-        (estimators.mu_re, ref.mu_re, (y, se, tau2)),
         (estimators.cochran_q, ref.cochran_q, (y, se)),
         (estimators.dl_raw, ref.dl_raw, (y, se)),
         (estimators.mu_ce_subgroup, ref.mu_ce_subgroup, (y_sub, se_sub)),

@@ -1,6 +1,7 @@
 """Byte-stable outputs: the sha256 of every `analyze --json` report and its
-stdout for the three bundled datasets under each selection strategy, and of
-a `simulate --summary` JSON file. A faster path must write the same bytes."""
+stdout for the three bundled datasets under each selection strategy, of a
+`simulate --summary` JSON file and of the `validate` stdout. A faster path
+must write the same bytes."""
 
 import hashlib
 
@@ -57,6 +58,11 @@ SUMMARY_SHA256 = "26937b7c73411bf2f99318f4a03ba21f490042f9568d3367e3654a21cbf67e
 # (NEP 19), so the simulation digest holds for the numpy it was recorded under.
 SUMMARY_NUMPY = "2.4.6"
 
+# `validate --seed 0` stdout; its expectation-oracle lines are Monte Carlo
+# means, so this digest too holds for the numpy it was recorded under.
+VALIDATE_SHA256 = "d090de56bd20dd5eab041e1230a679ba2ba69c8432683daa14668087150e1e21"
+VALIDATE_NUMPY = "2.4.6"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -85,4 +91,14 @@ def test_simulate_summary_is_pinned(tmp_path):
     assert digest == SUMMARY_SHA256, (
         f"summary sha256 {digest} under numpy {np.__version__}; "
         f"{SUMMARY_SHA256} was recorded under numpy {SUMMARY_NUMPY}"
+    )
+
+
+def test_validate_stdout_is_pinned():
+    result = CliRunner().invoke(main, ["validate", "--seed", "0"])
+    assert result.exit_code == 0, result.output
+    digest = sha256(result.output.encode())
+    assert digest == VALIDATE_SHA256, (
+        f"validate stdout sha256 {digest} under numpy {np.__version__}; "
+        f"{VALIDATE_SHA256} was recorded under numpy {VALIDATE_NUMPY}"
     )

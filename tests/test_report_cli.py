@@ -217,6 +217,57 @@ def test_cli_simulate_config_file(tmp_path):
     assert out.exists()
 
 
+SIMULATE_ONE = ["simulate", "--seed", "1", "--reps", "2", "--k", "2", "--tau", "0",
+                "--delta", "0", "--sigma-delta", "0", "--prev", "1/2"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--prev", "1/0", "zero denominator"),
+    ("--tau", "nan", "tau must be finite"),
+    ("--tau", "inf", "tau must be finite"),
+    ("--tau", "1e200", "tau must be finite"),
+    ("--delta", "1e200", "delta must be finite"),
+    ("--sigma-delta", "-inf", "sigma_delta must be finite"),
+    ("--sizes-meanlog", "nan", "sizes_meanlog must be finite"),
+    ("--sizes-sdlog", "inf", "sizes_sdlog must be finite"),
+    # finite parameters whose drawn study sizes have no int64 value
+    ("--sizes-sdlog", "50", "draw_study_sizes"),
+    ("--sizes-meanlog", "1e308", "draw_study_sizes"),
+])
+def test_cli_simulate_rejects_out_of_range_parameters(tmp_path, flag, value, message):
+    out = tmp_path / "m.csv"
+    result = CliRunner().invoke(main, SIMULATE_ONE + [flag, value, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr)
+    assert error["error"] == "validation" and message in error["message"]
+    assert not out.exists()
+
+
+def test_cli_simulate_rejects_a_zero_denominator_in_the_config_file(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("k=2\ntau=0\ndelta=0\nsigma_delta=0\nprev=1/0\nreps=2\nseed=1\n")
+    result = CliRunner().invoke(
+        main, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "'1/0'" in json.loads(result.stderr)["message"]
+
+
+def test_cli_simulate_at_the_effect_bound(tmp_path):
+    # |tau|, |Delta|, sigma_Delta = data.MAX_ABS_EFFECT and study sizes near
+    # the int64 limit run without a warning (pytest turns warnings into errors)
+    out = tmp_path / "m.csv"
+    result = CliRunner().invoke(main, [
+        "simulate", "--seed", "1", "--reps", "50", "--k", "2,5", "--tau", "0,1e40",
+        "--delta", "-1e40,1e40", "--sigma-delta", "1e40", "--prev", "1/3",
+        "--sizes-meanlog", "43", "--sizes-sdlog", "0", "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 8 * (5 * 4 + 6 * 4)
+    assert all(math.isfinite(float(r["value"])) for r in rows)
+
+
 def test_self_checks_pass():
     checks = run_self_checks(seed=0)
     failed = [(name, detail) for name, ok, detail in checks if not ok]

@@ -18,7 +18,7 @@ from fewmeta.data import (
     ValidationError,
     aggregate_study,
 )
-from fewmeta.estimators import q_subgroup
+from fewmeta.estimators import qs_raw, subgroup_arrays
 from fewmeta.selection import (
     CombinationBudgetError,
     qs_histogram,
@@ -131,7 +131,7 @@ def test_global_matches_recomputed_qs():
     splits2 = [make_split(f"b{j}", rng.normal(0, 1, 2), rng.uniform(0.3, 1, 2)) for j in range(2)]
     ds = make_dataset([(0.0, 0.7, splits1), (0.0, 0.7, splits2)])
     res = select_global(ds)
-    recomputed = q_subgroup(ds.with_selection(res.choices))
+    recomputed = qs_raw(*subgroup_arrays(ds.with_selection(res.choices))[:2])
     assert res.q_s == pytest.approx(recomputed, rel=1e-12)
 
 
