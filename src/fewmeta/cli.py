@@ -1,10 +1,11 @@
 """Command-line front end: analyze, select, simulate, validate.
 
-Exit codes are a stable contract: 0 success, 2 input/validation error,
-3 combination budget exceeded, 4 internal self-check failure. Validation
-failures additionally emit a machine-readable JSON error object on
-stderr. The environment variable FEWMETA_SEED provides a fallback seed
-for the simulation subcommand.
+Exit codes are a stable contract: 0 success, 2 input/validation error or
+an output file that cannot be written, 3 combination budget exceeded,
+4 internal self-check failure. Validation and output failures additionally
+emit a machine-readable JSON error object on stderr. The environment
+variable FEWMETA_SEED provides a fallback seed for the simulation
+subcommand.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ EXIT_CHECK_FAILED = 4
 def _fail(code: int, kind: str, message: str):
     click.echo(json.dumps({"error": kind, "message": message}), err=True)
     sys.exit(code)
+
+
+def _write_failed(path, exc: OSError):
+    """Exit 2 for an output file that could not be written; write_atomic
+    has left the old file, if any, as it was."""
+    _fail(EXIT_VALIDATION, "output", f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _parse_values(text, convert):
@@ -118,7 +125,10 @@ def analyze(data_path, strategy, level, exp, zh_c, max_combos, json_out):
     except ValidationError as exc:
         _fail(EXIT_VALIDATION, "validation", str(exc))
     if json_out:
-        write_atomic(json_out, report_to_json(report))
+        try:
+            write_atomic(json_out, report_to_json(report))
+        except OSError as exc:
+            _write_failed(json_out, exc)
     click.echo(render_text(report, exp=exp), nl=False)
 
 
@@ -139,7 +149,10 @@ def select(data_path, strategy, histogram, max_combos):
         result = select_splits(dataset, strategy, max_combos)
         if histogram:
             values, threshold = qs_histogram(dataset, max_combos)
-            write_histogram_csv(values, histogram)
+            try:
+                write_histogram_csv(values, histogram)
+            except OSError as exc:
+                _write_failed(histogram, exc)
             click.echo(f"histogram: {len(values)} combinations -> {histogram}")
             click.echo(f"threshold (positive subgroup-level tau2): Q_S > {threshold}")
     except CombinationBudgetError as exc:
@@ -226,10 +239,16 @@ def simulate(reps, k_values, tau, delta, sigma_delta, prev, seed, jobs,
     except ValidationError as exc:  # e.g. drawn study sizes beyond the int range
         _fail(EXIT_VALIDATION, "validation", str(exc))
 
-    write_metrics_csv(results, out)
+    try:
+        write_metrics_csv(results, out)
+    except OSError as exc:
+        _write_failed(out, exc)
     click.echo(f"{len(results)} scenario(s) -> {out}")
     if summary:
-        write_atomic(summary, metrics_to_json(results))
+        try:
+            write_atomic(summary, metrics_to_json(results))
+        except OSError as exc:
+            _write_failed(summary, exc)
         click.echo(f"summary -> {summary}")
 
 

@@ -8,13 +8,20 @@ report and re-serializing it is byte-identical. Every JSON file fewmeta
 writes (report, simulation summary) goes through the one writer
 data.canonical_json, byte-identical to json.dumps(sort_keys=True, indent=2)
 but built on the stdlib's C encoder.
+
+Every output file (report, histogram, metrics.csv, summary) is written by
+write_atomic: its chunks go into a temp file beside the target as they are
+produced, and the temp file is renamed over the target at the end, so an
+interrupted write leaves the old file intact. The file gets the mode
+open(path, "w") would give it: a new file 0o666 less the umask, a replaced
+file its old mode.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import tempfile
+import stat
 from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .data import MetaDataset, canonical_json, consistency_gaps
@@ -24,13 +31,14 @@ REPORT_SCHEMA_VERSION = 1
 
 # decimal half-up, with enough digits to quantize any finite double
 _HALF_UP = Context(prec=400, rounding=ROUND_HALF_UP)
+_MILLI = Decimal(1).scaleb(-3)  # the quantum of the default three digits
 
 
 def round_half_up(value: float, digits: int = 3) -> float:
     """Presentation rounding: decimal half-up (so 0.6395 -> 0.640)."""
     if not math.isfinite(value):
         return value
-    quantum = Decimal(1).scaleb(-digits)
+    quantum = _MILLI if digits == 3 else Decimal(1).scaleb(-digits)
     return float(_HALF_UP.quantize(Decimal(repr(value)), quantum))
 
 
@@ -169,13 +177,25 @@ def render_text(report: dict, exp: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_atomic(path, text: str):
-    """Write a file atomically (temp file in the same directory + rename)."""
+def write_atomic(path, content):
+    """Write a file atomically: `content` (one string, or an iterable of
+    string chunks written as they are produced) goes into a temp file in the
+    same directory, which is renamed over `path` once complete. On any error
+    the temp file is removed and `path` is left as it was."""
+    chunks = (content,) if isinstance(content, str) else content
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    # created as open(path, "w") creates a file: the kernel applies the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

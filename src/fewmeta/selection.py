@@ -5,6 +5,11 @@ evaluations, and an exhaustive (global) search over all n^k combinations,
 evaluated in numpy blocks of at most _QS_BLOCK (about 0.1 us each).
 A third strategy picks the split with the smallest reported interaction
 p-value per study, when those are available in the input.
+
+qs_histogram returns a lazy view of every (combination id, Q_S) pair: each
+pass over it evaluates the blocks again, and write_histogram_csv formats and
+writes them chunk by chunk, so a histogram of any size holds about one block
+(a few MB) at a time.
 """
 
 from __future__ import annotations
@@ -141,11 +146,6 @@ def _qs_blocks(dataset: MetaDataset):
         yield s[2] - s[1] * s[1] / s[0]
 
 
-def _qs_all(dataset: MetaDataset) -> np.ndarray:
-    """Q_S of every split combination, in enumeration order."""
-    return np.concatenate(list(_qs_blocks(dataset)))
-
-
 def select_global(
     dataset: MetaDataset, max_combinations: int = DEFAULT_MAX_COMBINATIONS
 ) -> SelectionResult:
@@ -195,16 +195,48 @@ def select(dataset: MetaDataset, strategy: str, max_combinations: int = DEFAULT_
     raise ValidationError(f"unknown selection strategy {strategy!r}")
 
 
+class QsValues:
+    """Every (combination id, Q_S) pair of a dataset, in enumeration order:
+    `len()` is the number of combinations, and each iteration evaluates
+    _qs_blocks afresh, holding one block at a time."""
+
+    def __init__(self, dataset: MetaDataset, total: int):
+        self._dataset = dataset
+        self._total = total
+
+    def __len__(self) -> int:
+        return self._total
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(  # blocks are all one size
+            zip(itertools.count(b * q.size), q.tolist())
+            for b, q in enumerate(_qs_blocks(self._dataset))
+        )
+
+
 def qs_histogram(
     dataset: MetaDataset, max_combinations: int = DEFAULT_MAX_COMBINATIONS
 ):
-    """All (combination id, Q_S) pairs over the full enumeration, plus the
-    threshold 2k-1 above which the subgroup-level tau^2 estimate is
-    positive."""
-    _check_budget(dataset, max_combinations)
-    return list(enumerate(_qs_all(dataset).tolist())), 2 * dataset.k - 1
+    """All (combination id, Q_S) pairs over the full enumeration, as a lazy
+    QsValues view, plus the threshold 2k-1 above which the subgroup-level
+    tau^2 estimate is positive."""
+    total = _check_budget(dataset, max_combinations)
+    return QsValues(dataset, total), 2 * dataset.k - 1
+
+
+_HISTOGRAM_ROW = "%d,%r\r\n"
+_HISTOGRAM_CHUNK = 4096  # rows formatted in one call and written as one chunk
 
 
 def write_histogram_csv(values, path):
-    rows = "".join(f"{cid},{q!r}\r\n" for cid, q in values)
-    write_atomic(path, "combination_id,q_s\r\n" + rows)
+    """Write (combination id, Q_S) pairs as CSV, atomically, streaming
+    _HISTOGRAM_CHUNK rows at a time."""
+
+    def chunks():
+        yield "combination_id,q_s\r\n"
+        pairs = iter(values)
+        flatten = itertools.chain.from_iterable
+        while flat := tuple(flatten(itertools.islice(pairs, _HISTOGRAM_CHUNK))):
+            yield _HISTOGRAM_ROW * (len(flat) // 2) % flat
+
+    write_atomic(path, chunks())

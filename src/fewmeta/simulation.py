@@ -14,6 +14,9 @@ metric is aggregated for all methods in one call. The arm weights are
 computed once per scenario and shared by the study rows and the kernel.
 Scenarios are embarrassingly parallel and each derives its own RNG stream
 from a content hash, making results independent of the execution schedule.
+With jobs > 1 they go to a process pool in batches (see run_scenarios);
+the pool machinery is imported only then. metrics.csv is streamed into its
+atomic write one scenario at a time.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -351,12 +353,19 @@ def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
 def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1, level=0.95):
     """Run many scenarios, optionally across processes. Output order and
     values are independent of the worker count, which is capped at the
-    CPU count and the number of scenarios."""
+    CPU count and the number of scenarios. Each worker is handed batches
+    of about 1/32 of its share, few enough to keep the pool's per-task
+    round trips small and many enough to balance the costlier k = 5 tail of
+    the grid."""
     workers = min(jobs, os.cpu_count() or 1, len(scenarios))
     if workers <= 1:
         return [run_scenario(s, level) for s in scenarios]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
+    chunksize = max(1, len(scenarios) // (32 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_scenario, scenarios, [level] * len(scenarios)))
+        return list(pool.map(run_scenario, scenarios, [level] * len(scenarios),
+                             chunksize=chunksize))
 
 
 def validate_expectation(scenario: Scenario, n_reps: Optional[int] = None, sizes=None):
@@ -404,18 +413,24 @@ def validate_expectation(scenario: Scenario, n_reps: Optional[int] = None, sizes
 _CSV_HEADER = "k,tau,delta,sigma_delta,p,n_reps,seed,kind,method,metric,value\r\n"
 
 
-def write_metrics_csv(results: Sequence[ScenarioMetrics], path):
-    """Tidy CSV, one row per scenario x method x metric, written atomically."""
-    rows = [_CSV_HEADER]
-    for res in results:
-        s = res.scenario
-        base = f"{s.k},{s.tau!r},{s.delta!r},{s.sigma_delta!r},{s.p!r},{s.n_reps},{s.seed}"
-        for kind, methods, metrics in (("tau2", TAU2_METHODS, res.tau_metrics),
-                                       ("ci", CI_METHODS, res.ci_metrics)):
-            for method in methods:
-                for metric, value in sorted(metrics[method].items()):
-                    rows.append(f"{base},{kind},{method},{metric},{value!r}\r\n")
-    write_atomic(path, "".join(rows))
+def write_metrics_csv(results: Iterable[ScenarioMetrics], path):
+    """Tidy CSV, one row per scenario x method x metric, written atomically
+    and streamed: one chunk per scenario."""
+
+    def chunks():
+        yield _CSV_HEADER
+        for res in results:
+            s = res.scenario
+            base = f"{s.k},{s.tau!r},{s.delta!r},{s.sigma_delta!r},{s.p!r},{s.n_reps},{s.seed}"
+            yield "".join(
+                f"{base},{kind},{method},{metric},{value!r}\r\n"
+                for kind, methods, metrics in (("tau2", TAU2_METHODS, res.tau_metrics),
+                                               ("ci", CI_METHODS, res.ci_metrics))
+                for method in methods
+                for metric, value in sorted(metrics[method].items())
+            )
+
+    write_atomic(path, chunks())
 
 
 _SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))  # all scalars

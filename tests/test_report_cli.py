@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import tracemalloc
 
 import pytest
@@ -68,6 +69,41 @@ def test_write_atomic(tmp_path):
     assert target.read_text() == "hello"
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_write_atomic_streams_chunks_and_keeps_target_on_failure(tmp_path):
+    target = tmp_path / "out.csv"
+    write_atomic(target, iter(["a,", "b\r\n"]))
+    assert target.read_bytes() == b"a,b\r\n"
+
+    def disk_full():
+        yield "partial"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError):
+        write_atomic(target, disk_full())
+    assert target.read_bytes() == b"a,b\r\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_output_files_get_the_mode_open_would_give(tmp_path, umask):
+    new, old, ref = tmp_path / "new.json", tmp_path / "old.json", tmp_path / "ref.json"
+    old.write_text("previous run\n")
+    os.chmod(old, 0o640)
+    saved = os.umask(umask)
+    try:
+        open(ref, "w").close()
+        for target in (new, old):
+            result = CliRunner().invoke(
+                main, ["analyze", dataset_path("sglt2"), "--json", str(target)]
+            )
+            assert result.exit_code == 0, result.output
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert new.read_bytes() == old.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +174,46 @@ def test_cli_select_histogram(tmp_path):
     assert result.exit_code == 0, result.output
     assert "18.194" in result.output
     assert len(hist.read_text().splitlines()) == 4097
+
+
+SMALL_SIMULATION = ["simulate", "--k", "2", "--tau", "0", "--delta", "0", "--sigma-delta", "0",
+                    "--prev", "1/2", "--reps", "20", "--seed", "3"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "select", "simulate", "summary"])
+def test_cli_unwritable_output_is_a_json_error(tmp_path, monkeypatch, command):
+    args = {
+        "analyze": ["analyze", dataset_path("sglt2"), "--json"],
+        "select": ["select", dataset_path("sglt2"), "--histogram"],
+        "simulate": SMALL_SIMULATION + ["--out"],
+        "summary": SMALL_SIMULATION + ["--out", str(tmp_path / "m.csv"), "--summary"],
+    }[command]
+    missing = tmp_path / "missing" / "out"
+    result = CliRunner().invoke(main, args + [str(missing)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "output",
+        "message": f"cannot write {missing}: No such file or directory",
+    }
+
+    # the rename fails after the whole file is written: old file and
+    # directory stay as they were
+    target = tmp_path / "out"
+    target.write_text("previous run\n")
+    before = sorted(os.listdir(tmp_path))
+    replace = os.replace
+
+    def refuse(src, dst):
+        if os.fspath(dst) == str(target):
+            raise PermissionError(13, "Permission denied")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    result = CliRunner().invoke(main, args + [str(target)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr)["message"] == f"cannot write {target}: Permission denied"
+    assert target.read_text() == "previous run\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_cli_simulate_deterministic(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,7 +312,7 @@ def test_qs_all_equals_loop_bit_for_bit(monkeypatch, block):
         monkeypatch.setattr(selection, "_QS_BLOCK", block)
     for ds in _random_datasets():
         expected = _qs_loop(ds)
-        got = selection._qs_all(ds)
+        got = np.concatenate(list(selection._qs_blocks(ds)))
         assert got.dtype == np.float64
         assert got.tolist() == [q for _, q in expected]
         sizes = [len(q) for q in selection._qs_blocks(ds)]
@@ -325,7 +326,31 @@ def test_qs_all_equals_loop_bit_for_bit(monkeypatch, block):
         assert res.choices == best_choices
         assert res.q_s == best_q and type(res.q_s) is float
         values, _ = qs_histogram(ds)
-        assert values == [(cid, q) for cid, (_, q) in enumerate(expected)]
+        assert len(values) == len(expected)
+        assert list(values) == list(values) == [(cid, q) for cid, (_, q) in enumerate(expected)]
+
+
+def test_histogram_is_streamed_in_bounded_memory(tmp_path):
+    """8^6 = 262 144 combinations go to the file holding one block of Q_S
+    and one chunk of rows at a time (2.5 MB); a list of the pairs alone
+    takes about 240 B per combination, 63 MB here. The bound does not grow
+    with the combination count."""
+    rng = np.random.default_rng(3)
+    ds = make_dataset([
+        (rng.normal(), 0.7, [make_split(f"s{j}", rng.normal(0, 1, 2), rng.uniform(0.2, 1.5, 2))
+                             for j in range(8)])
+        for _ in range(6)
+    ])
+    path = tmp_path / "h.csv"
+    tracemalloc.start()
+    try:
+        write_histogram_csv(qs_histogram(ds)[0], path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    with open(path, "rb") as fh:
+        assert sum(1 for _ in fh) == 8 ** 6 + 1
 
 
 def test_select_histogram_golden_bytes(tmp_path):

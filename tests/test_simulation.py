@@ -1,6 +1,9 @@
+import concurrent.futures
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,10 +172,10 @@ def test_run_scenarios_caps_workers(monkeypatch):
 
     class RecordingPool:
         """Stands in for ProcessPoolExecutor: records the worker count and
-        runs the work in this process."""
+        the batch size and runs the work in this process."""
 
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            pools.append([max_workers])
 
         def __enter__(self):
             return self
@@ -180,10 +183,11 @@ def test_run_scenarios_caps_workers(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
+            pools[-1].append(chunksize)
             return map(fn, *iterables)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     scenarios = scenario_grid(
         k=2, tau=[0.0, 0.5, 1.0], delta=0.0, sigma_delta=0.0, p=0.5, n_reps=20, seed=5
     )
@@ -191,12 +195,29 @@ def test_run_scenarios_caps_workers(monkeypatch):
     for cpus, jobs, expected in ((2, 10 ** 6, 2), (64, 10 ** 6, 3), (64, 2, 2)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         capped = run_scenarios(scenarios, jobs=jobs)
-        assert pools[-1] == expected
+        assert pools[-1] == [expected, 1]
         assert [m.ci_metrics for m in capped] == [m.ci_metrics for m in serial]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_scenarios(scenarios, jobs=10 ** 6)
     run_scenarios(scenarios, jobs=0)
     assert len(pools) == 3
+    grid = scenario_grid(n_reps=1, seed=5)  # the full grid: 1125 scenarios
+    monkeypatch.setattr(simulation, "run_scenario", lambda s, level: s)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_scenarios(grid, jobs=2) == grid
+    assert pools[-1] == [2, 17]
+
+
+def test_importing_the_package_loads_no_process_pool():
+    code = (
+        "import sys, fewmeta, fewmeta.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    src = os.path.dirname(os.path.dirname(simulation.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_zero_count_identity():
@@ -264,6 +285,14 @@ def test_write_metrics_csv_keeps_target_on_failure(tmp_path, monkeypatch):
     good = run_scenario(_scenario(n_reps=20))
     with pytest.raises(AttributeError):
         write_metrics_csv([good, None], path)  # fails after the first rows
+
+    def interrupted():
+        yield good
+        raise RuntimeError("worker lost")
+
+    with pytest.raises(RuntimeError):
+        write_metrics_csv(interrupted(), path)
+    assert path.read_text() == "previous run\n"
 
     def failing_replace(src, dst):
         raise OSError("disk full")
