@@ -3,20 +3,24 @@
 Exit codes are a stable contract: 0 success, 2 input/validation error or
 an output file that cannot be written, 3 combination budget exceeded,
 4 internal self-check failure. Validation and output failures additionally
-emit a machine-readable JSON error object on stderr. The environment
-variable FEWMETA_SEED provides a fallback seed for the simulation
-subcommand.
+emit a machine-readable JSON error object on stderr. Exits 2 and 3 are
+enforced in one place for every command, the `main` group
+(`_Commands.invoke`); a file is written inside `_output`, which turns an
+OSError into exit 2 with an "output" error; `validate` exits 4 itself.
+`simulate` reads its settings from one table, `_SETTINGS`, with precedence
+flag > config file > FEWMETA_SEED (a fallback seed).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from .data import ValidationError, load_csv
 from .estimators import cochran_q, study_arrays
@@ -31,7 +35,6 @@ from .selection import (
     write_histogram_csv,
 )
 from .simulation import (
-    DEFAULT_N_REPS,
     Scenario,
     generate_meta_analysis,
     metrics_to_json,
@@ -53,43 +56,99 @@ def _fail(code: int, kind: str, message: str):
     sys.exit(code)
 
 
-def _write_failed(path, exc: OSError):
-    """Exit 2 for an output file that could not be written; write_atomic
+class _Commands(click.Group):
+    """The exit-code boundary of every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CombinationBudgetError as exc:
+            _fail(EXIT_BUDGET, "budget", str(exc))
+        except ValidationError as exc:
+            _fail(EXIT_VALIDATION, "validation", str(exc))
+
+
+@contextlib.contextmanager
+def _output(path):
+    """Exit 2 for an output file that cannot be written; write_atomic
     has left the old file, if any, as it was."""
-    _fail(EXIT_VALIDATION, "output", f"cannot write {path}: {exc.strerror or exc}")
+    try:
+        yield
+    except OSError as exc:
+        _fail(EXIT_VALIDATION, "output", f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _parse_values(text, convert):
-    """Comma-separated flag values; fractions like 1/3 are accepted."""
-    if text is None:
-        return None
-    return [convert(part.strip()) for part in text.split(",") if part.strip()]
-
-
-def _as_float(token: str) -> float:
+def _number(token: str) -> float:
+    """A float; fractions like 1/3 are accepted."""
     try:
         return float(Fraction(token)) if "/" in token else float(token)
     except ZeroDivisionError:
-        raise ValidationError(f"cannot parse number {token!r}: zero denominator") from None
+        raise ValueError("zero denominator") from None
+
+
+def _values(convert):
+    """Parser of a comma-separated list."""
+    return lambda text: [convert(part.strip()) for part in text.split(",") if part.strip()]
+
+
+# simulate's settings: name (its flag without the dashes, its config-file
+# key) -> (scenario_grid argument, parser of the text value, flag help)
+_SETTINGS = {
+    "reps": ("n_reps", int, "Replicates per scenario."),
+    "k": ("k", _values(int), "Comma list of study counts."),
+    "tau": ("tau", _values(_number), "Comma list of tau values."),
+    "delta": ("delta", _values(_number), "Comma list of Delta values."),
+    "sigma_delta": ("sigma_delta", _values(_number), "Comma list of sigma_Delta values."),
+    "prev": ("p", _values(_number), "Comma list of prevalences (fractions allowed)."),
+    "seed": ("seed", int, "Base seed (fallback: FEWMETA_SEED)."),
+    "sizes_meanlog": ("sizes_meanlog", float, None),
+    "sizes_sdlog": ("sizes_sdlog", float, None),
+}
 
 
 def _read_config(path) -> dict:
-    """Flat key=value configuration file; blank lines and # comments
-    are ignored."""
+    """Flat key=value configuration file of settings; blank lines and
+    # comments are ignored."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except (OSError, UnicodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not eq or key not in _SETTINGS:
+            raise ValidationError(f"{path}:{lineno}: expected setting=value with a setting "
+                                  f"among {', '.join(_SETTINGS)}, got {line!r}")
+        values[key] = value.strip()
     return values
 
 
-@click.group()
+def _grid_settings(flags: dict, config_path) -> dict:
+    """scenario_grid's arguments: each setting's text from its flag, else
+    the config file, else (the seed only) FEWMETA_SEED, parsed by its row
+    of _SETTINGS."""
+    texts = {"seed": os.environ["FEWMETA_SEED"]} if "FEWMETA_SEED" in os.environ else {}
+    texts.update(_read_config(config_path) if config_path else {})
+    texts.update((name, text) for name, text in flags.items() if text is not None)
+    if "seed" not in texts:
+        raise ValidationError("a seed is required: pass --seed, set it in the config file, "
+                              "or set FEWMETA_SEED")
+    grid = {}
+    for name, text in texts.items():
+        argument, parse, _ = _SETTINGS[name]
+        try:
+            grid[argument] = parse(text)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValidationError(f"{name}: cannot parse {text!r}: {exc}") from None
+    return grid
+
+
+@click.group(cls=_Commands)
 def main():
     """Random-effects meta-analysis of few studies, informed by
     within-study subgroup estimates."""
@@ -112,23 +171,16 @@ def main():
 @click.option("--json", "json_out", type=click.Path(dir_okay=False), help="Write the JSON report here.")
 def analyze(data_path, strategy, level, exp, zh_c, max_combos, json_out):
     """Run all heterogeneity estimators and CI methods on a dataset."""
-    try:
-        config = CIMethodConfig(level=level, zh_penalty_c=zh_c)
-        dataset = load_csv(data_path)
-        sel = None
-        if strategy != "none" and dataset.has_splits:
-            sel = select_splits(dataset, strategy, max_combos)
-            dataset = dataset.with_selection(sel.choices)
-        report = build_report(dataset, sel, config)
-    except CombinationBudgetError as exc:
-        _fail(EXIT_BUDGET, "budget", str(exc))
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, "validation", str(exc))
+    config = CIMethodConfig(level=level, zh_penalty_c=zh_c)
+    dataset = load_csv(data_path)
+    sel = None
+    if strategy != "none" and dataset.has_splits:
+        sel = select_splits(dataset, strategy, max_combos)
+        dataset = dataset.with_selection(sel.choices)
+    report = build_report(dataset, sel, config)
     if json_out:
-        try:
+        with _output(json_out):
             write_atomic(json_out, report_to_json(report))
-        except OSError as exc:
-            _write_failed(json_out, exc)
     click.echo(render_text(report, exp=exp), nl=False)
 
 
@@ -144,21 +196,14 @@ def analyze(data_path, strategy, level, exp, zh_c, max_combos, json_out):
 @click.option("--max-combos", default=DEFAULT_MAX_COMBINATIONS, show_default=True)
 def select(data_path, strategy, histogram, max_combos):
     """Pick one subgroup split per study maximizing the subgroup Q."""
-    try:
-        dataset = load_csv(data_path)
-        result = select_splits(dataset, strategy, max_combos)
-        if histogram:
-            values, threshold = qs_histogram(dataset, max_combos)
-            try:
-                write_histogram_csv(values, histogram)
-            except OSError as exc:
-                _write_failed(histogram, exc)
-            click.echo(f"histogram: {len(values)} combinations -> {histogram}")
-            click.echo(f"threshold (positive subgroup-level tau2): Q_S > {threshold}")
-    except CombinationBudgetError as exc:
-        _fail(EXIT_BUDGET, "budget", str(exc))
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, "validation", str(exc))
+    dataset = load_csv(data_path)
+    result = select_splits(dataset, strategy, max_combos)
+    if histogram:
+        values, threshold = qs_histogram(dataset, max_combos)
+        with _output(histogram):
+            write_histogram_csv(values, histogram)
+        click.echo(f"histogram: {len(values)} combinations -> {histogram}")
+        click.echo(f"threshold (positive subgroup-level tau2): Q_S > {threshold}")
     chosen = ", ".join(
         f"{study.study_id}={study.splits[c].split_name}"
         for study, c in zip(dataset.studies, result.choices)
@@ -169,86 +214,36 @@ def select(data_path, strategy, histogram, max_combos):
     click.echo(f"combinations evaluated: {result.combinations_evaluated}")
 
 
+def _setting_options(command):
+    """One option per row of _SETTINGS, each taking the setting's text."""
+    for name, (_, parse, help_text) in reversed(_SETTINGS.items()):
+        metavar = {int: "INTEGER", float: "FLOAT"}.get(parse, "TEXT")
+        command = click.option(f"--{name.replace('_', '-')}", name, metavar=metavar, help=help_text)(command)
+    return command
+
+
 @main.command()
-@click.option("--reps", type=int, default=None, help="Replicates per scenario.")
-@click.option("--k", "k_values", default=None, help="Comma list of study counts.")
-@click.option("--tau", default=None, help="Comma list of tau values.")
-@click.option("--delta", default=None, help="Comma list of Delta values.")
-@click.option("--sigma-delta", default=None, help="Comma list of sigma_Delta values.")
-@click.option("--prev", default=None, help="Comma list of prevalences (fractions allowed).")
-@click.option("--seed", type=int, default=None, help="Base seed (fallback: FEWMETA_SEED).")
+@_setting_options
 @click.option("--jobs", type=int, default=1, show_default=True, help="Worker processes (capped at the CPU and scenario counts).")
-@click.option("--sizes-meanlog", type=float, default=None)
-@click.option("--sizes-sdlog", type=float, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), help="Flat key=value config file (flags override).")
 @click.option("--out", type=click.Path(dir_okay=False), default="metrics.csv", show_default=True)
 @click.option("--summary", type=click.Path(dir_okay=False), help="Write a JSON summary here.")
-def simulate(reps, k_values, tau, delta, sigma_delta, prev, seed, jobs,
-             sizes_meanlog, sizes_sdlog, config_path, out, summary):
+def simulate(jobs, config_path, out, summary, **flags):
     """Run the Monte Carlo study over a (filtered) scenario grid."""
-    try:
-        cfg = _read_config(config_path) if config_path else {}
-
-        def setting(flag, key, parse):
-            if flag is not None:
-                return flag
-            if key in cfg:
-                return parse(cfg[key])
-            return None
-
-        reps = setting(reps, "reps", int)
-        k_values = setting(k_values, "k", str)
-        tau = setting(tau, "tau", str)
-        delta = setting(delta, "delta", str)
-        sigma_delta = setting(sigma_delta, "sigma_delta", str)
-        prev = setting(prev, "prev", str)
-        seed = setting(seed, "seed", int)
-        sizes_meanlog = setting(sizes_meanlog, "sizes_meanlog", float)
-        sizes_sdlog = setting(sizes_sdlog, "sizes_sdlog", float)
-
-        if seed is None:
-            env_seed = os.environ.get("FEWMETA_SEED")
-            if env_seed is None:
-                raise ValidationError(
-                    "a seed is required: pass --seed, set it in the config "
-                    "file, or set FEWMETA_SEED"
-                )
-            seed = int(env_seed)
-        if jobs < 1:
-            raise ValidationError("--jobs must be >= 1")
-
-        kwargs = {}
-        if sizes_meanlog is not None:
-            kwargs["sizes_meanlog"] = sizes_meanlog
-        if sizes_sdlog is not None:
-            kwargs["sizes_sdlog"] = sizes_sdlog
-        scenarios = scenario_grid(
-            k=_parse_values(k_values, int),
-            tau=_parse_values(tau, _as_float),
-            delta=_parse_values(delta, _as_float),
-            sigma_delta=_parse_values(sigma_delta, _as_float),
-            p=_parse_values(prev, _as_float),
-            n_reps=reps if reps is not None else DEFAULT_N_REPS,
-            seed=seed,
-            **kwargs,
-        )
-    except (ValueError, OSError) as exc:
-        _fail(EXIT_VALIDATION, "validation", str(exc))
-    try:
-        results = run_scenarios(scenarios, jobs=jobs)
-    except ValidationError as exc:  # e.g. drawn study sizes beyond the int range
-        _fail(EXIT_VALIDATION, "validation", str(exc))
-
-    try:
+    if jobs < 1:
+        raise ValidationError("--jobs must be >= 1")
+    scenarios = scenario_grid(**_grid_settings(flags, config_path))
+    for path in filter(None, (out, summary)):  # fail before the run, not after it
+        with _output(path), tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
+            pass
+    results = run_scenarios(scenarios, jobs=jobs)
+    if summary:  # first, so that a failed summary leaves metrics.csv as it was
+        with _output(summary):
+            write_atomic(summary, metrics_to_json(results))
+    with _output(out):
         write_metrics_csv(results, out)
-    except OSError as exc:
-        _write_failed(out, exc)
     click.echo(f"{len(results)} scenario(s) -> {out}")
     if summary:
-        try:
-            write_atomic(summary, metrics_to_json(results))
-        except OSError as exc:
-            _write_failed(summary, exc)
         click.echo(f"summary -> {summary}")
 
 
@@ -320,12 +315,9 @@ def validate(seed):
     """Run internal self-checks (quantiles, expectation oracle, variance
     ordering); nonzero exit if any fails."""
     checks = run_self_checks(seed)
-    failed = 0
     for name, passed, detail in checks:
-        status = "PASS" if passed else "FAIL"
-        if not passed:
-            failed += 1
-        click.echo(f"[{status}] {name}: {detail}")
+        click.echo(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
+    failed = sum(not passed for _, passed, _ in checks)
     if failed:
         _fail(EXIT_CHECK_FAILED, "self-check", f"{failed} check(s) failed")
     click.echo(f"all {len(checks)} checks passed")

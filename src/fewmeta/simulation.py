@@ -22,6 +22,7 @@ atomic write one scenario at a time.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -244,46 +245,23 @@ def _replicate_dataset(y_sub, se_sub, n_arm) -> MetaDataset:
     return MetaDataset(tuple(studies))
 
 
-def scenario_grid(
-    k=None,
-    tau=None,
-    delta=None,
-    sigma_delta=None,
-    p=None,
-    n_reps=DEFAULT_N_REPS,
-    seed=0,
-    sigma_u=DEFAULT_SIGMA_U,
-    sizes_meanlog=DEFAULT_SIZES_MEANLOG,
-    sizes_sdlog=DEFAULT_SIZES_SDLOG,
-):
-    """Cartesian grid of scenarios; each filter is None (full axis), a
-    scalar, or a sequence of values. The full grid has 1125 points."""
+def scenario_grid(k=None, tau=None, delta=None, sigma_delta=None, p=None, **settings):
+    """Cartesian grid of scenarios over the five design axes, k slowest and
+    p fastest; each axis is None (its full grid), a scalar, or a sequence of
+    values. `settings` are the remaining Scenario fields (n_reps, seed,
+    sigma_u, ...), shared by every point. The full grid has 1125 points."""
 
     def axis(value, default):
         if value is None:
-            return list(default)
-        if np.isscalar(value):
-            return [value]
-        return list(value)
+            return default
+        return [value] if np.isscalar(value) else value
 
     scenarios = [
-        Scenario(
-            k=int(kv),
-            tau=float(tv),
-            delta=float(dv),
-            sigma_delta=float(sv),
-            p=float(pv),
-            sigma_u=sigma_u,
-            n_reps=n_reps,
-            seed=seed,
-            sizes_meanlog=sizes_meanlog,
-            sizes_sdlog=sizes_sdlog,
+        Scenario(int(kv), float(tv), float(dv), float(sv), float(pv), **settings)
+        for kv, tv, dv, sv, pv in itertools.product(
+            axis(k, K_GRID), axis(tau, TAU_GRID), axis(delta, DELTA_GRID),
+            axis(sigma_delta, SIGMA_DELTA_GRID), axis(p, P_GRID),
         )
-        for kv in axis(k, K_GRID)
-        for tv in axis(tau, TAU_GRID)
-        for dv in axis(delta, DELTA_GRID)
-        for sv in axis(sigma_delta, SIGMA_DELTA_GRID)
-        for pv in axis(p, P_GRID)
     ]
     if not scenarios:
         raise ValidationError("scenario_grid: empty grid")

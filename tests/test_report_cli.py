@@ -344,6 +344,112 @@ def test_cli_simulate_at_the_effect_bound(tmp_path):
     assert all(math.isfinite(float(r["value"])) for r in rows)
 
 
+@pytest.mark.parametrize("missing", ["--out", "--summary"])
+def test_cli_simulate_checks_its_outputs_before_running(tmp_path, monkeypatch, missing):
+    ran = []
+    monkeypatch.setattr("fewmeta.cli.run_scenarios", lambda *args, **kw: ran.append(args))
+    out = tmp_path / "m.csv"
+    out.write_bytes(b"previous run\r\n")
+    paths = {"--out": str(out), "--summary": str(tmp_path / "s.json")}
+    paths[missing] = str(tmp_path / "missing" / "f")
+    result = CliRunner().invoke(main, SMALL_SIMULATION + [a for p in paths.items() for a in p])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "output",
+        "message": f"cannot write {paths[missing]}: No such file or directory",
+    }
+    assert out.read_bytes() == b"previous run\r\n"
+    assert ran == [] and result.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["m.csv"]
+
+
+@pytest.mark.parametrize("cfg, flags, env_seed, expected", [
+    ("kk=2\n", [], None, "sim.cfg:LAST: expected setting=value"),
+    ("jobs=2\n", [], None, "sim.cfg:LAST: expected setting=value"),
+    ("reps 20\n", [], None, "sim.cfg:LAST: expected setting=value"),
+    ("", ["--reps", "abc"], None, "reps: cannot parse 'abc'"),
+    ("reps=abc\n", [], None, "reps: cannot parse 'abc'"),
+    ("", ["--seed", "1.5"], None, "seed: cannot parse '1.5'"),
+    ("", [], "abc", "seed: cannot parse 'abc'"),
+    ("", ["--sizes-sdlog", "x"], None, "sizes_sdlog: cannot parse 'x'"),
+    ("prev=1/2,x\n", [], None, "prev: cannot parse '1/2,x'"),
+    ("k=2," + "9" * 5000 + "\n", [], None, "k: cannot parse"),  # int digit limit
+    ("tau=" + "1" * 400 + "/1\n", [], None, "tau: cannot parse"),  # float overflow
+], ids=["unknown-key", "jobs-key", "no-equals", "reps-flag", "reps-key", "seed-flag",
+        "seed-env", "sizes-flag", "prev-key", "k-digits", "tau-overflow"])
+def test_cli_simulate_rejects_unknown_and_unparsable_settings(
+    tmp_path, monkeypatch, cfg, flags, env_seed, expected
+):
+    if env_seed is None:
+        monkeypatch.delenv("FEWMETA_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FEWMETA_SEED", env_seed)
+    config = tmp_path / "sim.cfg"
+    text = "# a one-point grid\nk=2\ntau=0\ndelta=0\nsigma_delta=0\nprev=1/2\nreps=2\n"
+    config.write_text(text + ("" if env_seed else "seed=1\n") + cfg)
+    out = tmp_path / "m.csv"
+    result = CliRunner().invoke(
+        main, ["simulate", "--config", str(config), "--out", str(out)] + flags
+    )
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr)
+    assert error["error"] == "validation"
+    last = len(config.read_text().splitlines())
+    assert error["message"].startswith(expected.replace("sim.cfg:LAST", f"{config}:{last}"))
+    if "LAST" in expected:  # the line is quoted, so its key is named
+        assert error["message"].endswith(f"got {cfg.strip()!r}")
+    assert not out.exists()
+
+
+def test_cli_simulate_setting_precedence(tmp_path, monkeypatch):
+    """flag > config file > FEWMETA_SEED, read from the seed column."""
+    config = tmp_path / "sim.cfg"
+    config.write_text("k=2\ntau=0\ndelta=0\nsigma-delta=0\nprev=1/2\nreps=2\n")
+    out = tmp_path / "m.csv"
+    monkeypatch.setenv("FEWMETA_SEED", "5")
+    for extra_cfg, flags, seed in (("", [], "5"), ("seed=6\n", [], "6"),
+                                   ("seed=6\n", ["--seed", "7"], "7")):
+        config.write_text(config.read_text() + extra_cfg)
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(config), "--out", str(out)] + flags
+        )
+        assert result.exit_code == 0, result.output
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert {(r["seed"], r["n_reps"], r["k"]) for r in rows} == {(seed, "2", "2")}
+
+
+def test_cli_simulate_unreadable_config_is_a_validation_error(tmp_path):
+    config = tmp_path / "sim.cfg"
+    config.write_bytes(b"seed=1\nk=\xff\n")
+    result = CliRunner().invoke(main, ["simulate", "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr)
+    assert error["error"] == "validation"
+    assert error["message"].startswith(f"cannot read {config}: 'utf-8' codec")
+
+
+def test_cli_validate_maps_a_validation_error_to_exit_2(monkeypatch):
+    def broken(seed):
+        raise ValidationError("scenario: k must be >= 2")
+
+    monkeypatch.setattr("fewmeta.cli.run_self_checks", broken)
+    result = CliRunner().invoke(main, ["validate"])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "validation", "message": "scenario: k must be >= 2"
+    }
+
+
+def test_cli_simulate_does_not_report_a_plain_value_error_as_validation(tmp_path, monkeypatch):
+    def broken(**settings):
+        raise ValueError("a defect, not an input error")
+
+    monkeypatch.setattr("fewmeta.cli.scenario_grid", broken)
+    result = CliRunner().invoke(main, SMALL_SIMULATION + ["--out", str(tmp_path / "m.csv")])
+    assert isinstance(result.exception, ValueError)
+    assert result.exit_code == 1 and "validation" not in result.stderr
+
+
 def test_self_checks_pass():
     checks = run_self_checks(seed=0)
     failed = [(name, detail) for name, ok, detail in checks if not ok]

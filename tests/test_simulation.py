@@ -148,6 +148,24 @@ def test_scenario_grid_counts():
         scenario_grid(k=[])
 
 
+def test_scenario_grid_order_and_shared_settings():
+    grid = scenario_grid(k=[3, 2], tau=0.5, delta=[0, 1], sigma_delta=0, p=[1 / 2, 1 / 4],
+                         n_reps=7, seed=9, mu=0.25, sigma_u=2.0, sizes_sdlog=0.5)
+    assert [(s.k, s.delta, s.p) for s in grid] == [
+        (k, d, p) for k in (3, 2) for d in (0.0, 1.0) for p in (0.5, 0.25)
+    ]
+    assert {(s.tau, s.sigma_delta, s.n_reps, s.seed, s.mu, s.sigma_u, s.sizes_meanlog,
+             s.sizes_sdlog) for s in grid} == {(0.5, 0.0, 7, 9, 0.25, 2.0, 5.0, 0.5)}
+    assert all(type(s.k) is int and type(s.delta) is float for s in grid)
+    full = scenario_grid()
+    assert [(s.k, s.tau, s.delta, s.sigma_delta, s.p) for s in full] == [
+        (k, t, d, sd, p) for k in simulation.K_GRID for t in simulation.TAU_GRID
+        for d in simulation.DELTA_GRID for sd in simulation.SIGMA_DELTA_GRID
+        for p in simulation.P_GRID
+    ]
+    assert {(s.n_reps, s.seed) for s in full} == {(simulation.DEFAULT_N_REPS, 0)}
+
+
 def test_run_scenario_deterministic():
     sc = _scenario(k=2, tau=0.2, delta=0.1, sigma_delta=0.1, n_reps=500)
     a = run_scenario(sc)
