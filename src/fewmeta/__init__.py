@@ -15,11 +15,9 @@ from .data import (
     ValidationError,
     load_csv,
 )
-from .estimators import HeterogeneityEstimate
 from .intervals import (
     CIMethodConfig,
     IntervalResult,
-    all_tau2,
     run_all_methods,
     t_quantile,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "SubgroupSplit",
     "ValidationError",
     "load_csv",
-    "HeterogeneityEstimate",
-    "all_tau2",
     "CIMethodConfig",
     "IntervalResult",
     "run_all_methods",

@@ -363,6 +363,9 @@ def load_csv(path) -> MetaDataset:
             rows = list(reader)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        # DictReader.line_num is updated only after a row is read whole
+        raise ValidationError(f"{path}: line {reader.reader.line_num}: {exc}") from None
     return validate_dataset(rows)
 
 

@@ -5,7 +5,7 @@ for subgroup quantities, last two axes run over studies x arms); leading
 axes broadcast over replicates. The five tau^2 estimates are combined in
 one place, the kernel `intervals.meta_kernel`, which serves both a Monte
 Carlo batch and a single dataset (the same code without the replicate
-axis); the HeterogeneityEstimate records of a dataset are built from it.
+axis); the report reads a dataset's estimates straight from its result.
 Every weighted sum goes through one pooling step (_Pool), which the kernel
 runs once per level and batch and the public helpers here call too.
 
@@ -24,8 +24,7 @@ in a thousand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,21 +40,6 @@ TAU2_METHODS = (DL, DLS, DLS_ADJ, MAX1, MAX2)
 
 STUDY_SIDE = "study"
 SUBGROUP_SIDE = "subgroup"
-
-
-@dataclass(frozen=True)
-class HeterogeneityEstimate:
-    """A tau^2 estimate with its untruncated raw value."""
-
-    method: str
-    tau2: float
-    tau2_raw: float
-    is_zero: bool
-    winner: Optional[str] = None
-
-    @property
-    def tau(self) -> float:
-        return float(np.sqrt(self.tau2))
 
 
 # numpy's pairwise_sum splits runs longer than this in two, recursively
@@ -134,10 +118,10 @@ def _pool(y, w, axes=(-1,)):
     return _Pool(w, sw, mu, (y - mu[(...,) + (None,) * len(axes)]) ** 2, axes)
 
 
-def _re_pool(y, se, tau2):
-    """Pooling under random-effects weights (se^2 + tau2)^-1."""
-    y, se, tau2 = (np.asarray(a, dtype=float) for a in (y, se, tau2))
-    return _pool(y, 1.0 / (se ** 2 + (tau2[..., None] if tau2.ndim else tau2)))
+def _re_weights(se, tau2):
+    """Random-effects weights (se^2 + tau2)^-1."""
+    se, tau2 = np.asarray(se, dtype=float), np.asarray(tau2, dtype=float)
+    return 1.0 / (se ** 2 + (tau2[..., None] if tau2.ndim else tau2))
 
 
 def _require_k2(k, name):

@@ -9,10 +9,10 @@ hybrid heterogeneity estimates and flexible degrees of freedom.
 One kernel, meta_kernel, computes the five tau^2 estimates and all six
 intervals for a batch of R datasets; the Monte Carlo harness calls it on a
 scenario's replicates. A single dataset runs the same code without the
-replicate axis (dataset_kernel), and run_all_methods, all_tau2 and the
-report build their records from its 0-d results. Studies, random effects
-and arms are each pooled once per batch; hksj_scale, zh_variance and
-variance_hcs call the same pieces.
+replicate axis (dataset_kernel), whose 0-d results run_all_methods and the
+report read. Studies, random effects and arms are each pooled once per
+batch; hksj_scale, zh_variance and variance_hcs call the same pieces. The
+first two reject a zero weight (se = inf); in the kernel, DL rejects it.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ from .estimators import (
     DLS_ADJ,
     MAX1,
     MAX2,
-    STUDY_SIDE,
-    SUBGROUP_SIDE,
-    HeterogeneityEstimate,
     _arm_weights,
     _check_ce_weights,
     _dl,
     _dls,
     _pool,
-    _re_pool,
+    _re_weights,
     _require_k2,
     _shrinkage_a,
     _sum,
@@ -241,14 +238,22 @@ def hksj_scale(y, se, tau2):
     """
     k = np.shape(y)[-1]
     _require_k2(k, "hksj_scale")
-    re = _re_pool(y, se, tau2)
+    re = _positive_re_pool(y, se, tau2, "hksj_scale")
     return re.mu, 1.0 / re.sw, re.q() / (k - 1)
 
 
 def zh_variance(y, se, tau2, c=2):
     """Leverage-penalized robust variance of the random-effects mean."""
-    re = _re_pool(y, se, tau2)
+    re = _positive_re_pool(y, se, tau2, "zh_variance")
     return re.mu, _zh_variance(re, c)
+
+
+def _positive_re_pool(y, se, tau2, name):
+    """Random-effects pooling that rejects a zero weight (se = inf) first."""
+    w = _re_weights(se, tau2)
+    if np.any(w <= 0):
+        raise ValidationError(f"{name}: weights must be positive")
+    return _pool(np.asarray(y, dtype=float), w)
 
 
 def _zh_variance(re, c):
@@ -299,8 +304,8 @@ class KernelResult:
     intervals maps each CI method, in CI_METHODS order, to a BatchInterval.
     errors maps every estimator or method that could not be computed to the
     message of the first quantity it needs that failed; its arrays hold NaN.
-    For one dataset (no replicate axis, 0-d values), `estimates` and
-    `interval_results` give the records.
+    For one dataset (no replicate axis, 0-d values), `interval_results`
+    gives the interval records.
     """
 
     tau2: dict
@@ -310,22 +315,6 @@ class KernelResult:
     errors: dict
     level: float
     fallback: bool
-
-    def estimates(self) -> dict:
-        """The HeterogeneityEstimates of a one-dataset result, keyed by method
-        tag. Raises ValidationError for the first estimate that could not
-        be computed."""
-        estimates = {}
-        for tag in self.tau2:
-            if tag in self.errors:
-                raise ValidationError(self.errors[tag])
-            tau2 = float(self.tau2[tag])
-            wins = self.subgroup_wins.get(tag)
-            winner = None if wins is None else SUBGROUP_SIDE if wins else STUDY_SIDE
-            estimates[tag] = HeterogeneityEstimate(
-                tag, tau2, float(self.tau2_raw[tag]), tau2 == 0.0, winner
-            )
-        return estimates
 
     def interval_results(self):
         """(results, errors) of a one-dataset result: IntervalResults in
@@ -382,7 +371,7 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2, *,
     p_upper = 0.5 + level / 2.0
     t_lo = t_quantile(k - 1, p_upper)
     df_lo = np.full(y.shape[:-1], k - 1)
-    re = _re_pool(y, se, tau2[DL])
+    re = _pool(y, _re_weights(se, tau2[DL]))
     var = 1.0 / re.sw  # the model variance of the random-effects mean
     q = re.q() / (k - 1)
 
@@ -443,15 +432,6 @@ def dataset_kernel(dataset: MetaDataset, config: CIMethodConfig = CIMethodConfig
     y, se = study_arrays(dataset)
     arms = subgroup_arrays(dataset)[:2] if dataset.fully_selected else ()
     return meta_kernel(y, se, *arms, level=config.level, c=config.zh_penalty_c)
-
-
-def all_tau2(dataset: MetaDataset) -> dict:
-    """All five heterogeneity estimates, keyed by method tag.
-
-    Subgroup-based entries are omitted when the dataset carries no
-    selected splits.
-    """
-    return dataset_kernel(dataset).estimates()
 
 
 def run_all_methods(dataset: MetaDataset, config: CIMethodConfig = CIMethodConfig()):

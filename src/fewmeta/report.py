@@ -24,22 +24,22 @@ import os
 import stat
 from decimal import ROUND_HALF_UP, Context, Decimal
 
-from .data import MetaDataset, canonical_json, consistency_gaps
+from .data import MetaDataset, ValidationError, canonical_json, consistency_gaps
+from .estimators import STUDY_SIDE, SUBGROUP_SIDE
 from .intervals import CIMethodConfig, dataset_kernel
 
 REPORT_SCHEMA_VERSION = 1
 
 # decimal half-up, with enough digits to quantize any finite double
 _HALF_UP = Context(prec=400, rounding=ROUND_HALF_UP)
-_MILLI = Decimal(1).scaleb(-3)  # the quantum of the default three digits
+_MILLI = Decimal(1).scaleb(-3)  # reports show three digits
 
 
-def round_half_up(value: float, digits: int = 3) -> float:
-    """Presentation rounding: decimal half-up (so 0.6395 -> 0.640)."""
+def round_half_up(value: float) -> float:
+    """Presentation rounding: three digits, decimal half-up (0.6395 -> 0.640)."""
     if not math.isfinite(value):
         return value
-    quantum = _MILLI if digits == 3 else Decimal(1).scaleb(-digits)
-    return float(_HALF_UP.quantize(Decimal(repr(value)), quantum))
+    return float(_HALF_UP.quantize(Decimal(repr(value)), _MILLI))
 
 
 def _exp(value: float) -> float:
@@ -78,7 +78,11 @@ def build_report(dataset: MetaDataset, selection=None, config=CIMethodConfig()) 
     """
     result = dataset_kernel(dataset, config)
     results, errors = result.interval_results()
-    tau2 = result.estimates()
+    failed = [tag for tag in result.tau2 if tag in result.errors]
+    if failed:  # the first tau^2 estimate that could not be computed
+        raise ValidationError(result.errors[failed[0]])
+    tau2 = {tag: float(value) for tag, value in result.tau2.items()}
+    wins = result.subgroup_wins
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dataset": {
@@ -97,13 +101,13 @@ def build_report(dataset: MetaDataset, selection=None, config=CIMethodConfig()) 
         "selection": None,
         "heterogeneity": {
             tag: {
-                "tau2": est.tau2,
-                "tau": est.tau,
-                "tau2_raw": est.tau2_raw,
-                "is_zero": est.is_zero,
-                "winner": est.winner,
+                "tau2": value,
+                "tau": math.sqrt(value),
+                "tau2_raw": float(result.tau2_raw[tag]),
+                "is_zero": value == 0.0,
+                "winner": (SUBGROUP_SIDE if wins[tag] else STUDY_SIDE) if tag in wins else None,
             }
-            for tag, est in tau2.items()
+            for tag, value in tau2.items()
         },
         "intervals": [_interval_entry(r) for r in results],
         "errors": errors,

@@ -1,10 +1,11 @@
 """Choosing one subgroup split per study to maximize the subgroup Q statistic.
 
-Two strategies are provided: a per-study (local) search costing n x k
-evaluations, and an exhaustive (global) search over all n^k combinations,
-evaluated in numpy blocks of at most _QS_BLOCK (about 0.1 us each).
-A third strategy picks the split with the smallest reported interaction
-p-value per study, when those are available in the input.
+Three strategies are provided. Two pick per study, as one chooser given
+different keys: the split maximizing its within-study statistic (local,
+n x k evaluations), or the one with the smallest reported interaction
+p-value (pvalue), when the input carries them. The third is an exhaustive
+(global) search over all n^k combinations, evaluated in numpy blocks of at
+most _QS_BLOCK (about 0.1 us each).
 
 qs_histogram returns a lazy view of every (combination id, Q_S) pair: each
 pass over it evaluates the blocks again, and write_histogram_csv formats and
@@ -61,6 +62,10 @@ def within_study_q(split) -> float:
     return w1 * (a1.y - split.agg_y) ** 2 + w2 * (a2.y - split.agg_y) ** 2
 
 
+def _split_counts(dataset: MetaDataset) -> list:
+    return [len(study.splits) for study in dataset.studies]
+
+
 def _require_candidates(dataset: MetaDataset):
     dataset.require_k2()
     for study in dataset.studies:
@@ -99,29 +104,29 @@ def _qs_from_moments(moments, choices) -> float:
     return s2 - s1 * s1 / s0
 
 
+def _choose_per_study(dataset: MetaDataset, key, strategy, evaluated) -> SelectionResult:
+    """Choose, in each study, the first split with the smallest key(study,
+    split); `evaluated` is reported as the combinations evaluated."""
+    _require_candidates(dataset)
+    choices = []
+    for study in dataset.studies:
+        keys = [key(study, split) for split in study.splits]
+        choices.append(keys.index(min(keys)))
+    q_s = _qs_from_moments(_split_moments(dataset), choices)
+    return SelectionResult(tuple(choices), float(q_s), strategy, evaluated)
+
+
 def select_local(dataset: MetaDataset) -> SelectionResult:
     """Independently pick, per study, the split maximizing the within-study
     two-group statistic. Ties break to the lexicographically smallest
-    split name."""
-    _require_candidates(dataset)
-    choices = []
-    evaluated = 0
-    for study in dataset.studies:
-        best = None
-        for idx, split in enumerate(study.splits):
-            evaluated += 1
-            key = (-within_study_q(split), split.split_name)
-            if best is None or key < best[0]:
-                best = (key, idx)
-        choices.append(best[1])
-    choices = tuple(choices)
-    q_s = _qs_from_moments(_split_moments(dataset), choices)
-    return SelectionResult(choices, float(q_s), LOCAL, evaluated)
+    split name. Every split is evaluated once."""
+    return _choose_per_study(dataset, lambda _, split: (-within_study_q(split), split.split_name),
+                             LOCAL, sum(_split_counts(dataset)))
 
 
 def _check_budget(dataset: MetaDataset, max_combinations: int) -> int:
     _require_candidates(dataset)
-    total = math.prod(len(s.splits) for s in dataset.studies)
+    total = math.prod(_split_counts(dataset))
     if total > max_combinations:
         raise CombinationBudgetError(total, max_combinations)
     return total
@@ -158,31 +163,23 @@ def select_global(
         i = int(np.argmax(np.where(np.isnan(q), -math.inf, q)))
         if q[i] > best_q:
             best_q, best_at = q[i], b * q.size + i
-    counts = [len(s.splits) for s in dataset.studies]
-    choices = tuple(int(c) for c in np.unravel_index(best_at, counts))
+    choices = tuple(int(c) for c in np.unravel_index(best_at, _split_counts(dataset)))
     return SelectionResult(choices, float(best_q), GLOBAL, total)
+
+
+def _pvalue_key(study, split):
+    if split.p_interaction is None:
+        raise ValidationError(
+            f"study {study.study_id!r} split {split.split_name!r}: "
+            "p_interaction required for the pvalue strategy"
+        )
+    return split.p_interaction, split.split_name
 
 
 def select_pvalue(dataset: MetaDataset) -> SelectionResult:
     """Pick the split with the smallest reported interaction p-value per
     study. All candidate splits must carry a p_interaction value."""
-    _require_candidates(dataset)
-    choices = []
-    for study in dataset.studies:
-        best = None
-        for idx, split in enumerate(study.splits):
-            if split.p_interaction is None:
-                raise ValidationError(
-                    f"study {study.study_id!r} split {split.split_name!r}: "
-                    "p_interaction required for the pvalue strategy"
-                )
-            key = (split.p_interaction, split.split_name)
-            if best is None or key < best[0]:
-                best = (key, idx)
-        choices.append(best[1])
-    choices = tuple(choices)
-    q_s = _qs_from_moments(_split_moments(dataset), choices)
-    return SelectionResult(choices, float(q_s), PVALUE, dataset.k)
+    return _choose_per_study(dataset, _pvalue_key, PVALUE, dataset.k)
 
 
 def select(dataset: MetaDataset, strategy: str, max_combinations: int = DEFAULT_MAX_COMBINATIONS) -> SelectionResult:

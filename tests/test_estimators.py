@@ -23,7 +23,8 @@ from fewmeta.estimators import (
     shrinkage_coefficients,
     subgroup_arrays,
 )
-from fewmeta.intervals import all_tau2, hksj_scale
+from fewmeta.intervals import hksj_scale
+from fewmeta.report import build_report
 
 from conftest import make_dataset, make_split
 
@@ -81,17 +82,17 @@ def _study_rows(ys, ses):
 
 
 def test_tau2_dl_examples():
-    est = all_tau2(_study_rows([1.0, 1.0], [0.5, 0.5]))[DL]
-    assert est.tau2 == 0.0
-    assert est.tau2_raw == pytest.approx(-0.25)
-    assert est.is_zero
-    est = all_tau2(_study_rows([0.0, 1.0], [0.5, 0.5]))[DL]
-    assert est.tau2 == pytest.approx(0.25)
-    assert not est.is_zero
+    est = build_report(_study_rows([1.0, 1.0], [0.5, 0.5]))["heterogeneity"][DL]
+    assert est["tau2"] == 0.0
+    assert est["tau2_raw"] == pytest.approx(-0.25)
+    assert est["is_zero"]
+    est = build_report(_study_rows([0.0, 1.0], [0.5, 0.5]))["heterogeneity"][DL]
+    assert est["tau2"] == pytest.approx(0.25)
+    assert not est["is_zero"]
 
 
 def test_tau2_dl_respire14(respire14):
-    assert all_tau2(respire14)[DL].tau == pytest.approx(0.3, abs=0.005)
+    assert build_report(respire14)["heterogeneity"][DL]["tau"] == pytest.approx(0.3, abs=0.005)
 
 
 def _q_subgroup(ds):
@@ -115,8 +116,8 @@ def test_q_subgroup_requires_selection():
 def test_tau2_dls_example():
     ds = _subgroup_dataset([(-1.0, 1.0), (-1.0, 1.0)], [(1, 1), (1, 1)])
     assert _q_subgroup(ds) == pytest.approx(4.0)
-    est = all_tau2(ds)[DLS]
-    assert est.tau2 == pytest.approx(1.0 / 3.0)
+    est = build_report(ds)["heterogeneity"][DLS]
+    assert est["tau2"] == pytest.approx(1.0 / 3.0)
 
 
 def test_shrinkage_symbolic_cases():
@@ -141,9 +142,9 @@ def test_shrinkage_a_tends_to_one():
 
 def test_tau2_dls_adj_examples():
     ds = _subgroup_dataset([(0.3, 0.3), (0.3, 0.3)], [(1, 1), (1, 1)])
-    assert all_tau2(ds)[DLS_ADJ].tau2 == 0.0
+    assert build_report(ds)["heterogeneity"][DLS_ADJ]["tau2"] == 0.0
     ds = _subgroup_dataset([(-1.0, 1.0), (-1.0, 1.0)], [(1, 1), (1, 1)])
-    assert all_tau2(ds)[DLS_ADJ].tau2 == pytest.approx(0.5)
+    assert build_report(ds)["heterogeneity"][DLS_ADJ]["tau2"] == pytest.approx(0.5)
 
 
 def test_tau2_max_semantics():
@@ -153,9 +154,9 @@ def test_tau2_max_semantics():
     ds = make_dataset(
         [(0.0, 0.5, [split_lo]), (1.0, 0.5, [split_hi])], selected=[0, 0]
     )
-    est = all_tau2(ds)[MAX1]
-    assert est.tau2 == pytest.approx(0.25)
-    assert est.winner == STUDY_SIDE
+    est = build_report(ds)["heterogeneity"][MAX1]
+    assert est["tau2"] == pytest.approx(0.25)
+    assert est["winner"] == STUDY_SIDE
 
 
 def test_tau2_max_tie_prefers_study_side():
@@ -165,26 +166,26 @@ def test_tau2_max_tie_prefers_study_side():
         [(0.0, 0.7, [split]), (0.0, 0.7, [split])], selected=[0, 0]
     )
     for variant in (MAX1, MAX2):
-        est = all_tau2(ds)[variant]
-        assert est.tau2 == 0.0
-        assert est.winner == STUDY_SIDE
+        est = build_report(ds)["heterogeneity"][variant]
+        assert est["tau2"] == 0.0
+        assert est["winner"] == STUDY_SIDE
 
 
 def test_tau2_max_respire14(respire14):
     from fewmeta.selection import select_local
 
     ds = respire14.with_selection(select_local(respire14).choices)
-    est = all_tau2(ds)[MAX1]
-    assert est.tau == pytest.approx(0.396, abs=0.005)
-    assert est.winner == SUBGROUP_SIDE
+    est = build_report(ds)["heterogeneity"][MAX1]
+    assert est["tau"] == pytest.approx(0.396, abs=0.005)
+    assert est["winner"] == SUBGROUP_SIDE
 
 
 def test_tau2_max_respire28(respire28):
     from fewmeta.selection import select_local
 
     ds = respire28.with_selection(select_local(respire28).choices)
-    assert all_tau2(ds)[MAX1].tau2 == 0.0
-    assert all_tau2(ds)[MAX2].tau2 == 0.0
+    assert build_report(ds)["heterogeneity"][MAX1]["tau2"] == 0.0
+    assert build_report(ds)["heterogeneity"][MAX2]["tau2"] == 0.0
 
 
 def test_expected_tau2_dls_symbolic():
@@ -252,8 +253,8 @@ def test_mu_ce_two_forms_agree():
 def test_all_tau2_keys(respire14):
     from fewmeta.selection import select_local
 
-    out = all_tau2(respire14)
+    out = build_report(respire14)["heterogeneity"]
     assert set(out) == {DL}
     ds = respire14.with_selection(select_local(respire14).choices)
-    out = all_tau2(ds)
+    out = build_report(ds)["heterogeneity"]
     assert set(out) == {DL, DLS, DLS_ADJ, MAX1, MAX2}

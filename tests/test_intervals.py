@@ -216,6 +216,20 @@ def test_zh_variance_hand_cases():
     assert v2 == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("helper", [hksj_scale, zh_variance])
+@pytest.mark.parametrize("y, se", [
+    ([0.1, 0.2], [0.5, math.inf]),
+    ([0.1, 0.2, 0.3], [0.5, math.inf, 0.4]),
+], ids=["k2", "k3"])
+def test_re_helpers_reject_a_zero_weight(helper, y, se):
+    # se = inf weighs zero: k = 2 used to give a finite q of 0.0 (HKSJ) or
+    # divide by zero (ZH), k = 3 a finite value from the other studies
+    with pytest.raises(ValidationError, match=f"{helper.__name__}: weights must be positive"):
+        helper(y, se, 0.0)
+    with pytest.raises(ValidationError, match="weights must be positive"):
+        helper(np.array([y, y]), np.array([[0.5] * len(y), se]), np.array([0.1, 0.2]))
+
+
 def test_variance_hcs_examples():
     assert variance_hcs(0.0, [4.0, 4.0]) == pytest.approx(0.125)
     assert variance_hcs(1.0, [1.0, 1.0]) == pytest.approx(1.0)

@@ -31,7 +31,6 @@ def test_round_half_up():
     assert round_half_up(0.6395) == 0.640
     assert round_half_up(0.1234) == 0.123
     assert round_half_up(-0.0005) == -0.001
-    assert round_half_up(2.5, 0) == 3.0
 
 
 def test_report_exp_is_exact(respire14):
@@ -144,6 +143,21 @@ def test_cli_non_utf8_input_is_a_validation_error(tmp_path):
         error = json.loads(result.stderr)
         assert error["error"] == "validation"
         assert "not UTF-8" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "select"])
+def test_cli_malformed_csv_is_a_validation_error(tmp_path, command):
+    # a field beyond the csv module's field size limit makes the reader raise
+    bad = tmp_path / "long_field.csv"
+    long_field = "x" * (csv.field_size_limit() + 1)
+    bad.write_text(f"study_id,label,level,split,arm,y,se,n\ns1,{long_field},study,,,0.1,0.2,10\n")
+    result = CliRunner().invoke(main, [command, str(bad)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.stderr
+    error = json.loads(result.stderr)
+    assert error["error"] == "validation"
+    assert error["message"].startswith(f"{bad}: line 2: field larger than field limit")
 
 
 def test_cli_analyze_exp_presentation_only(tmp_path):
