@@ -6,7 +6,8 @@ an output file that cannot be written, 3 combination budget exceeded,
 emit a machine-readable JSON error object on stderr. Exits 2 and 3 are
 enforced in one place for every command, the `main` group
 (`_Commands.invoke`); a file is written inside `_output`, which turns an
-OSError into exit 2 with an "output" error; `validate` exits 4 itself.
+OSError into exit 2 with an "output" error; `validate` exits 4 itself. Its
+Monte Carlo checks are computed in `simulation` and only formatted here.
 `simulate` reads its settings from one table, `_SETTINGS`, with precedence
 flag > config file > FEWMETA_SEED (a fallback seed).
 """
@@ -23,8 +24,7 @@ from fractions import Fraction
 import click
 
 from .data import ValidationError, load_csv
-from .estimators import cochran_q, study_arrays
-from .intervals import CIMethodConfig, run_all_methods, t_quantile
+from .intervals import CIMethodConfig, t_quantile
 from .report import build_report, render_text, report_to_json, write_atomic
 from .selection import (
     DEFAULT_MAX_COMBINATIONS,
@@ -36,12 +36,11 @@ from .selection import (
 )
 from .simulation import (
     Scenario,
-    generate_meta_analysis,
     metrics_to_json,
     run_scenarios,
     scenario_grid,
-    scenario_rng,
     validate_expectation,
+    variance_ordering,
     write_metrics_csv,
 )
 
@@ -280,28 +279,8 @@ def run_self_checks(seed: int = 0):
 
     # Variance ordering whenever Q < k - 1 (zero heterogeneity branch):
     # HKSJ <= CE = mKH <= HCS(max1) <= HCS(max2).
-    sc = Scenario(k=3, tau=0.0, delta=0.2, sigma_delta=0.2, p=0.5, n_reps=1, seed=seed)
-    rng = scenario_rng(sc)
-    hits, violations = 0, 0
-    for _ in range(400):
-        dataset = generate_meta_analysis(sc, rng)
-        y, se = study_arrays(dataset)
-        if cochran_q(y, se) >= sc.k - 1:
-            continue
-        hits += 1
-        results, errors = run_all_methods(dataset)
-        if errors:
-            violations += 1
-            continue
-        var = {r.method: r.variance for r in results}
-        rel = 1.0 + 1e-12
-        ordered = (
-            var["HKSJ"] <= var["MKH"] * rel
-            and var["MKH"] <= var["HCS_MAX1"] * rel
-            and var["HCS_MAX1"] <= var["HCS_MAX2"] * rel
-        )
-        if not ordered:
-            violations += 1
+    sc = Scenario(k=3, tau=0.0, delta=0.2, sigma_delta=0.2, p=0.5, n_reps=400, seed=seed)
+    hits, violations = variance_ordering(sc)
     checks.append(
         ("variance ordering when Q < k-1", hits > 0 and violations == 0,
          f"{hits} qualifying datasets, {violations} violations")

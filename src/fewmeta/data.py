@@ -242,14 +242,6 @@ def _parse_float(value, where):
         raise ValidationError(f"{where}: cannot parse number {value!r}") from None
 
 
-def _parse_effect(y, se, where):
-    """An effect and its standard error, parsed and checked against the
-    bounds of StudyEstimate/SubgroupArm so that an error names its row."""
-    y, se = _parse_float(y, where), _parse_float(se, where)
-    _check_effect(y, se, where)
-    return y, se
-
-
 def _parse_count(value, where):
     """A count such as n: a whole number >= 1 ("12" and "12.0" both give 12)."""
     n = _parse_float(value, where)
@@ -258,13 +250,22 @@ def _parse_count(value, where):
     return int(n)
 
 
+def _built(prefix, record, *args):
+    """record(*args), with the row it is built from as the prefix of its checks' errors."""
+    try:
+        return record(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{prefix}{exc}") from None
+
+
 def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
     """Build a MetaDataset from tabular rows.
 
     Rows follow the CSV schema: study_id, label, level, split, arm, y, se, n
-    with level in {study, subgroup}. Study rows may omit y/se when every
-    split is present, in which case the study estimate is derived by
-    aggregating the first listed split.
+    with level in {study, subgroup}, and an optional p_interaction on a
+    split's arm-1 row. A study row with splits may leave both y and se
+    blank, in which case the study estimate is derived by aggregating the
+    first listed split; one of the two without the other is an error.
     """
     study_rows = {}
     order = []
@@ -321,18 +322,22 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
                         f"split {sid!r}/{name!r} arm {j}: n is required on subgroup rows"
                     )
                 where = f"{sid}/{name}/arm{j}"
-                y, se = _parse_effect(r.get("y"), r.get("se"), where)
-                arms.append(SubgroupArm(j=j, y=y, se=se, n=_parse_count(nval, where)))
+                y, se = _parse_float(r.get("y"), where), _parse_float(r.get("se"), where)
+                arms.append(_built(f"{where}: ", SubgroupArm, j, y, se, _parse_count(nval, where)))
             row_p = arm_rows[1].get("p_interaction")
             p_int = _parse_float(row_p, f"{sid}/{name}") if row_p not in (None, "") else None
-            try:
-                splits.append(SubgroupSplit(name, tuple(arms), p_interaction=p_int))
-            except ValidationError as exc:  # arms in range, their aggregate not
-                raise ValidationError(f"study {sid!r} {exc}") from None
+            if p_int is not None and not 0.0 <= p_int <= 1.0:  # false on NaN too
+                raise ValidationError(f"{sid}/{name}: p_interaction must be a number in "
+                                      f"[0, 1], got {row_p!r}")
+            # arms in range, their aggregate possibly not
+            splits.append(_built(f"study {sid!r} ", SubgroupSplit, name, tuple(arms), p_int))
 
         y_raw, se_raw = row.get("y"), row.get("se")
-        missing = (y_raw in (None, "")) or (se_raw in (None, ""))
-        if missing:
+        blank = (y_raw in (None, ""), se_raw in (None, ""))
+        if blank[0] != blank[1]:
+            raise ValidationError(f"{sid}: y and se must be given together, or both left "
+                                  f"blank to derive the study row (got y={y_raw!r}, se={se_raw!r})")
+        if blank[0]:
             if not splits:
                 raise ValidationError(
                     f"study {sid!r}: no estimate supplied and no splits to derive one"
@@ -341,8 +346,8 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
         else:
             nval = row.get("n")
             n = _parse_count(nval, sid) if nval not in (None, "") else None
-            y, se = _parse_effect(y_raw, se_raw, sid)
-            est = StudyEstimate(study_id=sid, y=y, se=se, n=n)
+            y, se = _parse_float(y_raw, sid), _parse_float(se_raw, sid)
+            est = _built(f"{sid}: ", StudyEstimate, sid, y, se, n)
         studies.append(Study(est, tuple(splits)))
 
     dataset = MetaDataset(tuple(studies))

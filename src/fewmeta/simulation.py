@@ -7,11 +7,14 @@ theta_{i,2} = theta_i + p delta_i (so the prevalence-weighted average is
 theta_i exactly), and observations y_{i,j} ~ N(theta_{i,j}, s_{i,j}^2)
 with s_{i,j} = sigma_u / sqrt(n_{i,j}).
 
-All replicate-level computation is vectorized: one call of the kernel
+All replicate-level computation is vectorized, on arrays: no dataset
+records are built from simulated data. One call of the kernel
 `intervals.meta_kernel` evaluates every tau^2 estimator and CI method over
 a scenario's replicates, the same code that analyses one dataset, and each
 metric is aggregated for all methods in one call. The arm weights are
 computed once per scenario and shared by the study rows and the kernel.
+`fewmeta validate`'s Monte Carlo checks live here too: the expectation
+oracle and the variance ordering, the latter in one kernel call.
 Scenarios are embarrassingly parallel and each derives its own RNG stream
 from a content hash, making results independent of the execution schedule.
 With jobs > 1 they go to a process pool in batches (see run_scenarios);
@@ -25,23 +28,14 @@ import hashlib
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import (
-    MAX_ABS_EFFECT,
-    MetaDataset,
-    Study,
-    StudyEstimate,
-    SubgroupArm,
-    SubgroupSplit,
-    ValidationError,
-    canonical_json,
-)
-from .estimators import TAU2_METHODS, _arm_weights, _sum, dls_raw, expected_tau2_dls
-from .intervals import CI_METHODS, meta_kernel
+from .data import MAX_ABS_EFFECT, ValidationError, canonical_json
+from .estimators import TAU2_METHODS, _arm_weights, _sum, cochran_q, dls_raw, expected_tau2_dls
+from .intervals import CI_METHODS, HCS_MAX1, HCS_MAX2, HKSJ, MKH, meta_kernel
 from .report import write_atomic
 
 K_GRID = (2, 3, 5)
@@ -216,35 +210,6 @@ def _study_rows(y_sub, se_sub, arm_weights=None):
     return _sum(w_sub * y_sub) / sw, sw ** -0.5
 
 
-def generate_meta_analysis(scenario: Scenario, rng) -> MetaDataset:
-    """One simulated dataset as a MetaDataset, with the single generated
-    split per study pre-selected."""
-    y_sub, se_sub, n_arm = _draw_replicates(scenario, rng, 1)
-    return _replicate_dataset(y_sub[0], se_sub[0], n_arm[0])
-
-
-def _replicate_dataset(y_sub, se_sub, n_arm) -> MetaDataset:
-    """One replicate's (k, 2) arm arrays as a MetaDataset: study rows
-    aggregated from the arms, the single split per study selected."""
-    y_stu, se_stu = _study_rows(y_sub, se_sub)
-    studies = []
-    for i in range(len(y_sub)):
-        sid = f"study-{i + 1}"
-        arms = tuple(
-            SubgroupArm(
-                j=j + 1,
-                y=float(y_sub[i, j]),
-                se=float(se_sub[i, j]),
-                n=int(n_arm[i, j]),
-            )
-            for j in (0, 1)
-        )
-        split = SubgroupSplit("subgroup", arms)
-        est = StudyEstimate(sid, float(y_stu[i]), float(se_stu[i]), n=int(n_arm[i].sum()))
-        studies.append(Study(est, (split,), selected=0))
-    return MetaDataset(tuple(studies))
-
-
 def scenario_grid(k=None, tau=None, delta=None, sigma_delta=None, p=None, **settings):
     """Cartesian grid of scenarios over the five design axes, k slowest and
     p fastest; each axis is None (its full grid), a scalar, or a sequence of
@@ -276,7 +241,7 @@ def _finite_median(x):
     return np.mean(np.partition(x, mid, axis=-1)[..., mid[0]:mid[1] + 1], axis=-1)
 
 
-def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
+def run_scenario(scenario: Scenario) -> ScenarioMetrics:
     """Simulate n_reps meta-analyses and aggregate estimator and interval
     metrics. Deterministic given the scenario (including its seed)."""
     rng = scenario_rng(scenario)
@@ -288,7 +253,7 @@ def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
     weights = _arm_weights(se_sub)  # shared by the study rows and the arm pool
     y_stu, se_stu = _study_rows(y_sub, se_sub, weights)
 
-    result = meta_kernel(y_stu, se_stu, y_sub, se_sub, level=level, arm_weights=weights)
+    result = meta_kernel(y_stu, se_stu, y_sub, se_sub, arm_weights=weights)
     if result.errors:
         raise ValidationError(next(iter(result.errors.values())))
 
@@ -328,7 +293,7 @@ def run_scenario(scenario: Scenario, level=0.95) -> ScenarioMetrics:
     )
 
 
-def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1, level=0.95):
+def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1):
     """Run many scenarios, optionally across processes. Output order and
     values are independent of the worker count, which is capped at the
     CPU count and the number of scenarios. Each worker is handed batches
@@ -337,16 +302,15 @@ def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1, level=0.95):
     the grid."""
     workers = min(jobs, os.cpu_count() or 1, len(scenarios))
     if workers <= 1:
-        return [run_scenario(s, level) for s in scenarios]
+        return [run_scenario(s) for s in scenarios]
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
     chunksize = max(1, len(scenarios) // (32 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_scenario, scenarios, [level] * len(scenarios),
-                             chunksize=chunksize))
+        return list(pool.map(run_scenario, scenarios, chunksize=chunksize))
 
 
-def validate_expectation(scenario: Scenario, n_reps: Optional[int] = None, sizes=None):
+def validate_expectation(scenario: Scenario, sizes=None):
     """Check the raw subgroup-level tau^2 estimator against its analytic
     mean at fixed weights.
 
@@ -355,8 +319,6 @@ def validate_expectation(scenario: Scenario, n_reps: Optional[int] = None, sizes
     estimator is within 3 Monte Carlo SEs of
     A * tau^2 + (Delta^2 + sigma_Delta^2) * B_coefficient.
     """
-    if n_reps is not None:
-        scenario = replace(scenario, n_reps=int(n_reps))
     rng = scenario_rng(scenario)
     if sizes is None:
         sizes = draw_study_sizes(
@@ -382,6 +344,24 @@ def validate_expectation(scenario: Scenario, n_reps: Optional[int] = None, sizes
         "abs_diff": diff,
         "passed": bool(diff <= 3.0 * mc_se),
     }
+
+
+def variance_ordering(scenario: Scenario):
+    """(qualifying, violations): the number of the scenario's n_reps
+    replicates whose Cochran Q is below k - 1 (DL's zero branch), and of
+    those not ordered HKSJ <= mKH <= HCS(MAX1) <= HCS(MAX2) within a relative
+    slack of 1e-12; a NaN variance (a failed method) is out of order. The
+    replicates are drawn one at a time from the scenario's stream, stacked
+    and run through one kernel call."""
+    rng = scenario_rng(scenario)
+    draws = [_draw_replicates(scenario, rng, 1)[:2] for _ in range(scenario.n_reps)]
+    y_sub, se_sub = map(np.concatenate, zip(*draws))
+    y, se = _study_rows(y_sub, se_sub)
+    qualifying = cochran_q(y, se) < scenario.k - 1
+    intervals = meta_kernel(y, se, y_sub, se_sub).intervals
+    var = [intervals[method].variance for method in (HKSJ, MKH, HCS_MAX1, HCS_MAX2)]
+    ordered = np.logical_and.reduce([lo <= hi * (1.0 + 1e-12) for lo, hi in zip(var, var[1:])])
+    return int(np.count_nonzero(qualifying)), int(np.count_nonzero(qualifying & ~ordered))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fewmeta import data
 from fewmeta.data import (
     MetaDataset,
     Study,
@@ -13,11 +14,12 @@ from fewmeta.data import (
     ValidationError,
     aggregate_study,
     consistency_gaps,
+    load_csv,
     prevalence_of,
     validate_dataset,
 )
 
-from conftest import make_dataset, make_split
+from conftest import dataset_path, make_dataset, make_split
 
 
 def test_prevalence_examples():
@@ -182,6 +184,15 @@ def test_study_estimate_derived_from_split():
               ("s1", "", "subgroup", "sex", "2", "1.0", "1.0", "5")))
     assert ds.studies[0].estimate.y == pytest.approx(1.0)
     assert ds.studies[0].estimate.se == pytest.approx(math.sqrt(0.5))
+
+
+def test_each_csv_effect_is_checked_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(data, "_check_effect", lambda *args: calls.append(args))
+    with open(dataset_path("respire14"), encoding="utf-8") as fh:
+        n_rows = sum(1 for _ in fh) - 1  # every data row has its y and se
+    load_csv(dataset_path("respire14"))
+    assert len(calls) == n_rows
 
 
 def test_bundled_respire14_shape(respire14):

@@ -166,16 +166,16 @@ def test_kernel_failures_are_attributed_as_before():
         meta_kernel(y[:, :1], se[:, :1])
 
 
-def _reference_metrics(scenario, level=0.95, kernel=ref.meta_kernel):
+def _reference_metrics(scenario, kernel=ref.meta_kernel):
     rng = simulation.scenario_rng(scenario)
     y_sub, se_sub, n_arm = simulation._draw_replicates(scenario, rng, scenario.n_reps)
     y, se = simulation._study_rows(y_sub, se_sub)
     p = n_arm[..., 0] / np.sum(n_arm, axis=-1)
-    return ref.aggregate(kernel(y, se, y_sub, se_sub, p, level), scenario, scenario.n_reps)
+    return ref.aggregate(kernel(y, se, y_sub, se_sub, p), scenario, scenario.n_reps)
 
 
-def _assert_metrics_match(scenario, reference, level=0.95):
-    got = simulation.run_scenario(scenario, level)
+def _assert_metrics_match(scenario, reference):
+    got = simulation.run_scenario(scenario)
     _assert_same((got.tau_metrics, got.ci_metrics), reference)
 
 
@@ -186,7 +186,7 @@ def test_run_scenario_matches_reference(n_reps):
                                  n_reps=n_reps, seed=n_reps)
         _assert_metrics_match(sc, _reference_metrics(sc))
     sc = simulation.Scenario(k=4, tau=0.2, delta=0.5, sigma_delta=0.5, p=0.5, n_reps=n_reps)
-    _assert_metrics_match(sc, _reference_metrics(sc, level=0.8), level=0.8)
+    _assert_metrics_match(sc, _reference_metrics(sc))
 
 
 def _with_broken_limits(kernel):

@@ -610,6 +610,9 @@ def _respire14_with(row, column, value):
         (0, "n", "abc", "RESPIRE-1"),
         (0, "n", "nan", "RESPIRE-1"),
         (2, "p_interaction", "abc", "RESPIRE-1/sex"),
+        (2, "p_interaction", "nan", "RESPIRE-1/sex"),
+        (2, "p_interaction", "-0.1", "RESPIRE-1/sex"),
+        (2, "p_interaction", "1.5", "RESPIRE-1/sex"),
     ],
 )
 def test_cli_malformed_numbers_are_validation_errors(tmp_path, row, column, value, where):
@@ -641,6 +644,18 @@ def test_cli_out_of_range_effects_name_the_row(tmp_path, row, column, value, whe
     error = json.loads(result.stderr)
     assert error["error"] == "validation"
     assert error["message"].startswith(where + ":")
+
+
+@pytest.mark.parametrize("column", ["y", "se"])
+def test_cli_study_row_with_y_or_se_blank_names_the_study(tmp_path, column):
+    # both blank derives the row from the first split; one alone is an error
+    path = tmp_path / "half.csv"
+    path.write_text(_respire14_with(0, column, ""), encoding="utf-8")
+    result = CliRunner().invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr)
+    assert error["error"] == "validation"
+    assert error["message"].startswith("RESPIRE-1: y and se must be given together")
 
 
 def test_cli_extreme_level_ends():

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,21 +11,23 @@ import pytest
 
 from fewmeta import report, simulation
 from fewmeta.data import ValidationError
-from fewmeta.estimators import MAX1, MAX2, mu_ce, mu_ce_subgroup
+from fewmeta.estimators import MAX1, MAX2, cochran_q, mu_ce, mu_ce_subgroup
 from fewmeta.intervals import meta_kernel, run_all_methods
 from fewmeta.simulation import (
     MAX_REPLICATE_STUDIES,
     Scenario,
     draw_study_sizes,
-    generate_meta_analysis,
     metrics_to_json,
     run_scenario,
     run_scenarios,
     scenario_grid,
     scenario_rng,
     validate_expectation,
+    variance_ordering,
     write_metrics_csv,
 )
+
+from conftest import make_dataset, make_split
 
 
 def _scenario(**kw):
@@ -51,8 +54,6 @@ def test_scenario_replicates_are_capped():
             _scenario(k=k, n_reps=MAX_REPLICATE_STUDIES // k + 1)
     with pytest.raises(ValidationError, match="replicate-studies"):
         _scenario(n_reps=10 ** 15)
-    with pytest.raises(ValidationError, match="replicate-studies"):
-        validate_expectation(_scenario(k=2), n_reps=MAX_REPLICATE_STUDIES)
 
 
 def test_draw_study_sizes_rules():
@@ -97,36 +98,26 @@ def test_draw_study_sizes_median():
 
 def test_generate_degenerate_scenario():
     sc = _scenario(k=3)
-    rng = scenario_rng(sc)
-    ds = generate_meta_analysis(sc, rng)
-    assert ds.k == 3
-    assert ds.fully_selected
+    y_sub, se_sub, n_arm = simulation._draw_replicates(sc, scenario_rng(sc), 50)
+    assert y_sub.shape == se_sub.shape == n_arm.shape == (50, 3, 2)
     # tau = Delta = sigma_Delta = 0: subgroup means all equal mu; only
     # sampling noise remains, so |y| stays within a few se
-    for study in ds.studies:
-        for arm in study.selected_split.arms:
-            assert abs(arm.y - sc.mu) < 6 * arm.se
+    assert np.all(np.abs(y_sub - sc.mu) < 6 * se_sub)
 
 
 def test_generated_identities():
-    # the weighted average of arm effects equals the study row exactly,
+    # the study rows are the inverse-variance aggregates of their arms,
     # and se = sigma_u / sqrt(n) exactly
     sc = _scenario(k=4, tau=0.7, delta=0.5, sigma_delta=0.3, p=1 / 3)
-    rng = scenario_rng(sc)
-    ds = generate_meta_analysis(sc, rng)
-    for study in ds.studies:
-        split = study.selected_split
-        w = np.array([a.se ** -2 for a in split.arms])
-        y = np.array([a.y for a in split.arms])
-        assert study.estimate.y == pytest.approx(float((w * y).sum() / w.sum()), rel=1e-12)
-        for arm in split.arms:
-            assert arm.se == pytest.approx(sc.sigma_u / math.sqrt(arm.n), rel=1e-12)
-        # the two common-effect forms agree to 1e-12
-        mu_stu = mu_ce(
-            np.array([study.estimate.y]), np.array([study.estimate.se ** -2.0])
-        )
-        mu_sub = mu_ce_subgroup(y[None, :], np.array([a.se for a in split.arms])[None, :])
-        assert mu_stu == pytest.approx(float(mu_sub), rel=1e-12)
+    y_sub, se_sub, n_arm = simulation._draw_replicates(sc, scenario_rng(sc), 20)
+    y_stu, se_stu = simulation._study_rows(y_sub, se_sub)
+    w = se_sub ** -2
+    assert y_stu == pytest.approx((w * y_sub).sum(-1) / w.sum(-1), rel=1e-12)
+    assert se_stu == pytest.approx(w.sum(-1) ** -0.5, rel=1e-12)
+    assert se_sub == pytest.approx(sc.sigma_u / np.sqrt(n_arm), rel=1e-12)
+    # the two common-effect forms agree to 1e-12
+    mu_stu = mu_ce(y_stu, se_stu ** -2.0)
+    assert mu_stu == pytest.approx(mu_ce_subgroup(y_sub, se_sub), rel=1e-12)
 
 
 def test_sigma_u_arithmetic():
@@ -220,7 +211,7 @@ def test_run_scenarios_caps_workers(monkeypatch):
     run_scenarios(scenarios, jobs=0)
     assert len(pools) == 3
     grid = scenario_grid(n_reps=1, seed=5)  # the full grid: 1125 scenarios
-    monkeypatch.setattr(simulation, "run_scenario", lambda s, level: s)
+    monkeypatch.setattr(simulation, "run_scenario", lambda s: s)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run_scenarios(grid, jobs=2) == grid
     assert pools[-1] == [2, 17]
@@ -326,21 +317,28 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _replicate_dataset(y_stu, se_stu, y_sub, se_sub):
+    """One replicate's rows as a dataset, the one split of each study selected."""
+    specs = [(y, se, [make_split("g", arm_y, arm_se)])
+             for y, se, arm_y, arm_se in zip(y_stu, se_stu, y_sub, se_sub)]
+    return make_dataset(specs, selected=[0] * len(specs))
+
+
 def test_dataset_path_equals_batch_path():
-    """run_all_methods on each replicate, rebuilt as a MetaDataset, gives the
+    """run_all_methods on each replicate, built as a MetaDataset, gives the
     batch's limits and df exactly, and the kernel on a stacked batch equals
     one R = 1 call per row, bit for bit."""
     sides = {MAX1: set(), MAX2: set()}
     for k, tau, delta in ((2, 0.0, 0.0), (3, 0.5, 0.0), (5, 0.0, 1.0), (3, 0.5, 1.0)):
         sc = _scenario(k=k, tau=tau, delta=delta, sigma_delta=0.2, p=1 / 3)
-        y_sub, se_sub, n_arm = simulation._draw_replicates(sc, scenario_rng(sc), 150)
+        y_sub, se_sub, _ = simulation._draw_replicates(sc, scenario_rng(sc), 150)
         y_stu, se_stu = simulation._study_rows(y_sub, se_sub)
         batch = meta_kernel(y_stu, se_stu, y_sub, se_sub)
         assert batch.errors == {}
         for tag, side in sides.items():
             side.update(batch.subgroup_wins[tag].tolist())
         for r in range(len(y_sub)):
-            ds = simulation._replicate_dataset(y_sub[r], se_sub[r], n_arm[r])
+            ds = _replicate_dataset(y_stu[r], se_stu[r], y_sub[r], se_sub[r])
             results, errors = run_all_methods(ds)
             assert errors == {}
             for res in results:
@@ -362,3 +360,80 @@ def test_dataset_path_equals_batch_path():
                     else:
                         assert _same_bits(whole[rows], single)
     assert sides == {MAX1: {False, True}, MAX2: {False, True}}
+
+
+_ORDERED = ("HKSJ", "MKH", "HCS_MAX1", "HCS_MAX2")
+
+
+def _ordering_scenario(seed=123):
+    return _scenario(k=3, delta=0.2, sigma_delta=0.2, n_reps=150, seed=seed)
+
+
+def test_variance_ordering_equals_the_one_dataset_loop():
+    """The batch gives the counts of drawing each replicate alone, from the
+    same stream, and running the one-dataset path on it."""
+    for seed in (0, 5):
+        sc = _ordering_scenario(seed=seed)
+        rng = scenario_rng(sc)
+        hits = violations = 0
+        for _ in range(sc.n_reps):
+            y_sub, se_sub, _ = simulation._draw_replicates(sc, rng, 1)
+            y, se = simulation._study_rows(y_sub[0], se_sub[0])
+            if cochran_q(y, se) >= sc.k - 1:
+                continue
+            hits += 1
+            results, errors = run_all_methods(_replicate_dataset(y, se, y_sub[0], se_sub[0]))
+            assert errors == {}
+            var = [{r.method: r.variance for r in results}[m] for m in _ORDERED]
+            violations += not all(lo <= hi * (1 + 1e-12) for lo, hi in zip(var, var[1:]))
+        assert violations == 0 and 0 < hits < sc.n_reps
+        assert variance_ordering(sc) == (hits, 0)
+
+
+def _edited_kernel(edit, seen):
+    """meta_kernel, with edit(variances, rows) applied to the variances of
+    every fourth replicate; seen collects the kernel's inputs and its own
+    variances."""
+
+    def kernel(y, se, *args, **kwargs):
+        result = meta_kernel(y, se, *args, **kwargs)
+        var = {m: result.intervals[m].variance for m in _ORDERED}
+        rows = np.arange(len(y)) % 4 == 0
+        seen.append((cochran_q(y, se) < y.shape[-1] - 1, rows, var))
+        cis = dict(result.intervals)
+        for m, v in edit(dict(var), rows).items():
+            cis[m] = cis[m]._replace(variance=v)
+        return dataclasses.replace(result, intervals=cis)
+
+    return kernel
+
+
+def test_variance_ordering_counts_swapped_variances(monkeypatch):
+    sc = _ordering_scenario()
+    seen = []
+
+    def swap(var, rows):
+        mkh, hcs1 = var["MKH"], var["HCS_MAX1"]
+        return {"MKH": np.where(rows, hcs1, mkh), "HCS_MAX1": np.where(rows, mkh, hcs1)}
+
+    monkeypatch.setattr(simulation, "meta_kernel", _edited_kernel(swap, seen))
+    qualifying, violations = variance_ordering(sc)
+    [(q_low, rows, var)] = seen
+    # swapped, MKH's old variance is out of order iff HCS_MAX1's exceeded it
+    expected = np.count_nonzero(q_low & rows & (var["HCS_MAX1"] > var["MKH"] * (1 + 1e-12)))
+    assert qualifying == np.count_nonzero(q_low)
+    assert violations == expected > 0
+
+
+def test_variance_ordering_counts_nan_variances(monkeypatch):
+    sc = _ordering_scenario()
+    seen = []
+
+    def fail(var, rows):
+        return {"HCS_MAX2": np.where(rows, np.nan, var["HCS_MAX2"])}
+
+    monkeypatch.setattr(simulation, "meta_kernel", _edited_kernel(fail, seen))
+    qualifying, violations = variance_ordering(sc)
+    [(q_low, rows, _)] = seen
+    assert qualifying == np.count_nonzero(q_low)
+    assert violations == np.count_nonzero(q_low & rows) > 0
