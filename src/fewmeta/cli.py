@@ -25,7 +25,7 @@ import click
 
 from .data import ValidationError, load_csv
 from .intervals import CIMethodConfig, t_quantile
-from .report import build_report, render_text, report_to_json, write_atomic
+from .report import build_report, render_text, report_to_json, write_atomic, write_files
 from .selection import (
     DEFAULT_MAX_COMBINATIONS,
     STRATEGIES,
@@ -36,12 +36,12 @@ from .selection import (
 )
 from .simulation import (
     Scenario,
+    metrics_to_csv,
     metrics_to_json,
     run_scenarios,
     scenario_grid,
     validate_expectation,
     variance_ordering,
-    write_metrics_csv,
 )
 
 EXIT_OK = 0
@@ -50,8 +50,22 @@ EXIT_BUDGET = 3
 EXIT_CHECK_FAILED = 4
 
 
+def _write(text: str, err: bool = False):
+    """Every byte the CLI writes to stdout (or stderr) goes through here.
+
+    click.echo without `file=` wraps the default stream through a cache keyed
+    by the stream, whose value for a stream that needs no wrapping is that
+    stream itself: the entry keeps its own key alive, so every stdout or
+    stderr an in-process caller redirects to would stay in memory. Looking
+    the stream up on each call with get_text_stream does the same wrapping,
+    including UTF-8 on an ASCII-configured stream, without the cache; each
+    command therefore writes its stdout in one call."""
+    stream = click.get_text_stream("stderr" if err else "stdout", errors=None)
+    click.echo(text, file=stream, nl=False)
+
+
 def _fail(code: int, kind: str, message: str):
-    click.echo(json.dumps({"error": kind, "message": message}), err=True)
+    _write(json.dumps({"error": kind, "message": message}) + "\n", err=True)
     sys.exit(code)
 
 
@@ -68,13 +82,14 @@ class _Commands(click.Group):
 
 
 @contextlib.contextmanager
-def _output(path):
-    """Exit 2 for an output file that cannot be written; write_atomic
-    has left the old file, if any, as it was."""
+def _output(path=None):
+    """Exit 2 for an output file that cannot be written, named `path` or else
+    as the error names it (write_files names the target it failed at);
+    write_files has left the old files, if any, as they were."""
     try:
         yield
     except OSError as exc:
-        _fail(EXIT_VALIDATION, "output", f"cannot write {path}: {exc.strerror or exc}")
+        _fail(EXIT_VALIDATION, "output", f"cannot write {path or exc.filename}: {exc.strerror or exc}")
 
 
 def _number(token: str) -> float:
@@ -180,7 +195,7 @@ def analyze(data_path, strategy, level, exp, zh_c, max_combos, json_out):
     if json_out:
         with _output(json_out):
             write_atomic(json_out, report_to_json(report))
-    click.echo(render_text(report, exp=exp), nl=False)
+    _write(render_text(report, exp=exp))
 
 
 @main.command()
@@ -197,20 +212,22 @@ def select(data_path, strategy, histogram, max_combos):
     """Pick one subgroup split per study maximizing the subgroup Q."""
     dataset = load_csv(data_path)
     result = select_splits(dataset, strategy, max_combos)
+    lines = []
     if histogram:
         values, threshold = qs_histogram(dataset, max_combos)
         with _output(histogram):
             write_histogram_csv(values, histogram)
-        click.echo(f"histogram: {len(values)} combinations -> {histogram}")
-        click.echo(f"threshold (positive subgroup-level tau2): Q_S > {threshold}")
+        lines += [f"histogram: {len(values)} combinations -> {histogram}",
+                  f"threshold (positive subgroup-level tau2): Q_S > {threshold}"]
     chosen = ", ".join(
         f"{study.study_id}={study.splits[c].split_name}"
         for study, c in zip(dataset.studies, result.choices)
     )
-    click.echo(f"strategy: {result.strategy}")
-    click.echo(f"choices: {chosen}")
-    click.echo(f"Q_S: {result.q_s:.6g}")
-    click.echo(f"combinations evaluated: {result.combinations_evaluated}")
+    lines += [f"strategy: {result.strategy}",
+              f"choices: {chosen}",
+              f"Q_S: {result.q_s:.6g}",
+              f"combinations evaluated: {result.combinations_evaluated}"]
+    _write("".join(line + "\n" for line in lines))
 
 
 def _setting_options(command):
@@ -236,14 +253,11 @@ def simulate(jobs, config_path, out, summary, **flags):
         with _output(path), tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
             pass
     results = run_scenarios(scenarios, jobs=jobs)
-    if summary:  # first, so that a failed summary leaves metrics.csv as it was
-        with _output(summary):
-            write_atomic(summary, metrics_to_json(results))
-    with _output(out):
-        write_metrics_csv(results, out)
-    click.echo(f"{len(results)} scenario(s) -> {out}")
-    if summary:
-        click.echo(f"summary -> {summary}")
+    outputs = [(summary, metrics_to_json(results))] if summary else []
+    with _output():
+        write_files(outputs + [(out, metrics_to_csv(results))])
+    lines = [f"{len(results)} scenario(s) -> {out}"] + ([f"summary -> {summary}"] if summary else [])
+    _write("".join(line + "\n" for line in lines))
 
 
 def run_self_checks(seed: int = 0):
@@ -294,12 +308,13 @@ def validate(seed):
     """Run internal self-checks (quantiles, expectation oracle, variance
     ordering); nonzero exit if any fails."""
     checks = run_self_checks(seed)
-    for name, passed, detail in checks:
-        click.echo(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
+    lines = [f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}\n" for name, passed, detail in checks]
     failed = sum(not passed for _, passed, _ in checks)
+    if not failed:
+        lines.append(f"all {len(checks)} checks passed\n")
+    _write("".join(lines))
     if failed:
         _fail(EXIT_CHECK_FAILED, "self-check", f"{failed} check(s) failed")
-    click.echo(f"all {len(checks)} checks passed")
 
 
 if __name__ == "__main__":

@@ -92,6 +92,9 @@ class SubgroupSplit:
             raise ValidationError(
                 f"split {self.split_name!r}: exactly two arms required"
             )
+        if self.p_interaction is not None and not 0.0 <= self.p_interaction <= 1.0:  # NaN too
+            raise ValidationError(f"split {self.split_name!r}: p_interaction must be a number "
+                                  f"in [0, 1], got {self.p_interaction!r}")
         if self.arms[0].j == self.arms[1].j:
             raise ValidationError(
                 f"split {self.split_name!r}: arm indices must be distinct"
@@ -242,6 +245,14 @@ def _parse_float(value, where):
         raise ValidationError(f"{where}: cannot parse number {value!r}") from None
 
 
+def _parse_probability(value, where):
+    """A probability such as p_interaction: a number in [0, 1]."""
+    p = _parse_float(value, where)
+    if not 0.0 <= p <= 1.0:  # false on NaN too
+        raise ValidationError(f"{where}: p_interaction must be a number in [0, 1], got {value!r}")
+    return p
+
+
 def _parse_count(value, where):
     """A count such as n: a whole number >= 1 ("12" and "12.0" both give 12)."""
     n = _parse_float(value, where)
@@ -325,10 +336,7 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
                 y, se = _parse_float(r.get("y"), where), _parse_float(r.get("se"), where)
                 arms.append(_built(f"{where}: ", SubgroupArm, j, y, se, _parse_count(nval, where)))
             row_p = arm_rows[1].get("p_interaction")
-            p_int = _parse_float(row_p, f"{sid}/{name}") if row_p not in (None, "") else None
-            if p_int is not None and not 0.0 <= p_int <= 1.0:  # false on NaN too
-                raise ValidationError(f"{sid}/{name}: p_interaction must be a number in "
-                                      f"[0, 1], got {row_p!r}")
+            p_int = _parse_probability(row_p, f"{sid}/{name}") if row_p not in (None, "") else None
             # arms in range, their aggregate possibly not
             splits.append(_built(f"study {sid!r} ", SubgroupSplit, name, tuple(arms), p_int))
 

@@ -10,9 +10,10 @@ data.canonical_json, byte-identical to json.dumps(sort_keys=True, indent=2)
 but built on the stdlib's C encoder.
 
 Every output file (report, histogram, metrics.csv, summary) is written by
-write_atomic: its chunks go into a temp file beside the target as they are
-produced, and the temp file is renamed over the target at the end, so an
-interrupted write leaves the old file intact. The file gets the mode
+write_files, alone or, for simulate's pair, together: its chunks go into a
+temp file beside the target as they are produced, and the temp file is
+renamed over the target once every file is complete, so an interrupted
+write leaves the old files intact. The file gets the mode
 open(path, "w") would give it: a new file 0o666 less the umask, a replaced
 file its old mode.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import stat
+from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .data import MetaDataset, ValidationError, canonical_json, consistency_gaps
@@ -185,7 +187,50 @@ def write_atomic(path, content):
     """Write a file atomically: `content` (one string, or an iterable of
     string chunks written as they are produced) goes into a temp file in the
     same directory, which is renamed over `path` once complete. On any error
-    the temp file is removed and `path` is left as it was."""
+    the temp file is removed and `path` is left as it was.
+
+    write_files does the same for several files at once; only its renames,
+    one per file, leave a window in which some targets are new and the
+    others old."""
+    write_files(((path, content),))
+
+
+def write_files(outputs):
+    """Write several files as one: each (path, content) pair of `outputs`
+    goes into a temp file as write_atomic's does, and only when every temp
+    file is complete are they renamed over their targets, in order. An error
+    before the first rename removes every temp file and leaves every target as
+    it was. The renames are not one atomic step: if a later rename fails, or
+    the process dies between two renames, the earlier targets are already
+    replaced and the later ones are not. An OSError names as its `filename`
+    the target it happened at."""
+    staged = []  # (temp file, target), in the order of the renames
+    try:
+        for path, content in outputs:
+            with _naming(path):
+                staged.append((_written_temp(path, content), path))
+        while staged:
+            tmp, path = staged[0]
+            with _naming(path):
+                os.replace(tmp, path)
+            del staged[0]
+    finally:
+        for tmp, _ in staged:
+            os.unlink(tmp)
+
+
+@contextmanager
+def _naming(path):
+    try:
+        yield
+    except OSError as exc:
+        exc.filename, exc.filename2 = os.fspath(path), None
+        raise
+
+
+def _written_temp(path, content) -> str:
+    """A new temp file beside `path` holding `content`, with the mode
+    open(path, "w") would give it; removed again if writing fails."""
     chunks = (content,) if isinstance(content, str) else content
     directory = os.path.dirname(os.path.abspath(path))
     try:
@@ -200,8 +245,7 @@ def write_atomic(path, content):
             fh.writelines(chunks)
         if mode is not None:
             os.chmod(tmp, mode)
-        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+    return tmp

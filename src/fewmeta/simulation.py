@@ -371,24 +371,25 @@ def variance_ordering(scenario: Scenario):
 _CSV_HEADER = "k,tau,delta,sigma_delta,p,n_reps,seed,kind,method,metric,value\r\n"
 
 
+def metrics_to_csv(results: Iterable[ScenarioMetrics]):
+    """Tidy CSV, one row per scenario x method x metric, as chunks produced
+    as they are written: the header, then one chunk per scenario."""
+    yield _CSV_HEADER
+    for res in results:
+        s = res.scenario
+        base = f"{s.k},{s.tau!r},{s.delta!r},{s.sigma_delta!r},{s.p!r},{s.n_reps},{s.seed}"
+        yield "".join(
+            f"{base},{kind},{method},{metric},{value!r}\r\n"
+            for kind, methods, metrics in (("tau2", TAU2_METHODS, res.tau_metrics),
+                                           ("ci", CI_METHODS, res.ci_metrics))
+            for method in methods
+            for metric, value in sorted(metrics[method].items())
+        )
+
+
 def write_metrics_csv(results: Iterable[ScenarioMetrics], path):
-    """Tidy CSV, one row per scenario x method x metric, written atomically
-    and streamed: one chunk per scenario."""
-
-    def chunks():
-        yield _CSV_HEADER
-        for res in results:
-            s = res.scenario
-            base = f"{s.k},{s.tau!r},{s.delta!r},{s.sigma_delta!r},{s.p!r},{s.n_reps},{s.seed}"
-            yield "".join(
-                f"{base},{kind},{method},{metric},{value!r}\r\n"
-                for kind, methods, metrics in (("tau2", TAU2_METHODS, res.tau_metrics),
-                                               ("ci", CI_METHODS, res.ci_metrics))
-                for method in methods
-                for metric, value in sorted(metrics[method].items())
-            )
-
-    write_atomic(path, chunks())
+    """metrics_to_csv(results), streamed atomically into `path`."""
+    write_atomic(path, metrics_to_csv(results))
 
 
 _SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))  # all scalars

@@ -171,6 +171,19 @@ def test_split_aggregate_below_the_se_floor_is_rejected():
     assert split.agg_se == aggregate_study(split).se == 1e-40
 
 
+@pytest.mark.parametrize("p", [math.nan, -0.1, 1.5, math.inf])
+def test_split_rejects_a_p_interaction_outside_0_1(p):
+    # a NaN p used to pass and win select_pvalue's minimum: splits a (nan)
+    # and b (0.2) in each of two studies gave choices (0, 0)
+    with pytest.raises(ValidationError, match=r"split 'a': p_interaction must be a number in \[0, 1\]"):
+        make_split("a", (0.0, 0.0), (1.0, 1.0), p_interaction=p)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_split_accepts_a_p_interaction_of_0_or_1(p):
+    assert make_split("a", (0.0, 0.0), (1.0, 1.0), p_interaction=p).p_interaction == p
+
+
 def test_validate_too_few_studies():
     with pytest.raises(ValidationError):
         validate_dataset(_rows(("s1", "", "study", "", "", "0.1", "0.2", "")))

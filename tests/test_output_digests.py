@@ -1,17 +1,21 @@
 """Byte-stable outputs: the sha256 of every `analyze --json` report and its
 stdout for the three bundled datasets under each selection strategy, of a
 `simulate --summary` JSON file and of the `validate` stdout. A faster path
-must write the same bytes."""
+must write the same bytes, through CliRunner and to a real stdout alike."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+import fewmeta
 from fewmeta.cli import main
 
-from conftest import dataset_path
+from conftest import cli_runner, dataset_path
 
 # (report.json, stdout) sha256 per (dataset, --select)
 ANALYZE_SHA256 = {
@@ -71,7 +75,7 @@ def sha256(data: bytes) -> str:
 @pytest.mark.parametrize("name, strategy", sorted(ANALYZE_SHA256))
 def test_analyze_outputs_are_pinned(tmp_path, name, strategy):
     path = tmp_path / "report.json"
-    result = CliRunner().invoke(
+    result = cli_runner().invoke(
         main, ["analyze", dataset_path(name), "--select", strategy, "--json", str(path)]
     )
     assert result.exit_code == 0, result.output
@@ -80,9 +84,29 @@ def test_analyze_outputs_are_pinned(tmp_path, name, strategy):
     )
 
 
+def _fewmeta_process(*args):
+    """`python -m fewmeta.cli <args>` in a new interpreter, its stdout and
+    stderr the pipes of a real process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fewmeta.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "fewmeta.cli", *args], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def test_real_stdout_and_stderr():
+    result = _fewmeta_process("analyze", dataset_path("sglt2"), "--select", "global")
+    assert result.returncode == 0, result.stderr
+    assert sha256(result.stdout) == ANALYZE_SHA256["sglt2", "global"][1]
+
+    result = _fewmeta_process("select", dataset_path("sglt2"), "--max-combos", "1")
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == b""
+    assert json.loads(result.stderr)["error"] == "budget"
+
+
 def test_simulate_summary_is_pinned(tmp_path):
     summary = tmp_path / "summary.json"
-    result = CliRunner().invoke(main, [
+    result = cli_runner().invoke(main, [
         "simulate", "--seed", "7", "--reps", "500", "--k", "2,3,5", "--tau", "0,0.5",
         "--out", str(tmp_path / "metrics.csv"), "--summary", str(summary),
     ])
@@ -95,7 +119,7 @@ def test_simulate_summary_is_pinned(tmp_path):
 
 
 def test_validate_stdout_is_pinned():
-    result = CliRunner().invoke(main, ["validate", "--seed", "0"])
+    result = cli_runner().invoke(main, ["validate", "--seed", "0"])
     assert result.exit_code == 0, result.output
     digest = sha256(result.output.encode())
     assert digest == VALIDATE_SHA256, (

@@ -1,13 +1,15 @@
+import contextlib
 import csv
+import gc
 import io
 import json
 import math
 import os
 import stat
 import tracemalloc
+import weakref
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +22,12 @@ from fewmeta.report import (
     report_to_json,
     round_half_up,
     write_atomic,
+    write_files,
 )
 from fewmeta.selection import select_local
 from fewmeta.simulation import MAX_REPLICATE_STUDIES
 
-from conftest import dataset_path
+from conftest import cli_runner, dataset_path
 
 
 def test_round_half_up():
@@ -85,6 +88,37 @@ def test_write_atomic_streams_chunks_and_keeps_target_on_failure(tmp_path):
     assert os.listdir(tmp_path) == ["out.csv"]
 
 
+def test_write_files_renames_only_when_every_file_is_complete(tmp_path, monkeypatch):
+    first, second = tmp_path / "first", tmp_path / "second"
+    write_files([(first, "old 1"), (second, "old 2")])
+
+    def disk_full():
+        yield "partial"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError) as failed:
+        write_files([(first, "new 1"), (second, disk_full())])
+    assert failed.value.filename == str(second)
+    assert (first.read_text(), second.read_text()) == ("old 1", "old 2")
+    assert sorted(os.listdir(tmp_path)) == ["first", "second"]
+
+    # the window that stays: a later rename that fails leaves the earlier
+    # target replaced
+    replace = os.replace
+
+    def refuse(src, dst):
+        if os.fspath(dst) == str(second):
+            raise PermissionError(13, "Permission denied")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError) as failed:
+        write_files([(first, "new 1"), (second, "new 2")])
+    assert failed.value.filename == str(second)
+    assert (first.read_text(), second.read_text()) == ("new 1", "old 2")
+    assert sorted(os.listdir(tmp_path)) == ["first", "second"]
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
 def test_output_files_get_the_mode_open_would_give(tmp_path, umask):
     new, old, ref = tmp_path / "new.json", tmp_path / "old.json", tmp_path / "ref.json"
@@ -94,7 +128,7 @@ def test_output_files_get_the_mode_open_would_give(tmp_path, umask):
     try:
         open(ref, "w").close()
         for target in (new, old):
-            result = CliRunner().invoke(
+            result = cli_runner().invoke(
                 main, ["analyze", dataset_path("sglt2"), "--json", str(target)]
             )
             assert result.exit_code == 0, result.output
@@ -110,7 +144,7 @@ def test_output_files_get_the_mode_open_would_give(tmp_path, umask):
 # ---------------------------------------------------------------------------
 
 def test_cli_analyze_success(tmp_path):
-    runner = CliRunner()
+    runner = cli_runner()
     out = tmp_path / "report.json"
     result = runner.invoke(
         main,
@@ -126,7 +160,7 @@ def test_cli_analyze_success(tmp_path):
 def test_cli_analyze_validation_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("study_id,label,level,split,arm,y,se,n\ns1,,study,,,0.1,0.2,\n")
-    runner = CliRunner()
+    runner = cli_runner()
     result = runner.invoke(main, ["analyze", str(bad)])
     assert result.exit_code == 2
 
@@ -136,7 +170,7 @@ def test_cli_non_utf8_input_is_a_validation_error(tmp_path):
     bad.write_bytes(
         b"study_id,label,level,split,arm,y,se,n\ns1,caf\xe9 \xff,study,,,0.1,0.2,10\n"
     )
-    runner = CliRunner()
+    runner = cli_runner()
     for command in ("analyze", "select"):
         result = runner.invoke(main, [command, str(bad)])
         assert result.exit_code == 2, result.output
@@ -151,7 +185,7 @@ def test_cli_malformed_csv_is_a_validation_error(tmp_path, command):
     bad = tmp_path / "long_field.csv"
     long_field = "x" * (csv.field_size_limit() + 1)
     bad.write_text(f"study_id,label,level,split,arm,y,se,n\ns1,{long_field},study,,,0.1,0.2,10\n")
-    result = CliRunner().invoke(main, [command, str(bad)])
+    result = cli_runner().invoke(main, [command, str(bad)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.stderr
@@ -161,7 +195,7 @@ def test_cli_malformed_csv_is_a_validation_error(tmp_path, command):
 
 
 def test_cli_analyze_exp_presentation_only(tmp_path):
-    runner = CliRunner()
+    runner = cli_runner()
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     r1 = runner.invoke(main, ["analyze", dataset_path("sglt2"), "--json", str(out1)])
     r2 = runner.invoke(main, ["analyze", dataset_path("sglt2"), "--exp", "--json", str(out2)])
@@ -170,7 +204,7 @@ def test_cli_analyze_exp_presentation_only(tmp_path):
 
 
 def test_cli_select_budget_exceeded():
-    runner = CliRunner()
+    runner = cli_runner()
     result = runner.invoke(
         main, ["select", dataset_path("sglt2"), "--max-combos", "10"]
     )
@@ -178,7 +212,7 @@ def test_cli_select_budget_exceeded():
 
 
 def test_cli_select_histogram(tmp_path):
-    runner = CliRunner()
+    runner = cli_runner()
     hist = tmp_path / "h.csv"
     result = runner.invoke(
         main,
@@ -203,7 +237,7 @@ def test_cli_unwritable_output_is_a_json_error(tmp_path, monkeypatch, command):
         "summary": SMALL_SIMULATION + ["--out", str(tmp_path / "m.csv"), "--summary"],
     }[command]
     missing = tmp_path / "missing" / "out"
-    result = CliRunner().invoke(main, args + [str(missing)])
+    result = cli_runner().invoke(main, args + [str(missing)])
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr) == {
         "error": "output",
@@ -223,15 +257,82 @@ def test_cli_unwritable_output_is_a_json_error(tmp_path, monkeypatch, command):
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", refuse)
-    result = CliRunner().invoke(main, args + [str(target)])
+    result = cli_runner().invoke(main, args + [str(target)])
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr)["message"] == f"cannot write {target}: Permission denied"
     assert target.read_text() == "previous run\n"
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def test_cli_simulate_keeps_both_old_outputs_when_metrics_csv_fails(tmp_path, monkeypatch):
+    out, summary = tmp_path / "m.csv", tmp_path / "s.json"
+    out.write_text("previous metrics\n")
+    summary.write_text("previous summary\n")
+
+    def disk_full(results):
+        yield "k,tau\r\n"
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("fewmeta.cli.metrics_to_csv", disk_full)
+    result = cli_runner().invoke(main, SMALL_SIMULATION + ["--out", str(out), "--summary", str(summary)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "output", "message": f"cannot write {out}: No space left on device",
+    }
+    assert (out.read_text(), summary.read_text()) == ("previous metrics\n", "previous summary\n")
+    assert sorted(os.listdir(tmp_path)) == ["m.csv", "s.json"]
+
+
+def _run_in_process(args):
+    """`fewmeta <args>` in this process, with a fresh stdout and stderr:
+    (exit code, stdout text, stderr text, weak references to the streams)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=args, prog_name="fewmeta", standalone_mode=False)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), (weakref.ref(out), weakref.ref(err))
+
+
+def test_in_process_runs_keep_no_stream(tmp_path):
+    # click.echo without file= caches the streams it writes to, keeping each
+    # one alive: a caller that redirects stdout on every run would grow
+    bad = tmp_path / "bad.csv"
+    bad.write_text("study_id,label,level,split,arm,y,se,n\ns1,,study,,,0.1,0.2,\n")
+    sglt2 = dataset_path("sglt2")
+    runs = [
+        (["analyze", sglt2, "--select", "local"], 0),
+        (["select", sglt2], 0),
+        (["select", sglt2, "--histogram", str(tmp_path / "h.csv")], 0),
+        (["select", sglt2, "--max-combos", "1"], 3),
+        (["analyze", str(bad)], 2),
+        (SMALL_SIMULATION + ["--out", str(tmp_path / "m.csv")], 0),
+        (["validate"], 0),
+    ]
+    streams = []
+    for run, (args, expected) in enumerate(runs):
+        code, out, err, refs = _run_in_process(args)
+        assert code == expected, (args, err)
+        assert out if code == 0 else json.loads(err)["error"]  # the streams were written
+        streams += [(run, args[0], name, ref) for name, ref in zip(("stdout", "stderr"), refs)]
+    gc.collect()
+    assert [(run, command, name) for run, command, name, ref in streams if ref() is not None] == []
+
+
+def test_cli_writes_utf8_to_an_ascii_stdout(tmp_path):
+    path = tmp_path / "accented.csv"
+    with open(dataset_path("respire14"), encoding="utf-8") as fh:
+        path.write_text(fh.read().replace("RESPIRE-1", "RESPIR\u00c9-1"), encoding="utf-8")
+    for command in ("analyze", "select"):
+        result = cli_runner(charset="ascii").invoke(main, [command, str(path)])
+        assert result.exit_code == 0, result.output
+        assert "RESPIR\u00c9-1=sex".encode("utf-8") in result.stdout_bytes
+
+
 def test_cli_simulate_deterministic(tmp_path):
-    runner = CliRunner()
+    runner = cli_runner()
     args = ["simulate", "--k", "2", "--tau", "0", "--delta", "0",
             "--sigma-delta", "0", "--prev", "1/2", "--reps", "100",
             "--seed", "11"]
@@ -245,7 +346,7 @@ def test_cli_simulate_deterministic(tmp_path):
 
 def test_cli_simulate_seed_required(tmp_path, monkeypatch):
     monkeypatch.delenv("FEWMETA_SEED", raising=False)
-    runner = CliRunner()
+    runner = cli_runner()
     args = ["simulate", "--k", "2", "--tau", "0", "--delta", "0",
             "--sigma-delta", "0", "--prev", "1/2", "--reps", "50",
             "--out", str(tmp_path / "m.csv")]
@@ -258,7 +359,7 @@ def test_cli_simulate_seed_required(tmp_path, monkeypatch):
 
 
 def test_cli_simulate_rejects_jobs_below_one(tmp_path):
-    runner = CliRunner()
+    runner = cli_runner()
     out = tmp_path / "m.csv"
     for jobs in ("0", "-3"):
         result = runner.invoke(
@@ -276,7 +377,7 @@ def test_cli_simulate_rejects_reps_above_the_cap_before_allocating(tmp_path):
     out = tmp_path / "m.csv"
     tracemalloc.start()
     try:
-        result = CliRunner().invoke(
+        result = cli_runner().invoke(
             main,
             ["simulate", "--k", "2,5", "--tau", "0", "--delta", "0", "--sigma-delta", "0",
              "--prev", "1/2", "--reps", str(10 ** 15), "--seed", "1", "--out", str(out)],
@@ -298,7 +399,7 @@ def test_cli_simulate_config_file(tmp_path):
         "# desk-scale run\nk=2\ntau=0\ndelta=0\nsigma_delta=0\nprev=1/2\n"
         "reps=50\nseed=4\n"
     )
-    runner = CliRunner()
+    runner = cli_runner()
     out = tmp_path / "m.csv"
     result = runner.invoke(
         main, ["simulate", "--config", str(cfg), "--out", str(out)]
@@ -326,7 +427,7 @@ SIMULATE_ONE = ["simulate", "--seed", "1", "--reps", "2", "--k", "2", "--tau", "
 ])
 def test_cli_simulate_rejects_out_of_range_parameters(tmp_path, flag, value, message):
     out = tmp_path / "m.csv"
-    result = CliRunner().invoke(main, SIMULATE_ONE + [flag, value, "--out", str(out)])
+    result = cli_runner().invoke(main, SIMULATE_ONE + [flag, value, "--out", str(out)])
     assert result.exit_code == 2, result.output
     error = json.loads(result.stderr)
     assert error["error"] == "validation" and message in error["message"]
@@ -336,7 +437,7 @@ def test_cli_simulate_rejects_out_of_range_parameters(tmp_path, flag, value, mes
 def test_cli_simulate_rejects_a_zero_denominator_in_the_config_file(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("k=2\ntau=0\ndelta=0\nsigma_delta=0\nprev=1/0\nreps=2\nseed=1\n")
-    result = CliRunner().invoke(
+    result = cli_runner().invoke(
         main, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]
     )
     assert result.exit_code == 2, result.output
@@ -347,7 +448,7 @@ def test_cli_simulate_at_the_effect_bound(tmp_path):
     # |tau|, |Delta|, sigma_Delta = data.MAX_ABS_EFFECT and study sizes near
     # the int64 limit run without a warning (pytest turns warnings into errors)
     out = tmp_path / "m.csv"
-    result = CliRunner().invoke(main, [
+    result = cli_runner().invoke(main, [
         "simulate", "--seed", "1", "--reps", "50", "--k", "2,5", "--tau", "0,1e40",
         "--delta", "-1e40,1e40", "--sigma-delta", "1e40", "--prev", "1/3",
         "--sizes-meanlog", "43", "--sizes-sdlog", "0", "--out", str(out),
@@ -366,7 +467,7 @@ def test_cli_simulate_checks_its_outputs_before_running(tmp_path, monkeypatch, m
     out.write_bytes(b"previous run\r\n")
     paths = {"--out": str(out), "--summary": str(tmp_path / "s.json")}
     paths[missing] = str(tmp_path / "missing" / "f")
-    result = CliRunner().invoke(main, SMALL_SIMULATION + [a for p in paths.items() for a in p])
+    result = cli_runner().invoke(main, SMALL_SIMULATION + [a for p in paths.items() for a in p])
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr) == {
         "error": "output",
@@ -402,7 +503,7 @@ def test_cli_simulate_rejects_unknown_and_unparsable_settings(
     text = "# a one-point grid\nk=2\ntau=0\ndelta=0\nsigma_delta=0\nprev=1/2\nreps=2\n"
     config.write_text(text + ("" if env_seed else "seed=1\n") + cfg)
     out = tmp_path / "m.csv"
-    result = CliRunner().invoke(
+    result = cli_runner().invoke(
         main, ["simulate", "--config", str(config), "--out", str(out)] + flags
     )
     assert result.exit_code == 2, result.output
@@ -424,7 +525,7 @@ def test_cli_simulate_setting_precedence(tmp_path, monkeypatch):
     for extra_cfg, flags, seed in (("", [], "5"), ("seed=6\n", [], "6"),
                                    ("seed=6\n", ["--seed", "7"], "7")):
         config.write_text(config.read_text() + extra_cfg)
-        result = CliRunner().invoke(
+        result = cli_runner().invoke(
             main, ["simulate", "--config", str(config), "--out", str(out)] + flags
         )
         assert result.exit_code == 0, result.output
@@ -435,7 +536,7 @@ def test_cli_simulate_setting_precedence(tmp_path, monkeypatch):
 def test_cli_simulate_unreadable_config_is_a_validation_error(tmp_path):
     config = tmp_path / "sim.cfg"
     config.write_bytes(b"seed=1\nk=\xff\n")
-    result = CliRunner().invoke(main, ["simulate", "--config", str(config)])
+    result = cli_runner().invoke(main, ["simulate", "--config", str(config)])
     assert result.exit_code == 2, result.output
     error = json.loads(result.stderr)
     assert error["error"] == "validation"
@@ -447,7 +548,7 @@ def test_cli_validate_maps_a_validation_error_to_exit_2(monkeypatch):
         raise ValidationError("scenario: k must be >= 2")
 
     monkeypatch.setattr("fewmeta.cli.run_self_checks", broken)
-    result = CliRunner().invoke(main, ["validate"])
+    result = cli_runner().invoke(main, ["validate"])
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr) == {
         "error": "validation", "message": "scenario: k must be >= 2"
@@ -459,7 +560,7 @@ def test_cli_simulate_does_not_report_a_plain_value_error_as_validation(tmp_path
         raise ValueError("a defect, not an input error")
 
     monkeypatch.setattr("fewmeta.cli.scenario_grid", broken)
-    result = CliRunner().invoke(main, SMALL_SIMULATION + ["--out", str(tmp_path / "m.csv")])
+    result = cli_runner().invoke(main, SMALL_SIMULATION + ["--out", str(tmp_path / "m.csv")])
     assert isinstance(result.exception, ValueError)
     assert result.exit_code == 1 and "validation" not in result.stderr
 
@@ -527,7 +628,7 @@ def test_degenerate_weights_attributed_per_method(
     assert got == errors
     with pytest.raises(ValidationError, match=report_error):
         build_report(ds)
-    result = CliRunner().invoke(main, ["analyze", str(path)])
+    result = cli_runner().invoke(main, ["analyze", str(path)])
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr) == {"error": "validation", "message": report_error}
 
@@ -538,7 +639,7 @@ def test_cli_arms_at_the_se_floor_are_rejected_at_load(tmp_path, strategy):
     # the load names the split rather than a study row that is in range.
     path = tmp_path / "floor.csv"
     path.write_text(A_ROUNDS_TO_ZERO.replace("1e-10", "1e-40"))
-    result = CliRunner().invoke(main, ["analyze", str(path), "--select", strategy])
+    result = cli_runner().invoke(main, ["analyze", str(path), "--select", strategy])
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr) == {
         "error": "validation",
@@ -572,7 +673,7 @@ def _extreme_csv_texts(draw):
 @given(text=_extreme_csv_texts(), strategy=st.sampled_from(["local", "global", "none"]))
 def test_cli_in_range_extremes_end_without_warnings(text, strategy):
     # warnings are errors here, so a RuntimeWarning would end in exit 1
-    runner = CliRunner()
+    runner = cli_runner()
     with runner.isolated_filesystem():
         with open("in.csv", "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -618,7 +719,7 @@ def _respire14_with(row, column, value):
 def test_cli_malformed_numbers_are_validation_errors(tmp_path, row, column, value, where):
     path = tmp_path / "malformed.csv"
     path.write_text(_respire14_with(row, column, value), encoding="utf-8")
-    result = CliRunner().invoke(main, ["analyze", str(path)])
+    result = cli_runner().invoke(main, ["analyze", str(path)])
     assert result.exit_code == 2, result.output
     error = json.loads(result.stderr)
     assert error["error"] == "validation"
@@ -639,7 +740,7 @@ def test_cli_malformed_numbers_are_validation_errors(tmp_path, row, column, valu
 def test_cli_out_of_range_effects_name_the_row(tmp_path, row, column, value, where):
     path = tmp_path / "out_of_range.csv"
     path.write_text(_respire14_with(row, column, value), encoding="utf-8")
-    result = CliRunner().invoke(main, ["analyze", str(path)])
+    result = cli_runner().invoke(main, ["analyze", str(path)])
     assert result.exit_code == 2, result.output
     error = json.loads(result.stderr)
     assert error["error"] == "validation"
@@ -651,7 +752,7 @@ def test_cli_study_row_with_y_or_se_blank_names_the_study(tmp_path, column):
     # both blank derives the row from the first split; one alone is an error
     path = tmp_path / "half.csv"
     path.write_text(_respire14_with(0, column, ""), encoding="utf-8")
-    result = CliRunner().invoke(main, ["analyze", str(path)])
+    result = cli_runner().invoke(main, ["analyze", str(path)])
     assert result.exit_code == 2, result.output
     error = json.loads(result.stderr)
     assert error["error"] == "validation"
@@ -660,7 +761,7 @@ def test_cli_study_row_with_y_or_se_blank_names_the_study(tmp_path, column):
 
 def test_cli_extreme_level_ends():
     # k = 2 gives df = 1, whose quantile at this level is ~6.4e9.
-    result = CliRunner().invoke(
+    result = cli_runner().invoke(
         main, ["analyze", dataset_path("respire14"), "--level", "0.9999999999"]
     )
     assert result.exit_code in (0, 2), result.output
@@ -714,7 +815,7 @@ def _csv_texts(draw):
     [["analyze"], ["analyze", "--select", "global", "--exp"], ["select"]]
 ))
 def test_cli_any_csv_text_ends_in_a_documented_exit_code(text, command):
-    runner = CliRunner()
+    runner = cli_runner()
     with runner.isolated_filesystem():
         with open("in.csv", "w", encoding="utf-8") as fh:
             fh.write(text)
