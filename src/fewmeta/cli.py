@@ -121,10 +121,10 @@ _SETTINGS = {
 
 
 def _read_config(path) -> dict:
-    """Flat key=value configuration file of settings; blank lines and
-    # comments are ignored."""
+    """Flat key=value configuration file of settings (UTF-8; a leading
+    byte-order mark is skipped); blank lines and # comments are ignored."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = list(fh)
     except (OSError, UnicodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
@@ -249,6 +249,8 @@ def simulate(jobs, config_path, out, summary, **flags):
     if jobs < 1:
         raise ValidationError("--jobs must be >= 1")
     scenarios = scenario_grid(**_grid_settings(flags, config_path))
+    if summary and os.path.realpath(summary) == os.path.realpath(out):
+        raise ValidationError(f"--out and --summary name the same file, {out!r}")
     for path in filter(None, (out, summary)):  # fail before the run, not after it
         with _output(path), tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
             pass

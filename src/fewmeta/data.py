@@ -55,16 +55,13 @@ class StudyEstimate:
 
 @dataclass(frozen=True)
 class SubgroupArm:
-    """One of the two arms of a subgroup split (j in {1, 2})."""
+    """One arm of a subgroup split: arm 1 or arm 2 by its place in SubgroupSplit.arms."""
 
-    j: int
     y: float
     se: float
     n: int
 
     def __post_init__(self):
-        if self.j not in (1, 2):
-            raise ValidationError(f"arm index must be 1 or 2, got {self.j}")
         _check_effect(self.y, self.se, "arm")
         if self.n < 1:
             raise ValidationError("arm: n must be >= 1")
@@ -95,13 +92,6 @@ class SubgroupSplit:
         if self.p_interaction is not None and not 0.0 <= self.p_interaction <= 1.0:  # NaN too
             raise ValidationError(f"split {self.split_name!r}: p_interaction must be a number "
                                   f"in [0, 1], got {self.p_interaction!r}")
-        if self.arms[0].j == self.arms[1].j:
-            raise ValidationError(
-                f"split {self.split_name!r}: arm indices must be distinct"
-            )
-        if self.arms[0].j == 2:
-            # normalize storage order to (arm 1, arm 2)
-            object.__setattr__(self, "arms", (self.arms[1], self.arms[0]))
         a1, a2 = self.arms
         w1, w2 = a1.se ** -2, a2.se ** -2
         sw = w1 + w2
@@ -334,7 +324,7 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
                     )
                 where = f"{sid}/{name}/arm{j}"
                 y, se = _parse_float(r.get("y"), where), _parse_float(r.get("se"), where)
-                arms.append(_built(f"{where}: ", SubgroupArm, j, y, se, _parse_count(nval, where)))
+                arms.append(_built(f"{where}: ", SubgroupArm, y, se, _parse_count(nval, where)))
             row_p = arm_rows[1].get("p_interaction")
             p_int = _parse_probability(row_p, f"{sid}/{name}") if row_p not in (None, "") else None
             # arms in range, their aggregate possibly not
@@ -364,9 +354,10 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
 
 
 def load_csv(path) -> MetaDataset:
-    """Read a dataset from a CSV file (UTF-8, header row)."""
+    """Read a dataset from a CSV file (UTF-8, header row; a leading byte-order
+    mark, as Excel's "CSV UTF-8" writes, is skipped)."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise ValidationError(f"{path}: empty file")

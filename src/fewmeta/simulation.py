@@ -310,20 +310,16 @@ def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1):
         return list(pool.map(run_scenario, scenarios, chunksize=chunksize))
 
 
-def validate_expectation(scenario: Scenario, sizes=None):
+def validate_expectation(scenario: Scenario, sizes):
     """Check the raw subgroup-level tau^2 estimator against its analytic
     mean at fixed weights.
 
-    Study sizes are drawn once (or supplied) and held fixed; only the
-    effects are resampled. Passes iff the Monte Carlo mean of the raw
-    estimator is within 3 Monte Carlo SEs of
+    The k study `sizes` are given and held fixed; only the effects are
+    resampled. Passes iff the Monte Carlo mean of the raw estimator is
+    within 3 Monte Carlo SEs of
     A * tau^2 + (Delta^2 + sigma_Delta^2) * B_coefficient.
     """
     rng = scenario_rng(scenario)
-    if sizes is None:
-        sizes = draw_study_sizes(
-            scenario.k, rng, scenario.sizes_meanlog, scenario.sizes_sdlog
-        )
     y_sub, se_sub, n_arm = _draw_replicates(scenario, rng, scenario.n_reps, sizes=sizes)
     raw = dls_raw(y_sub, se_sub)
     p_arr = n_arm[0, :, 0] / np.sum(n_arm[0], axis=-1)

@@ -50,7 +50,7 @@ def sglt2():
 
 def make_split(name, y, se, n=(10, 10), p_interaction=None):
     arms = tuple(
-        SubgroupArm(j=j + 1, y=float(y[j]), se=float(se[j]), n=int(n[j]))
+        SubgroupArm(y=float(y[j]), se=float(se[j]), n=int(n[j]))
         for j in (0, 1)
     )
     return SubgroupSplit(name, arms, p_interaction=p_interaction)

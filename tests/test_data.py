@@ -40,11 +40,9 @@ def test_prevalence_scale_free():
 
 def test_arm_validation():
     with pytest.raises(ValidationError):
-        SubgroupArm(j=3, y=0.0, se=1.0, n=5)
+        SubgroupArm(y=0.0, se=0.0, n=5)
     with pytest.raises(ValidationError):
-        SubgroupArm(j=1, y=0.0, se=0.0, n=5)
-    with pytest.raises(ValidationError):
-        SubgroupArm(j=1, y=0.0, se=1.0, n=0)
+        SubgroupArm(y=0.0, se=1.0, n=0)
     with pytest.raises(ValidationError):
         StudyEstimate("s", float("nan"), 1.0)
 
@@ -163,11 +161,11 @@ def test_validate_error_precedence():
 
 
 def test_split_aggregate_below_the_se_floor_is_rejected():
-    arms = (SubgroupArm(1, 0.0, 1e-40, 5), SubgroupArm(2, 0.0, 1e-40, 5))
+    arms = (SubgroupArm(0.0, 1e-40, 5), SubgroupArm(0.0, 1e-40, 5))
     floor = "split 'g': the arms aggregate to se 7.07e-41, below the floor 1e-40"
     with pytest.raises(ValidationError, match=floor):
         SubgroupSplit("g", arms)
-    split = SubgroupSplit("g", (arms[0], SubgroupArm(2, 0.0, 1.0, 5)))
+    split = SubgroupSplit("g", (arms[0], SubgroupArm(0.0, 1.0, 5)))
     assert split.agg_se == aggregate_study(split).se == 1e-40
 
 

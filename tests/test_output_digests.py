@@ -3,6 +3,7 @@ stdout for the three bundled datasets under each selection strategy, of a
 `simulate --summary` JSON file and of the `validate` stdout. A faster path
 must write the same bytes, through CliRunner and to a real stdout alike."""
 
+import codecs
 import hashlib
 import json
 import os
@@ -74,14 +75,20 @@ def sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("name, strategy", sorted(ANALYZE_SHA256))
 def test_analyze_outputs_are_pinned(tmp_path, name, strategy):
-    path = tmp_path / "report.json"
-    result = cli_runner().invoke(
-        main, ["analyze", dataset_path(name), "--select", strategy, "--json", str(path)]
-    )
-    assert result.exit_code == 0, result.output
-    assert (sha256(path.read_bytes()), sha256(result.output.encode())) == (
-        ANALYZE_SHA256[name, strategy]
-    )
+    """The dataset as bundled, and a copy that starts with the UTF-8
+    byte-order mark Excel's "CSV UTF-8" writes, give the same bytes."""
+    with_bom = tmp_path / "bom.csv"
+    with open(dataset_path(name), "rb") as fh:
+        with_bom.write_bytes(codecs.BOM_UTF8 + fh.read())
+    for data in (dataset_path(name), str(with_bom)):
+        path = tmp_path / "report.json"
+        result = cli_runner().invoke(
+            main, ["analyze", data, "--select", strategy, "--json", str(path)]
+        )
+        assert result.exit_code == 0, result.output
+        assert (sha256(path.read_bytes()), sha256(result.output.encode())) == (
+            ANALYZE_SHA256[name, strategy]
+        ), data
 
 
 def _fewmeta_process(*args):

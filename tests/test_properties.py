@@ -2,16 +2,26 @@
 
 These are the exact (non-statistical) invariants: the degenerate-
 heterogeneity variance ordering, estimator monotonicity, agreement of the
-two common-effect forms, scale/translation equivariance, and the
-global-vs-local selection inequality. The bulk runs vectorized over
+two common-effect forms, scale/translation equivariance, the
+global-vs-local selection inequality, and the symmetry of every statistic
+in a split's two arms. The bulk runs vectorized over
 10 000 instances; the selection functions are exercised on a smaller
 randomized batch since they operate on dataset records.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from fewmeta.data import aggregate_study
+from fewmeta.data import (
+    MetaDataset,
+    Study,
+    SubgroupSplit,
+    aggregate_study,
+    load_csv,
+    prevalence_of,
+)
 from fewmeta.estimators import (
     cochran_q,
     dl_raw,
@@ -20,11 +30,13 @@ from fewmeta.estimators import (
     mu_ce,
     mu_ce_subgroup,
     qs_raw,
+    shrinkage_coefficients,
 )
 from fewmeta.intervals import hksj_scale, variance_hcs, zh_variance
+from fewmeta.report import build_report
 from fewmeta.selection import select_global, select_local
 
-from conftest import make_dataset, make_split
+from conftest import dataset_path, make_dataset, make_split
 
 N_INSTANCES = 10000
 
@@ -138,3 +150,72 @@ def test_global_at_least_local_randomized():
         loc = select_local(ds)
         glo = select_global(ds)
         assert glo.q_s >= loc.q_s - 1e-12
+
+
+def _arms_reversed(dataset):
+    """The dataset with the two arms of every split in reverse order."""
+    return MetaDataset(tuple(
+        Study(study.estimate,
+              tuple(SubgroupSplit(split.split_name, split.arms[::-1], split.p_interaction)
+                    for split in study.splits),
+              study.selected)
+        for study in dataset.studies
+    ))
+
+
+def _assert_close(a, b, where):
+    """Equal report subtrees, but for floats, which agree within 1e-12
+    relative: study and arm sums add in order, so bit-identity is not owed."""
+    if isinstance(a, dict):
+        assert sorted(a) == sorted(b), where
+        for key in a:
+            _assert_close(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_close(x, y, f"{where}[{i}]")
+    elif isinstance(a, float):
+        assert a == b or math.isclose(a, b, rel_tol=1e-12), (where, a, b)
+    else:
+        assert a == b, where
+
+
+def _arm_order_datasets():
+    """The bundled datasets and 50 random ones of 2-6 studies with 1-4
+    splits each, arm sizes unequal."""
+    for name in ("respire14", "respire28", "sglt2"):
+        yield name, load_csv(dataset_path(name))
+    rng = np.random.default_rng(77)
+    for case in range(50):
+        specs = []
+        for i in range(rng.integers(2, 7)):
+            splits = [
+                make_split(f"s{j}", rng.normal(0, 1, 2), rng.uniform(0.2, 1.5, 2),
+                           n=rng.integers(1, 60, 2))
+                for j in range(rng.integers(1, 5))
+            ]
+            specs.append((rng.normal(), rng.uniform(0.2, 1.0), splits))
+        yield f"random {case}", make_dataset(specs)
+
+
+def test_arm_order_changes_no_statistic():
+    """The paper's estimators treat a split's two arms alike: reversing
+    every split's arms leaves selection exact and the report's estimates
+    within rounding, and A and B are unchanged with p read as 1 - p."""
+    for name, dataset in _arm_order_datasets():
+        reversed_ = _arms_reversed(dataset)
+        for select in (select_local, select_global):
+            sel, sel_r = select(dataset), select(reversed_)
+            assert (sel.choices, sel.q_s) == (sel_r.choices, sel_r.q_s), name
+            chosen = dataset.with_selection(sel.choices)
+            report = build_report(chosen, sel)
+            report_r = build_report(reversed_.with_selection(sel.choices), sel_r)
+            for part in ("heterogeneity", "intervals"):
+                _assert_close(report[part], report_r[part], f"{name} {sel.strategy} {part}")
+
+            splits = [study.selected_split for study in chosen.studies]
+            se = np.array([[arm.se for arm in split.arms] for split in splits])
+            p = np.array([prevalence_of(split) for split in splits])
+            a, b = shrinkage_coefficients(se, p)
+            a_r, b_r = shrinkage_coefficients(se[:, ::-1], 1.0 - p)
+            assert a_r == pytest.approx(a, rel=1e-12) and b_r == pytest.approx(b, rel=1e-12)

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import gc
@@ -394,18 +395,21 @@ def test_cli_simulate_rejects_reps_above_the_cap_before_allocating(tmp_path):
 
 
 def test_cli_simulate_config_file(tmp_path):
-    cfg = tmp_path / "sim.cfg"
-    cfg.write_text(
-        "# desk-scale run\nk=2\ntau=0\ndelta=0\nsigma_delta=0\nprev=1/2\n"
-        "reps=50\nseed=4\n"
-    )
-    runner = cli_runner()
-    out = tmp_path / "m.csv"
-    result = runner.invoke(
-        main, ["simulate", "--config", str(cfg), "--out", str(out)]
-    )
-    assert result.exit_code == 0, result.output
-    assert out.exists()
+    """A config file runs, and the same file after a UTF-8 byte-order mark
+    gives the same metrics."""
+    text = ("# desk-scale run\nk=2\ntau=0\ndelta=0\nsigma_delta=0\nprev=1/2\n"
+            "reps=50\nseed=4\n").encode()
+    metrics = []
+    for prefix in (b"", codecs.BOM_UTF8):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_bytes(prefix + text)
+        out = tmp_path / "m.csv"
+        result = cli_runner().invoke(
+            main, ["simulate", "--config", str(cfg), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        metrics.append(out.read_bytes())
+    assert metrics[0] == metrics[1]
 
 
 SIMULATE_ONE = ["simulate", "--seed", "1", "--reps", "2", "--k", "2", "--tau", "0",
@@ -476,6 +480,26 @@ def test_cli_simulate_checks_its_outputs_before_running(tmp_path, monkeypatch, m
     assert out.read_bytes() == b"previous run\r\n"
     assert ran == [] and result.stdout == ""
     assert sorted(os.listdir(tmp_path)) == ["m.csv"]
+
+
+@pytest.mark.parametrize("alias", ["same-text", "via-symlink"])
+def test_cli_simulate_rejects_one_file_for_out_and_summary(tmp_path, monkeypatch, alias):
+    # one file for both would be left holding metrics.csv alone
+    ran = []
+    monkeypatch.setattr("fewmeta.cli.run_scenarios", lambda *args, **kw: ran.append(args))
+    out = tmp_path / "r.csv"
+    summary = out
+    if alias == "via-symlink":
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        summary = tmp_path / "link" / "r.csv"
+    result = cli_runner().invoke(main, SMALL_SIMULATION + ["--out", str(out), "--summary", str(summary)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "validation",
+        "message": f"--out and --summary name the same file, {str(out)!r}",
+    }
+    assert ran == [] and result.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == (["link"] if alias == "via-symlink" else [])
 
 
 @pytest.mark.parametrize("cfg, flags, env_seed, expected", [

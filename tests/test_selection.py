@@ -228,7 +228,7 @@ def _affine(dataset, shift, scale):
             SubgroupSplit(
                 split.split_name,
                 tuple(
-                    SubgroupArm(a.j, scale * a.y + shift, scale * a.se, a.n)
+                    SubgroupArm(scale * a.y + shift, scale * a.se, a.n)
                     for a in split.arms
                 ),
                 split.p_interaction,
