@@ -1,7 +1,7 @@
 """Subgroup-informed random-effects meta-analysis of few studies.
 
 Core objects are re-exported here; the submodules hold the full API:
-data (records, CSV ingestion), estimators (heterogeneity),
+data (Study records, CSV ingestion), estimators (heterogeneity),
 intervals (CI methods and t quantiles), selection (split search),
 simulation (Monte Carlo harness), report (serialization), cli.
 """
@@ -9,7 +9,6 @@ simulation (Monte Carlo harness), report (serialization), cli.
 from .data import (
     MetaDataset,
     Study,
-    StudyEstimate,
     SubgroupArm,
     SubgroupSplit,
     ValidationError,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MetaDataset",
     "Study",
-    "StudyEstimate",
     "SubgroupArm",
     "SubgroupSplit",
     "ValidationError",

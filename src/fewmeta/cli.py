@@ -6,8 +6,10 @@ an output file that cannot be written, 3 combination budget exceeded,
 emit a machine-readable JSON error object on stderr. Exits 2 and 3 are
 enforced in one place for every command, the `main` group
 (`_Commands.invoke`); a file is written inside `_output`, which turns an
-OSError into exit 2 with an "output" error; `validate` exits 4 itself. Its
-Monte Carlo checks are computed in `simulation` and only formatted here.
+OSError into exit 2 with an "output" error; `_distinct` exits 2 before a
+command would write over its own input or another of its outputs;
+`validate` exits 4 itself. Its Monte Carlo checks are computed in
+`simulation` and only formatted here.
 `simulate` reads its settings from one table, `_SETTINGS`, with precedence
 flag > config file > FEWMETA_SEED (a fallback seed).
 """
@@ -90,6 +92,20 @@ def _output(path=None):
         yield
     except OSError as exc:
         _fail(EXIT_VALIDATION, "output", f"cannot write {path or exc.filename}: {exc.strerror or exc}")
+
+
+def _distinct(*files):
+    """Raise unless the (name, path) pairs of `files` with a path name
+    different files once symlinks are resolved: a command that wrote over
+    its own input or its other output would lose it."""
+    seen = {}
+    for name, path in files:
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                first, given = seen[real]
+                raise ValidationError(f"{first} and {name} name the same file, {given!r}")
+            seen[real] = (name, path)
 
 
 def _number(token: str) -> float:
@@ -186,6 +202,7 @@ def main():
 def analyze(data_path, strategy, level, exp, zh_c, max_combos, json_out):
     """Run all heterogeneity estimators and CI methods on a dataset."""
     config = CIMethodConfig(level=level, zh_penalty_c=zh_c)
+    _distinct(("DATA_PATH", data_path), ("--json", json_out))
     dataset = load_csv(data_path)
     sel = None
     if strategy != "none" and dataset.has_splits:
@@ -210,6 +227,7 @@ def analyze(data_path, strategy, level, exp, zh_c, max_combos, json_out):
 @click.option("--max-combos", default=DEFAULT_MAX_COMBINATIONS, show_default=True)
 def select(data_path, strategy, histogram, max_combos):
     """Pick one subgroup split per study maximizing the subgroup Q."""
+    _distinct(("DATA_PATH", data_path), ("--histogram", histogram))
     dataset = load_csv(data_path)
     result = select_splits(dataset, strategy, max_combos)
     lines = []
@@ -249,8 +267,7 @@ def simulate(jobs, config_path, out, summary, **flags):
     if jobs < 1:
         raise ValidationError("--jobs must be >= 1")
     scenarios = scenario_grid(**_grid_settings(flags, config_path))
-    if summary and os.path.realpath(summary) == os.path.realpath(out):
-        raise ValidationError(f"--out and --summary name the same file, {out!r}")
+    _distinct(("--config", config_path), ("--out", out), ("--summary", summary))
     for path in filter(None, (out, summary)):  # fail before the run, not after it
         with _output(path), tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
             pass

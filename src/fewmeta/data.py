@@ -1,5 +1,8 @@
 """Domain records and dataset construction for subgroup-informed meta-analysis.
 
+A study is one record, Study(study_id, y, se, splits, selected), and each of
+its candidate splits a SubgroupSplit of two SubgroupArm(y, se, n).
+
 All effects live on the linear-predictor scale (e.g. log hazard ratios);
 exponentiation to ratio scales is presentation-only and happens in the
 reporting layer.
@@ -36,21 +39,6 @@ def _check_effect(y, se, who):
         raise ValidationError(f"{who}: effect must be finite with |y| <= {MAX_ABS_EFFECT:g}")
     if not SE_RANGE[0] <= se <= SE_RANGE[1]:
         raise ValidationError(f"{who}: se must be in [{SE_RANGE[0]:g}, {SE_RANGE[1]:g}]")
-
-
-@dataclass(frozen=True)
-class StudyEstimate:
-    """One study's effect estimate on the linear-predictor scale."""
-
-    study_id: str
-    y: float
-    se: float
-    n: Optional[int] = None
-
-    def __post_init__(self):
-        _check_effect(self.y, self.se, f"study {self.study_id!r}")
-        if self.n is not None and self.n < 1:
-            raise ValidationError(f"study {self.study_id!r}: n must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -110,26 +98,25 @@ class SubgroupSplit:
 
 @dataclass(frozen=True)
 class Study:
-    """A study-level estimate together with its candidate subgroup splits."""
+    """One study's effect estimate (y, se) with its candidate subgroup splits."""
 
-    estimate: StudyEstimate
+    study_id: str
+    y: float
+    se: float
     splits: tuple = ()
     selected: Optional[int] = None
 
     def __post_init__(self):
+        _check_effect(self.y, self.se, f"study {self.study_id!r}")
         names = [s.split_name for s in self.splits]
         if len(set(names)) != len(names):
             raise ValidationError(
-                f"study {self.estimate.study_id!r}: duplicate split names"
+                f"study {self.study_id!r}: duplicate split names"
             )
         if self.selected is not None and not (0 <= self.selected < len(self.splits)):
             raise ValidationError(
-                f"study {self.estimate.study_id!r}: selected split out of range"
+                f"study {self.study_id!r}: selected split out of range"
             )
-
-    @property
-    def study_id(self) -> str:
-        return self.estimate.study_id
 
     @property
     def selected_split(self) -> Optional[SubgroupSplit]:
@@ -170,7 +157,7 @@ class MetaDataset:
         if len(choices) != self.k:
             raise ValidationError("selection length must equal k")
         studies = tuple(
-            Study(s.estimate, s.splits, int(c))
+            Study(s.study_id, s.y, s.se, s.splits, int(c))
             for s, c in zip(self.studies, choices)
         )
         return MetaDataset(studies)
@@ -187,15 +174,14 @@ def prevalence_of(split: SubgroupSplit) -> float:
     return n1 / (n1 + n2)
 
 
-def aggregate_study(split: SubgroupSplit, study_id: str = "aggregate") -> StudyEstimate:
-    """Combine the two arms of a split into a study-level estimate.
+def aggregate_study(split: SubgroupSplit, study_id: str = "aggregate") -> Study:
+    """Combine the two arms of a split into a study-level estimate, without splits.
 
     The combined effect is the inverse-variance weighted mean of the arms
     and the combined weight is the sum of the arm weights, so that
     se = (s1^-2 + s2^-2)^-1/2.
     """
-    n = split.arms[0].n + split.arms[1].n
-    return StudyEstimate(study_id=study_id, y=split.agg_y, se=split.agg_se, n=n)
+    return Study(study_id, split.agg_y, split.agg_se)
 
 
 # relative disagreement between a reported study estimate and the value
@@ -212,13 +198,12 @@ def consistency_gaps(dataset: MetaDataset) -> list:
     """
     gaps = []
     for study in dataset.studies:
-        est = study.estimate
         for split in study.splits:
-            gap_y = abs(split.agg_y - est.y) / max(abs(est.y), 1.0)
-            gap_se = abs(split.agg_se - est.se) / est.se
+            gap_y = abs(split.agg_y - study.y) / max(abs(study.y), 1.0)
+            gap_se = abs(split.agg_se - study.se) / study.se
             gaps.append(
                 {
-                    "study_id": est.study_id,
+                    "study_id": study.study_id,
                     "split": split.split_name,
                     "gap_y": gap_y,
                     "gap_se": gap_se,
@@ -340,13 +325,12 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
                 raise ValidationError(
                     f"study {sid!r}: no estimate supplied and no splits to derive one"
                 )
-            est = aggregate_study(splits[0], sid)
+            y, se = splits[0].agg_y, splits[0].agg_se
         else:
-            nval = row.get("n")
-            n = _parse_count(nval, sid) if nval not in (None, "") else None
+            if row.get("n") not in (None, ""):
+                _parse_count(row["n"], sid)  # checked, not kept: nothing reads a study's n
             y, se = _parse_float(y_raw, sid), _parse_float(se_raw, sid)
-            est = _built(f"{sid}: ", StudyEstimate, sid, y, se, n)
-        studies.append(Study(est, tuple(splits)))
+        studies.append(_built(f"{sid}: ", Study, sid, y, se, tuple(splits)))
 
     dataset = MetaDataset(tuple(studies))
     dataset.require_k2()

@@ -212,8 +212,8 @@ def subgroup_arrays(dataset: MetaDataset):
 
 def study_arrays(dataset: MetaDataset):
     """Study-level (y, se) arrays of shape (k,)."""
-    y = np.array([s.estimate.y for s in dataset.studies])
-    se = np.array([s.estimate.se for s in dataset.studies])
+    y = np.array([s.y for s in dataset.studies])
+    se = np.array([s.se for s in dataset.studies])
     return y, se
 
 

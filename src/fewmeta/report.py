@@ -79,10 +79,9 @@ def build_report(dataset: MetaDataset, selection=None, config=CIMethodConfig()) 
     must already be applied to the dataset (see MetaDataset.with_selection).
     """
     result = dataset_kernel(dataset, config)
-    results, errors = result.interval_results()
-    failed = [tag for tag in result.tau2 if tag in result.errors]
-    if failed:  # the first tau^2 estimate that could not be computed
-        raise ValidationError(result.errors[failed[0]])
+    if result.errors:  # the first quantity that could not be computed
+        raise ValidationError(next(iter(result.errors.values())))
+    results, _ = result.interval_results()
     tau2 = {tag: float(value) for tag, value in result.tau2.items()}
     wins = result.subgroup_wins
     report = {
@@ -112,7 +111,7 @@ def build_report(dataset: MetaDataset, selection=None, config=CIMethodConfig()) 
             for tag, value in tau2.items()
         },
         "intervals": [_interval_entry(r) for r in results],
-        "errors": errors,
+        "errors": {},  # empty: a report with a failed quantity is never built
         "diagnostics": {
             "consistency_gaps": [
                 g for g in consistency_gaps(dataset) if g["inconsistent"]
@@ -169,8 +168,6 @@ def render_text(report: dict, exp: bool = False) -> str:
             f"{df!s:>4} "
             f"{round_half_up(entry['tau']):>7.3f}{flag}"
         )
-    for tag, msg in sorted(report["errors"].items()):
-        lines.append(f"{tag:<10} failed: {msg}")
     het = report["heterogeneity"]
     lines.append("")
     lines.append(

@@ -81,7 +81,7 @@ def _split_moments(dataset: MetaDataset):
     effect, keeps S2 - S1^2 / S0 from cancelling when the effects sit far
     from zero; being shared by all splits, it leaves Q_S exact in theory.
     The two-term sums add in numpy's order, (0.0 + a) + b."""
-    c = float(np.mean([study.estimate.y for study in dataset.studies]))
+    c = float(np.mean([study.y for study in dataset.studies]))
     moments = []
     for study in dataset.studies:
         rows = []

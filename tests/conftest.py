@@ -6,7 +6,6 @@ from click.testing import CliRunner
 from fewmeta.data import (
     MetaDataset,
     Study,
-    StudyEstimate,
     SubgroupArm,
     SubgroupSplit,
     load_csv,
@@ -60,7 +59,6 @@ def make_dataset(study_specs, selected=None):
     """study_specs: list of (y, se, [splits]); selected: index list or None."""
     studies = []
     for i, (y, se, splits) in enumerate(study_specs):
-        est = StudyEstimate(f"s{i + 1}", float(y), float(se))
         sel = None if selected is None else selected[i]
-        studies.append(Study(est, tuple(splits), sel))
+        studies.append(Study(f"s{i + 1}", float(y), float(se), tuple(splits), sel))
     return MetaDataset(tuple(studies))

@@ -8,7 +8,6 @@ from fewmeta import data
 from fewmeta.data import (
     MetaDataset,
     Study,
-    StudyEstimate,
     SubgroupArm,
     SubgroupSplit,
     ValidationError,
@@ -43,8 +42,8 @@ def test_arm_validation():
         SubgroupArm(y=0.0, se=0.0, n=5)
     with pytest.raises(ValidationError):
         SubgroupArm(y=0.0, se=1.0, n=0)
-    with pytest.raises(ValidationError):
-        StudyEstimate("s", float("nan"), 1.0)
+    with pytest.raises(ValidationError, match="study 's': effect must be finite"):
+        Study("s", float("nan"), 1.0)
 
 
 def test_aggregate_identical_arms():
@@ -193,8 +192,8 @@ def test_study_estimate_derived_from_split():
               ("s2", "", "study", "", "", "0.3", "0.4", ""),
               ("s1", "", "subgroup", "sex", "1", "1.0", "1.0", "5"),
               ("s1", "", "subgroup", "sex", "2", "1.0", "1.0", "5")))
-    assert ds.studies[0].estimate.y == pytest.approx(1.0)
-    assert ds.studies[0].estimate.se == pytest.approx(math.sqrt(0.5))
+    assert ds.studies[0].y == pytest.approx(1.0)
+    assert ds.studies[0].se == pytest.approx(math.sqrt(0.5))
 
 
 def test_each_csv_effect_is_checked_once(monkeypatch):

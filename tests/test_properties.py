@@ -155,7 +155,7 @@ def test_global_at_least_local_randomized():
 def _arms_reversed(dataset):
     """The dataset with the two arms of every split in reverse order."""
     return MetaDataset(tuple(
-        Study(study.estimate,
+        Study(study.study_id, study.y, study.se,
               tuple(SubgroupSplit(split.split_name, split.arms[::-1], split.p_interaction)
                     for split in study.splits),
               study.selected)

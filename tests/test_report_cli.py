@@ -502,6 +502,47 @@ def test_cli_simulate_rejects_one_file_for_out_and_summary(tmp_path, monkeypatch
     assert sorted(os.listdir(tmp_path)) == (["link"] if alias == "via-symlink" else [])
 
 
+_SAME_FILE_CASES = {
+    # command: (its input file, that file's content, its arguments with the
+    # input and the output path left to fill in, the two names in the error)
+    "analyze": ("d.csv", "respire14", ["analyze", "{input}", "--json", "{output}"],
+                "DATA_PATH and --json"),
+    "select": ("e.csv", "sglt2", ["select", "{input}", "--histogram", "{output}"],
+               "DATA_PATH and --histogram"),
+    "simulate": ("c.txt", b"k=2\ntau=0\ndelta=0\nsigma_delta=0\nprev=1/2\nreps=20\nseed=3\n",
+                 ["simulate", "--config", "{input}", "--out", "{output}"], "--config and --out"),
+}
+
+
+@pytest.mark.parametrize("alias", ["same-text", "via-symlink"])
+@pytest.mark.parametrize("command", sorted(_SAME_FILE_CASES))
+def test_cli_rejects_an_output_that_is_its_own_input(tmp_path, monkeypatch, command, alias):
+    # analyze and select would replace the dataset, simulate its config file
+    ran = []
+    for reader in ("load_csv", "run_scenarios"):
+        monkeypatch.setattr(f"fewmeta.cli.{reader}", lambda *args, **kw: ran.append(args))
+    name, content, args, names = _SAME_FILE_CASES[command]
+    source = tmp_path / name
+    if isinstance(content, str):
+        with open(dataset_path(content), "rb") as fh:
+            content = fh.read()
+    source.write_bytes(content)
+    output = source
+    if alias == "via-symlink":
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        output = tmp_path / "link" / name
+    args = [a.format(input=source, output=output) for a in args]
+    result = cli_runner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "validation",
+        "message": f"{names} name the same file, {str(source)!r}",
+    }
+    assert ran == [] and result.stdout == ""
+    assert source.read_bytes() == content
+    assert sorted(os.listdir(tmp_path)) == sorted([name] + (["link"] if alias == "via-symlink" else []))
+
+
 @pytest.mark.parametrize("cfg, flags, env_seed, expected", [
     ("kk=2\n", [], None, "sim.cfg:LAST: expected setting=value"),
     ("jobs=2\n", [], None, "sim.cfg:LAST: expected setting=value"),
@@ -734,6 +775,8 @@ def _respire14_with(row, column, value):
         (2, "n", "0.5", "RESPIRE-1/sex/arm1"),
         (0, "n", "abc", "RESPIRE-1"),
         (0, "n", "nan", "RESPIRE-1"),
+        (0, "n", "0", "RESPIRE-1"),
+        (0, "n", "4.7", "RESPIRE-1"),
         (2, "p_interaction", "abc", "RESPIRE-1/sex"),
         (2, "p_interaction", "nan", "RESPIRE-1/sex"),
         (2, "p_interaction", "-0.1", "RESPIRE-1/sex"),

@@ -13,7 +13,6 @@ from fewmeta.cli import main
 from fewmeta.data import (
     MetaDataset,
     Study,
-    StudyEstimate,
     SubgroupArm,
     SubgroupSplit,
     ValidationError,
@@ -44,7 +43,7 @@ def test_within_study_q_hand_case():
 def _numpy_split_statistics(dataset):
     """Per split, within_study_q and the Q_S moments as numpy sums over the
     two arms: the formulation the plain-float statistics reproduce."""
-    c = np.mean([study.estimate.y for study in dataset.studies])
+    c = np.mean([study.y for study in dataset.studies])
     out = []
     for study in dataset.studies:
         for split in study.splits:
@@ -223,7 +222,6 @@ def _affine(dataset, shift, scale):
     se to scale * se."""
     studies = []
     for study in dataset.studies:
-        est = study.estimate
         splits = tuple(
             SubgroupSplit(
                 split.split_name,
@@ -235,8 +233,8 @@ def _affine(dataset, shift, scale):
             )
             for split in study.splits
         )
-        moved = StudyEstimate(est.study_id, scale * est.y + shift, scale * est.se, est.n)
-        studies.append(Study(moved, splits, study.selected))
+        studies.append(Study(study.study_id, scale * study.y + shift, scale * study.se,
+                             splits, study.selected))
     return MetaDataset(tuple(studies))
 
 
