@@ -46,7 +46,6 @@ from .simulation import (
     variance_ordering,
 )
 
-EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_CHECK_FAILED = 4
@@ -71,8 +70,32 @@ def _fail(code: int, kind: str, message: str):
     sys.exit(code)
 
 
-class _Commands(click.Group):
+def _show_help(ctx, param, value):
+    """--help, as click's own option prints it, but through _write."""
+    if value and not ctx.resilient_parsing:
+        _write(ctx.get_help() + "\n")
+        ctx.exit()
+
+
+class _HelpThroughWrite:
+    """A --help option that prints through _write. click's own echoes to its
+    cached default stdout, which keeps an in-process caller's stream alive."""
+
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Command(_HelpThroughWrite, click.Command):
+    pass
+
+
+class _Commands(_HelpThroughWrite, click.Group):
     """The exit-code boundary of every command."""
+
+    command_class = _Command
 
     def invoke(self, ctx):
         try:

@@ -1,7 +1,9 @@
 """Domain records and dataset construction for subgroup-informed meta-analysis.
 
 A study is one record, Study(study_id, y, se, splits, selected), and each of
-its candidate splits a SubgroupSplit of two SubgroupArm(y, se, n).
+its candidate splits a SubgroupSplit of two SubgroupArm(y, se, n). A
+MetaDataset holds at least two studies, the precondition of every analysis:
+it refuses fewer when built, so no analysis checks k again.
 
 All effects live on the linear-predictor scale (e.g. log hazard ratios);
 exponentiation to ratio scales is presentation-only and happens in the
@@ -127,7 +129,7 @@ class Study:
 
 @dataclass(frozen=True)
 class MetaDataset:
-    """k studies, each with an estimate and zero or more candidate splits."""
+    """k >= 2 studies, each with an estimate and zero or more candidate splits."""
 
     studies: tuple
 
@@ -135,14 +137,12 @@ class MetaDataset:
         ids = [s.study_id for s in self.studies]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate study_id")
+        if len(ids) < 2:
+            raise ValidationError("analysis requires at least 2 studies")
 
     @property
     def k(self) -> int:
         return len(self.studies)
-
-    def require_k2(self):
-        if self.k < 2:
-            raise ValidationError("analysis requires at least 2 studies")
 
     @property
     def has_splits(self) -> bool:
@@ -253,8 +253,7 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
     blank, in which case the study estimate is derived by aggregating the
     first listed split; one of the two without the other is an error.
     """
-    study_rows = {}
-    order = []
+    study_rows = {}  # study_id -> row, in file order
     subgroup_rows = {}  # study_id -> split name -> arm -> row
 
     for row in rows:
@@ -266,7 +265,6 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
             if sid in study_rows:
                 raise ValidationError(f"duplicate study row for {sid!r}")
             study_rows[sid] = row
-            order.append(sid)
         elif level == "subgroup":
             split = (row.get("split") or "").strip()
             if not split:
@@ -289,8 +287,7 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
             raise ValidationError(f"orphan subgroup row: unknown study_id {sid!r}")
 
     studies = []
-    for sid in order:
-        row = study_rows[sid]
+    for sid, row in study_rows.items():
         splits = []
         for name, arm_rows in sorted(subgroup_rows.get(sid, {}).items()):
             arms = []
@@ -320,6 +317,8 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
         if blank[0] != blank[1]:
             raise ValidationError(f"{sid}: y and se must be given together, or both left "
                                   f"blank to derive the study row (got y={y_raw!r}, se={se_raw!r})")
+        if row.get("n") not in (None, ""):
+            _parse_count(row["n"], sid)  # checked, not kept: nothing reads a study's n
         if blank[0]:
             if not splits:
                 raise ValidationError(
@@ -327,14 +326,10 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
                 )
             y, se = splits[0].agg_y, splits[0].agg_se
         else:
-            if row.get("n") not in (None, ""):
-                _parse_count(row["n"], sid)  # checked, not kept: nothing reads a study's n
             y, se = _parse_float(y_raw, sid), _parse_float(se_raw, sid)
         studies.append(_built(f"{sid}: ", Study, sid, y, se, tuple(splits)))
 
-    dataset = MetaDataset(tuple(studies))
-    dataset.require_k2()
-    return dataset
+    return MetaDataset(tuple(studies))
 
 
 def load_csv(path) -> MetaDataset:

@@ -124,7 +124,7 @@ def _re_weights(se, tau2):
     return 1.0 / (se ** 2 + (tau2[..., None] if tau2.ndim else tau2))
 
 
-def _require_k2(k, name):
+def _require_two_studies(k, name):
     if k < 2:
         raise ValidationError(f"{name}: at least 2 studies required")
 
@@ -185,7 +185,7 @@ def cochran_q(y, se):
 def dl_raw(y, se):
     """Untruncated study-level moment estimate of tau^2."""
     y, se = np.asarray(y, dtype=float), np.asarray(se, dtype=float)
-    _require_k2(y.shape[-1], "tau2_dl")
+    _require_two_studies(y.shape[-1], "tau2_dl")
     study = _pool(y, se ** -2.0)
     return _dl(y, study, _sum(study.w ** 2))
 
@@ -240,7 +240,7 @@ def qs_raw(y_sub, se_sub):
 
 def dls_raw(y_sub, se_sub):
     """Untruncated moment estimate of tau^2 from subgroup-level data."""
-    _require_k2(np.shape(y_sub)[-2], "tau2_dls")
+    _require_two_studies(np.shape(y_sub)[-2], "tau2_dls")
     arms = _arm_pool(y_sub, se_sub)
     return _dls(arms, _sum(arms.w ** 2, (-2, -1)))
 

@@ -13,6 +13,9 @@ replicate axis (dataset_kernel), whose 0-d results run_all_methods and the
 report read. Studies, random effects and arms are each pooled once per
 batch; hksj_scale, zh_variance and variance_hcs call the same pieces. The
 first two reject a zero weight (se = inf); in the kernel, DL rejects it.
+
+t_quantile and normal_quantile share one front end, _quantile: the p check,
+0 at p = 0.5 and the symmetry below it. Each caches only its upper quantile.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .estimators import (
     _dls,
     _pool,
     _re_weights,
-    _require_k2,
+    _require_two_studies,
     _shrinkage_a,
     _sum,
     study_arrays,
@@ -77,10 +80,6 @@ class IntervalResult:
     level: float
     tau2: float = 0.0
     fallback: bool = False
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +160,16 @@ def student_t_cdf(t: float, df: float) -> float:
     return 1.0 - tail if t >= 0 else tail
 
 
+def _quantile(name, p, upper, *args):
+    """The quantile at p of a distribution symmetric about 0, from upper(*args,
+    q), its quantile at q > 0.5; `name` is the caller, named in the p check."""
+    if not (0.0 < p < 1.0):
+        raise ValidationError(f"{name}: p must be in (0, 1)")
+    if p == 0.5:
+        return 0.0
+    return upper(*args, p) if p > 0.5 else -upper(*args, 1.0 - p)
+
+
 def t_quantile(df: int, p: float) -> float:
     """Quantile of the central Student-t distribution.
 
@@ -171,13 +180,7 @@ def t_quantile(df: int, p: float) -> float:
     """
     if df < 1:
         raise ValidationError("t_quantile: df must be >= 1")
-    if not (0.0 < p < 1.0):
-        raise ValidationError("t_quantile: p must be in (0, 1)")
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -t_quantile(df, 1.0 - p)
-    return _t_upper_quantile(df, p)
+    return _quantile("t_quantile", p, _t_upper_quantile, df)
 
 
 @functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
@@ -189,13 +192,7 @@ def _t_upper_quantile(df, p):
 def normal_quantile(p: float) -> float:
     """Standard normal quantile, by bisection on the erfc-based upper tail;
     each distinct p > 0.5 is computed once per process."""
-    if not (0.0 < p < 1.0):
-        raise ValidationError("normal_quantile: p must be in (0, 1)")
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -normal_quantile(1.0 - p)
-    return _normal_upper_quantile(p)
+    return _quantile("normal_quantile", p, _normal_upper_quantile)
 
 
 @functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
@@ -237,7 +234,7 @@ def hksj_scale(y, se, tau2):
     q = sum w_i (y_i - mu_RE)^2 / (k - 1).
     """
     k = np.shape(y)[-1]
-    _require_k2(k, "hksj_scale")
+    _require_two_studies(k, "hksj_scale")
     re = _positive_re_pool(y, se, tau2, "hksj_scale")
     return re.mu, 1.0 / re.sw, re.q() / (k - 1)
 
@@ -352,7 +349,7 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2, *,
     from the same weights).
     """
     k = y.shape[-1]
-    _require_k2(k, "meta_kernel")
+    _require_two_studies(k, "meta_kernel")
     failed = {}
 
     def attempt(name, fn, *args):
@@ -428,7 +425,6 @@ def dataset_kernel(dataset: MetaDataset, config: CIMethodConfig = CIMethodConfig
     fallback). With no replicate axis the kernel's study and arm sums are
     numpy scalars, which cost less to add than one-element arrays; the
     values are those of the same rows in a batch, bit for bit."""
-    dataset.require_k2()
     y, se = study_arrays(dataset)
     arms = subgroup_arrays(dataset)[:2] if dataset.fully_selected else ()
     return meta_kernel(y, se, *arms, level=config.level, c=config.zh_penalty_c)

@@ -67,7 +67,6 @@ def _split_counts(dataset: MetaDataset) -> list:
 
 
 def _require_candidates(dataset: MetaDataset):
-    dataset.require_k2()
     for study in dataset.studies:
         if not study.splits:
             raise ValidationError(

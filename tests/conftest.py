@@ -32,6 +32,14 @@ def dataset_path(name):
     return os.path.join(DATASET_DIR, name + ".csv")
 
 
+# sglt2 with a p_interaction on each split's arm-1 row, made up for the tests:
+# the two-sided z-test p of the arms' difference, to two decimals, except
+# CREDENCE's and VERTIS-CV's heart_failure at 0.9, so that the pvalue choice
+# differs from the local one in those two studies.
+PVALUE_DATASET = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "datasets", "sglt2_pvalue.csv")
+
+
 @pytest.fixture(scope="session")
 def respire14():
     return load_csv(dataset_path("respire14"))

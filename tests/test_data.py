@@ -186,6 +186,22 @@ def test_validate_too_few_studies():
         validate_dataset(_rows(("s1", "", "study", "", "", "0.1", "0.2", "")))
 
 
+def test_one_study_dataset_is_rejected_when_built():
+    with pytest.raises(ValidationError, match="^analysis requires at least 2 studies$"):
+        MetaDataset((Study("s1", 0.1, 0.2),))
+    with pytest.raises(ValidationError, match="^analysis requires at least 2 studies$"):
+        MetaDataset(())
+    # duplicate ids are reported first
+    with pytest.raises(ValidationError, match="^duplicate study_id$"):
+        MetaDataset((Study("s1", 0.1, 0.2), Study("s1", 0.3, 0.4)))
+
+
+def test_study_rejects_duplicate_split_names():
+    split = make_split("sex", (0.1, -0.4), (0.5, 0.7))
+    with pytest.raises(ValidationError, match="^study 's': duplicate split names$"):
+        Study("s", 0.0, 1.0, (split, split))
+
+
 def test_study_estimate_derived_from_split():
     ds = validate_dataset(
         _rows(("s1", "", "study", "", "", "", "", ""),
@@ -228,5 +244,9 @@ def test_selection_application():
     sel = ds.with_selection([0, 0])
     assert sel.fully_selected
     assert sel.studies[0].selected_split.split_name == "sex"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^selection length must equal k$"):
         ds.with_selection([0])
+    with pytest.raises(ValidationError, match="^study 's2': selected split out of range$"):
+        ds.with_selection([0, 1])
+    with pytest.raises(ValidationError, match="^study 's1': selected split out of range$"):
+        ds.with_selection([-1, 0])

@@ -271,7 +271,6 @@ def test_ci_hcs_df_rule():
 def test_interval_contains_point_and_width():
     res = _study_rows(NORMAL, [0.0, 1.0], [0.5, 0.5])
     assert res.lower <= res.point <= res.upper
-    assert res.width == pytest.approx(res.upper - res.lower)
     assert res.point - res.lower == pytest.approx(res.upper - res.point, rel=1e-12)
 
 

@@ -1,5 +1,6 @@
 """Byte-stable outputs: the sha256 of every `analyze --json` report and its
-stdout for the three bundled datasets under each selection strategy, of a
+stdout for the three bundled datasets under each selection strategy, of the
+pvalue strategy's `analyze` and `select` outputs on a test dataset, of a
 `simulate --summary` JSON file and of the `validate` stdout. A faster path
 must write the same bytes, through CliRunner and to a real stdout alike."""
 
@@ -16,7 +17,7 @@ import pytest
 import fewmeta
 from fewmeta.cli import main
 
-from conftest import cli_runner, dataset_path
+from conftest import PVALUE_DATASET, cli_runner, dataset_path
 
 # (report.json, stdout) sha256 per (dataset, --select)
 ANALYZE_SHA256 = {
@@ -58,6 +59,14 @@ ANALYZE_SHA256 = {
     ),
 }
 
+# `analyze --select pvalue --json` (report.json, stdout) and `select
+# --strategy pvalue` stdout sha256 on conftest's PVALUE_DATASET
+PVALUE_ANALYZE_SHA256 = (
+    "253176b6f139733cce2b82357c1b92a0cfa0446bad54425b0dfd4e9b29ef48da",
+    "b09cae76e047905ea5fdff387734e1bd12299890296787ee71e75b1ca93176df",
+)
+PVALUE_SELECT_SHA256 = "7a36c88538d3e91bed55867f07d8207a106836f54e6ad4e4c6d1a719949955bf"
+
 SUMMARY_SHA256 = "26937b7c73411bf2f99318f4a03ba21f490042f9568d3367e3654a21cbf67e41"
 # numpy does not promise the same Generator streams across feature releases
 # (NEP 19), so the simulation digest holds for the numpy it was recorded under.
@@ -89,6 +98,19 @@ def test_analyze_outputs_are_pinned(tmp_path, name, strategy):
         assert (sha256(path.read_bytes()), sha256(result.output.encode())) == (
             ANALYZE_SHA256[name, strategy]
         ), data
+
+
+def test_pvalue_outputs_are_pinned(tmp_path):
+    path = tmp_path / "report.json"
+    result = cli_runner().invoke(
+        main, ["analyze", PVALUE_DATASET, "--select", "pvalue", "--json", str(path)]
+    )
+    assert result.exit_code == 0, result.output
+    assert (sha256(path.read_bytes()), sha256(result.output.encode())) == PVALUE_ANALYZE_SHA256
+    result = cli_runner().invoke(main, ["select", PVALUE_DATASET, "--strategy", "pvalue"])
+    assert result.exit_code == 0, result.output
+    assert "CREDENCE=HbA1c" in result.output  # local picks heart_failure
+    assert sha256(result.output.encode()) == PVALUE_SELECT_SHA256
 
 
 def _fewmeta_process(*args):

@@ -10,6 +10,7 @@ import stat
 import tracemalloc
 import weakref
 
+import click
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -297,6 +298,15 @@ def _run_in_process(args):
     return code, out.getvalue(), err.getvalue(), (weakref.ref(out), weakref.ref(err))
 
 
+def _click_help(*commands):
+    """What click's own --help option prints for `fewmeta <commands> --help`:
+    the context's help text and the newline click.echo adds."""
+    ctx = click.Context(main, info_name="fewmeta")
+    for name in commands:
+        ctx = click.Context(main.commands[name], info_name=name, parent=ctx)
+    return ctx.get_help() + "\n"
+
+
 def test_in_process_runs_keep_no_stream(tmp_path):
     # click.echo without file= caches the streams it writes to, keeping each
     # one alive: a caller that redirects stdout on every run would grow
@@ -311,12 +321,16 @@ def test_in_process_runs_keep_no_stream(tmp_path):
         (["analyze", str(bad)], 2),
         (SMALL_SIMULATION + ["--out", str(tmp_path / "m.csv")], 0),
         (["validate"], 0),
+        (["--help"], 0),
+        (["analyze", "--help"], 0),
     ]
     streams = []
     for run, (args, expected) in enumerate(runs):
         code, out, err, refs = _run_in_process(args)
         assert code == expected, (args, err)
         assert out if code == 0 else json.loads(err)["error"]  # the streams were written
+        if args[-1] == "--help":
+            assert out == _click_help(*args[:-1])
         streams += [(run, args[0], name, ref) for name, ref in zip(("stdout", "stderr"), refs)]
     gc.collect()
     assert [(run, command, name) for run, command, name, ref in streams if ref() is not None] == []
@@ -749,15 +763,16 @@ def test_cli_in_range_extremes_end_without_warnings(text, strategy):
     assert result.exit_code in (0, 2), result.output
 
 
-def _respire14_with(row, column, value):
+def _respire14_with(row, column, value, **others):
     """respire14.csv as text, with one field of data row `row` (0-based)
-    replaced; a p_interaction column is added when it is the one set."""
+    replaced, and the `others` of that row too; a p_interaction column is
+    added when it is the one set."""
     with open(dataset_path("respire14"), encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         fields, rows = list(reader.fieldnames), list(reader)
     if column not in fields:
         fields.append(column)
-    rows[row][column] = value
+    rows[row].update(others, **{column: value})
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fields)
     writer.writeheader()
@@ -781,11 +796,15 @@ def _respire14_with(row, column, value):
         (2, "p_interaction", "nan", "RESPIRE-1/sex"),
         (2, "p_interaction", "-0.1", "RESPIRE-1/sex"),
         (2, "p_interaction", "1.5", "RESPIRE-1/sex"),
+        # y and se blank: the study row is derived from its first split
+        pytest.param((0, {"y": "", "se": ""}), "n", "abc", "RESPIRE-1", id="derived-n-abc"),
+        pytest.param((0, {"y": "", "se": ""}), "n", "0", "RESPIRE-1", id="derived-n-0"),
     ],
 )
 def test_cli_malformed_numbers_are_validation_errors(tmp_path, row, column, value, where):
+    row, others = row if isinstance(row, tuple) else (row, {})
     path = tmp_path / "malformed.csv"
-    path.write_text(_respire14_with(row, column, value), encoding="utf-8")
+    path.write_text(_respire14_with(row, column, value, **others), encoding="utf-8")
     result = cli_runner().invoke(main, ["analyze", str(path)])
     assert result.exit_code == 2, result.output
     error = json.loads(result.stderr)
@@ -812,6 +831,30 @@ def test_cli_out_of_range_effects_name_the_row(tmp_path, row, column, value, whe
     error = json.loads(result.stderr)
     assert error["error"] == "validation"
     assert error["message"].startswith(where + ":")
+
+
+_HEADER = "study_id,label,level,split,arm,y,se,n\n"
+_S2 = "s2,,study,,,0.3,0.4,\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (",,study,,,0.1,0.2,\n" + _S2, "row with empty study_id"),
+        ("s1,,study,,,0.1,0.2,\ns1,,study,,,0.1,0.2,\n" + _S2, "duplicate study row for 's1'"),
+        ("s1,,study,,,0.1,0.2,\ns1,,subgroup,,1,0.0,1.0,5\n" + _S2,
+         "subgroup row for 's1' without split name"),
+        ("s1,,study,,,,,\n" + _S2, "study 's1': no estimate supplied and no splits to derive one"),
+        (_S2, "analysis requires at least 2 studies"),
+    ],
+    ids=["empty-study-id", "duplicate-study-row", "no-split-name", "no-estimate", "one-study"],
+)
+def test_cli_dataset_structure_errors(tmp_path, rows, message):
+    path = tmp_path / "structure.csv"
+    path.write_text(_HEADER + rows, encoding="utf-8")
+    result = cli_runner().invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {"error": "validation", "message": message}
 
 
 @pytest.mark.parametrize("column", ["y", "se"])

@@ -185,6 +185,7 @@ def test_pvalue_strategy():
     ds = make_dataset([(0.0, 0.7, [a, b]), (0.0, 0.7, [b, a])])
     res = select_pvalue(ds)
     assert res.choices == (1, 0)
+    assert select(ds, "pvalue") == res
 
     missing = make_split("c", (0.0, 0.0), (1.0, 1.0))
     ds2 = make_dataset([(0.0, 0.7, [missing]), (0.0, 0.7, [missing])])
@@ -197,7 +198,7 @@ def test_select_dispatch_and_errors():
     ds = make_dataset([(0.0, 0.7, [split]), (0.1, 0.7, [split])])
     assert select(ds, "local").strategy == "local"
     assert select(ds, "global").strategy == "global"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="unknown selection strategy 'bogus'"):
         select(ds, "bogus")
     no_splits = make_dataset([(0.0, 0.7, []), (0.1, 0.7, [])])
     with pytest.raises(ValidationError, match="no candidate"):

@@ -45,6 +45,11 @@ def test_scenario_validation():
         _scenario(p=0.0)
     with pytest.raises(ValidationError):
         _scenario(n_reps=0)
+    with pytest.raises(ValidationError, match="sigma_u must be > 0"):
+        _scenario(sigma_u=0.0)
+    with pytest.raises(ValidationError, match="sizes_sdlog must be >= 0"):
+        _scenario(sizes_sdlog=-1.0)
+    _scenario(sizes_sdlog=0.0)  # equal study sizes are allowed
 
 
 def test_scenario_replicates_are_capped():
@@ -286,6 +291,17 @@ def test_metrics_output(tmp_path):
 
     parsed = json.loads(payload)
     assert parsed[0]["scenario"]["k"] == 2
+
+
+def test_run_scenario_raises_the_kernel_error(monkeypatch):
+    def failing_kernel(*args, **kwargs):
+        result = meta_kernel(*args, **kwargs)
+        return dataclasses.replace(result, errors={"ZH": "zh_variance: failed",
+                                                   "HKSJ": "hksj_scale: failed"})
+
+    monkeypatch.setattr(simulation, "meta_kernel", failing_kernel)
+    with pytest.raises(ValidationError, match="^zh_variance: failed$"):  # the first error
+        run_scenario(_scenario(n_reps=20))
 
 
 def test_write_metrics_csv_keeps_target_on_failure(tmp_path, monkeypatch):
