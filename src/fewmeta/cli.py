@@ -97,6 +97,15 @@ class _Commands(_HelpThroughWrite, click.Group):
 
     command_class = _Command
 
+    def parse_args(self, ctx, args):
+        """A bare `fewmeta` prints the help to stderr and exits 2, as click 8.4
+        does (click 8.0 printed it to stdout and exited 0), but through _write:
+        click's NoArgsIsHelpError echoes to its cached default stderr."""
+        if not args and self.no_args_is_help and not ctx.resilient_parsing:
+            _write(ctx.get_help() + "\n", err=True)
+            ctx.exit(2)
+        return super().parse_args(ctx, args)
+
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)

@@ -107,7 +107,7 @@ class _Pool(NamedTuple):
     def moment_tau2(self, sw2, df, name):
         """Untruncated moment estimate (Q - df) / (sw - sw2 / sw), sw2 = sum w^2."""
         denom = self.sw - sw2 / self.sw
-        if np.any(denom <= 0):
+        if (denom <= 0).any():
             raise ValidationError(f"{name}: degenerate weight configuration")
         return (self.q() - df) / denom
 
@@ -132,7 +132,7 @@ def _require_two_studies(k, name):
 def _check_ce_weights(y, w):
     if y.shape[-1] == 0:
         raise ValidationError("mu_ce: empty input")
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise ValidationError("mu_ce: weights must be positive")
 
 
@@ -155,10 +155,10 @@ def _shrinkage_a(w, sw, sw2):
     outweigh all others by more than double precision resolves, and is then
     rejected like a nonpositive denominator, as DLS_ADJ divides by it."""
     denom = np.square(sw) - sw2
-    if np.any(denom <= 0):
+    if (denom <= 0).any():
         raise ValidationError("shrinkage terms: degenerate weight configuration")
     a = 1.0 - 2.0 * _sum(w[..., 0] * w[..., 1]) / denom
-    if np.any(a <= 0):
+    if (a <= 0).any():
         raise ValidationError("shrinkage terms: degenerate weight configuration")
     return a, denom
 

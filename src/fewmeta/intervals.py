@@ -248,7 +248,7 @@ def zh_variance(y, se, tau2, c=2):
 def _positive_re_pool(y, se, tau2, name):
     """Random-effects pooling that rejects a zero weight (se = inf) first."""
     w = _re_weights(se, tau2)
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise ValidationError(f"{name}: weights must be positive")
     return _pool(np.asarray(y, dtype=float), w)
 
@@ -268,9 +268,9 @@ def variance_hcs(tau2, w):
 
 def _variance_hcs(tau2, w, sw, sw2):
     """variance_hcs, given sum w (sw) and sum w^2 (sw2)."""
-    if np.any(tau2 < 0):
+    if (tau2 < 0).any():
         raise ValidationError("variance_hcs: tau2 must be >= 0")
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise ValidationError("variance_hcs: weights must be positive")
     return (tau2 * sw2 + sw) / np.square(sw)
 

@@ -13,6 +13,11 @@ records are built from simulated data. One call of the kernel
 a scenario's replicates, the same code that analyses one dataset, and each
 metric is aggregated for all methods in one call. The arm weights are
 computed once per scenario and shared by the study rows and the kernel.
+The aggregation takes numpy's direct paths with the bits of its wrappers:
+median lengths from one partition rank (_finite_median); the mean bias and
+its Monte Carlo SE from one np.add.reduce, then np.mean's and np.std's own
+steps (divide by n; subtract, square, sum, divide by n - 1, square root);
+counts as np.add.reduce over booleans, np.count_nonzero's int64 values.
 `fewmeta validate`'s Monte Carlo checks live here too: the expectation
 oracle and the variance ordering, the latter in one kernel call.
 Scenarios are embarrassingly parallel and each derives its own RNG stream
@@ -160,7 +165,7 @@ def draw_study_sizes(k, rng, meanlog=DEFAULT_SIZES_MEANLOG, sdlog=DEFAULT_SIZES_
     shape = (k,) if size is None else tuple(size) + (k,)
     draws = rng.lognormal(mean=meanlog, sigma=sdlog, size=shape)
     n = np.maximum(12, 12 * np.round(draws / 12.0))
-    if not np.all(n < 2.0 ** 63):  # an int64 value exists; false on NaN too
+    if not (n < 2.0 ** 63).all():  # an int64 value exists; false on NaN too
         raise ValidationError(
             f"draw_study_sizes: a study size drawn with meanlog={meanlog!r}, "
             f"sdlog={sdlog!r} is not finite or exceeds the int64 range"
@@ -234,11 +239,21 @@ def scenario_grid(k=None, tau=None, delta=None, sigma_delta=None, p=None, **sett
 
 
 def _finite_median(x):
-    """np.median(x, axis=-1) of an all-finite x, bit for bit: its partition
-    at the middle ranks and its mean of them, without its NaN pass."""
+    """np.median(x, axis=-1) of an all-finite x, bit for bit, from one
+    partition rank instead of np.median's two (and its NaN rank and pass).
+
+    x is partitioned at hi = n // 2 only. For even n, the lower middle value,
+    rank lo = hi - 1, is the largest of the values below rank hi, and is
+    written into slot lo; np.median's partition at [lo, hi] puts the same
+    two values in the same two slots, so np.mean of slots lo..hi returns
+    its bits. Equal values have equal bits, except +0.0 and -0.0, and a
+    mean of zeros is +0.0 either way (the sum starts from +0.0)."""
     n = x.shape[-1]
-    mid = [(n - 1) // 2, n // 2]
-    return np.mean(np.partition(x, mid, axis=-1)[..., mid[0]:mid[1] + 1], axis=-1)
+    lo, hi = (n - 1) // 2, n // 2
+    part = np.partition(x, hi, axis=-1)
+    if lo < hi:
+        part[..., lo] = part[..., :hi].max(axis=-1)
+    return np.mean(part[..., lo:hi + 1], axis=-1)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioMetrics:
@@ -259,20 +274,28 @@ def run_scenario(scenario: Scenario) -> ScenarioMetrics:
 
     t2 = np.array([result.tau2[method] for method in TAU2_METHODS])
     bias = np.sqrt(t2) - scenario.tau
-    bias_se = np.std(bias, axis=-1, ddof=1) / np.sqrt(n_reps) if n_reps > 1 else np.zeros(len(t2))
-    means, zeros = np.mean(bias, axis=-1), np.count_nonzero(t2 == 0.0, axis=-1)
+    mean = np.add.reduce(bias, axis=-1, keepdims=True) / n_reps  # np.mean's steps
+    if n_reps > 1:  # np.std(bias, axis=-1, ddof=1)'s steps, from the same sum
+        dev = bias - mean
+        dev *= dev
+        bias_se = np.sqrt(np.add.reduce(dev, axis=-1) / (n_reps - 1)) / np.sqrt(n_reps)
+    else:
+        bias_se = np.zeros(len(t2))
+    zeros = np.add.reduce(t2 == 0.0, axis=-1)
     tau_metrics = {
         method: {"bias": b, "bias_mc_se": se, "zero_proportion": z / n_reps, "zero_count": z}
-        for method, b, se, z in zip(TAU2_METHODS, means.tolist(), bias_se.tolist(), zeros.tolist())
+        for method, b, se, z in zip(
+            TAU2_METHODS, mean[:, 0].tolist(), bias_se.tolist(), zeros.tolist()
+        )
     }
 
     lower = np.array([result.intervals[method].lower for method in CI_METHODS])
     upper = np.array([result.intervals[method].upper for method in CI_METHODS])
     ok = np.isfinite(lower) & np.isfinite(upper)
     covered = ok & (lower <= scenario.mu) & (scenario.mu <= upper)
-    coverage = np.count_nonzero(covered, axis=-1) / n_reps
+    coverage = np.add.reduce(covered, axis=-1) / n_reps
     coverage_se = np.sqrt(coverage * (1.0 - coverage) / n_reps)
-    failures = n_reps - np.count_nonzero(ok, axis=-1)
+    failures = n_reps - np.add.reduce(ok, axis=-1)
     lengths = upper - lower
     if ok.all():  # one median call serves every method
         median_length = _finite_median(lengths).tolist()

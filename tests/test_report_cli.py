@@ -285,13 +285,14 @@ def test_cli_simulate_keeps_both_old_outputs_when_metrics_csv_fails(tmp_path, mo
     assert sorted(os.listdir(tmp_path)) == ["m.csv", "s.json"]
 
 
-def _run_in_process(args):
-    """`fewmeta <args>` in this process, with a fresh stdout and stderr:
-    (exit code, stdout text, stderr text, weak references to the streams)."""
+def _run_in_process(args, standalone=False):
+    """`fewmeta <args>` in this process, with a fresh stdout and stderr, in
+    click's standalone mode if asked: (exit code, stdout text, stderr text,
+    weak references to the streams)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            main.main(args=args, prog_name="fewmeta", standalone_mode=False)
+            main.main(args=args, prog_name="fewmeta", standalone_mode=standalone)
             code = 0
         except SystemExit as exc:
             code = exc.code
@@ -332,6 +333,16 @@ def test_in_process_runs_keep_no_stream(tmp_path):
         if args[-1] == "--help":
             assert out == _click_help(*args[:-1])
         streams += [(run, args[0], name, ref) for name, ref in zip(("stdout", "stderr"), refs)]
+    # in standalone mode click reports usage errors itself; a bare `fewmeta`
+    # prints the help to stderr and exits 2
+    for run, args in enumerate((["analyze", "--bogus"], []), len(runs)):
+        code, out, err, refs = _run_in_process(args, standalone=True)
+        assert (code, out) == (2, "")
+        if args:
+            assert err.startswith("Usage: fewmeta analyze")
+        else:
+            assert err == _click_help()
+        streams += [(run, "", name, ref) for name, ref in zip(("stdout", "stderr"), refs)]
     gc.collect()
     assert [(run, command, name) for run, command, name, ref in streams if ref() is not None] == []
 

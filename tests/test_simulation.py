@@ -75,12 +75,19 @@ def test_draw_study_sizes_rules():
     assert tiny[0] == 12
 
 
-@pytest.mark.parametrize("n_reps", [1, 2, 7, 1000, 1001])
+@pytest.mark.parametrize("n_reps", [1, 2, 3, 7, 1000, 1001])
 def test_finite_median_is_np_median(n_reps):
     rng = np.random.default_rng(n_reps)
     rows = np.concatenate([
         rng.lognormal(0.0, 1.0, (4, n_reps)),
         rng.integers(0, 3, (2, n_reps)).astype(float),  # ties at the middle
+        np.full((1, n_reps), 2.5),  # all equal
+        np.full((1, n_reps), -0.0),
+        rng.choice([-0.0, 0.0], (2, n_reps)),  # equal as values, not as bits
+        rng.choice([-1.0, -0.0, 0.0, 1.0], (2, n_reps)),
+        # many ties: in a few of these rows, a one-rank partition at n // 2
+        # leaves a value below the lower middle one in slot n // 2 - 1
+        rng.integers(0, 10, (500, n_reps)).astype(float),
     ])
     got = simulation._finite_median(rows)
     assert got.tobytes() == np.median(rows, axis=-1).tobytes()
