@@ -15,7 +15,6 @@ from .data import (
     load_csv,
 )
 from .intervals import (
-    CIMethodConfig,
     IntervalResult,
     run_all_methods,
     t_quantile,
@@ -33,7 +32,6 @@ __all__ = [
     "SubgroupSplit",
     "ValidationError",
     "load_csv",
-    "CIMethodConfig",
     "IntervalResult",
     "run_all_methods",
     "t_quantile",

@@ -26,7 +26,7 @@ from fractions import Fraction
 import click
 
 from .data import ValidationError, load_csv
-from .intervals import CIMethodConfig, t_quantile
+from .intervals import t_quantile
 from .report import build_report, render_text, report_to_json, write_atomic, write_files
 from .selection import (
     DEFAULT_MAX_COMBINATIONS,
@@ -226,21 +226,19 @@ def main():
     show_default=True,
     help="Subgroup split selection strategy.",
 )
-@click.option("--level", default=0.95, show_default=True, help="Confidence level.")
+@click.option("--level", default=0.95, show_default=True, help="Confidence level, in (0, 1).")
 @click.option("--exp", is_flag=True, help="Present results on the ratio scale.")
-@click.option("--zh-c", default=2, show_default=True, help="Leverage penalty exponent.")
 @click.option("--max-combos", default=DEFAULT_MAX_COMBINATIONS, show_default=True)
 @click.option("--json", "json_out", type=click.Path(dir_okay=False), help="Write the JSON report here.")
-def analyze(data_path, strategy, level, exp, zh_c, max_combos, json_out):
+def analyze(data_path, strategy, level, exp, max_combos, json_out):
     """Run all heterogeneity estimators and CI methods on a dataset."""
-    config = CIMethodConfig(level=level, zh_penalty_c=zh_c)
     _distinct(("DATA_PATH", data_path), ("--json", json_out))
     dataset = load_csv(data_path)
     sel = None
     if strategy != "none" and dataset.has_splits:
         sel = select_splits(dataset, strategy, max_combos)
         dataset = dataset.with_selection(sel.choices)
-    report = build_report(dataset, sel, config)
+    report = build_report(dataset, sel, level)
     if json_out:
         with _output(json_out):
             write_atomic(json_out, report_to_json(report))

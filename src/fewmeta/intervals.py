@@ -58,18 +58,6 @@ CI_METHODS = (NORMAL, HKSJ, MKH, ZH, HCS_MAX1, HCS_MAX2)
 
 
 @dataclass(frozen=True)
-class CIMethodConfig:
-    level: float = 0.95
-    zh_penalty_c: int = 2
-
-    def __post_init__(self):
-        if not (0.0 < self.level < 1.0):
-            raise ValidationError("confidence level must be in (0, 1)")
-        if self.zh_penalty_c < 0:
-            raise ValidationError("ZH penalty exponent must be >= 0")
-
-
-@dataclass(frozen=True)
 class IntervalResult:
     method: str
     point: float
@@ -239,10 +227,12 @@ def hksj_scale(y, se, tau2):
     return re.mu, 1.0 / re.sw, re.q() / (k - 1)
 
 
-def zh_variance(y, se, tau2, c=2):
-    """Leverage-penalized robust variance of the random-effects mean."""
+def zh_variance(y, se, tau2):
+    """Leverage-penalized robust variance of the random-effects mean: each
+    squared residual term carries the fixed penalty (1 - h_i)^-2 of its
+    leverage h_i."""
     re = _positive_re_pool(y, se, tau2, "zh_variance")
-    return re.mu, _zh_variance(re, c)
+    return re.mu, _zh_variance(re)
 
 
 def _positive_re_pool(y, se, tau2, name):
@@ -253,9 +243,9 @@ def _positive_re_pool(y, se, tau2, name):
     return _pool(np.asarray(y, dtype=float), w)
 
 
-def _zh_variance(re, c):
+def _zh_variance(re):
     leverage = re.w / re.sw[..., None]
-    terms = re.w ** 2 * re.dev2 * (1.0 - leverage) ** (-c)
+    terms = re.w ** 2 * re.dev2 * (1.0 - leverage) ** -2
     return _sum(terms) / np.square(re.sw)
 
 
@@ -331,12 +321,14 @@ class KernelResult:
         return results, errors
 
 
-def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2, *,
+def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, *,
                 arm_weights=None) -> KernelResult:
     """All five tau^2 estimates and all six intervals for R datasets at once.
 
     y, se: (R, k) study rows; y_sub, se_sub: (R, k, 2) arms of the selected
-    splits (one dataset: (k,) and (k, 2)); c: the ZH leverage exponent. DL feeds NORMAL, HKSJ, MKH and ZH.
+    splits (one dataset: (k,) and (k, 2)); level: the confidence level, in
+    (0, 1) with 0.5 + level / 2 below 1, checked here for every analysis
+    path after the study count. DL feeds NORMAL, HKSJ, MKH and ZH.
     MAX1 (MAX2) is the larger of DL and DLS (DLS_ADJ); it feeds the
     Henmi-Copas-type variance around the common-effect mean, and the side
     that wins sets the HCS degrees of freedom: k-1 for the study side, which
@@ -350,6 +342,9 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2, *,
     """
     k = y.shape[-1]
     _require_two_studies(k, "meta_kernel")
+    p_upper = 0.5 + level / 2.0
+    if not (level > 0.0 and p_upper < 1.0):  # false on NaN too
+        raise ValidationError("confidence level must be in (0, 1)")
     failed = {}
 
     def attempt(name, fn, *args):
@@ -365,7 +360,6 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2, *,
     tau2 = {DL: np.maximum(0.0, raw[DL])}
     needs = dict.fromkeys((DL,) + CI_METHODS, (DL,))
     wins = {}
-    p_upper = 0.5 + level / 2.0
     t_lo = t_quantile(k - 1, p_upper)
     df_lo = np.full(y.shape[:-1], k - 1)
     re = _pool(y, _re_weights(se, tau2[DL]))
@@ -380,7 +374,7 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2, *,
         NORMAL: interval(re.mu, var, None, normal_quantile(p_upper), tau2[DL]),
         HKSJ: interval(re.mu, q * var, df_lo, t_lo, tau2[DL]),
         MKH: interval(re.mu, np.maximum(1.0, q) * var, df_lo, t_lo, tau2[DL]),
-        ZH: interval(re.mu, _zh_variance(re, c), df_lo, t_lo, tau2[DL]),
+        ZH: interval(re.mu, _zh_variance(re), df_lo, t_lo, tau2[DL]),
     }
     if y_sub is None:
         _check_ce_weights(y, study.w)
@@ -419,21 +413,22 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, c=2, *,
 # one dataset: the kernel without a replicate axis
 # ---------------------------------------------------------------------------
 
-def dataset_kernel(dataset: MetaDataset, config: CIMethodConfig = CIMethodConfig()) -> KernelResult:
-    """The kernel on one dataset: its (k,) study rows, plus its (k, 2)
-    selected arms when every study has a selection (otherwise the HCS
-    fallback). With no replicate axis the kernel's study and arm sums are
-    numpy scalars, which cost less to add than one-element arrays; the
-    values are those of the same rows in a batch, bit for bit."""
+def dataset_kernel(dataset: MetaDataset, level: float = 0.95) -> KernelResult:
+    """The kernel on one dataset at confidence level `level` (checked by
+    meta_kernel): its (k,) study rows, plus its (k, 2) selected arms when
+    every study has a selection (otherwise the HCS fallback). With no
+    replicate axis the kernel's study and arm sums are numpy scalars, which
+    cost less to add than one-element arrays; the values are those of the
+    same rows in a batch, bit for bit."""
     y, se = study_arrays(dataset)
     arms = subgroup_arrays(dataset)[:2] if dataset.fully_selected else ()
-    return meta_kernel(y, se, *arms, level=config.level, c=config.zh_penalty_c)
+    return meta_kernel(y, se, *arms, level=level)
 
 
-def run_all_methods(dataset: MetaDataset, config: CIMethodConfig = CIMethodConfig()):
+def run_all_methods(dataset: MetaDataset, level: float = 0.95):
     """Run every interval method on a dataset.
 
     Returns (results, errors): results in a fixed deterministic order,
     errors keyed by method tag for any method that could not be computed.
     """
-    return dataset_kernel(dataset, config).interval_results()
+    return dataset_kernel(dataset, level).interval_results()

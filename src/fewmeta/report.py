@@ -28,7 +28,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .data import MetaDataset, ValidationError, canonical_json, consistency_gaps
 from .estimators import STUDY_SIDE, SUBGROUP_SIDE
-from .intervals import CIMethodConfig, dataset_kernel
+from .intervals import dataset_kernel
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -72,13 +72,14 @@ def _interval_entry(result) -> dict:
     }
 
 
-def build_report(dataset: MetaDataset, selection=None, config=CIMethodConfig()) -> dict:
-    """Assemble the full analysis report for a dataset.
+def build_report(dataset: MetaDataset, selection=None, level: float = 0.95) -> dict:
+    """Assemble the full analysis report for a dataset at confidence level
+    `level` (meta_kernel checks it).
 
     `selection` is an optional SelectionResult; when given, its choices
     must already be applied to the dataset (see MetaDataset.with_selection).
     """
-    result = dataset_kernel(dataset, config)
+    result = dataset_kernel(dataset, level)
     if result.errors:  # the first quantity that could not be computed
         raise ValidationError(next(iter(result.errors.values())))
     results, _ = result.interval_results()

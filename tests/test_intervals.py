@@ -7,7 +7,6 @@ import scipy.stats
 from fewmeta import intervals
 from fewmeta.data import ValidationError
 from fewmeta.intervals import (
-    CIMethodConfig,
     HCS_MAX1,
     HCS_MAX2,
     HKSJ,
@@ -15,6 +14,7 @@ from fewmeta.intervals import (
     NORMAL,
     ZH,
     hksj_scale,
+    meta_kernel,
     normal_quantile,
     regularized_incomplete_beta,
     run_all_methods,
@@ -210,9 +210,7 @@ def test_ci_mkh_matches_hksj_when_q_large():
 
 
 def test_zh_variance_hand_cases():
-    _, v0 = zh_variance([0.0, 1.0], [0.5, 0.5], 0.25, c=0)
-    assert v0 == pytest.approx(0.125)
-    _, v2 = zh_variance([0.0, 1.0], [0.5, 0.5], 0.25, c=2)
+    _, v2 = zh_variance([0.0, 1.0], [0.5, 0.5], 0.25)
     assert v2 == pytest.approx(0.5)
 
 
@@ -318,7 +316,19 @@ def test_respire28_inclusive_except_normal_hksj(respire28):
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        CIMethodConfig(level=1.2)
-    with pytest.raises(ValidationError):
-        CIMethodConfig(zh_penalty_c=-1)
+    with pytest.raises(ValidationError, match=r"^confidence level must be in \(0, 1\)$"):
+        meta_kernel(np.array([0.1, 0.3]), np.array([0.2, 0.4]), level=1.2)
+
+
+# 0.9999999999999999 lies inside (0, 1), but 0.5 + level / 2 rounds to 1.0
+@pytest.mark.parametrize("level", [0.0, -0.5, 1.0, 1.5, math.nan, 0.9999999999999999])
+def test_meta_kernel_rejects_a_level_outside_the_open_unit_range(level):
+    y, se = np.array([[0.1, 0.3, -0.2]]), np.array([[0.2, 0.4, 0.3]])
+    y_sub = y[..., None] + np.array([0.1, -0.1])
+    se_sub = np.full((1, 3, 2), 0.5)
+    for arms in ((), (y_sub, se_sub)):
+        with pytest.raises(ValidationError, match=r"^confidence level must be in \(0, 1\)$"):
+            meta_kernel(y, se, *arms, level=level)
+    # the study count is checked first, with its own message
+    with pytest.raises(ValidationError, match="^meta_kernel: at least 2 studies required$"):
+        meta_kernel(np.array([0.1]), np.array([0.2]), level=level)

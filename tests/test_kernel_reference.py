@@ -64,15 +64,16 @@ def _draws(k, n_reps, seed):
     return y, se, y_sub, se_sub, n_arm[..., 0] / np.sum(n_arm, axis=-1)
 
 
-def _compare(y, se, y_sub, se_sub, p, level=0.95, c=2):
-    """Kernel (with and without arms) and every public helper."""
+def _compare(y, se, y_sub, se_sub, p, level=0.95):
+    """Kernel (with and without arms) and every public helper; the
+    reference's ZH exponent keeps its default, c = 2."""
     _assert_same_kernel(
-        _outcome(meta_kernel, y, se, y_sub, se_sub, level=level, c=c),
-        _outcome(ref.meta_kernel, y, se, y_sub, se_sub, p, level, c),
+        _outcome(meta_kernel, y, se, y_sub, se_sub, level=level),
+        _outcome(ref.meta_kernel, y, se, y_sub, se_sub, p, level),
     )
     _assert_same_kernel(
-        _outcome(meta_kernel, y, se, level=level, c=c),
-        _outcome(ref.meta_kernel, y, se, level=level, c=c),
+        _outcome(meta_kernel, y, se, level=level),
+        _outcome(ref.meta_kernel, y, se, level=level),
     )
     tau2 = np.abs(y[..., 0]) * 0.3
     w = se ** -2.0
@@ -90,7 +91,7 @@ def _compare(y, se, y_sub, se_sub, p, level=0.95, c=2):
         (estimators.shrinkage_coefficients, ref.shrinkage_coefficients, (se_sub, p)),
         (estimators.dls_adj_raw, ref.dls_adj_raw, (y_sub, se_sub, p)),
         (intervals.hksj_scale, ref.hksj_scale, (y, se, tau2)),
-        (intervals.zh_variance, ref.zh_variance, (y, se, tau2, c)),
+        (intervals.zh_variance, ref.zh_variance, (y, se, tau2)),
         (intervals.variance_hcs, ref.variance_hcs, (tau2, w)),
     ):
         if zero_weight and new in rejects_zero_weight:
@@ -108,13 +109,13 @@ def test_kernel_matches_reference(k, n_reps):
 
 def test_kernel_matches_reference_other_levels_and_exponents():
     rng = np.random.default_rng(11)
-    for level, c in ((0.9, 0), (0.99, 3), (0.5, 1)):
+    for level in (0.9, 0.99, 0.5):
         k = int(rng.integers(2, 8))
         y = rng.normal(0.0, 2.0, (40, k))
         se = rng.uniform(0.05, 1.5, (40, k))
         y_sub = y[..., None] + rng.normal(0.0, 1.0, (40, k, 2))
         se_sub = rng.uniform(0.05, 2.0, (40, k, 2))
-        _compare(y, se, y_sub, se_sub, rng.uniform(0.2, 0.8, (40, k)), level, c)
+        _compare(y, se, y_sub, se_sub, rng.uniform(0.2, 0.8, (40, k)), level)
 
 
 def _degenerate(k, row, study_se=None, arm_se=None):

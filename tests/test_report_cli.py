@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fewmeta.cli import main, run_self_checks
 from fewmeta.data import ValidationError, load_csv
-from fewmeta.intervals import CIMethodConfig, run_all_methods
+from fewmeta.intervals import run_all_methods
 from fewmeta.report import (
     build_report,
     render_text,
@@ -655,6 +655,15 @@ def test_cli_simulate_does_not_report_a_plain_value_error_as_validation(tmp_path
     assert result.exit_code == 1 and "validation" not in result.stderr
 
 
+def test_cli_validate_exits_4_when_a_check_fails(monkeypatch):
+    monkeypatch.setattr("fewmeta.cli.run_self_checks",
+                        lambda seed: [("t_quantile(1, 0.975)", False, "got 0, reference 12.7")])
+    result = cli_runner().invoke(main, ["validate"])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == "[FAIL] t_quantile(1, 0.975): got 0, reference 12.7\n"
+    assert result.stderr == '{"error": "self-check", "message": "1 check(s) failed"}\n'
+
+
 def test_self_checks_pass():
     checks = run_self_checks(seed=0)
     failed = [(name, detail) for name, ok, detail in checks if not ok]
@@ -885,7 +894,37 @@ def test_cli_extreme_level_ends():
     result = cli_runner().invoke(
         main, ["analyze", dataset_path("respire14"), "--level", "0.9999999999"]
     )
-    assert result.exit_code in (0, 2), result.output
+    assert result.exit_code == 0, result.output
+
+
+# 0.9999999999999999 lies inside (0, 1), but 0.5 + level / 2 rounds to 1.0
+@pytest.mark.parametrize("level", ["0", "-0.5", "1", "1.5", "nan", "0.9999999999999999"])
+def test_cli_analyze_rejects_a_level_outside_the_open_unit_range(tmp_path, level):
+    out = tmp_path / "report.json"
+    result = cli_runner().invoke(
+        main, ["analyze", dataset_path("respire14"), f"--level={level}", "--json", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.stdout == "" and not out.exists()
+    assert json.loads(result.stderr) == {
+        "error": "validation", "message": "confidence level must be in (0, 1)"
+    }
+
+
+def test_cli_analyze_ratio_overflow_reads_inf(tmp_path):
+    # exp(800) overflows a double: the ratio scale shows inf, the JSON Infinity
+    data, out = tmp_path / "large.csv", tmp_path / "report.json"
+    data.write_text(_HEADER + "s1,,study,,,800,0.2,10\ns2,,study,,,801,0.3,10\n")
+    result = cli_runner().invoke(main, ["analyze", str(data), "--exp", "--json", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = [line.split() for line in result.stdout.splitlines()]
+    table = [row for row in rows if row and row[0] in ("NORMAL", "HKSJ", "ZH", "HCS_MAX1")]
+    assert len(table) == 4 and all(row[1:4] == ["inf"] * 3 for row in table)
+    text = out.read_text()
+    assert '"lower": Infinity' in text and '"upper": Infinity' in text
+    for entry in json.loads(text)["intervals"]:
+        assert entry["exp"] == {"point": math.inf, "lower": math.inf, "upper": math.inf}
+        assert math.isfinite(entry["point"])
 
 
 _JUNK = st.one_of(
