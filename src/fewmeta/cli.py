@@ -163,8 +163,6 @@ _SETTINGS = {
     "sigma_delta": ("sigma_delta", _values(_number), "Comma list of sigma_Delta values."),
     "prev": ("p", _values(_number), "Comma list of prevalences (fractions allowed)."),
     "seed": ("seed", int, "Base seed (fallback: FEWMETA_SEED)."),
-    "sizes_meanlog": ("sizes_meanlog", float, None),
-    "sizes_sdlog": ("sizes_sdlog", float, None),
 }
 
 
@@ -281,7 +279,7 @@ def select(data_path, strategy, histogram, max_combos):
 def _setting_options(command):
     """One option per row of _SETTINGS, each taking the setting's text."""
     for name, (_, parse, help_text) in reversed(_SETTINGS.items()):
-        metavar = {int: "INTEGER", float: "FLOAT"}.get(parse, "TEXT")
+        metavar = "INTEGER" if parse is int else "TEXT"
         command = click.option(f"--{name.replace('_', '-')}", name, metavar=metavar, help=help_text)(command)
     return command
 

@@ -174,14 +174,14 @@ def prevalence_of(split: SubgroupSplit) -> float:
     return n1 / (n1 + n2)
 
 
-def aggregate_study(split: SubgroupSplit, study_id: str = "aggregate") -> Study:
+def aggregate_study(split: SubgroupSplit) -> Study:
     """Combine the two arms of a split into a study-level estimate, without splits.
 
     The combined effect is the inverse-variance weighted mean of the arms
     and the combined weight is the sum of the arm weights, so that
     se = (s1^-2 + s2^-2)^-1/2.
     """
-    return Study(study_id, split.agg_y, split.agg_se)
+    return Study("aggregate", split.agg_y, split.agg_se)
 
 
 # relative disagreement between a reported study estimate and the value

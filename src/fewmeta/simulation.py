@@ -4,8 +4,11 @@ Data follow the three-level hierarchical model: study effects theta_i ~
 N(mu, tau^2), within-study interaction effects delta_i ~ N(Delta,
 sigma_Delta^2), subgroup means theta_{i,1} = theta_i - (1 - p) delta_i and
 theta_{i,2} = theta_i + p delta_i (so the prevalence-weighted average is
-theta_i exactly), and observations y_{i,j} ~ N(theta_{i,j}, s_{i,j}^2)
-with s_{i,j} = sigma_u / sqrt(n_{i,j}).
+theta_i exactly), and observations y_{i,j} ~ N(theta_{i,j}, s_{i,j}^2).
+A scenario sets k, tau, Delta, sigma_Delta and p (and n_reps and seed);
+the rest of the model is fixed: mu = 0, s_{i,j} = 4 / sqrt(n_{i,j}), and
+study sizes n_i drawn from lognormal(5, 1), rounded to a multiple of 12
+with a floor of 12, then split into two arms in proportion p.
 
 All replicate-level computation is vectorized, on arrays: no dataset
 records are built from simulated data. One call of the kernel
@@ -31,10 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import os
-from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -49,9 +51,9 @@ DELTA_GRID = (0.0, 0.1, 0.2, 0.5, 1.0)
 SIGMA_DELTA_GRID = (0.0, 0.1, 0.2, 0.5, 1.0)
 P_GRID = (1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0)
 
-DEFAULT_SIGMA_U = 4.0
-DEFAULT_SIZES_MEANLOG = 5.0
-DEFAULT_SIZES_SDLOG = 1.0
+# the fixed model: the true mean, s = SIGMA_U / sqrt(n), and the log-scale
+# mean and SD of the study sizes
+MU, SIGMA_U, SIZES_MEANLOG, SIZES_SDLOG = 0.0, 4.0, 5.0, 1.0
 DEFAULT_N_REPS = 1000
 
 # Upper bound on n_reps x k per scenario. A scenario draws every replicate at
@@ -65,37 +67,29 @@ MAX_REPLICATE_STUDIES = 2_500_000
 
 @dataclass(frozen=True)
 class Scenario:
-    """One point of the simulation design."""
+    """One point of the simulation design; mu is the fixed true mean MU."""
 
     k: int
     tau: float
     delta: float
     sigma_delta: float
     p: float
-    mu: float = 0.0
-    sigma_u: float = DEFAULT_SIGMA_U
     n_reps: int = DEFAULT_N_REPS
     seed: int = 0
-    sizes_meanlog: float = DEFAULT_SIZES_MEANLOG
-    sizes_sdlog: float = DEFAULT_SIZES_SDLOG
+    mu: ClassVar[float] = MU
 
     def __post_init__(self):
         if self.k < 2:
             raise ValidationError("scenario: k must be >= 2")
-        for name in ("mu", "tau", "delta", "sigma_delta"):
+        for name in ("tau", "delta", "sigma_delta"):
             if not abs(getattr(self, name)) <= MAX_ABS_EFFECT:
                 raise ValidationError(
                     f"scenario: {name} must be finite with |{name}| <= {MAX_ABS_EFFECT:g}"
                 )
-        for name in ("sigma_u", "sizes_meanlog", "sizes_sdlog"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"scenario: {name} must be finite")
         if self.tau < 0 or self.sigma_delta < 0:
             raise ValidationError("scenario: tau and sigma_delta must be >= 0")
         if not (0.0 < self.p < 1.0):
             raise ValidationError("scenario: p must be in (0, 1)")
-        if self.sigma_u <= 0:
-            raise ValidationError("scenario: sigma_u must be > 0")
         if self.n_reps < 1:
             raise ValidationError("scenario: n_reps must be >= 1")
         if self.n_reps * self.k > MAX_REPLICATE_STUDIES:
@@ -103,23 +97,15 @@ class Scenario:
                 f"scenario: n_reps x k = {self.n_reps} x {self.k} exceeds "
                 f"{MAX_REPLICATE_STUDIES} replicate-studies (about 1 GB)"
             )
-        if self.sizes_sdlog < 0:
-            raise ValidationError("scenario: sizes_sdlog must be >= 0")
 
     def key(self) -> str:
-        """Canonical content string; drives per-scenario RNG derivation."""
+        """Canonical content string; drives per-scenario RNG derivation. Its
+        order, the fixed model's values included, fixes every stream."""
         return "|".join(
             repr(v)
             for v in (
-                self.k,
-                self.mu,
-                self.tau,
-                self.delta,
-                self.sigma_delta,
-                self.p,
-                self.sigma_u,
-                self.sizes_meanlog,
-                self.sizes_sdlog,
+                self.k, MU, self.tau, self.delta, self.sigma_delta, self.p,
+                SIGMA_U, SIZES_MEANLOG, SIZES_SDLOG,
             )
         )
 
@@ -136,9 +122,12 @@ class ScenarioMetrics:
     """
 
     scenario: Scenario
-    n_reps: int
-    tau_metrics: dict = field(default_factory=dict)
-    ci_metrics: dict = field(default_factory=dict)
+    tau_metrics: dict
+    ci_metrics: dict
+
+    @property
+    def n_reps(self) -> int:
+        return self.scenario.n_reps
 
 
 def scenario_rng(scenario: Scenario) -> np.random.Generator:
@@ -153,9 +142,10 @@ def scenario_rng(scenario: Scenario) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def draw_study_sizes(k, rng, meanlog=DEFAULT_SIZES_MEANLOG, sdlog=DEFAULT_SIZES_SDLOG, size=None):
-    """Study sizes: lognormal draws rounded to the nearest multiple of 12,
-    floored at 12 so that prevalences 1/2, 1/3 and 1/4 give integer arms.
+def draw_study_sizes(k, rng, size=None):
+    """Study sizes: lognormal(SIZES_MEANLOG, SIZES_SDLOG) draws rounded to
+    the nearest multiple of 12, floored at 12 so that prevalences 1/2, 1/3
+    and 1/4 give integer arms.
 
     `size` may extend the shape with leading replicate axes; the last axis
     always has length k.
@@ -163,14 +153,8 @@ def draw_study_sizes(k, rng, meanlog=DEFAULT_SIZES_MEANLOG, sdlog=DEFAULT_SIZES_
     if k < 1:
         raise ValidationError("draw_study_sizes: k must be >= 1")
     shape = (k,) if size is None else tuple(size) + (k,)
-    draws = rng.lognormal(mean=meanlog, sigma=sdlog, size=shape)
-    n = np.maximum(12, 12 * np.round(draws / 12.0))
-    if not (n < 2.0 ** 63).all():  # an int64 value exists; false on NaN too
-        raise ValidationError(
-            f"draw_study_sizes: a study size drawn with meanlog={meanlog!r}, "
-            f"sdlog={sdlog!r} is not finite or exceeds the int64 range"
-        )
-    return n.astype(int)
+    draws = rng.lognormal(mean=SIZES_MEANLOG, sigma=SIZES_SDLOG, size=shape)
+    return np.maximum(12, 12 * np.round(draws / 12.0)).astype(int)
 
 
 def _arm_sizes(n, p):
@@ -190,16 +174,14 @@ def _draw_replicates(scenario: Scenario, rng, n_reps: int, sizes=None):
     """
     k = scenario.k
     if sizes is None:
-        n = draw_study_sizes(
-            k, rng, scenario.sizes_meanlog, scenario.sizes_sdlog, size=(n_reps,)
-        )
+        n = draw_study_sizes(k, rng, size=(n_reps,))
     else:
         n = np.broadcast_to(np.asarray(sizes, dtype=int), (n_reps, k))
     n_arm = np.empty((n_reps, k, 2), dtype=int)
     n_arm[..., 0], n_arm[..., 1] = _arm_sizes(n, scenario.p)
-    se = scenario.sigma_u / np.sqrt(n_arm)
+    se = SIGMA_U / np.sqrt(n_arm)
 
-    theta = scenario.mu + scenario.tau * rng.standard_normal((n_reps, k))
+    theta = MU + scenario.tau * rng.standard_normal((n_reps, k))
     delta_i = scenario.delta + scenario.sigma_delta * rng.standard_normal((n_reps, k))
     y_sub = np.empty((n_reps, k, 2))  # theta_sub, then the sampling noise added in place
     np.subtract(theta, (1.0 - scenario.p) * delta_i, out=y_sub[..., 0])
@@ -218,8 +200,8 @@ def _study_rows(y_sub, se_sub, arm_weights=None):
 def scenario_grid(k=None, tau=None, delta=None, sigma_delta=None, p=None, **settings):
     """Cartesian grid of scenarios over the five design axes, k slowest and
     p fastest; each axis is None (its full grid), a scalar, or a sequence of
-    values. `settings` are the remaining Scenario fields (n_reps, seed,
-    sigma_u, ...), shared by every point. The full grid has 1125 points."""
+    values. `settings` are the remaining Scenario fields, n_reps and seed,
+    shared by every point. The full grid has 1125 points."""
 
     def axis(value, default):
         if value is None:
@@ -292,7 +274,7 @@ def run_scenario(scenario: Scenario) -> ScenarioMetrics:
     lower = np.array([result.intervals[method].lower for method in CI_METHODS])
     upper = np.array([result.intervals[method].upper for method in CI_METHODS])
     ok = np.isfinite(lower) & np.isfinite(upper)
-    covered = ok & (lower <= scenario.mu) & (scenario.mu <= upper)
+    covered = ok & (lower <= MU) & (MU <= upper)
     coverage = np.add.reduce(covered, axis=-1) / n_reps
     coverage_se = np.sqrt(coverage * (1.0 - coverage) / n_reps)
     failures = n_reps - np.add.reduce(ok, axis=-1)
@@ -311,9 +293,7 @@ def run_scenario(scenario: Scenario) -> ScenarioMetrics:
         )
     }
 
-    return ScenarioMetrics(
-        scenario=scenario, n_reps=n_reps, tau_metrics=tau_metrics, ci_metrics=ci_metrics
-    )
+    return ScenarioMetrics(scenario=scenario, tau_metrics=tau_metrics, ci_metrics=ci_metrics)
 
 
 def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1):
@@ -408,12 +388,14 @@ def write_metrics_csv(results: Iterable[ScenarioMetrics], path):
 
 
 _SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))  # all scalars
+_FIXED_MODEL = dict(mu=MU, sigma_u=SIGMA_U, sizes_meanlog=SIZES_MEANLOG, sizes_sdlog=SIZES_SDLOG)
 
 
 def metrics_to_json(results: Sequence[ScenarioMetrics]) -> str:
     payload = [
         {
-            "scenario": {name: getattr(r.scenario, name) for name in _SCENARIO_FIELDS},
+            "scenario": {**_FIXED_MODEL,
+                         **{name: getattr(r.scenario, name) for name in _SCENARIO_FIELDS}},
             "tau_metrics": r.tau_metrics,
             "ci_metrics": r.ci_metrics,
         }

@@ -48,6 +48,7 @@ def test_arm_validation():
 
 def test_aggregate_identical_arms():
     agg = aggregate_study(make_split("a", (1.0, 1.0), (1.0, 1.0)))
+    assert agg.study_id == "aggregate"
     assert agg.y == pytest.approx(1.0)
     assert agg.se == pytest.approx(math.sqrt(0.5))
 

@@ -448,11 +448,6 @@ SIMULATE_ONE = ["simulate", "--seed", "1", "--reps", "2", "--k", "2", "--tau", "
     ("--tau", "1e200", "tau must be finite"),
     ("--delta", "1e200", "delta must be finite"),
     ("--sigma-delta", "-inf", "sigma_delta must be finite"),
-    ("--sizes-meanlog", "nan", "sizes_meanlog must be finite"),
-    ("--sizes-sdlog", "inf", "sizes_sdlog must be finite"),
-    # finite parameters whose drawn study sizes have no int64 value
-    ("--sizes-sdlog", "50", "draw_study_sizes"),
-    ("--sizes-meanlog", "1e308", "draw_study_sizes"),
 ])
 def test_cli_simulate_rejects_out_of_range_parameters(tmp_path, flag, value, message):
     out = tmp_path / "m.csv"
@@ -461,6 +456,19 @@ def test_cli_simulate_rejects_out_of_range_parameters(tmp_path, flag, value, mes
     error = json.loads(result.stderr)
     assert error["error"] == "validation" and message in error["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--sizes-meanlog", "--sizes-sdlog"])
+def test_cli_simulate_has_no_study_size_flags(tmp_path, flag):
+    # the study-size law is fixed: its old flags are click's usage error
+    out = tmp_path / "m.csv"
+    result = cli_runner().invoke(main, SIMULATE_ONE + [flag, "1", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    # click 8.4 writes "No such option '--x'.", click 8.0 "No such option: --x"
+    error = result.stderr.splitlines()[-1]
+    assert result.stderr.startswith("Usage: ") and error.startswith("Error: No such option")
+    assert flag in error
+    assert result.stdout == "" and not out.exists()
 
 
 def test_cli_simulate_rejects_a_zero_denominator_in_the_config_file(tmp_path):
@@ -474,13 +482,12 @@ def test_cli_simulate_rejects_a_zero_denominator_in_the_config_file(tmp_path):
 
 
 def test_cli_simulate_at_the_effect_bound(tmp_path):
-    # |tau|, |Delta|, sigma_Delta = data.MAX_ABS_EFFECT and study sizes near
-    # the int64 limit run without a warning (pytest turns warnings into errors)
+    # |tau|, |Delta|, sigma_Delta = data.MAX_ABS_EFFECT run without a
+    # warning (pytest turns warnings into errors)
     out = tmp_path / "m.csv"
     result = cli_runner().invoke(main, [
         "simulate", "--seed", "1", "--reps", "50", "--k", "2,5", "--tau", "0,1e40",
-        "--delta", "-1e40,1e40", "--sigma-delta", "1e40", "--prev", "1/3",
-        "--sizes-meanlog", "43", "--sizes-sdlog", "0", "--out", str(out),
+        "--delta", "-1e40,1e40", "--sigma-delta", "1e40", "--prev", "1/3", "--out", str(out),
     ])
     assert result.exit_code == 0, result.output
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
@@ -576,12 +583,12 @@ def test_cli_rejects_an_output_that_is_its_own_input(tmp_path, monkeypatch, comm
     ("reps=abc\n", [], None, "reps: cannot parse 'abc'"),
     ("", ["--seed", "1.5"], None, "seed: cannot parse '1.5'"),
     ("", [], "abc", "seed: cannot parse 'abc'"),
-    ("", ["--sizes-sdlog", "x"], None, "sizes_sdlog: cannot parse 'x'"),
+    ("sizes_sdlog=1\n", [], None, "sim.cfg:LAST: expected setting=value"),
     ("prev=1/2,x\n", [], None, "prev: cannot parse '1/2,x'"),
     ("k=2," + "9" * 5000 + "\n", [], None, "k: cannot parse"),  # int digit limit
     ("tau=" + "1" * 400 + "/1\n", [], None, "tau: cannot parse"),  # float overflow
 ], ids=["unknown-key", "jobs-key", "no-equals", "reps-flag", "reps-key", "seed-flag",
-        "seed-env", "sizes-flag", "prev-key", "k-digits", "tau-overflow"])
+        "seed-env", "sizes-key", "prev-key", "k-digits", "tau-overflow"])
 def test_cli_simulate_rejects_unknown_and_unparsable_settings(
     tmp_path, monkeypatch, cfg, flags, env_seed, expected
 ):

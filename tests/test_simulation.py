@@ -45,11 +45,21 @@ def test_scenario_validation():
         _scenario(p=0.0)
     with pytest.raises(ValidationError):
         _scenario(n_reps=0)
-    with pytest.raises(ValidationError, match="sigma_u must be > 0"):
-        _scenario(sigma_u=0.0)
-    with pytest.raises(ValidationError, match="sizes_sdlog must be >= 0"):
-        _scenario(sizes_sdlog=-1.0)
-    _scenario(sizes_sdlog=0.0)  # equal study sizes are allowed
+    # the rest of the model is fixed: a scenario has no other setting
+    assert [f.name for f in dataclasses.fields(Scenario)] == [
+        "k", "tau", "delta", "sigma_delta", "p", "n_reps", "seed"]
+    for name in ("mu", "sigma_u", "sizes_meanlog", "sizes_sdlog"):
+        with pytest.raises(TypeError):
+            _scenario(**{name: 1.0})
+    assert _scenario().mu == simulation.MU == 0.0
+
+
+def test_scenario_key_is_pinned():
+    # the RNG stream of a scenario hashes this string: the fixed model's
+    # values (mu, then sigma_u, sizes_meanlog, sizes_sdlog) keep their places
+    assert Scenario(2, 0.0, 0.0, 0.0, 0.5).key() == "2|0.0|0.0|0.0|0.0|0.5|4.0|5.0|1.0"
+    assert (Scenario(5, 0.5, 1.0, 0.2, 1 / 3, n_reps=7, seed=9).key()
+            == "5|0.0|0.5|1.0|0.2|0.3333333333333333|4.0|5.0|1.0")
 
 
 def test_scenario_replicates_are_capped():
@@ -70,9 +80,12 @@ def test_draw_study_sizes_rules():
     for p in (0.5, 1 / 3, 0.25):
         arm = n * p
         assert np.allclose(arm, np.round(arm))
-    # a draw far below 12 floors to 12
-    tiny = draw_study_sizes(1, np.random.default_rng(1), meanlog=0.0, sdlog=0.01)
-    assert tiny[0] == 12
+    # the sizes are lognormal(5, 1) draws rounded to multiples of 12; the
+    # few draws below 6 round to 0 and floor to 12
+    raw = np.random.default_rng(0).lognormal(5.0, 1.0, (2000, 5))
+    assert np.array_equal(n, np.maximum(12, 12 * np.round(raw / 12)))
+    small = raw < 6.0
+    assert small.any() and np.all(n[small] == 12)
 
 
 @pytest.mark.parametrize("n_reps", [1, 2, 3, 7, 1000, 1001])
@@ -126,7 +139,7 @@ def test_generated_identities():
     w = se_sub ** -2
     assert y_stu == pytest.approx((w * y_sub).sum(-1) / w.sum(-1), rel=1e-12)
     assert se_stu == pytest.approx(w.sum(-1) ** -0.5, rel=1e-12)
-    assert se_sub == pytest.approx(sc.sigma_u / np.sqrt(n_arm), rel=1e-12)
+    assert se_sub == pytest.approx(simulation.SIGMA_U / np.sqrt(n_arm), rel=1e-12)
     # the two common-effect forms agree to 1e-12
     mu_stu = mu_ce(y_stu, se_stu ** -2.0)
     assert mu_stu == pytest.approx(mu_ce_subgroup(y_sub, se_sub), rel=1e-12)
@@ -153,12 +166,11 @@ def test_scenario_grid_counts():
 
 def test_scenario_grid_order_and_shared_settings():
     grid = scenario_grid(k=[3, 2], tau=0.5, delta=[0, 1], sigma_delta=0, p=[1 / 2, 1 / 4],
-                         n_reps=7, seed=9, mu=0.25, sigma_u=2.0, sizes_sdlog=0.5)
+                         n_reps=7, seed=9)
     assert [(s.k, s.delta, s.p) for s in grid] == [
         (k, d, p) for k in (3, 2) for d in (0.0, 1.0) for p in (0.5, 0.25)
     ]
-    assert {(s.tau, s.sigma_delta, s.n_reps, s.seed, s.mu, s.sigma_u, s.sizes_meanlog,
-             s.sizes_sdlog) for s in grid} == {(0.5, 0.0, 7, 9, 0.25, 2.0, 5.0, 0.5)}
+    assert {(s.tau, s.sigma_delta, s.n_reps, s.seed) for s in grid} == {(0.5, 0.0, 7, 9)}
     assert all(type(s.k) is int and type(s.delta) is float for s in grid)
     full = scenario_grid()
     assert [(s.k, s.tau, s.delta, s.sigma_delta, s.p) for s in full] == [
@@ -297,7 +309,12 @@ def test_metrics_output(tmp_path):
     import json
 
     parsed = json.loads(payload)
-    assert parsed[0]["scenario"]["k"] == 2
+    # the scenario's fields, and the fixed model's values
+    assert parsed[0]["scenario"] == {
+        "k": 2, "tau": 0.0, "delta": 0.0, "sigma_delta": 0.0, "p": 0.5, "n_reps": 100,
+        "seed": 123, "mu": 0.0, "sigma_u": 4.0, "sizes_meanlog": 5.0, "sizes_sdlog": 1.0,
+    }
+    assert results[0].n_reps == sc.n_reps == 100
 
 
 def test_run_scenario_raises_the_kernel_error(monkeypatch):
