@@ -15,10 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
 CSV_COLUMNS = ["study_id", "label", "level", "split", "arm", "y", "se", "n"]
@@ -352,74 +349,12 @@ def load_csv(path) -> MetaDataset:
     return validate_dataset(rows)
 
 
-_CONTAINERS = (dict, list, tuple)
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-
-
-@cache
-def _level(depth):
-    """What writes a container `depth` levels deep: the stdlib's C encoder,
-    which json.dumps uses when indent is None, set to the separator of the
-    container's items; the line break before its first item; that
-    separator; and the line break before its closing bracket. On a
-    container of scalars the encoder writes what indent=2 does but for
-    those two line breaks."""
-    close = "\n" + "  " * depth
-    newline = close + "  "
-    encoder = c_make_encoder(  # positional only, in json.encoder's order:
-        None,  # markers: no circular check (a container of scalars holds none)
-        json.JSONEncoder().default,  # raises TypeError, as json.dumps does
-        encode_basestring_ascii,
-        None,  # indent
-        ": ",
-        "," + newline,
-        True,  # sort_keys
-        False,  # skipkeys
-        True,  # allow_nan
-    )
-    return encoder, newline, "," + newline, close
-
-
-def _encode(o, depth, markers):
-    """o, `depth` levels deep, as json.dumps(indent=2) writes it."""
-    encoder, newline, sep, close = _level(depth)
-    if not isinstance(o, _CONTAINERS):
-        return encoder(o, depth)[0]
-    if not o:
-        return "{}" if isinstance(o, dict) else "[]"
-    is_dict = isinstance(o, dict)
-    if _SCALAR_TYPES.issuperset(map(type, o.values() if is_dict else o)):
-        text = encoder(o, depth)[0]
-        return f"{text[0]}{newline}{text[1:-1]}{close}{text[-1]}"
-    if id(o) in markers:
-        raise ValueError("Circular reference detected")
-    markers.add(id(o))
-    # One C call writes the container with None in place of each value that
-    # is not a plain scalar; split at its item separator (its only line
-    # breaks, as strings are written escaped), those items are replaced.
-    nested = [k for k, v in (o.items() if is_dict else enumerate(o))
-              if type(v) not in _SCALAR_TYPES]
-    flat = dict(o) if is_dict else list(o)
-    for k in nested:
-        flat[k] = None
-    items = encoder(flat, depth)[0][1:-1].split(sep)
-    keys = sorted(o) if is_dict else None
-    for k in nested:
-        item = _encode(o[k], depth + 1, markers)
-        if is_dict:
-            items[bisect_left(keys, k)] = f"{encode_basestring_ascii(k)}: {item}"
-        else:
-            items[k] = item
-    markers.discard(id(o))
-    bracket = "{}" if is_dict else "[]"
-    return f"{bracket[0]}{newline}{sep.join(items)}{close}{bracket[1]}"
-
-
 def canonical_json(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte: the one
-    writer of every JSON file fewmeta writes. Containers of scalars go
-    through the stdlib's C encoder in one call each; Python walks only the
-    containers that hold containers. Keys must be str; a value that is not
-    JSON raises TypeError and a container that holds itself ValueError, as
-    in json.dumps."""
-    return _encode(obj, 0, set())
+    """The one writer of every JSON file fewmeta writes: one line, keys
+    sorted, "," and ":" separators, non-ASCII escaped, a trailing newline,
+    all from one call of the stdlib's C encoder. Parsing the file and
+    writing it again gives the same bytes. Keys must be str; a value that
+    is not JSON raises TypeError and a container that holds itself
+    ValueError. Non-finite floats are written as Infinity and NaN, as
+    json.dumps writes them."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

@@ -2,12 +2,11 @@
 
 All analysis happens on the linear-predictor scale; the report carries
 exact exponentiated values alongside (computed before any rounding) and
-the text renderer decides which scale to present. JSON serialization is
-canonical (sorted keys, fixed indentation) so that parsing a written
-report and re-serializing it is byte-identical. Every JSON file fewmeta
+the text renderer decides which scale to present. Every JSON file fewmeta
 writes (report, simulation summary) goes through the one writer
-data.canonical_json, byte-identical to json.dumps(sort_keys=True, indent=2)
-but built on the stdlib's C encoder.
+data.canonical_json: one line of sorted keys with "," and ":" separators
+and a trailing newline, so that parsing a written report and
+re-serializing it is byte-identical.
 
 Every output file (report, histogram, metrics.csv, summary) is written by
 write_files, alone or, for simulate's pair, together: its chunks go into a

@@ -160,6 +160,13 @@ def test_validate_error_precedence():
         validate_dataset(_rows(*rows, *orphans))
 
 
+@pytest.mark.parametrize("n_arms", [0, 1, 3])
+def test_split_requires_exactly_two_arms(n_arms):
+    arms = tuple(SubgroupArm(0.1 * j, 1.0, 5) for j in range(n_arms))
+    with pytest.raises(ValidationError, match="^split 'g': exactly two arms required$"):
+        SubgroupSplit("g", arms)
+
+
 def test_split_aggregate_below_the_se_floor_is_rejected():
     arms = (SubgroupArm(0.0, 1e-40, 5), SubgroupArm(0.0, 1e-40, 5))
     floor = "split 'g': the arms aggregate to se 7.07e-41, below the floor 1e-40"

@@ -49,6 +49,23 @@ def test_t_cdf_against_scipy():
             )
 
 
+def test_incomplete_beta_rejects_a_or_b_at_or_below_zero():
+    for a, b in ((0.0, 1.0), (1.0, 0.0), (-1.0, 2.0), (2.0, -0.5), (math.nan, 1.0)):
+        with pytest.raises(ValidationError, match="^incomplete beta: a, b must be > 0$"):
+            regularized_incomplete_beta(a, b, 0.5)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -0.5, -math.inf])
+def test_incomplete_beta_is_zero_at_or_below_x_zero(x):
+    assert regularized_incomplete_beta(2.0, 0.5, x) == 0.0
+
+
+@pytest.mark.parametrize("df", [0, -1, -0.5, 0.0])
+def test_t_cdf_rejects_df_at_or_below_zero(df):
+    with pytest.raises(ValidationError, match="^student_t_cdf: df must be positive$"):
+        student_t_cdf(1.0, df)
+
+
 def test_t_quantile_examples():
     assert t_quantile(5, 0.5) == 0.0
     assert t_quantile(1, 0.975) == pytest.approx(12.706, abs=1e-3)

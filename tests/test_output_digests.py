@@ -22,39 +22,39 @@ from conftest import PVALUE_DATASET, cli_runner, dataset_path
 # (report.json, stdout) sha256 per (dataset, --select)
 ANALYZE_SHA256 = {
     ("sglt2", "global"): (
-        "2cae0c80481a5ac20840eb7bf83a2a04390a71f90ffe57674c4df6ffbe752371",
+        "fd275c36ed9942e93a77f4dfb2ea63dab773ad0760ba21ed39e3f196afafac78",
         "4af0031214cfd0ff4c9e031915fa6c3d40dd1a49e2e050c19c1d1a000e3c573e",
     ),
     ("sglt2", "local"): (
-        "6d80a4f5482854c355a32bd063dae0c3b889d56830d119abbfa9e6c2b76089cd",
+        "85ce9aca961bed7a56c91841c78ba07767000e6a9704be253acf91401a16e624",
         "40db9a85a585922b8cc6e36223586de42a426fcf85c003cc71c007509b6618b5",
     ),
     ("sglt2", "none"): (
-        "7cf0e05c9ebc8fa5cf1df1e970d808bcd3406816fecbfb99bb6e0c061e4c5c6f",
+        "3a152813bd2b70b1df2cb84b2ad35e00fa8dcaaad22f30482097124d681ffa77",
         "bf5e8bcc20fd5fd81b15d5dcd687bb07e5e9558f6803e2dd27d51fb3405d2a30",
     ),
     ("respire14", "global"): (
-        "0fb93c050bbf2dd488d89ab1348a70ed08c47e41ab7d9b7c8b8f8281e36fa8c7",
+        "c8d6250729b53a880f7114af0caf73f41f957ccff89dde4bb14bf6a80e3c96ae",
         "bd88cced42dde5ad9f24bc6278ce9b9a3f8e50b66347d88c249708f4a8740e39",
     ),
     ("respire14", "local"): (
-        "fa855afbf5809bf289535e8d0348b392459dd80a3f024413322f8dc592990b73",
+        "4f6fa62ff2d094deb946086010c2e676807f41e1ffc975c29a6809ae233fe4d4",
         "371c52d068197e7bdf0202dac3e44ab2f35e5846a2e4bd0b68a03afc353e99b0",
     ),
     ("respire14", "none"): (
-        "85829051c0bc65ec2f148244d167c7791c74685a328ef881ba5682778aeb3a2c",
+        "8f3833427e73def400c4b75882254dc73667e47bddb46c56f72e02a03a608cf6",
         "0f41d9a90974c13edced14258100a09a83791f4fed97b3cdbbca039bc74926e3",
     ),
     ("respire28", "global"): (
-        "e64f98465e59f973346be7831aa777feb839e2a84cebefd6ae8f5466f8d8912e",
+        "0fafcb72be0be9ccd7155498551fa4402b0136907b75917375bcb08da3cff54e",
         "a2758e4a9cc5f0e95675cdae1736b4e4c6223d46b4c444056c34b1d1c4f1be73",
     ),
     ("respire28", "local"): (
-        "26a59b5933b9050ba10fc80d771980d43d83271270f5bcec22f9685a35aa9316",
+        "47ed75436dc4a1250b9da271274572874414d112c016ea70afc0e0bc939a9b7a",
         "98d46c8352cc49ccf4e970eeb0c356c1d87b63280b02609611a6e8606291ae3f",
     ),
     ("respire28", "none"): (
-        "efaebe502c7fa0548832bc703c7366d65ae5a8ad9b54d082ac39ef3803d40abc",
+        "a354077c990892797b6d409a4dba6c1d545e06812262b3e69e6721748f8f7c6f",
         "f26deea38aea8f06920481c9e75a584f50b3229d5ef4fb696fab368f9a2e5611",
     ),
 }
@@ -62,12 +62,12 @@ ANALYZE_SHA256 = {
 # `analyze --select pvalue --json` (report.json, stdout) and `select
 # --strategy pvalue` stdout sha256 on conftest's PVALUE_DATASET
 PVALUE_ANALYZE_SHA256 = (
-    "253176b6f139733cce2b82357c1b92a0cfa0446bad54425b0dfd4e9b29ef48da",
+    "6e9e33a65d4975d6914cbbed691a52200c89e212717f91dbd745537f343d28d8",
     "b09cae76e047905ea5fdff387734e1bd12299890296787ee71e75b1ca93176df",
 )
 PVALUE_SELECT_SHA256 = "7a36c88538d3e91bed55867f07d8207a106836f54e6ad4e4c6d1a719949955bf"
 
-SUMMARY_SHA256 = "26937b7c73411bf2f99318f4a03ba21f490042f9568d3367e3654a21cbf67e41"
+SUMMARY_SHA256 = "54b4e18f61ee7711e6464b96d6c3b08f436542c0a94716a59bffdaeff2f024a1"
 # numpy does not promise the same Generator streams across feature releases
 # (NEP 19), so the simulation digest holds for the numpy it was recorded under.
 SUMMARY_NUMPY = "2.4.6"

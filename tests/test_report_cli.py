@@ -873,8 +873,13 @@ _S2 = "s2,,study,,,0.3,0.4,\n"
          "subgroup row for 's1' without split name"),
         ("s1,,study,,,,,\n" + _S2, "study 's1': no estimate supplied and no splits to derive one"),
         (_S2, "analysis requires at least 2 studies"),
+        ("s1,,study,,,0.1,0.2,\ns1,,subgroup,sex,3,0.0,1.0,5\n" + _S2,
+         "subgroup row 's1'/'sex': arm must be 1 or 2"),
+        ("s1,,study,,,0.1,0.2,\ns1,,subgroup,sex,,0.0,1.0,5\n" + _S2,
+         "subgroup row 's1'/'sex': arm must be 1 or 2"),
     ],
-    ids=["empty-study-id", "duplicate-study-row", "no-split-name", "no-estimate", "one-study"],
+    ids=["empty-study-id", "duplicate-study-row", "no-split-name", "no-estimate", "one-study",
+         "arm-3", "arm-blank"],
 )
 def test_cli_dataset_structure_errors(tmp_path, rows, message):
     path = tmp_path / "structure.csv"
@@ -882,6 +887,17 @@ def test_cli_dataset_structure_errors(tmp_path, rows, message):
     result = cli_runner().invoke(main, ["analyze", str(path)])
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr) == {"error": "validation", "message": message}
+
+
+def test_cli_missing_columns_are_a_validation_error(tmp_path):
+    path = tmp_path / "columns.csv"
+    path.write_text("study_id,level,split,arm,y,se\ns1,study,,,0.1,0.2\n", encoding="utf-8")
+    result = cli_runner().invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {
+        "error": "validation", "message": f"{path}: missing columns ['label', 'n']"
+    }
 
 
 @pytest.mark.parametrize("column", ["y", "se"])
@@ -928,7 +944,7 @@ def test_cli_analyze_ratio_overflow_reads_inf(tmp_path):
     table = [row for row in rows if row and row[0] in ("NORMAL", "HKSJ", "ZH", "HCS_MAX1")]
     assert len(table) == 4 and all(row[1:4] == ["inf"] * 3 for row in table)
     text = out.read_text()
-    assert '"lower": Infinity' in text and '"upper": Infinity' in text
+    assert '"lower":Infinity' in text and '"upper":Infinity' in text
     for entry in json.loads(text)["intervals"]:
         assert entry["exp"] == {"point": math.inf, "lower": math.inf, "upper": math.inf}
         assert math.isfinite(entry["point"])

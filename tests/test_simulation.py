@@ -115,6 +115,12 @@ def test_arm_sizes_clip_both_arms_to_one():
         assert np.array_equal(n2, n - expected)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_draw_study_sizes_rejects_k_below_one(k):
+    with pytest.raises(ValidationError, match="^draw_study_sizes: k must be >= 1$"):
+        draw_study_sizes(k, np.random.default_rng(0))
+
+
 def test_draw_study_sizes_median():
     rng = np.random.default_rng(2)
     n = draw_study_sizes(1, rng, size=(100000,)).ravel()

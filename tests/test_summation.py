@@ -98,7 +98,7 @@ def test_analyze_of_negative_zero_effects_reports_positive_zero(tmp_path):
     result = CliRunner().invoke(main, ["analyze", str(data), "--json", str(out)])
     assert result.exit_code == 0, result.output
     text = out.read_text()
-    assert '"point": -0.0' not in text
+    assert '"point":-0.0' not in text
     points = [entry["point"] for entry in json.loads(text)["intervals"]]
     assert len(points) == 6
     assert all(p == 0.0 and math.copysign(1.0, p) == 1.0 for p in points)
