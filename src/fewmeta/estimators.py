@@ -9,21 +9,24 @@ axis); the report reads a dataset's estimates straight from its result.
 Every weighted sum goes through one pooling step (_Pool), which the kernel
 runs once per level and batch and the public helpers here call too.
 
-Every sum over studies or arms goes through _sum, which adds column slices
-in the order numpy's add.reduce uses on a contiguous trailing axis: the
-+0.0 identity plus numpy's pairwise_sum of the n terms (sequential below 8
-terms; from 8, eight accumulators stepping by 8, combined as
-((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining terms in order).
-Its results are therefore bit-identical to np.sum, while one vectorised add
-per column costs far less than np.sum's inner loop over 2 to 2k terms per
-replicate. Without a replicate axis the sums are numpy scalars, so they are
-squared with np.square (x * x, as for arrays): a scalar's ** 2 calls the C
-library's pow, which differs from x * x in the last bit for about one value
-in a thousand.
+Every sum over studies or arms goes through _sum, in the order numpy's
+add.reduce uses on a contiguous trailing axis: the +0.0 identity plus
+numpy's pairwise_sum of the n terms (sequential below 8 terms; from 8,
+eight accumulators stepping by 8, combined as
+((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining terms in order),
+so its results are bit-identical to np.sum. It calls numpy's reduce where
+that adds in this order: without a replicate axis, and over one
+replicate-minor axis of fewer than 8 terms. Elsewhere it adds column slices:
+numpy walks a replicate-minor array in memory order, which gives other bits
+from 8 terms and over arms, and reduces a C-ordered batch row by row, about
+3x slower at R = 1000. Without a replicate axis the sums are numpy scalars,
+squared with np.square: a scalar's ** 2 calls the C library's pow, which
+differs from x * x in the last bit for about one value in a thousand.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -70,12 +73,17 @@ def _pairwise(terms):
 
 def _sum(x, axes=(-1,)):
     """The sum of x over its trailing study axis, axes=(-1,), or study and
-    arm axes, axes=(-2, -1), as explicit adds of column slices in numpy's
-    order: the +0.0 identity plus pairwise_sum of the terms in C order, so
-    that -0.0 terms alone sum to +0.0. The result is np.sum's bit for bit on
-    a C-ordered array, where numpy sums in that order, and is the same on
-    the same values in any memory layout."""
+    arm axes, axes=(-2, -1), in numpy's order (see the module docstring), so
+    that -0.0 terms alone sum to +0.0: np.sum's bits on a C-ordered array,
+    and the same on the same values in any memory layout. numpy's reduce
+    gives them without a replicate axis (on a C-ordered copy, as it walks
+    memory order) and over one axis of fewer than 8 terms that is not
+    contiguous, which it adds column by column."""
     lead = x.ndim - len(axes)
+    if not lead:
+        return np.add.reduce(np.ascontiguousarray(x), axis=axes)
+    if len(axes) == 1 and x.shape[-1] < 8 and x.strides[-1] != x.itemsize:
+        return np.add.reduce(x, axis=axes)
     summed_first = x.transpose(tuple(range(lead, x.ndim)) + tuple(range(lead)))
     if len(axes) == 1:
         terms = list(summed_first)
@@ -88,6 +96,11 @@ def _sum(x, axes=(-1,)):
     # are the same, as a sum is -0.0 only when all its terms are.
     terms[0] = terms[0] + 0.0
     return _pairwise(terms)
+
+
+# The least non-NaN value of an array, +inf if it has none: guards test
+# _least(x) <= 0, which is (x <= 0).any() in one ufunc call.
+_least = functools.partial(np.fmin.reduce, axis=None, initial=np.inf)
 
 
 class _Pool(NamedTuple):
@@ -107,7 +120,7 @@ class _Pool(NamedTuple):
     def moment_tau2(self, sw2, df, name):
         """Untruncated moment estimate (Q - df) / (sw - sw2 / sw), sw2 = sum w^2."""
         denom = self.sw - sw2 / self.sw
-        if (denom <= 0).any():
+        if _least(denom) <= 0:
             raise ValidationError(f"{name}: degenerate weight configuration")
         return (self.q() - df) / denom
 
@@ -132,7 +145,7 @@ def _require_two_studies(k, name):
 def _check_ce_weights(y, w):
     if y.shape[-1] == 0:
         raise ValidationError("mu_ce: empty input")
-    if (w <= 0).any():
+    if _least(w) <= 0:
         raise ValidationError("mu_ce: weights must be positive")
 
 
@@ -155,10 +168,10 @@ def _shrinkage_a(w, sw, sw2):
     outweigh all others by more than double precision resolves, and is then
     rejected like a nonpositive denominator, as DLS_ADJ divides by it."""
     denom = np.square(sw) - sw2
-    if (denom <= 0).any():
+    if _least(denom) <= 0:
         raise ValidationError("shrinkage terms: degenerate weight configuration")
     a = 1.0 - 2.0 * _sum(w[..., 0] * w[..., 1]) / denom
-    if (a <= 0).any():
+    if _least(a) <= 0:
         raise ValidationError("shrinkage terms: degenerate weight configuration")
     return a, denom
 
@@ -194,10 +207,10 @@ def dl_raw(y, se):
 # subgroup-level statistics
 # ---------------------------------------------------------------------------
 
-def subgroup_arrays(dataset: MetaDataset):
-    """Extract (y, se, p) arrays of shape (k, 2), (k, 2), (k,) for the
-    selected split of every study. Raises if any study lacks a selection."""
-    y, se, p = [], [], []
+def _selected_arms(dataset: MetaDataset):
+    """(y, se) arrays of shape (k, 2) of every study's selected split.
+    Raises if any study lacks a selection."""
+    y, se = [], []
     for study in dataset.studies:
         split = study.selected_split
         if split is None:
@@ -206,8 +219,13 @@ def subgroup_arrays(dataset: MetaDataset):
             )
         y.append([split.arms[0].y, split.arms[1].y])
         se.append([split.arms[0].se, split.arms[1].se])
-        p.append(prevalence_of(split))
-    return np.array(y), np.array(se), np.array(p)
+    return np.array(y), np.array(se)
+
+
+def subgroup_arrays(dataset: MetaDataset):
+    """_selected_arms and the (k,) prevalences of the selected splits."""
+    y, se = _selected_arms(dataset)
+    return y, se, np.array([prevalence_of(s.selected_split) for s in dataset.studies])
 
 
 def study_arrays(dataset: MetaDataset):

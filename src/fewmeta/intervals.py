@@ -13,6 +13,8 @@ replicate axis (dataset_kernel), whose 0-d results run_all_methods and the
 report read. Studies, random effects and arms are each pooled once per
 batch; hksj_scale, zh_variance and variance_hcs call the same pieces. The
 first two reject a zero weight (se = inf); in the kernel, DL rejects it.
+Both HCS variants share one weight check and one sum w, sum w^2 and
+(sum w)^2 (_hcs_sums); their tau2, a maximum with 0, needs no check.
 
 t_quantile and normal_quantile share one front end, _quantile: the p check,
 0 at p = 0.5 and the symmetry below it. Each caches only its upper quantile.
@@ -38,13 +40,14 @@ from .estimators import (
     _check_ce_weights,
     _dl,
     _dls,
+    _least,
     _pool,
     _re_weights,
     _require_two_studies,
+    _selected_arms,
     _shrinkage_a,
     _sum,
     study_arrays,
-    subgroup_arrays,
 )
 
 NORMAL = "NORMAL"
@@ -80,6 +83,9 @@ _QUANTILE_TOL = 1e-10
 # simulation scenario needs at most two; the bound keeps memory fixed
 # whatever levels a long-running process is asked for.
 _QUANTILE_CACHE_SIZE = 256
+# The largest df of the t functions: within 1e-8 of scipy up to it, 3.5e-6
+# off at 1e9 and 0.21 at 1e15. No command exceeds it (2k - 1 < 5e6).
+_MAX_DF = 10 ** 7
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -140,9 +146,11 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def student_t_cdf(t: float, df: float) -> float:
-    """Central Student-t distribution function."""
+    """Central Student-t distribution function, for 0 < df <= 1e7."""
     if df <= 0:
         raise ValidationError("student_t_cdf: df must be positive")
+    if df > _MAX_DF:
+        raise ValidationError(f"student_t_cdf: df must be <= {_MAX_DF}")
     x = df / (df + t * t)
     tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
     return 1.0 - tail if t >= 0 else tail
@@ -163,11 +171,13 @@ def t_quantile(df: int, p: float) -> float:
 
     Inverts the regularized incomplete beta representation of the upper
     tail, P(T > t) = student_t_cdf(-t), by bisection to an absolute
-    tolerance of 1e-10. Each distinct (df, p) with p > 0.5 is computed once
-    per process and then served from a bounded cache.
+    tolerance of 1e-10, for 1 <= df <= 1e7. Each distinct (df, p) with
+    p > 0.5 is computed once per process and then served from a bounded cache.
     """
     if df < 1:
         raise ValidationError("t_quantile: df must be >= 1")
+    if df > _MAX_DF:
+        raise ValidationError(f"t_quantile: df must be <= {_MAX_DF}")
     return _quantile("t_quantile", p, _t_upper_quantile, df)
 
 
@@ -238,7 +248,7 @@ def zh_variance(y, se, tau2):
 def _positive_re_pool(y, se, tau2, name):
     """Random-effects pooling that rejects a zero weight (se = inf) first."""
     w = _re_weights(se, tau2)
-    if (w <= 0).any():
+    if _least(w) <= 0:
         raise ValidationError(f"{name}: weights must be positive")
     return _pool(np.asarray(y, dtype=float), w)
 
@@ -253,16 +263,22 @@ def variance_hcs(tau2, w):
     """Henmi-Copas-type variance of the common-effect estimator:
     (tau2 * sum w^2 + sum w) / (sum w)^2, with common-effect weights w."""
     w, tau2 = np.asarray(w, dtype=float), np.asarray(tau2, dtype=float)
-    return _variance_hcs(tau2, w, _sum(w), _sum(w ** 2))
-
-
-def _variance_hcs(tau2, w, sw, sw2):
-    """variance_hcs, given sum w (sw) and sum w^2 (sw2)."""
-    if (tau2 < 0).any():
+    if _least(tau2) < 0:
         raise ValidationError("variance_hcs: tau2 must be >= 0")
-    if (w <= 0).any():
+    return _variance_hcs(tau2, *_hcs_sums(w))
+
+
+def _hcs_sums(w):
+    """sum w, sum w^2 and (sum w)^2 of positive common-effect weights w."""
+    if _least(w) <= 0:
         raise ValidationError("variance_hcs: weights must be positive")
-    return (tau2 * sw2 + sw) / np.square(sw)
+    sw = _sum(w)
+    return sw, _sum(w ** 2), np.square(sw)
+
+
+def _variance_hcs(tau2, sw, sw2, sw_sq):
+    """variance_hcs from tau2 >= 0 and the _hcs_sums of positive weights."""
+    return (tau2 * sw2 + sw) / sw_sq
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +393,10 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, *,
         ZH: interval(re.mu, _zh_variance(re), df_lo, t_lo, tau2[DL]),
     }
     if y_sub is None:
-        _check_ce_weights(y, study.w)
-        intervals[HCS_MAX1] = intervals[HCS_MAX2] = interval(
-            study.mu, _variance_hcs(tau2[DL], study.w, study.sw, sw2), df_lo, t_lo, tau2[DL]
-        )
+        if DL in failed:  # _dl checks the weights only past its denominator
+            _check_ce_weights(y, study.w)
+        hcs = _variance_hcs(tau2[DL], study.sw, sw2, np.square(study.sw))
+        intervals[HCS_MAX1] = intervals[HCS_MAX2] = interval(study.mu, hcs, df_lo, t_lo, tau2[DL])
     else:
         w_sub, w = _arm_weights(se_sub) if arm_weights is None else arm_weights
         arms = _pool(y_sub, w_sub, (-2, -1))
@@ -391,7 +407,7 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, *,
         tau2[DLS_ADJ] = raw[DLS_ADJ] = tau2[DLS] / a
         needs.update({DLS: (DLS,), DLS_ADJ: ("A", DLS)})
         t_hi = t_quantile(2 * k - 1, p_upper)
-        w_sums = (w, _sum(w), _sum(w ** 2))  # per-study common-effect weights
+        hcs_sums = _hcs_sums(w)  # of the per-study common-effect weights
         for tag, side, method in ((MAX1, DLS, HCS_MAX1), (MAX2, DLS_ADJ, HCS_MAX2)):
             wins[tag] = tau2[side] > tau2[DL]
             tau2[tag] = np.maximum(tau2[DL], tau2[side])
@@ -399,13 +415,13 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, *,
             needs[tag] = needs[method] = (DL,) + needs[side]
             df = np.where(wins[tag], 2 * k - 1, k - 1)
             t = np.where(wins[tag], t_hi, t_lo)
-            variance = _variance_hcs(tau2[tag], *w_sums)
+            variance = _variance_hcs(tau2[tag], *hcs_sums)
             intervals[method] = interval(arms.mu, variance, df, t, tau2[tag])
     errors = {
         tag: next(failed[d] for d in deps if d in failed)
         for tag, deps in needs.items()
         if any(d in failed for d in deps)
-    }
+    } if failed else {}
     return KernelResult(tau2, raw, wins, intervals, errors, level, y_sub is None)
 
 
@@ -421,7 +437,7 @@ def dataset_kernel(dataset: MetaDataset, level: float = 0.95) -> KernelResult:
     cost less to add than one-element arrays; the values are those of the
     same rows in a batch, bit for bit."""
     y, se = study_arrays(dataset)
-    arms = subgroup_arrays(dataset)[:2] if dataset.fully_selected else ()
+    arms = _selected_arms(dataset) if dataset.fully_selected else ()
     return meta_kernel(y, se, *arms, level=level)
 
 

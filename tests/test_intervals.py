@@ -66,6 +66,35 @@ def test_t_cdf_rejects_df_at_or_below_zero(df):
         student_t_cdf(1.0, df)
 
 
+def test_incomplete_beta_reports_a_continued_fraction_that_does_not_converge():
+    # a + b = 2e300 makes the fraction's first denominator 1 - (a+b)x/(a+1)
+    # zero, so the _TINY guard replaces it, and the terms never settle
+    with pytest.raises(ArithmeticError, match="^incomplete beta continued fraction did not converge$"):
+        regularized_incomplete_beta(1e300, 1e300, 0.5)
+
+
+def test_upper_quantile_reports_a_bracket_that_cannot_close():
+    with pytest.raises(ArithmeticError, match="^quantile: bracket expansion failed$"):
+        intervals._upper_quantile(lambda t: -1.0, 0.0)
+
+
+def test_t_functions_hold_up_to_the_df_bound():
+    df = intervals._MAX_DF
+    assert df == 10 ** 7
+    for p in (0.6, 0.75, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999, 0.9995):
+        assert t_quantile(df, p) == pytest.approx(scipy.stats.t.ppf(p, df), abs=1e-8)
+    for t in (-5.0, -1.96, -0.5, 0.0, 0.3, 1.0, 3.0, 6.0):
+        assert student_t_cdf(t, df) == pytest.approx(scipy.stats.t.cdf(t, df), abs=1e-9)
+
+
+@pytest.mark.parametrize("df", [10 ** 7 + 1, 1e7 + 2.0, 10 ** 9, 10 ** 15, math.inf])
+def test_t_functions_refuse_df_above_the_bound(df):
+    with pytest.raises(ValidationError, match="^t_quantile: df must be <= 10000000$"):
+        t_quantile(df, 0.975)
+    with pytest.raises(ValidationError, match="^student_t_cdf: df must be <= 10000000$"):
+        student_t_cdf(1.0, df)
+
+
 def test_t_quantile_examples():
     assert t_quantile(5, 0.5) == 0.0
     assert t_quantile(1, 0.975) == pytest.approx(12.706, abs=1e-3)

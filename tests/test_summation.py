@@ -5,13 +5,19 @@ from 8 terms and a recursive split above 128."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fewmeta
 from fewmeta.cli import main
-from fewmeta.estimators import _sum, shrinkage_coefficients
+from fewmeta.estimators import _pairwise, _sum, shrinkage_coefficients
 from fewmeta.intervals import variance_hcs, zh_variance
 
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
@@ -67,7 +73,7 @@ def test_sum_over_studies_and_arms_matches_numpy(n_terms, n_reps):
             _assert_same(_sum(view, (-2, -1)), np.sum(view, axis=(-2, -1)))
 
 
-@pytest.mark.parametrize("n_studies", [2, 3, 5, 9])
+@pytest.mark.parametrize("n_studies", [2, 3, 5, 8, 9])
 def test_sum_is_numpys_order_in_any_memory_layout(n_studies):
     """run_scenario hands the kernel replicate-minor (Fortran-ordered) arms;
     _sum must still add them in the order np.sum uses on C-ordered ones."""
@@ -85,6 +91,80 @@ def test_sum_of_no_terms_and_of_long_axes_matches_numpy(n_terms):
     _assert_same(_sum(x), np.sum(x, axis=-1))
     _assert_same(_sum(x.reshape(50, 1, -1), (-2, -1)), np.sum(x.reshape(50, 1, -1), axis=(-2, -1)))
     _assert_same(_sum(x.reshape(1, 50, -1)), np.sum(x.reshape(1, 50, -1), axis=-1))
+
+
+def _column_adds(x, axes):
+    """_sum's own order, called directly: the +0.0 identity in the first
+    column slice, then _pairwise over the slices in C order of the summed
+    axes."""
+    lead = x.ndim - len(axes)
+    columns = np.moveaxis(x, tuple(range(lead, x.ndim)), tuple(range(len(axes))))
+    terms = [columns[i] for i in np.ndindex(columns.shape[:len(axes)])]
+    terms[0] = terms[0] + 0.0
+    return _pairwise(terms)
+
+
+# memory layouts of the same shape; the broadcasts repeat a replicate (or,
+# without a replicate axis, a study) or a column
+_LAYOUTS = {
+    "C": lambda x: x,
+    "replicate-minor": np.asfortranarray,
+    "reversed": lambda x: x[..., ::-1],
+    "strided": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
+    "strided replicates": lambda x: np.asfortranarray(np.repeat(x, 2, axis=0))[::2],
+    "broadcast row": lambda x: np.broadcast_to(x[:1], x.shape),
+    "broadcast column": lambda x: np.broadcast_to(x[..., :1], x.shape),
+}
+# The NaN is the one inf - inf makes, so that every NaN in a sum has the same
+# bits: which of two different NaNs an add keeps, IEEE 754 leaves open, and
+# numpy's scalar, array and in-place adds do not all keep the same one.
+with np.errstate(invalid="ignore"):
+    _SPECIAL_VALUES = (0.0, -0.0, float(np.subtract(math.inf, math.inf)), math.inf, -math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(2, 9),
+    axes=st.sampled_from([(-1,), (-2, -1)]),
+    n_reps=st.sampled_from([None, 1, 7, 1000]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    specials=st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from(_SPECIAL_VALUES)),
+                      max_size=8),
+)
+def test_sum_dispatch_matches_column_adds_and_numpy(k, axes, n_reps, seed, specials):
+    """Whichever way _sum goes, numpy's add.reduce or its own column adds,
+    the bits are those of the column adds and of np.sum on a C copy: k
+    studies (by two arms for axes (-2, -1)), with no replicate axis or R
+    replicates in any layout, over magnitudes from 1e-5 to 1e5, signed
+    zeros, NaN and infinities."""
+    shape = (() if n_reps is None else (n_reps,)) + (k,) + ((2,) if len(axes) == 2 else ())
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5, 5, shape)
+    for index, value in specials:
+        x.flat[index % x.size] = value
+    if n_reps == 1000 and rng.random() < 0.5:
+        x[rng.integers(n_reps)] = -0.0  # a replicate of -0.0 terms alone sums to +0.0
+    for layout in _LAYOUTS.values():
+        view = layout(x)
+        got = _sum(view, axes)
+        _assert_same(got, _column_adds(view, axes))
+        _assert_same(got, np.sum(np.ascontiguousarray(view), axis=axes))
+
+
+def test_sum_dispatch_holds_without_avx512():
+    """The same property with numpy's AVX-512 loops switched off (a no-op on
+    a machine without them, and a warning only where numpy does not know the
+    names): the sums _sum hands to numpy do not depend on which SIMD loop
+    numpy dispatches."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fewmeta.__file__)))
+    code = ("import test_summation as t; "
+            "t.test_sum_dispatch_matches_column_adds_and_numpy()")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join(filter(None, (tests, src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-W", "ignore::RuntimeWarning", "-c", code],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_analyze_of_negative_zero_effects_reports_positive_zero(tmp_path):
