@@ -1,7 +1,6 @@
 import os
 
 import pytest
-from click.testing import CliRunner
 
 from fewmeta.data import (
     MetaDataset,
@@ -17,15 +16,6 @@ DATASET_DIR = os.path.join(
     "fewmeta",
     "datasets",
 )
-
-
-def cli_runner(**kwargs):
-    """A CliRunner whose result keeps stderr apart from stdout: click 8.2 and
-    later always do, click 8.0 and 8.1 only when asked to."""
-    try:
-        return CliRunner(mix_stderr=False, **kwargs)
-    except TypeError:  # click >= 8.2 has no mix_stderr
-        return CliRunner(**kwargs)
 
 
 def dataset_path(name):

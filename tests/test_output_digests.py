@@ -13,11 +13,12 @@ import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import fewmeta
 from fewmeta.cli import main
 
-from conftest import PVALUE_DATASET, cli_runner, dataset_path
+from conftest import PVALUE_DATASET, dataset_path
 
 # (report.json, stdout) sha256 per (dataset, --select)
 ANALYZE_SHA256 = {
@@ -91,7 +92,7 @@ def test_analyze_outputs_are_pinned(tmp_path, name, strategy):
         with_bom.write_bytes(codecs.BOM_UTF8 + fh.read())
     for data in (dataset_path(name), str(with_bom)):
         path = tmp_path / "report.json"
-        result = cli_runner().invoke(
+        result = CliRunner().invoke(
             main, ["analyze", data, "--select", strategy, "--json", str(path)]
         )
         assert result.exit_code == 0, result.output
@@ -102,12 +103,12 @@ def test_analyze_outputs_are_pinned(tmp_path, name, strategy):
 
 def test_pvalue_outputs_are_pinned(tmp_path):
     path = tmp_path / "report.json"
-    result = cli_runner().invoke(
+    result = CliRunner().invoke(
         main, ["analyze", PVALUE_DATASET, "--select", "pvalue", "--json", str(path)]
     )
     assert result.exit_code == 0, result.output
     assert (sha256(path.read_bytes()), sha256(result.output.encode())) == PVALUE_ANALYZE_SHA256
-    result = cli_runner().invoke(main, ["select", PVALUE_DATASET, "--strategy", "pvalue"])
+    result = CliRunner().invoke(main, ["select", PVALUE_DATASET, "--strategy", "pvalue"])
     assert result.exit_code == 0, result.output
     assert "CREDENCE=HbA1c" in result.output  # local picks heart_failure
     assert sha256(result.output.encode()) == PVALUE_SELECT_SHA256
@@ -135,7 +136,7 @@ def test_real_stdout_and_stderr():
 
 def test_simulate_summary_is_pinned(tmp_path):
     summary = tmp_path / "summary.json"
-    result = cli_runner().invoke(main, [
+    result = CliRunner().invoke(main, [
         "simulate", "--seed", "7", "--reps", "500", "--k", "2,3,5", "--tau", "0,0.5",
         "--out", str(tmp_path / "metrics.csv"), "--summary", str(summary),
     ])
@@ -148,7 +149,7 @@ def test_simulate_summary_is_pinned(tmp_path):
 
 
 def test_validate_stdout_is_pinned():
-    result = cli_runner().invoke(main, ["validate", "--seed", "0"])
+    result = CliRunner().invoke(main, ["validate", "--seed", "0"])
     assert result.exit_code == 0, result.output
     digest = sha256(result.output.encode())
     assert digest == VALIDATE_SHA256, (
