@@ -8,9 +8,11 @@ p-value (pvalue), when the input carries them. The third is an exhaustive
 most _QS_BLOCK (about 0.1 us each).
 
 qs_histogram returns a lazy view of every (combination id, Q_S) pair: each
-pass over it evaluates the blocks again, and write_histogram_csv formats and
-writes them chunk by chunk, so a histogram of any size holds about one block
-(a few MB) at a time.
+pass over it evaluates the blocks again. write_histogram_csv writes the
+blocks chunk by chunk, at most 1000 rows to a chunk, so a histogram of any
+size holds about one block (a few MB) at a time. Its rows come from fixed
+templates of the ids, so the only per-row formatting is each float's repr
+(about 0.6 of the 0.7 us a row costs).
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def select(dataset: MetaDataset, strategy: str, max_combinations: int = DEFAULT_
 
 class QsValues:
     """Every (combination id, Q_S) pair of a dataset, in enumeration order:
-    `len()` is the number of combinations, and each iteration evaluates
+    `len()` is the number of combinations, and each pass evaluates
     _qs_blocks afresh, holding one block at a time."""
 
     def __init__(self, dataset: MetaDataset, total: int):
@@ -203,11 +205,14 @@ class QsValues:
     def __len__(self) -> int:
         return self._total
 
+    def blocks(self):
+        """The Q_S values as lists of floats, block by block; the ids run on
+        from 0 across them."""
+        for q in _qs_blocks(self._dataset):
+            yield q.tolist()
+
     def __iter__(self):
-        return itertools.chain.from_iterable(  # blocks are all one size
-            zip(itertools.count(b * q.size), q.tolist())
-            for b, q in enumerate(_qs_blocks(self._dataset))
-        )
+        return enumerate(itertools.chain.from_iterable(self.blocks()))
 
 
 def qs_histogram(
@@ -220,19 +225,39 @@ def qs_histogram(
     return QsValues(dataset, total), 2 * dataset.k - 1
 
 
-_HISTOGRAM_ROW = "%d,%r\r\n"
-_HISTOGRAM_CHUNK = 4096  # rows formatted in one call and written as one chunk
+# Row templates: the ids below 1000, and the three-digit tails of larger ids.
+# The rows of ids sharing their leading digits L are L + L.join(tails).
+_SMALL_ROWS = tuple(f"{i},%r\r\n" for i in range(1000))
+_ROW_TAILS = tuple(f"{i:03d},%r\r\n" for i in range(1000))
+
+
+def _histogram_rows(start, q):
+    """CSV rows of the Q_S list `q`, its first id `start`: one `%` call per
+    chunk of ids sharing their leading digits, so repr is all each row
+    formats."""
+    i = 0
+    while i < len(q):
+        lead, low = divmod(start + i, 1000)
+        n = min(1000 - low, len(q) - i)
+        if lead:
+            lead = str(lead)
+            template = lead + lead.join(_ROW_TAILS[low:low + n])
+        else:
+            template = "".join(_SMALL_ROWS[low:low + n])
+        yield template % tuple(q[i:i + n])
+        i += n
 
 
 def write_histogram_csv(values, path):
-    """Write (combination id, Q_S) pairs as CSV, atomically, streaming
-    _HISTOGRAM_CHUNK rows at a time."""
+    """Write the (combination id, Q_S) pairs of a QsValues as CSV,
+    atomically, reading its blocks() and streaming at most 1000 rows to a
+    chunk."""
 
     def chunks():
         yield "combination_id,q_s\r\n"
-        pairs = iter(values)
-        flatten = itertools.chain.from_iterable
-        while flat := tuple(flatten(itertools.islice(pairs, _HISTOGRAM_CHUNK))):
-            yield _HISTOGRAM_ROW * (len(flat) // 2) % flat
+        start = 0
+        for q in values.blocks():
+            yield from _histogram_rows(start, q)
+            start += len(q)
 
     write_atomic(path, chunks())

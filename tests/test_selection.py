@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,17 +148,72 @@ def test_write_histogram_csv_keeps_target_on_failure(tmp_path):
     path = tmp_path / "qs.csv"
     path.write_text("previous run\n")
 
-    def values():
-        yield 0, 1.5
+    def blocks():
+        yield [1.5]
         raise RuntimeError("enumeration interrupted")
 
     with pytest.raises(RuntimeError):
-        write_histogram_csv(values(), path)
+        write_histogram_csv(SimpleNamespace(blocks=blocks), path)
     assert path.read_text() == "previous run\n"
     assert os.listdir(tmp_path) == ["qs.csv"]
 
-    write_histogram_csv([(0, 1.5), (1, 0.25)], path)
+    write_histogram_csv(SimpleNamespace(blocks=lambda: [[1.5, 0.25]]), path)
     assert path.read_bytes() == b"combination_id,q_s\r\n0,1.5\r\n1,0.25\r\n"
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-05, 0.1, 18.24]
+
+
+def _rows_by_percent(start, q):
+    return "".join("%d,%r\r\n" % (start + i, v) for i, v in enumerate(q))
+
+
+def _written_rows(tmp_path, blocks):
+    path = tmp_path / "h.csv"
+    write_histogram_csv(SimpleNamespace(blocks=lambda: blocks), path)
+    text = path.read_bytes().decode()
+    assert text.startswith("combination_id,q_s\r\n")
+    return text[len("combination_id,q_s\r\n"):]
+
+
+def test_histogram_rows_equal_percent_format():
+    """Rows for any first id and length, across thousand-id boundaries, are
+    "%d,%r\r\n" rows, at most 1000 to a chunk."""
+    rng = np.random.default_rng(24)
+    for start in [0, 1, 999, 1000, 999_999, 10 ** 6] + rng.integers(0, 10 ** 9, 30).tolist():
+        for length in (1, 2, 999, 1000, 1001, 2500, int(rng.integers(1, 3000))):
+            pool = _SPECIAL_FLOATS + (rng.standard_normal(6) * 10.0 ** rng.integers(-8, 17, 6)).tolist()
+            q = rng.choice(pool, length).tolist()
+            chunks = list(selection._histogram_rows(start, q))
+            assert all(chunk.count("\n") <= 1000 for chunk in chunks)
+            assert "".join(chunks) == _rows_by_percent(start, q)
+
+
+def test_write_histogram_csv_numbers_ids_across_blocks(tmp_path):
+    rng = np.random.default_rng(5)
+    sizes = [3, 996, 1, 1000, 2048, 7]
+    q = rng.choice(_SPECIAL_FLOATS, sum(sizes)).tolist()
+    blocks, at = [], 0
+    for n in sizes:
+        blocks.append(q[at:at + n])
+        at += n
+    assert _written_rows(tmp_path, blocks) == _rows_by_percent(0, q)
+    assert _written_rows(tmp_path, []) == ""
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_histogram_bytes_with_blocks_ending_mid_thousand(tmp_path, monkeypatch, block):
+    """sglt2's 4096 combinations in blocks that end inside a thousand of
+    ids give test_select_histogram_golden_bytes' file."""
+    monkeypatch.setattr(selection, "_QS_BLOCK", block)
+    path = tmp_path / "h.csv"
+    result = CliRunner().invoke(
+        main, ["select", dataset_path("sglt2"), "--histogram", str(path)]
+    )
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f9f4a2c79badf333197970d338a96cd3f2d890106c406d8fa125d8b08600315b"
+    )
 
 
 def test_budget_refusal(sglt2):
@@ -331,9 +387,9 @@ def test_qs_all_equals_loop_bit_for_bit(monkeypatch, block):
 
 def test_histogram_is_streamed_in_bounded_memory(tmp_path):
     """8^6 = 262 144 combinations go to the file holding one block of Q_S
-    and one chunk of rows at a time (2.5 MB); a list of the pairs alone
-    takes about 240 B per combination, 63 MB here. The bound does not grow
-    with the combination count."""
+    and one chunk of at most 1000 rows at a time (2.5 MB); a list of the
+    pairs alone takes about 240 B per combination, 63 MB here. The bound
+    does not grow with the combination count."""
     rng = np.random.default_rng(3)
     ds = make_dataset([
         (rng.normal(), 0.7, [make_split(f"s{j}", rng.normal(0, 1, 2), rng.uniform(0.2, 1.5, 2))
