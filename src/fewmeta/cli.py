@@ -30,6 +30,8 @@ from .intervals import t_quantile
 from .report import build_report, render_text, report_to_json, write_atomic, write_files
 from .selection import (
     DEFAULT_MAX_COMBINATIONS,
+    GLOBAL,
+    MAX_COMBINATIONS_CEILING,
     STRATEGIES,
     CombinationBudgetError,
     qs_histogram,
@@ -177,7 +179,13 @@ def _grid_settings(flags: dict, config_path) -> dict:
 
 
 _max_combos = click.option("--max-combos", default=DEFAULT_MAX_COMBINATIONS, show_default=True,
-                           help="Most split combinations the global search or a histogram may enumerate; more exits 3.")
+                           help="Most split combinations the global search or a histogram may enumerate, "
+                                f"1 to {MAX_COMBINATIONS_CEILING}; more combinations exit 3.")
+
+
+def _check_max_combos(max_combos: int):
+    if not 1 <= max_combos <= MAX_COMBINATIONS_CEILING:
+        raise ValidationError(f"--max-combos must be in [1, {MAX_COMBINATIONS_CEILING}], got {max_combos}")
 
 
 @click.group(cls=_Commands)
@@ -202,6 +210,7 @@ def main():
 @click.option("--json", "json_out", type=click.Path(dir_okay=False), help="Write the JSON report here.")
 def analyze(data_path, strategy, level, exp, max_combos, json_out):
     """Run all heterogeneity estimators and CI methods on a dataset."""
+    _check_max_combos(max_combos)
     _distinct(("DATA_PATH", data_path), ("--json", json_out))
     dataset = load_csv(data_path)
     sel = None
@@ -228,14 +237,17 @@ def analyze(data_path, strategy, level, exp, max_combos, json_out):
 @_max_combos
 def select(data_path, strategy, histogram, max_combos):
     """Pick one subgroup split per study maximizing the subgroup Q."""
+    _check_max_combos(max_combos)
     _distinct(("DATA_PATH", data_path), ("--histogram", histogram))
     dataset = load_csv(data_path)
-    result = select_splits(dataset, strategy, max_combos)
+    # the global choice of a histogram command comes from the histogram's pass
+    result = None if histogram and strategy == GLOBAL else select_splits(dataset, strategy, max_combos)
     lines = []
     if histogram:
         values, threshold = qs_histogram(dataset, max_combos)
         with _output(histogram):
             write_histogram_csv(values, histogram)
+        result = result or values.selection()
         lines += [f"histogram: {len(values)} combinations -> {histogram}",
                   f"threshold (positive subgroup-level tau2): Q_S > {threshold}"]
     chosen = ", ".join(

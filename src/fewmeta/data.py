@@ -210,35 +210,30 @@ def consistency_gaps(dataset: MetaDataset) -> list:
     return gaps
 
 
-def _parse_float(value, where):
+# The parsers and record checks below raise without naming the row; the
+# loader prefixes where it was, formatting that prefix only on failure.
+
+def _parse_float(value):
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"{where}: cannot parse number {value!r}") from None
+        raise ValidationError(f"cannot parse number {value!r}") from None
 
 
-def _parse_probability(value, where):
+def _parse_probability(value):
     """A probability such as p_interaction: a number in [0, 1]."""
-    p = _parse_float(value, where)
+    p = _parse_float(value)
     if not 0.0 <= p <= 1.0:  # false on NaN too
-        raise ValidationError(f"{where}: p_interaction must be a number in [0, 1], got {value!r}")
+        raise ValidationError(f"p_interaction must be a number in [0, 1], got {value!r}")
     return p
 
 
-def _parse_count(value, where):
+def _parse_count(value):
     """A count such as n: a whole number >= 1 ("12" and "12.0" both give 12)."""
-    n = _parse_float(value, where)
-    if not (math.isfinite(n) and n >= 1 and n == int(n)):
-        raise ValidationError(f"{where}: n must be a whole number >= 1, got {value!r}")
+    n = _parse_float(value)
+    if not (1.0 <= n < math.inf and n.is_integer()):  # false on NaN too
+        raise ValidationError(f"n must be a whole number >= 1, got {value!r}")
     return int(n)
-
-
-def _built(prefix, record, *args):
-    """record(*args), with the row it is built from as the prefix of its checks' errors."""
-    try:
-        return record(*args)
-    except ValidationError as exc:
-        raise ValidationError(f"{prefix}{exc}") from None
 
 
 def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
@@ -301,30 +296,43 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
                     raise ValidationError(
                         f"split {sid!r}/{name!r} arm {j}: n is required on subgroup rows"
                     )
-                where = f"{sid}/{name}/arm{j}"
-                y, se = _parse_float(r.get("y"), where), _parse_float(r.get("se"), where)
-                arms.append(_built(f"{where}: ", SubgroupArm, y, se, _parse_count(nval, where)))
+                try:
+                    arms.append(SubgroupArm(_parse_float(r.get("y")), _parse_float(r.get("se")),
+                                            _parse_count(nval)))
+                except ValidationError as exc:
+                    raise ValidationError(f"{sid}/{name}/arm{j}: {exc}") from None
             row_p = arm_rows[1].get("p_interaction")
-            p_int = _parse_probability(row_p, f"{sid}/{name}") if row_p not in (None, "") else None
-            # arms in range, their aggregate possibly not
-            splits.append(_built(f"study {sid!r} ", SubgroupSplit, name, tuple(arms), p_int))
+            try:
+                p_int = _parse_probability(row_p) if row_p not in (None, "") else None
+            except ValidationError as exc:
+                raise ValidationError(f"{sid}/{name}: {exc}") from None
+            try:  # arms in range, their aggregate possibly not
+                splits.append(SubgroupSplit(name, tuple(arms), p_int))
+            except ValidationError as exc:
+                raise ValidationError(f"study {sid!r} {exc}") from None
 
         y_raw, se_raw = row.get("y"), row.get("se")
         blank = (y_raw in (None, ""), se_raw in (None, ""))
         if blank[0] != blank[1]:
             raise ValidationError(f"{sid}: y and se must be given together, or both left "
                                   f"blank to derive the study row (got y={y_raw!r}, se={se_raw!r})")
-        if row.get("n") not in (None, ""):
-            _parse_count(row["n"], sid)  # checked, not kept: nothing reads a study's n
-        if blank[0]:
-            if not splits:
-                raise ValidationError(
-                    f"study {sid!r}: no estimate supplied and no splits to derive one"
-                )
-            y, se = splits[0].agg_y, splits[0].agg_se
-        else:
-            y, se = _parse_float(y_raw, sid), _parse_float(se_raw, sid)
-        studies.append(_built(f"{sid}: ", Study, sid, y, se, tuple(splits)))
+        try:
+            if row.get("n") not in (None, ""):
+                _parse_count(row["n"])  # checked, not kept: nothing reads a study's n
+        except ValidationError as exc:
+            raise ValidationError(f"{sid}: {exc}") from None
+        if blank[0] and not splits:
+            raise ValidationError(
+                f"study {sid!r}: no estimate supplied and no splits to derive one"
+            )
+        try:
+            if blank[0]:
+                y, se = splits[0].agg_y, splits[0].agg_se
+            else:
+                y, se = _parse_float(y_raw), _parse_float(se_raw)
+            studies.append(Study(sid, y, se, tuple(splits)))
+        except ValidationError as exc:
+            raise ValidationError(f"{sid}: {exc}") from None
 
     return MetaDataset(tuple(studies))
 
@@ -334,18 +342,22 @@ def load_csv(path) -> MetaDataset:
     mark, as Excel's "CSV UTF-8" writes, is skipped)."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise ValidationError(f"{path}: empty file")
-            missing = set(CSV_COLUMNS) - set(reader.fieldnames)
+            missing = set(CSV_COLUMNS) - set(header)
             if missing:
                 raise ValidationError(f"{path}: missing columns {sorted(missing)}")
-            rows = list(reader)
+            # the rows csv.DictReader gives, as validate_dataset reads them:
+            # blank lines skipped, missing fields None (overriding an earlier
+            # column of the same name), extra fields dropped
+            pad = [None] * len(header)
+            rows = [dict(zip(header, row + pad[len(row):])) for row in reader if row]
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 ({exc.reason})") from None
     except csv.Error as exc:
-        # DictReader.line_num is updated only after a row is read whole
-        raise ValidationError(f"{path}: line {reader.reader.line_num}: {exc}") from None
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     return validate_dataset(rows)
 
 

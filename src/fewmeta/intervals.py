@@ -86,11 +86,17 @@ _QUANTILE_CACHE_SIZE = 256
 # The largest df of the t functions: within 1e-8 of scipy up to it, 3.5e-6
 # off at 1e9 and 0.21 at 1e15. No command exceeds it (2k - 1 < 5e6).
 _MAX_DF = 10 ** 7
+# Most terms of the incomplete beta continued fraction. It needs about
+# 2 sqrt(max(a, b)) of them near x = a / (a + b), 1091 at a = b = 1e7; the
+# cap grows so, from 300, and inputs that converge within 300 terms stop
+# where they always did.
+_BETACF_MAX_TERMS = 10_000
 
 
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (modified
     Lentz's method)."""
+    terms = int(min(_BETACF_MAX_TERMS, 300 + 2.0 * math.sqrt(max(a, b))))
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
@@ -98,7 +104,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         d = _TINY
     d = 1.0 / d
     h = d
-    for m in range(1, 300):
+    for m in range(1, terms):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d

@@ -8,11 +8,14 @@ p-value (pvalue), when the input carries them. The third is an exhaustive
 most _QS_BLOCK (about 0.1 us each).
 
 qs_histogram returns a lazy view of every (combination id, Q_S) pair: each
-pass over it evaluates the blocks again. write_histogram_csv writes the
-blocks chunk by chunk, at most 1000 rows to a chunk, so a histogram of any
-size holds about one block (a few MB) at a time. Its rows come from fixed
-templates of the ids, so the only per-row formatting is each float's repr
-(about 0.6 of the 0.7 us a row costs).
+pass over it evaluates the blocks again, and a complete pass also yields the
+global choice (QsValues.selection), the first maximum in enumeration order,
+NaN never winning; select_global is one such pass, so `select --histogram`
+enumerates once. write_histogram_csv writes the blocks chunk by chunk, at
+most 1000 rows to a chunk, so a histogram of any size holds about one block
+(a few MB) at a time. Its rows come from fixed templates of the ids, so the
+only per-row formatting is each float's repr (about 0.6 of the 0.7 us a row
+costs).
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ PVALUE = "pvalue"
 STRATEGIES = (LOCAL, GLOBAL, PVALUE)
 
 DEFAULT_MAX_COMBINATIONS = 10 ** 6
+# The largest budget the CLI accepts: a histogram of 10^8 rows takes about
+# 70 s and 3 GB of disk, the global search alone about 3 s.
+MAX_COMBINATIONS_CEILING = 10 ** 8
 
 _QS_BLOCK = 1 << 16  # most combinations the global search holds in one array
 
@@ -139,7 +145,7 @@ def _qs_blocks(dataset: MetaDataset):
     one per prefix of the leading studies, broadcast over the trailing ones.
     The sums grow study by study as in _qs_from_moments, so Q_S is identical.
     """
-    sums = [np.array(rows).T for rows in _split_moments(dataset)]
+    sums = [np.array(rows).T.copy() for rows in _split_moments(dataset)]  # C order broadcasts faster
     counts = [m.shape[1] for m in sums]
     lead = len(counts)
     while lead and math.prod(counts[lead - 1:]) <= _QS_BLOCK:
@@ -149,23 +155,21 @@ def _qs_blocks(dataset: MetaDataset):
         s = np.zeros((3, 1))
         for m in parts:
             s = (s[:, :, None] + m[:, None, :]).reshape(3, -1)
-        yield s[2] - s[1] * s[1] / s[0]
+        q = s[1] * s[1]
+        q /= s[0]
+        yield np.subtract(s[2], q, out=q)
 
 
 def select_global(
     dataset: MetaDataset, max_combinations: int = DEFAULT_MAX_COMBINATIONS
 ) -> SelectionResult:
     """Exhaustively evaluate the subgroup Q statistic over every split
-    combination and return the argmax. Ties break to the first combination
-    in enumeration order."""
-    total = _check_budget(dataset, max_combinations)
-    best_q, best_at = -math.inf, None
-    for b, q in enumerate(_qs_blocks(dataset)):  # blocks are all one size
-        i = int(np.argmax(np.where(np.isnan(q), -math.inf, q)))
-        if q[i] > best_q:
-            best_q, best_at = q[i], b * q.size + i
-    choices = tuple(int(c) for c in np.unravel_index(best_at, _split_counts(dataset)))
-    return SelectionResult(choices, float(best_q), GLOBAL, total)
+    combination and return the argmax: one pass of QsValues, whose rule
+    picks the first maximum in enumeration order."""
+    values = QsValues(dataset, _check_budget(dataset, max_combinations))
+    for _ in values.arrays():
+        pass
+    return values.selection()
 
 
 def _pvalue_key(study, split):
@@ -196,23 +200,48 @@ def select(dataset: MetaDataset, strategy: str, max_combinations: int = DEFAULT_
 class QsValues:
     """Every (combination id, Q_S) pair of a dataset, in enumeration order:
     `len()` is the number of combinations, and each pass evaluates
-    _qs_blocks afresh, holding one block at a time."""
+    _qs_blocks afresh, holding one block at a time. A complete pass also
+    finds the global choice, which selection() then returns, so a
+    histogram and the global search share one enumeration."""
 
     def __init__(self, dataset: MetaDataset, total: int):
         self._dataset = dataset
         self._total = total
+        self._best = None  # (Q_S, id) of the first maximum, after a complete pass
 
     def __len__(self) -> int:
         return self._total
 
+    def arrays(self):
+        """The Q_S blocks as arrays, keeping the first maximum in
+        enumeration order; NaN never wins."""
+        best_q, best_at, start = -math.inf, None, 0
+        for q in _qs_blocks(self._dataset):
+            i = int(q.argmax())
+            if q[i] != q[i]:  # argmax stops at the first NaN
+                i = int(np.argmax(np.where(np.isnan(q), -math.inf, q)))
+            if q[i] > best_q:
+                best_q, best_at = float(q[i]), start + i
+            start += q.size
+            yield q
+        self._best = best_q, best_at
+
     def blocks(self):
         """The Q_S values as lists of floats, block by block; the ids run on
         from 0 across them."""
-        for q in _qs_blocks(self._dataset):
+        for q in self.arrays():
             yield q.tolist()
 
     def __iter__(self):
         return enumerate(itertools.chain.from_iterable(self.blocks()))
+
+    def selection(self) -> SelectionResult:
+        """The global choice found by the last complete pass."""
+        if self._best is None:
+            raise RuntimeError("selection() needs a complete pass over the blocks")
+        best_q, best_at = self._best
+        choices = tuple(int(c) for c in np.unravel_index(best_at, _split_counts(self._dataset)))
+        return SelectionResult(choices, best_q, GLOBAL, self._total)
 
 
 def qs_histogram(

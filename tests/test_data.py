@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -258,3 +259,88 @@ def test_selection_application():
         ds.with_selection([0, 1])
     with pytest.raises(ValidationError, match="^study 's1': selected split out of range$"):
         ds.with_selection([-1, 0])
+
+
+def _load_by_dictreader(path):
+    """The loader as it was: csv.DictReader rows into validate_dataset."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ValidationError(f"{path}: empty file")
+            missing = set(data.CSV_COLUMNS) - set(reader.fieldnames)
+            if missing:
+                raise ValidationError(f"{path}: missing columns {sorted(missing)}")
+            rows = list(reader)
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.reader.line_num}: {exc}") from None
+    return validate_dataset(rows)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+_HEADER = "study_id,label,level,split,arm,y,se,n"
+_STUDIES = ["s1,,study,,,0.1,0.2,40", "s2,,study,,,0.3,0.4,30"]
+_ARMS = ["s1,,subgroup,sex,1,0.05,0.3,20", "s1,,subgroup,sex,2,0.15,0.3,20",
+         "s2,,subgroup,sex,1,0.25,0.5,15", "s2,,subgroup,sex,2,0.35,0.5,15"]
+
+
+def _csv(*lines, header=_HEADER):
+    return "\r\n".join([header, *lines]) + "\r\n"
+
+
+_LOADER_CASES = {
+    "plain": _csv(*_STUDIES, *_ARMS),
+    "blank lines": _csv("", *_STUDIES, "", "", *_ARMS, ""),
+    "blank line first": "\n\n" + _csv(*_STUDIES),
+    "short study row": _csv("s1,,study,,,0.1,0.2", "s2,,study,,,0.3", *_ARMS),
+    "short arm row": _csv(*_STUDIES, "s1,,subgroup,sex,1,0.05,0.3", *_ARMS[1:]),
+    "extra fields": _csv("s1,,study,,,0.1,0.2,40,x,y", *_STUDIES[1:], _ARMS[0] + ",,9", *_ARMS[1:]),
+    "duplicated column, last wins": _csv(
+        *(line + ",0.7" for line in _STUDIES + _ARMS), header=_HEADER + ",y"),
+    "duplicated column, short row": _csv(
+        *(line + ",0.7" for line in _STUDIES[1:] + _ARMS), _STUDIES[0], header=_HEADER + ",y"),
+    "duplicated column, blank last": _csv(
+        *(line + "," for line in _STUDIES + _ARMS), header=_HEADER + ",se"),
+    "byte-order mark": "﻿" + _csv(*_STUDIES, *_ARMS),
+    "p_interaction": _csv(*_STUDIES, *(a + (",0.5" if a.split(",")[4] == "1" else ",")
+                                        for a in _ARMS), header=_HEADER + ",p_interaction"),
+    "unparsable p_interaction": _csv(*_STUDIES, *(a + ",x" for a in _ARMS),
+                                     header=_HEADER + ",p_interaction"),
+    "out-of-range p_interaction": _csv(*_STUDIES, *(a + ",1.5" for a in _ARMS),
+                                       header=_HEADER + ",p_interaction"),
+    "unparsable arm y": _csv(*_STUDIES, _ARMS[0].replace("0.05", "abc"), *_ARMS[1:]),
+    "unparsable arm se": _csv(*_STUDIES, _ARMS[0].replace(",0.3,", ",0.3x,"), *_ARMS[1:]),
+    "unparsable arm n": _csv(*_STUDIES, _ARMS[0][:-2] + "n/a", *_ARMS[1:]),
+    "fractional arm n": _csv(*_STUDIES, _ARMS[0][:-2] + "2.5", *_ARMS[1:]),
+    "arm n below 1": _csv(*_STUDIES, _ARMS[0][:-2] + "0", *_ARMS[1:]),
+    "arm effect out of range": _csv(*_STUDIES, _ARMS[0].replace("0.05", "1e41"), *_ARMS[1:]),
+    "arm effect not finite": _csv(*_STUDIES, _ARMS[0].replace("0.05", "nan"), *_ARMS[1:]),
+    "arm se out of range": _csv(*_STUDIES, _ARMS[0].replace(",0.3,", ",1e-41,"), *_ARMS[1:]),
+    "arms aggregate below the se floor": _csv(
+        *_STUDIES, *(a.replace(",0.3,", ",1e-40,") for a in _ARMS[:2]), *_ARMS[2:]),
+    "unparsable study y": _csv("s1,,study,,,y?,0.2,40", *_STUDIES[1:]),
+    "study se out of range": _csv("s1,,study,,,0.1,0,40", *_STUDIES[1:]),
+    "unparsable study n": _csv("s1,,study,,,0.1,0.2,many", *_STUDIES[1:]),
+    "derived study row": _csv("s1,,study,,,,,", *_STUDIES[1:], *_ARMS),
+    "empty file": "",
+    "no columns": "\n",
+    "missing column": _csv(*_STUDIES, header=_HEADER.replace(",n", "")),
+    "unterminated quote": _csv(*_STUDIES, 's1,,subgroup,"sex,1,0.05,0.3,20'),
+    "field over csv's limit": _csv(*_STUDIES, "s1," + "x" * 200_000 + ",subgroup", *_ARMS),
+}
+
+
+@pytest.mark.parametrize("text", _LOADER_CASES.values(), ids=_LOADER_CASES.keys())
+def test_load_csv_reads_as_dictreader_rows(tmp_path, text):
+    """load_csv builds its rows with csv.reader and dict(zip(header, row));
+    the dataset, or the error, is what csv.DictReader's rows through
+    validate_dataset give."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_csv, path) == _outcome(_load_by_dictreader, path)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -71,6 +72,29 @@ def test_incomplete_beta_reports_a_continued_fraction_that_does_not_converge():
     # zero, so the _TINY guard replaces it, and the terms never settle
     with pytest.raises(ArithmeticError, match="^incomplete beta continued fraction did not converge$"):
         regularized_incomplete_beta(1e300, 1e300, 0.5)
+
+
+@pytest.mark.parametrize("a", [2e5, 1e6, 5e6, 1e7])
+def test_incomplete_beta_converges_for_large_equal_parameters(a):
+    # the continued fraction needs about 2 sqrt(a) terms here (1091 at 1e7),
+    # more than the 300 it was once capped at (it failed from a = 2e5); the
+    # result is as exact as its lgamma front, whose terms of about a ln a
+    # cancel to O(ln a), so the error grows as a ln a ulps
+    assert regularized_incomplete_beta(a, a, 0.5) == pytest.approx(0.5, abs=1e-15 * a * math.log(a))
+
+
+def test_t_functions_keep_their_bits():
+    """A larger cap changes no input that converged within 300 terms: these
+    values, pinned before the cap grew, reproduce bit for bit."""
+    dfs = [0.5, 1, 2, 3, 4.5, 7, 11, 30, 60, 500, 10 ** 4, 123457, 10 ** 6, 10 ** 7]
+    ts = [-40.0, -6.0, -2.5, -1.0, -0.1, 0.0, 0.3, 1.7, 3.0, 12.0, 1e3]
+    ps = [0.5, 0.6, 0.9, 0.95, 0.975, 0.995, 0.9995, 0.12, 1 - 1e-9]
+    values = [student_t_cdf(t, df) for df in dfs for t in ts]
+    values += [t_quantile(df, p) for df in dfs[1:] for p in ps]
+    values += [regularized_incomplete_beta(a, b, x) for a in (0.5, 2.0, 40.0, 1e3, 1e5)
+               for b in (0.5, 3.0, 1e4) for x in (0.01, 0.3, 0.5, 0.9)]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "3675cafd65ebf93d3675f14174af422a961ac100e10ca534c1ced0da59eb75c0")
 
 
 def test_upper_quantile_reports_a_bracket_that_cannot_close():

@@ -214,6 +214,30 @@ def test_cli_select_budget_exceeded():
     assert result.exit_code == 3
 
 
+def test_cli_pvalue_histogram_reports_the_missing_p_before_the_budget(tmp_path):
+    # the pvalue choice is made before the histogram's budget is checked
+    result = CliRunner().invoke(main, ["select", dataset_path("sglt2"), "--strategy", "pvalue",
+                                       "--histogram", str(tmp_path / "h.csv"), "--max-combos", "1"])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["message"].endswith("p_interaction required for the pvalue strategy")
+    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("value, code", [("0", 2), ("1", 3), ("100000000", 0), ("100000001", 2)])
+@pytest.mark.parametrize("command", [["select", "--histogram", "{tmp}/h.csv"], ["select"],
+                                     ["analyze", "--select", "global"]])
+def test_cli_max_combos_has_a_ceiling(tmp_path, command, value, code):
+    """--max-combos takes 1 to 10^8; other values exit 2 with a JSON error
+    before any work (0 used to exit 3, as a budget no search fits)."""
+    args = [command[0], dataset_path("sglt2")] + [a.format(tmp=tmp_path) for a in command[1:]]
+    result = CliRunner().invoke(main, args + ["--max-combos", value])
+    assert result.exit_code == code, result.output
+    if code == 2:
+        assert json.loads(result.stderr) == {
+            "error": "validation", "message": f"--max-combos must be in [1, 100000000], got {value}"}
+    assert (tmp_path / "h.csv").exists() == (code == 0 and "--histogram" in command)
+
+
 def test_cli_select_histogram(tmp_path):
     runner = CliRunner()
     hist = tmp_path / "h.csv"

@@ -18,6 +18,7 @@ from fewmeta.data import (
     SubgroupSplit,
     ValidationError,
     aggregate_study,
+    load_csv,
 )
 from fewmeta.estimators import qs_raw, subgroup_arrays
 from fewmeta.selection import (
@@ -31,7 +32,7 @@ from fewmeta.selection import (
     write_histogram_csv,
 )
 
-from conftest import dataset_path, make_dataset, make_split
+from conftest import PVALUE_DATASET, dataset_path, make_dataset, make_split
 
 
 def test_within_study_q_hand_case():
@@ -428,3 +429,83 @@ def test_select_global_skips_nan(monkeypatch):
     res = select_global(ds)
     assert res.choices == (1, 1)
     assert res.q_s == 4.0 - 4.0 / 2.0
+
+
+def _csv_of(dataset, path):
+    """`dataset` as a fewmeta CSV; repr keeps every float's bits."""
+    lines = ["study_id,label,level,split,arm,y,se,n"]
+    for study in dataset.studies:
+        lines.append(f"{study.study_id},,study,,,{study.y!r},{study.se!r},")
+        for split in study.splits:
+            for j, arm in enumerate(split.arms, 1):
+                lines.append(f"{study.study_id},,subgroup,{split.split_name},{j},"
+                             f"{arm.y!r},{arm.se!r},{arm.n}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _select_lines(path, *options):
+    result = CliRunner().invoke(main, ["select", path, *options])
+    assert result.exit_code == 0, result.output
+    return result.output.splitlines()
+
+
+@pytest.mark.parametrize("block", [None, 7, 1000])
+def test_select_histogram_takes_the_choice_of_plain_select(tmp_path, monkeypatch, block):
+    """The histogram's pass gives the global choice: strategy, choices, Q_S
+    and combination lines equal plain select's, tied maxima included (every
+    third generated dataset duplicates its splits)."""
+    if block is not None:
+        monkeypatch.setattr(selection, "_QS_BLOCK", block)
+    paths = [_csv_of(ds, tmp_path / f"d{i}.csv") for i, ds in enumerate(_random_datasets())]
+    for path in paths + [dataset_path("sglt2")]:
+        plain = _select_lines(path)
+        with_histogram = _select_lines(path, "--histogram", str(tmp_path / "h.csv"))
+        assert len(plain) == 4
+        assert with_histogram[2:] == plain
+        assert select_global(load_csv(path)).q_s == max(
+            float(line.split(",")[1]) for line in (tmp_path / "h.csv").read_text().splitlines()[1:])
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_select_histogram_skips_nan_as_plain_select_does(tmp_path, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(selection, "_QS_BLOCK", block)
+    a = make_split("a", (0.5, -0.5), (1.0, 1.0))
+    b = make_split("b", (0.1, -0.1), (1.0, 1.0))
+    path = _csv_of(make_dataset([(0.0, 0.7, [a, b]), (0.0, 0.7, [a, b])]), tmp_path / "d.csv")
+    moments = [[(1.0, math.nan, 0.0), (1.0, 1.0, 2.0)], [(1.0, 0.0, 0.0), (1.0, 1.0, 2.0)]]
+    monkeypatch.setattr(selection, "_split_moments", lambda dataset: moments)
+    plain = _select_lines(path)
+    assert plain[1:3] == ["choices: s1=b, s2=b", "Q_S: 2"]
+    assert _select_lines(path, "--histogram", str(tmp_path / "h.csv"))[2:] == plain
+
+
+@pytest.mark.parametrize("strategy", ["global", "local", "pvalue"])
+def test_select_histogram_enumerates_once(tmp_path, monkeypatch, strategy):
+    """One pass over the combinations per command: a histogram's global
+    choice comes from its own pass, and only plain global select has none
+    to share."""
+    calls = []
+
+    def counted(dataset):
+        calls.append(dataset)
+        return qs_blocks(dataset)
+
+    qs_blocks = selection._qs_blocks
+    monkeypatch.setattr(selection, "_qs_blocks", counted)
+    _select_lines(PVALUE_DATASET, "--strategy", strategy, "--histogram", str(tmp_path / "h.csv"))
+    assert len(calls) == 1
+    calls.clear()
+    _select_lines(PVALUE_DATASET, "--strategy", strategy)
+    assert len(calls) == (strategy == "global")
+
+
+def test_qs_values_selection_needs_a_complete_pass(sglt2):
+    values, _ = qs_histogram(sglt2)
+    with pytest.raises(RuntimeError, match="complete pass"):
+        values.selection()
+    next(values.blocks())
+    with pytest.raises(RuntimeError, match="complete pass"):
+        values.selection()
+    assert list(values) and values.selection() == select_global(sglt2)
