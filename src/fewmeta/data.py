@@ -58,7 +58,7 @@ class SubgroupArm:
 class SubgroupSplit:
     """A named candidate two-way partition of one study.
 
-    The arm weights w = se^-2, their sum and the aggregate of the arms (see
+    The arm weights w = 1 / se^2, their sum and the aggregate of the arms (see
     aggregate_study) are computed once, as plain floats, when the split is
     made; selection, the consistency diagnostics and the derived study rows
     all read them from here.
@@ -80,9 +80,9 @@ class SubgroupSplit:
             raise ValidationError(f"split {self.split_name!r}: p_interaction must be a number "
                                   f"in [0, 1], got {self.p_interaction!r}")
         a1, a2 = self.arms
-        w1, w2 = a1.se ** -2, a2.se ** -2
+        w1, w2 = 1.0 / (a1.se * a1.se), 1.0 / (a2.se * a2.se)
         sw = w1 + w2
-        se = sw ** -0.5
+        se = 1.0 / math.sqrt(sw)
         # The aggregate effect lies between the arms' and its se below both,
         # so only the se floor can be crossed: two arms at 1e-40 give 7.1e-41.
         if se < SE_RANGE[0]:

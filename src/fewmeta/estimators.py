@@ -9,19 +9,13 @@ axis); the report reads a dataset's estimates straight from its result.
 Every weighted sum goes through one pooling step (_Pool), which the kernel
 runs once per level and batch and the public helpers here call too.
 
-Every sum over studies or arms goes through _sum, in the order numpy's
-add.reduce uses on a contiguous trailing axis: the +0.0 identity plus
-numpy's pairwise_sum of the n terms (sequential below 8 terms; from 8,
-eight accumulators stepping by 8, combined as
-((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining terms in order),
-so its results are bit-identical to np.sum. It calls numpy's reduce where
-that adds in this order: without a replicate axis, and over one
-replicate-minor axis of fewer than 8 terms. Elsewhere it adds column slices:
-numpy walks a replicate-minor array in memory order, which gives other bits
-from 8 terms and over arms, and reduces a C-ordered batch row by row, about
-3x slower at R = 1000. Without a replicate axis the sums are numpy scalars,
-squared with np.square: a scalar's ** 2 calls the C library's pow, which
-differs from x * x in the last bit for about one value in a thousand.
+Every weight is correctly rounded, 1 / se^2 as 1.0 / np.square(se)
+(_weights), so it has the same bits on every CPU and in Python floats
+(data.SubgroupSplit). Every sum over studies or arms goes through _sum, one
+order in any memory layout: from +0.0, in study order, then arm order.
+Without a replicate axis the sums are numpy scalars, squared with np.square:
+a scalar's ** 2 calls the C library's pow, which differs from x * x in the
+last bit for about one value in a thousand.
 """
 
 from __future__ import annotations
@@ -45,62 +39,52 @@ STUDY_SIDE = "study"
 SUBGROUP_SIDE = "subgroup"
 
 
-# numpy's pairwise_sum splits runs longer than this in two, recursively
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise(terms):
-    """numpy's pairwise_sum of a list of equal-shape terms. Below 8 terms it
-    adds into terms[0] in place, so the caller must own that one."""
-    n = len(terms)
-    if n < 8:
-        acc = terms[0]
-        for t in terms[1:]:
-            acc += t
-        return acc
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise(terms[:half]) + _pairwise(terms[half:])
-    r = terms[:8]
-    stop = n - n % 8
-    for i in range(8, stop, 8):
-        r = [a + b for a, b in zip(r, terms[i:i + 8])]
-    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for t in terms[stop:]:
-        acc += t
-    return acc
-
-
 def _sum(x, axes=(-1,)):
     """The sum of x over its trailing study axis, axes=(-1,), or study and
-    arm axes, axes=(-2, -1), in numpy's order (see the module docstring), so
-    that -0.0 terms alone sum to +0.0: np.sum's bits on a C-ordered array,
-    and the same on the same values in any memory layout. numpy's reduce
-    gives them without a replicate axis (on a C-ordered copy, as it walks
-    memory order) and over one axis of fewer than 8 terms that is not
-    contiguous, which it adds column by column."""
+    arm axes, axes=(-2, -1): from +0.0, in study order, then arm order, so
+    that -0.0 terms alone sum to +0.0, and the same bits in any memory
+    layout and for one dataset as for its row of a batch."""
     lead = x.ndim - len(axes)
     if not lead:
-        return np.add.reduce(np.ascontiguousarray(x), axis=axes)
-    if len(axes) == 1 and x.shape[-1] < 8 and x.strides[-1] != x.itemsize:
-        return np.add.reduce(x, axis=axes)
-    summed_first = x.transpose(tuple(range(lead, x.ndim)) + tuple(range(lead)))
-    if len(axes) == 1:
-        terms = list(summed_first)
-    else:
-        k, m = summed_first.shape[:2]
-        terms = [summed_first[i, j] for i in range(k) for j in range(m)]
-    if not terms:
-        return np.zeros(x.shape[:lead])[()]
-    # The identity goes into the first term rather than the total: the bits
-    # are the same, as a sum is -0.0 only when all its terms are.
-    terms[0] = terms[0] + 0.0
-    return _pairwise(terms)
+        total = 0.0
+        for term in x.ravel().tolist():
+            total += term
+        return np.float64(total)
+    columns = x.transpose((*range(lead, x.ndim), *range(lead)))
+    if len(axes) == 2:
+        columns = [arm for study in columns for arm in study]
+    if not len(columns):
+        return np.zeros(x.shape[:lead])
+    # The +0.0 goes into the first column, not into a zero total, so that the
+    # total keeps the columns' memory layout; a sum is -0.0 only when all its
+    # terms are, so the bits are the same.
+    total = columns[0] + 0.0
+    for column in columns[1:]:
+        total += column
+    return total
 
 
 # The least non-NaN value of an array, +inf if it has none: guards test
 # _least(x) <= 0, which is (x <= 0).any() in one ufunc call.
 _least = functools.partial(np.fmin.reduce, axis=None, initial=np.inf)
+
+# A difference of positive terms that keeps no more than this share of the
+# larger term has cancelled to rounding error: the weight configuration it
+# comes from is degenerate (one study outweighs the rest beyond what double
+# precision resolves), whichever side of zero the rounding left it.
+_DEGENERATE_SHARE = 64 * np.finfo(float).eps
+
+
+def _reject_cancelled(difference, larger, name):
+    """Raise if difference <= _DEGENERATE_SHARE * larger, exactly: the share
+    is a power of two, and a - b rounds to <= 0 only if a <= b."""
+    if _least(difference - _DEGENERATE_SHARE * larger) <= 0:
+        raise ValidationError(f"{name}: degenerate weight configuration")
+
+
+def _weights(se):
+    """Inverse-variance weights 1 / se^2, each correctly rounded."""
+    return 1.0 / np.square(se)
 
 
 class _Pool(NamedTuple):
@@ -120,8 +104,7 @@ class _Pool(NamedTuple):
     def moment_tau2(self, sw2, df, name):
         """Untruncated moment estimate (Q - df) / (sw - sw2 / sw), sw2 = sum w^2."""
         denom = self.sw - sw2 / self.sw
-        if _least(denom) <= 0:
-            raise ValidationError(f"{name}: degenerate weight configuration")
+        _reject_cancelled(denom, self.sw, name)
         return (self.q() - df) / denom
 
 
@@ -164,15 +147,14 @@ def _dls(arms, sw2):
 def _shrinkage_a(w, sw, sw2):
     """The shrinkage factor A of arm weights, and (sum w)^2 - sum w^2.
 
-    A is positive in theory; it rounds to zero when one study's arms
-    outweigh all others by more than double precision resolves, and is then
-    rejected like a nonpositive denominator, as DLS_ADJ divides by it."""
-    denom = np.square(sw) - sw2
-    if _least(denom) <= 0:
-        raise ValidationError("shrinkage terms: degenerate weight configuration")
+    A is positive in theory; it cancels to rounding error when one study's
+    arms outweigh all others by more than double precision resolves, and is
+    then rejected like a cancelled denominator, as DLS_ADJ divides by it."""
+    sw_sq = np.square(sw)
+    denom = sw_sq - sw2
+    _reject_cancelled(denom, sw_sq, "shrinkage terms")
     a = 1.0 - 2.0 * _sum(w[..., 0] * w[..., 1]) / denom
-    if _least(a) <= 0:
-        raise ValidationError("shrinkage terms: degenerate weight configuration")
+    _reject_cancelled(a, 1.0, "shrinkage terms")
     return a, denom
 
 
@@ -190,7 +172,7 @@ def mu_ce(y, w):
 def cochran_q(y, se):
     """Cochran's Q homogeneity statistic about the common-effect mean."""
     y = np.asarray(y, dtype=float)
-    w = np.asarray(se, dtype=float) ** -2.0
+    w = _weights(se)
     _check_ce_weights(y, w)
     return _pool(y, w).q()
 
@@ -199,7 +181,7 @@ def dl_raw(y, se):
     """Untruncated study-level moment estimate of tau^2."""
     y, se = np.asarray(y, dtype=float), np.asarray(se, dtype=float)
     _require_two_studies(y.shape[-1], "tau2_dl")
-    study = _pool(y, se ** -2.0)
+    study = _pool(y, _weights(se))
     return _dl(y, study, _sum(study.w ** 2))
 
 
@@ -236,14 +218,14 @@ def study_arrays(dataset: MetaDataset):
 
 
 def _arm_weights(se_sub):
-    """Arm weights se_sub ** -2.0, and each study's sum of its two: the
+    """Arm weights 1 / se_sub^2, and each study's sum of its two: the
     weights of the study rows aggregated from the arms."""
-    w = np.asarray(se_sub, dtype=float) ** -2.0
+    w = _weights(se_sub)
     return w, _sum(w)
 
 
 def _arm_pool(y_sub, se_sub):
-    return _pool(np.asarray(y_sub, dtype=float), np.asarray(se_sub, dtype=float) ** -2.0, (-2, -1))
+    return _pool(np.asarray(y_sub, dtype=float), _weights(se_sub), (-2, -1))
 
 
 def mu_ce_subgroup(y_sub, se_sub):
@@ -269,7 +251,7 @@ def shrinkage_coefficients(se_sub, p):
     A = 1 - 2 sum_i w_i1 w_i2 / ((sum w)^2 - sum w^2);
     B_coefficient = sum_ij w_ij p_i (1 - p_i) * sum w / ((sum w)^2 - sum w^2).
     """
-    w = np.asarray(se_sub, dtype=float) ** -2.0
+    w = _weights(se_sub)
     p = np.asarray(p, dtype=float)
     sw = _sum(w, (-2, -1))
     a, denom = _shrinkage_a(w, sw, _sum(w ** 2, (-2, -1)))

@@ -47,6 +47,7 @@ from .estimators import (
     _selected_arms,
     _shrinkage_a,
     _sum,
+    _weights,
     study_arrays,
 )
 
@@ -261,7 +262,7 @@ def _positive_re_pool(y, se, tau2, name):
 
 def _zh_variance(re):
     leverage = re.w / re.sw[..., None]
-    terms = re.w ** 2 * re.dev2 * (1.0 - leverage) ** -2
+    terms = re.w ** 2 * re.dev2 * (1.0 / np.square(1.0 - leverage))
     return _sum(terms) / np.square(re.sw)
 
 
@@ -376,7 +377,7 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, *,
             failed[name] = str(exc)
             return np.full(y.shape[:-1], np.nan)
 
-    study = _pool(y, se ** -2.0)
+    study = _pool(y, _weights(se))
     sw2 = _sum(study.w ** 2)
     raw = {DL: attempt(DL, _dl, y, study, sw2)}
     tau2 = {DL: np.maximum(0.0, raw[DL])}

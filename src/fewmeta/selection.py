@@ -87,7 +87,7 @@ def _split_moments(dataset: MetaDataset):
     of the arm deviations d = y - c. The one reference c, the mean study
     effect, keeps S2 - S1^2 / S0 from cancelling when the effects sit far
     from zero; being shared by all splits, it leaves Q_S exact in theory.
-    The two-term sums add in numpy's order, (0.0 + a) + b."""
+    The two-term sums add in estimators._sum's order, (0.0 + a) + b."""
     c = float(np.mean([study.y for study in dataset.studies]))
     moments = []
     for study in dataset.studies:

@@ -194,7 +194,7 @@ def _study_rows(y_sub, se_sub, arm_weights=None):
     """Aggregate arm estimates into study-level rows (inverse-variance);
     arm_weights is _arm_weights(se_sub), for a caller that already holds it."""
     w_sub, sw = _arm_weights(se_sub) if arm_weights is None else arm_weights
-    return _sum(w_sub * y_sub) / sw, sw ** -0.5
+    return _sum(w_sub * y_sub) / sw, 1.0 / np.sqrt(sw)
 
 
 def scenario_grid(k=None, tau=None, delta=None, sigma_delta=None, p=None, **settings):

@@ -1,8 +1,12 @@
 """A frozen copy of the batched kernel and the per-method aggregation loop
 as they stood before the kernel shared its weights, sums and means.
 
-Tests compare the current code against it bit for bit; keep it unchanged.
-Quantiles and the result records come from the package.
+Tests compare the current code against it bit for bit; keep it unchanged
+but for the package's numerical rules, written out here independently:
+weights 1 / se^2 as correctly rounded operations, every study and arm sum
+in order from +0.0 (_sum, an accumulate, not numpy's pairwise np.sum), and
+denominators rejected once they cancel to DEGENERATE_SHARE of their larger
+term. Quantiles and the result records come from the package.
 """
 
 import numpy as np
@@ -23,6 +27,22 @@ from fewmeta.intervals import (
     t_quantile,
 )
 
+DEGENERATE_SHARE = 64 * np.finfo(float).eps
+
+
+def _sum(x, axes=(-1,)):
+    """The sum over the last axis, or the last two (axes=(-2, -1)), in order
+    from +0.0: an accumulate adds in order, and + 0.0 turns an all -0.0
+    total into +0.0 as the +0.0 start would."""
+    x = np.asarray(x, dtype=float)
+    if len(axes) == 2:
+        x = x.reshape(x.shape[:-2] + (-1,))
+    return np.cumsum(x, -1)[..., -1] + 0.0
+
+
+def _weights(se):
+    return 1.0 / np.square(np.asarray(se, dtype=float))
+
 
 def mu_ce(y, w):
     """Inverse-variance weighted (common-effect) mean."""
@@ -32,7 +52,7 @@ def mu_ce(y, w):
         raise ValidationError("mu_ce: empty input")
     if np.any(w <= 0):
         raise ValidationError("mu_ce: weights must be positive")
-    return np.sum(w * y, axis=-1) / np.sum(w, axis=-1)
+    return _sum(w * y) / _sum(w)
 
 
 def mu_re(y, se, tau2):
@@ -46,8 +66,8 @@ def mu_re(y, se, tau2):
     tau2 = np.asarray(tau2, dtype=float)
     t2 = tau2[..., None] if tau2.ndim else tau2
     w = 1.0 / (se ** 2 + t2)
-    mu = np.sum(w * y, axis=-1) / np.sum(w, axis=-1)
-    var = 1.0 / np.sum(w, axis=-1)
+    mu = _sum(w * y) / _sum(w)
+    var = 1.0 / _sum(w)
     return mu, var
 
 
@@ -55,9 +75,9 @@ def cochran_q(y, se):
     """Cochran's Q homogeneity statistic about the common-effect mean."""
     y = np.asarray(y, dtype=float)
     se = np.asarray(se, dtype=float)
-    w = se ** -2.0
+    w = _weights(se)
     mu = mu_ce(y, w)
-    return np.sum(w * (y - mu[..., None]) ** 2, axis=-1)
+    return _sum(w * (y - mu[..., None]) ** 2)
 
 
 def dl_raw(y, se):
@@ -67,10 +87,10 @@ def dl_raw(y, se):
     k = y.shape[-1]
     if k < 2:
         raise ValidationError("tau2_dl: at least 2 studies required")
-    w = se ** -2.0
-    sw = np.sum(w, axis=-1)
-    denom = sw - np.sum(w ** 2, axis=-1) / sw
-    if np.any(denom <= 0):
+    w = _weights(se)
+    sw = _sum(w)
+    denom = sw - _sum(w ** 2) / sw
+    if np.any(denom <= DEGENERATE_SHARE * sw):
         raise ValidationError("tau2_dl: degenerate weight configuration")
     return (cochran_q(y, se) - (k - 1)) / denom
 
@@ -82,16 +102,16 @@ def dl_raw(y, se):
 def mu_ce_subgroup(y_sub, se_sub):
     """Common-effect mean pooled over all 2k subgroup arms."""
     y = np.asarray(y_sub, dtype=float)
-    w = np.asarray(se_sub, dtype=float) ** -2.0
-    return np.sum(w * y, axis=(-2, -1)) / np.sum(w, axis=(-2, -1))
+    w = _weights(se_sub)
+    return _sum(w * y, (-2, -1)) / _sum(w, (-2, -1))
 
 
 def qs_raw(y_sub, se_sub):
     """Subgroup-level Q statistic over the 2k arm estimates."""
     y = np.asarray(y_sub, dtype=float)
-    w = np.asarray(se_sub, dtype=float) ** -2.0
+    w = _weights(se_sub)
     mu = mu_ce_subgroup(y_sub, se_sub)
-    return np.sum(w * (y - mu[..., None, None]) ** 2, axis=(-2, -1))
+    return _sum(w * (y - mu[..., None, None]) ** 2, (-2, -1))
 
 
 
@@ -101,10 +121,10 @@ def dls_raw(y_sub, se_sub):
     k = y.shape[-2]
     if k < 2:
         raise ValidationError("tau2_dls: at least 2 studies required")
-    w = np.asarray(se_sub, dtype=float) ** -2.0
-    sw = np.sum(w, axis=(-2, -1))
-    denom = sw - np.sum(w ** 2, axis=(-2, -1)) / sw
-    if np.any(denom <= 0):
+    w = _weights(se_sub)
+    sw = _sum(w, (-2, -1))
+    denom = sw - _sum(w ** 2, (-2, -1)) / sw
+    if np.any(denom <= DEGENERATE_SHARE * sw):
         raise ValidationError("tau2_dls: degenerate weight configuration")
     return (qs_raw(y_sub, se_sub) - (2 * k - 1)) / denom
 
@@ -115,17 +135,17 @@ def shrinkage_coefficients(se_sub, p):
     A = 1 - 2 sum_i w_i1 w_i2 / ((sum w)^2 - sum w^2);
     B_coefficient = sum_ij w_ij p_i (1 - p_i) * sum w / ((sum w)^2 - sum w^2).
     """
-    w = np.asarray(se_sub, dtype=float) ** -2.0
+    w = _weights(se_sub)
     p = np.asarray(p, dtype=float)
-    sw = np.sum(w, axis=(-2, -1))
-    sw2 = np.sum(w ** 2, axis=(-2, -1))
+    sw = _sum(w, (-2, -1))
+    sw2 = _sum(w ** 2, (-2, -1))
     denom = sw ** 2 - sw2
-    if np.any(denom <= 0):
+    if np.any(denom <= DEGENERATE_SHARE * sw ** 2):
         raise ValidationError("shrinkage terms: degenerate weight configuration")
-    cross = np.sum(w[..., 0] * w[..., 1], axis=-1)
+    cross = _sum(w[..., 0] * w[..., 1])
     a = 1.0 - 2.0 * cross / denom
     pq = (p * (1.0 - p))[..., None]
-    b = np.sum(w * pq, axis=(-2, -1)) * sw / denom
+    b = _sum(w * pq, (-2, -1)) * sw / denom
     return a, b
 
 
@@ -155,7 +175,7 @@ def hksj_scale(y, se, tau2):
     t2 = np.asarray(tau2, dtype=float)
     t2 = t2[..., None] if t2.ndim else t2
     w = 1.0 / (se ** 2 + t2)
-    q = np.sum(w * (y - mu[..., None]) ** 2, axis=-1) / (k - 1)
+    q = _sum(w * (y - mu[..., None]) ** 2) / (k - 1)
     return mu, var, q
 
 
@@ -167,10 +187,10 @@ def zh_variance(y, se, tau2, c=2):
     t2 = np.asarray(tau2, dtype=float)
     t2 = t2[..., None] if t2.ndim else t2
     w = 1.0 / (se ** 2 + t2)
-    sw = np.sum(w, axis=-1)
+    sw = _sum(w)
     leverage = w / sw[..., None]
-    terms = w ** 2 * (y - mu[..., None]) ** 2 * (1.0 - leverage) ** (-c)
-    return mu, np.sum(terms, axis=-1) / sw ** 2
+    terms = w ** 2 * (y - mu[..., None]) ** 2 * (1.0 / (1.0 - leverage) ** c)
+    return mu, _sum(terms) / sw ** 2
 
 
 def variance_hcs(tau2, w):
@@ -182,8 +202,8 @@ def variance_hcs(tau2, w):
         raise ValidationError("variance_hcs: tau2 must be >= 0")
     if np.any(w <= 0):
         raise ValidationError("variance_hcs: weights must be positive")
-    sw = np.sum(w, axis=-1)
-    sw2 = np.sum(w ** 2, axis=-1)
+    sw = _sum(w)
+    sw2 = _sum(w ** 2)
     return (tau2 * sw2 + sw) / sw ** 2
 
 
@@ -235,7 +255,7 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, p=None, level=0.95, c=2) -> Kern
         ZH: interval(mu_zh, var_zh, df_lo, t_lo, tau2[DL]),
     }
     if y_sub is None:
-        w = se ** -2.0
+        w = _weights(se)
         intervals[HCS_MAX1] = intervals[HCS_MAX2] = interval(
             mu_ce(y, w), variance_hcs(tau2[DL], w), df_lo, t_lo, tau2[DL]
         )
@@ -246,7 +266,7 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, p=None, level=0.95, c=2) -> Kern
         tau2[DLS_ADJ] = raw[DLS_ADJ] = tau2[DLS] / a
         needs.update({DLS: (DLS,), DLS_ADJ: ("A", DLS)})
         t_hi = t_quantile(2 * k - 1, p_upper)
-        w = np.sum(se_sub ** -2.0, axis=-1)  # per-study common-effect weights
+        w = _sum(_weights(se_sub))  # per-study common-effect weights
         mu_sub = mu_ce_subgroup(y_sub, se_sub)
         for tag, side, method in ((MAX1, DLS, HCS_MAX1), (MAX2, DLS_ADJ, HCS_MAX2)):
             wins[tag] = tau2[side] > tau2[DL]

@@ -103,7 +103,7 @@ def _compare(y, se, y_sub, se_sub, p, level=0.95):
 @pytest.mark.parametrize("n_reps", [1, 3, 1000])
 @pytest.mark.parametrize("k", range(2, 10))
 def test_kernel_matches_reference(k, n_reps):
-    # 2k >= 8 arms from k = 4 on, where numpy sums pairwise
+    # 2k >= 8 arms from k = 4 on, where np.sum would add pairwise
     _compare(*_draws(k, n_reps, seed=k * n_reps))
 
 
@@ -145,6 +145,8 @@ def _degenerate(k, row, study_se=None, arm_se=None):
         (3, None, [[np.inf, np.inf], [1.0, 1.0], [1.0, 1.0]]),
         # both levels degenerate at once
         (4, [1e-10, 1.0, 1.0, 1.0], [[1e-10, 1.0]] + [[1.0, 1.0]] * 3),
+        # weights 1e40 and 1e20: the DL denominator is one ulp of sum w, not 0
+        (2, [1e-20, 1e-10], None),
     ],
 )
 def test_kernel_matches_reference_on_degenerate_inputs(k, study_se, arm_se):

@@ -23,39 +23,39 @@ from conftest import PVALUE_DATASET, dataset_path
 # (report.json, stdout) sha256 per (dataset, --select)
 ANALYZE_SHA256 = {
     ("sglt2", "global"): (
-        "fd275c36ed9942e93a77f4dfb2ea63dab773ad0760ba21ed39e3f196afafac78",
+        "37d634369fc2feb06400d7bff7a82fe184f949c8f366c9b283429a7831a110d1",
         "4af0031214cfd0ff4c9e031915fa6c3d40dd1a49e2e050c19c1d1a000e3c573e",
     ),
     ("sglt2", "local"): (
-        "85ce9aca961bed7a56c91841c78ba07767000e6a9704be253acf91401a16e624",
+        "6aa965996e95f5051c0d06530ec1ca5c8eeabeb840c9bb8cd0232090b5391f89",
         "40db9a85a585922b8cc6e36223586de42a426fcf85c003cc71c007509b6618b5",
     ),
     ("sglt2", "none"): (
-        "3a152813bd2b70b1df2cb84b2ad35e00fa8dcaaad22f30482097124d681ffa77",
+        "bbe8932ca676f680ea0c5a6717e280b1f8f5de1505a1bb603fbb21b08bdbb368",
         "bf5e8bcc20fd5fd81b15d5dcd687bb07e5e9558f6803e2dd27d51fb3405d2a30",
     ),
     ("respire14", "global"): (
-        "c8d6250729b53a880f7114af0caf73f41f957ccff89dde4bb14bf6a80e3c96ae",
+        "e8155e6c55130978e859ca8a68b25032d47f027693a97d33a63fa96fb679a2c9",
         "bd88cced42dde5ad9f24bc6278ce9b9a3f8e50b66347d88c249708f4a8740e39",
     ),
     ("respire14", "local"): (
-        "4f6fa62ff2d094deb946086010c2e676807f41e1ffc975c29a6809ae233fe4d4",
+        "209bc582bb914aabe010ba86e133714aa4692124fe1825d175ed1db5039eeded",
         "371c52d068197e7bdf0202dac3e44ab2f35e5846a2e4bd0b68a03afc353e99b0",
     ),
     ("respire14", "none"): (
-        "8f3833427e73def400c4b75882254dc73667e47bddb46c56f72e02a03a608cf6",
+        "1c4aa0410204358dfbe7309f81f45352ec48f3b8d616989166e67006df287dc2",
         "0f41d9a90974c13edced14258100a09a83791f4fed97b3cdbbca039bc74926e3",
     ),
     ("respire28", "global"): (
-        "0fafcb72be0be9ccd7155498551fa4402b0136907b75917375bcb08da3cff54e",
+        "c274881879348a0507d1c7ea14736d2f6d7b93a1c51f186c4664214b4d5f5df0",
         "a2758e4a9cc5f0e95675cdae1736b4e4c6223d46b4c444056c34b1d1c4f1be73",
     ),
     ("respire28", "local"): (
-        "47ed75436dc4a1250b9da271274572874414d112c016ea70afc0e0bc939a9b7a",
+        "19f64c369f44593bae063ce5051cde8b2075e2e1cf94968bb97d2c5589f2e543",
         "98d46c8352cc49ccf4e970eeb0c356c1d87b63280b02609611a6e8606291ae3f",
     ),
     ("respire28", "none"): (
-        "a354077c990892797b6d409a4dba6c1d545e06812262b3e69e6721748f8f7c6f",
+        "9458748a4c2487bf833660785f6bde49e287c762a82829da3bb259b365e08e20",
         "f26deea38aea8f06920481c9e75a584f50b3229d5ef4fb696fab368f9a2e5611",
     ),
 }
@@ -63,12 +63,12 @@ ANALYZE_SHA256 = {
 # `analyze --select pvalue --json` (report.json, stdout) and `select
 # --strategy pvalue` stdout sha256 on conftest's PVALUE_DATASET
 PVALUE_ANALYZE_SHA256 = (
-    "6e9e33a65d4975d6914cbbed691a52200c89e212717f91dbd745537f343d28d8",
+    "be30927acc151a7e979e3767142d8fb182586826899b50f62833d34ce8124711",
     "b09cae76e047905ea5fdff387734e1bd12299890296787ee71e75b1ca93176df",
 )
 PVALUE_SELECT_SHA256 = "7a36c88538d3e91bed55867f07d8207a106836f54e6ad4e4c6d1a719949955bf"
 
-SUMMARY_SHA256 = "54b4e18f61ee7711e6464b96d6c3b08f436542c0a94716a59bffdaeff2f024a1"
+SUMMARY_SHA256 = "7c3e0d9bcd54e23e0d200ccb9ea76ed088492e664171c0deff0fe22008cdf0c4"
 # numpy does not promise the same Generator streams across feature releases
 # (NEP 19), so the simulation digest holds for the numpy it was recorded under.
 SUMMARY_NUMPY = "2.4.6"

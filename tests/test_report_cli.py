@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fewmeta.cli import main, run_self_checks
 from fewmeta.data import ValidationError, load_csv
-from fewmeta.intervals import run_all_methods
+from fewmeta.intervals import CI_METHODS, run_all_methods
 from fewmeta.report import (
     build_report,
     render_text,
@@ -729,6 +729,26 @@ A_ROUNDS_TO_ZERO = (
     "B,,subgroup,g,1,0.2,0.3,10\n"
     "B,,subgroup,g,2,0.4,0.3,10\n"
 )
+# DL's denominator sw - sum w^2 / sw of weights 1e40 and 1e20 is one ulp of
+# sw, not zero: only a guard relative to sw rejects it, before ZH divides by
+# 1 - leverage = 0.
+DEGENERATE_TWO_ROWS = (
+    "study_id,label,level,split,arm,y,se,n\n"
+    "s0,,study,,,0,1e-20,\n"
+    "s1,,study,,,0,1e-10,\n"
+)
+# the same study rows with one split each, arms at 1e-40 and 1e-20: an input
+# test_cli_in_range_extremes_end_without_warnings drew, which exited 1 on
+# ZH's RuntimeWarning while the guard tested for an exact 0
+DEGENERATE_EXTREME_ARMS = (
+    "study_id,label,level,split,arm,y,se,n\n"
+    "s0,,study,,,0,1e-10,\n"
+    "s0,,subgroup,g0,1,0,1e-40,1\n"
+    "s0,,subgroup,g0,2,0,1e-20,1\n"
+    "s1,,study,,,0,1e-20,\n"
+    "s1,,subgroup,g0,1,0,1e-40,1\n"
+    "s1,,subgroup,g0,2,0,1e-20,1\n"
+)
 DL_DEGENERATE = "tau2_dl: degenerate weight configuration"
 DLS_DEGENERATE = "tau2_dls: degenerate weight configuration"
 SHRINKAGE_DEGENERATE = "shrinkage terms: degenerate weight configuration"
@@ -746,8 +766,10 @@ SHRINKAGE_DEGENERATE = "shrinkage terms: degenerate weight configuration"
          DLS_DEGENERATE),
         (A_ROUNDS_TO_ZERO, ["NORMAL", "HKSJ", "MKH", "ZH", "HCS_MAX1"],
          {"HCS_MAX2": SHRINKAGE_DEGENERATE}, SHRINKAGE_DEGENERATE),
+        (DEGENERATE_TWO_ROWS, [], dict.fromkeys(CI_METHODS, DL_DEGENERATE), DL_DEGENERATE),
+        (DEGENERATE_EXTREME_ARMS, [], dict.fromkeys(CI_METHODS, DL_DEGENERATE), DL_DEGENERATE),
     ],
-    ids=["study-rows", "arms", "shrinkage-a-zero"],
+    ids=["study-rows", "arms", "shrinkage-a-zero", "two-rows-one-ulp", "extreme-arms"],
 )
 def test_degenerate_weights_attributed_per_method(
     tmp_path, text, succeeded, errors, report_error

@@ -50,9 +50,9 @@ def _numpy_split_statistics(dataset):
     for study in dataset.studies:
         for split in study.splits:
             agg = aggregate_study(split)
-            w = np.array([a.se ** -2 for a in split.arms])
+            w = np.array([1.0 / (a.se * a.se) for a in split.arms])
             d = np.array([a.y for a in split.arms]) - c
-            q = float(sum(a.se ** -2 * (a.y - agg.y) ** 2 for a in split.arms))
+            q = float(sum(1.0 / (a.se * a.se) * (a.y - agg.y) ** 2 for a in split.arms))
             out.append((q, (w.sum(), (w * d).sum(), (w * d * d).sum())))
     return out
 
@@ -213,7 +213,7 @@ def test_histogram_bytes_with_blocks_ending_mid_thousand(tmp_path, monkeypatch, 
     )
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "f9f4a2c79badf333197970d338a96cd3f2d890106c406d8fa125d8b08600315b"
+        "a40bacdfbb8a543e5e654a26347b3c289b20a3139b181b93879a35cddc1bf263"
     )
 
 
@@ -416,7 +416,7 @@ def test_select_histogram_golden_bytes(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "f9f4a2c79badf333197970d338a96cd3f2d890106c406d8fa125d8b08600315b"
+        "a40bacdfbb8a543e5e654a26347b3c289b20a3139b181b93879a35cddc1bf263"
     )
 
 

@@ -1,7 +1,8 @@
-"""estimators._sum against np.sum. Every study and arm reduction in the kernel
-goes through _sum, so it must keep numpy's summation order bit for bit: the
-+0.0 identity, sequential adds below 8 terms, eight pairwise accumulators
-from 8 terms and a recursive split above 128."""
+"""estimators._sum against an independent in-order sum. Every study and arm
+reduction in the package goes through _sum, which adds from +0.0 in study
+order, then arm order, whatever the memory layout: _in_order, numpy's
+accumulate over the C-ordered terms, gives those bits on any CPU. And the
+pinned outputs hold without numpy's AVX-512 loops."""
 
 import json
 import math
@@ -17,10 +18,14 @@ from hypothesis import strategies as st
 
 import fewmeta
 from fewmeta.cli import main
-from fewmeta.estimators import _pairwise, _sum, shrinkage_coefficients
+from fewmeta.estimators import _sum, shrinkage_coefficients
 from fewmeta.intervals import variance_hcs, zh_variance
 
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fewmeta.__file__)))
+WITHOUT_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
 def _assert_same(got, want):
@@ -28,6 +33,17 @@ def _assert_same(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _in_order(x, axes=(-1,)):
+    """The oracle: the terms over `axes` in C order (studies, then arms),
+    added one after the other by np.cumsum; + 0.0 makes a total of -0.0
+    terms alone +0.0, as _sum's +0.0 start does."""
+    lead = x.shape[:x.ndim - len(axes)]
+    terms = np.reshape(x, lead + (-1,))
+    if not terms.shape[-1]:
+        return np.zeros(lead)[()]
+    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
 
 def _terms(rng, n_reps, n_terms):
@@ -53,12 +69,13 @@ def _views(x):
 @pytest.mark.parametrize("n_reps", [1, 3, 1000])
 @pytest.mark.parametrize("n_terms", range(1, 21))
 def test_sum_over_last_axis_matches_numpy(n_terms, n_reps):
+    """numpy's in-order accumulate, that is: np.sum adds pairwise from 8."""
     rng = np.random.default_rng([n_terms, n_reps])
     for x in _views(_terms(rng, n_reps, n_terms)):
-        _assert_same(_sum(x), np.sum(x, axis=-1))
+        _assert_same(_sum(x), _in_order(x))
         assert not np.signbit(_sum(x)[0])  # the -0.0 terms sum to +0.0
         for row in (x[0], x[len(x) // 2], x[-1]):  # one dataset: a numpy scalar
-            _assert_same(_sum(row), np.sum(row))
+            _assert_same(_sum(row), _in_order(row))
 
 
 @pytest.mark.parametrize("n_reps", [1, 3, 1000])
@@ -70,38 +87,29 @@ def test_sum_over_studies_and_arms_matches_numpy(n_terms, n_reps):
     for shape in shapes:
         arms = x.reshape((n_reps,) + shape)
         for view in (arms, arms[::2], arms[:, ::-1]):
-            _assert_same(_sum(view, (-2, -1)), np.sum(view, axis=(-2, -1)))
+            _assert_same(_sum(view, (-2, -1)), _in_order(view, (-2, -1)))
+            _assert_same(_sum(view[0], (-2, -1)), _in_order(view[0], (-2, -1)))
 
 
 @pytest.mark.parametrize("n_studies", [2, 3, 5, 8, 9])
 def test_sum_is_numpys_order_in_any_memory_layout(n_studies):
-    """run_scenario hands the kernel replicate-minor (Fortran-ordered) arms;
-    _sum must still add them in the order np.sum uses on C-ordered ones."""
+    """run_scenario hands the kernel replicate-minor (Fortran-ordered) arms:
+    _sum adds them in the order of the same C-ordered terms."""
     rng = np.random.default_rng(n_studies)
     arms = _terms(rng, 1000, 2 * n_studies).reshape(1000, n_studies, 2)
     for layout in (np.asfortranarray(arms), arms.transpose(2, 1, 0).copy().transpose(2, 1, 0)):
-        _assert_same(_sum(layout, (-2, -1)), np.sum(arms, axis=(-2, -1)))
-        _assert_same(_sum(layout), np.sum(arms, axis=-1))
-        _assert_same(_sum(layout[..., 0]), np.sum(arms[..., 0], axis=-1))
+        _assert_same(_sum(layout, (-2, -1)), _in_order(arms, (-2, -1)))
+        _assert_same(_sum(layout), _in_order(arms))
+        _assert_same(_sum(layout[..., 0]), _in_order(arms[..., 0]))
 
 
 @pytest.mark.parametrize("n_terms", [0, 128, 129, 200, 300])
 def test_sum_of_no_terms_and_of_long_axes_matches_numpy(n_terms):
     x = _terms(np.random.default_rng(n_terms), 50, n_terms) if n_terms else np.zeros((50, 0))
-    _assert_same(_sum(x), np.sum(x, axis=-1))
-    _assert_same(_sum(x.reshape(50, 1, -1), (-2, -1)), np.sum(x.reshape(50, 1, -1), axis=(-2, -1)))
-    _assert_same(_sum(x.reshape(1, 50, -1)), np.sum(x.reshape(1, 50, -1), axis=-1))
-
-
-def _column_adds(x, axes):
-    """_sum's own order, called directly: the +0.0 identity in the first
-    column slice, then _pairwise over the slices in C order of the summed
-    axes."""
-    lead = x.ndim - len(axes)
-    columns = np.moveaxis(x, tuple(range(lead, x.ndim)), tuple(range(len(axes))))
-    terms = [columns[i] for i in np.ndindex(columns.shape[:len(axes)])]
-    terms[0] = terms[0] + 0.0
-    return _pairwise(terms)
+    for view in (x, x.reshape(50, 1, -1), x.reshape(1, 50, -1), x[0]):
+        _assert_same(_sum(view), _in_order(view))
+    for view in (x.reshape(50, 1, -1), x.reshape(50, -1, 1), x.reshape(1, 50, -1)):
+        _assert_same(_sum(view, (-2, -1)), _in_order(view, (-2, -1)))
 
 
 # memory layouts of the same shape; the broadcasts repeat a replicate (or,
@@ -132,8 +140,8 @@ with np.errstate(invalid="ignore"):
                       max_size=8),
 )
 def test_sum_dispatch_matches_column_adds_and_numpy(k, axes, n_reps, seed, specials):
-    """Whichever way _sum goes, numpy's add.reduce or its own column adds,
-    the bits are those of the column adds and of np.sum on a C copy: k
+    """Whichever way _sum goes, Python floats without a replicate axis or
+    column adds with one, the bits are those of the in-order accumulate: k
     studies (by two arms for axes (-2, -1)), with no replicate axis or R
     replicates in any layout, over magnitudes from 1e-5 to 1e5, signed
     zeros, NaN and infinities."""
@@ -146,25 +154,36 @@ def test_sum_dispatch_matches_column_adds_and_numpy(k, axes, n_reps, seed, speci
         x[rng.integers(n_reps)] = -0.0  # a replicate of -0.0 terms alone sums to +0.0
     for layout in _LAYOUTS.values():
         view = layout(x)
-        got = _sum(view, axes)
-        _assert_same(got, _column_adds(view, axes))
-        _assert_same(got, np.sum(np.ascontiguousarray(view), axis=axes))
+        _assert_same(_sum(view, axes), _in_order(view, axes))
+
+
+def _without_avx512(code):
+    """Run `code` in a new interpreter with numpy's AVX-512 loops switched
+    off (a no-op on a machine without them, and a warning only where numpy
+    does not know the names), the tests and the package importable."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512,
+               PYTHONPATH=os.pathsep.join(filter(None, (TESTS, SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-W", "ignore::RuntimeWarning", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=300,
+                          cwd=os.path.dirname(TESTS))
 
 
 def test_sum_dispatch_holds_without_avx512():
-    """The same property with numpy's AVX-512 loops switched off (a no-op on
-    a machine without them, and a warning only where numpy does not know the
-    names): the sums _sum hands to numpy do not depend on which SIMD loop
-    numpy dispatches."""
-    tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fewmeta.__file__)))
-    code = ("import test_summation as t; "
-            "t.test_sum_dispatch_matches_column_adds_and_numpy()")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
-               PYTHONPATH=os.pathsep.join(filter(None, (tests, src, os.environ.get("PYTHONPATH")))))
-    result = subprocess.run([sys.executable, "-W", "ignore::RuntimeWarning", "-c", code],
-                            capture_output=True, text=True, env=env, timeout=300)
+    """The same property without numpy's AVX-512 loops: _sum's adds and the
+    accumulate keep their bits whichever SIMD loop numpy dispatches."""
+    result = _without_avx512("import test_summation as t; "
+                             "t.test_sum_dispatch_matches_column_adds_and_numpy()")
     assert result.returncode == 0, result.stderr
+
+
+def test_pinned_outputs_hold_without_avx512():
+    """Every weight is a correctly rounded operation and every sum has one
+    order, so the pinned digests of tests/test_output_digests.py and
+    tests/test_full_grid.py hold without numpy's AVX-512 loops too."""
+    result = _without_avx512(
+        "import sys, numpy, pytest; sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+        "'tests/test_output_digests.py', 'tests/test_full_grid.py']))")
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr
 
 
 def test_analyze_of_negative_zero_effects_reports_positive_zero(tmp_path):
