@@ -2,13 +2,13 @@
 
 Exit codes are a stable contract: 0 success, 2 input/validation error or
 an output file that cannot be written, 3 combination budget exceeded,
-4 internal self-check failure. Validation and output failures additionally
-emit a machine-readable JSON error object on stderr. Exits 2 and 3 are
-enforced in one place for every command, the `main` group
-(`_Commands.invoke`); a file is written inside `_output`, which turns an
-OSError into exit 2 with an "output" error; `_distinct` exits 2 before a
-command would write over its own input or another of its outputs;
-`validate` exits 4 itself. Its Monte Carlo checks are computed in
+4 internal self-check failure. Validation, usage and output failures
+additionally emit a machine-readable JSON error object on stderr (a bare
+`fewmeta` prints click's help instead). Exits 2 and 3 are enforced in one
+place for every command, the `main` group (`_Commands.invoke`); a file is
+written inside `_output`, which turns an OSError into exit 2 with an
+"output" error; `_distinct` exits 2 before a command would write over its
+own input or another of its outputs; `validate` exits 4 itself. Its Monte Carlo checks are computed in
 `simulation` and only formatted here.
 `simulate` reads its settings from one table, `_SETTINGS`, with precedence
 flag > config file > FEWMETA_SEED (a fallback seed).
@@ -83,6 +83,8 @@ class _Commands(click.Group):
             _fail(EXIT_BUDGET, "budget", str(exc))
         except ValidationError as exc:
             _fail(EXIT_VALIDATION, "validation", str(exc))
+        except click.UsageError as exc:
+            _fail(EXIT_VALIDATION, "usage", exc.format_message())
 
 
 @contextlib.contextmanager

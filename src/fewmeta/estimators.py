@@ -210,20 +210,6 @@ def subgroup_arrays(dataset: MetaDataset):
     return y, se, np.array([prevalence_of(s.selected_split) for s in dataset.studies])
 
 
-def study_arrays(dataset: MetaDataset):
-    """Study-level (y, se) arrays of shape (k,)."""
-    y = np.array([s.y for s in dataset.studies])
-    se = np.array([s.se for s in dataset.studies])
-    return y, se
-
-
-def _arm_weights(se_sub):
-    """Arm weights 1 / se_sub^2, and each study's sum of its two: the
-    weights of the study rows aggregated from the arms."""
-    w = _weights(se_sub)
-    return w, _sum(w)
-
-
 def _arm_pool(y_sub, se_sub):
     return _pool(np.asarray(y_sub, dtype=float), _weights(se_sub), (-2, -1))
 
@@ -278,4 +264,4 @@ def expected_tau2_dls(se_sub, p, tau, delta, sigma_delta):
     if tau < 0 or sigma_delta < 0:
         raise ValidationError("expected_tau2_dls: tau and sigma_delta must be >= 0")
     a, b = shrinkage_coefficients(se_sub, p)
-    return a * tau ** 2 + (delta ** 2 + sigma_delta ** 2) * b
+    return a * (tau * tau) + (delta * delta + sigma_delta * sigma_delta) * b

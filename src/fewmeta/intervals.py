@@ -8,13 +8,15 @@ hybrid heterogeneity estimates and flexible degrees of freedom.
 
 One kernel, meta_kernel, computes the five tau^2 estimates and all six
 intervals for a batch of R datasets; the Monte Carlo harness calls it on a
-scenario's replicates. A single dataset runs the same code without the
-replicate axis (dataset_kernel), whose 0-d results run_all_methods and the
-report read. Studies, random effects and arms are each pooled once per
-batch; hksj_scale, zh_variance and variance_hcs call the same pieces. The
-first two reject a zero weight (se = inf); in the kernel, DL rejects it.
-Both HCS variants share one weight check and one sum w, sum w^2 and
-(sum w)^2 (_hcs_sums); their tau2, a maximum with 0, needs no check.
+scenario's replicates, passing their arms alone: the kernel aggregates the
+study rows from the arm weights it pools the arms with. A single dataset
+runs the same code without the replicate axis (dataset_kernel), whose 0-d
+results run_all_methods and the report read. Studies, random effects and
+arms are each pooled once per batch; hksj_scale, zh_variance and
+variance_hcs call the same pieces. The first two reject a zero weight
+(se = inf); in the kernel, DL rejects it. Both HCS variants share one
+weight check and one sum w, sum w^2 and (sum w)^2 (_hcs_sums); their tau2,
+a maximum with 0, needs no check.
 
 t_quantile and normal_quantile share one front end, _quantile: the p check,
 0 at p = 0.5 and the symmetry below it. Each caches only its upper quantile.
@@ -36,7 +38,6 @@ from .estimators import (
     DLS_ADJ,
     MAX1,
     MAX2,
-    _arm_weights,
     _check_ce_weights,
     _dl,
     _dls,
@@ -48,7 +49,6 @@ from .estimators import (
     _shrinkage_a,
     _sum,
     _weights,
-    study_arrays,
 )
 
 NORMAL = "NORMAL"
@@ -344,8 +344,7 @@ class KernelResult:
         return results, errors
 
 
-def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, *,
-                arm_weights=None) -> KernelResult:
+def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95) -> KernelResult:
     """All five tau^2 estimates and all six intervals for R datasets at once.
 
     y, se: (R, k) study rows; y_sub, se_sub: (R, k, 2) arms of the selected
@@ -357,12 +356,17 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, *,
     that wins sets the HCS degrees of freedom: k-1 for the study side, which
     also takes exact ties, 2k-1 for the subgroup side. Without arms
     (y_sub=None) only DL is estimated and both HCS intervals fall back to the
-    study-level common effect with DL and k-1 degrees of freedom. Weights,
-    sums and means are pooled once per batch at each level: studies, random
-    effects and arms. arm_weights is estimators._arm_weights(se_sub), for a
-    caller that already holds it (the simulation aggregates its study rows
-    from the same weights).
+    study-level common effect with DL and k-1 degrees of freedom. With arms
+    alone (y = se = None, a simulated batch) the study rows are the arms'
+    inverse-variance aggregates, from the arm weights the arm pool uses.
+    Weights, sums and means are pooled once per batch at each level:
+    studies, random effects and arms.
     """
+    if y_sub is not None:
+        w_sub = _weights(se_sub)
+        w = _sum(w_sub)  # each study's sum of arm weights: its common-effect weight
+        if y is None:
+            y, se = _sum(w_sub * y_sub) / w, 1.0 / np.sqrt(w)
     k = y.shape[-1]
     _require_two_studies(k, "meta_kernel")
     p_upper = 0.5 + level / 2.0
@@ -405,7 +409,6 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95, *,
         hcs = _variance_hcs(tau2[DL], study.sw, sw2, np.square(study.sw))
         intervals[HCS_MAX1] = intervals[HCS_MAX2] = interval(study.mu, hcs, df_lo, t_lo, tau2[DL])
     else:
-        w_sub, w = _arm_weights(se_sub) if arm_weights is None else arm_weights
         arms = _pool(y_sub, w_sub, (-2, -1))
         arms_sw2 = _sum(arms.w ** 2, (-2, -1))
         raw[DLS] = attempt(DLS, _dls, arms, arms_sw2)
@@ -443,7 +446,8 @@ def dataset_kernel(dataset: MetaDataset, level: float = 0.95) -> KernelResult:
     replicate axis the kernel's study and arm sums are numpy scalars, which
     cost less to add than one-element arrays; the values are those of the
     same rows in a batch, bit for bit."""
-    y, se = study_arrays(dataset)
+    y = np.array([s.y for s in dataset.studies])
+    se = np.array([s.se for s in dataset.studies])
     arms = _selected_arms(dataset) if dataset.fully_selected else ()
     return meta_kernel(y, se, *arms, level=level)
 

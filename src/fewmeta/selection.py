@@ -67,7 +67,8 @@ def within_study_q(split) -> float:
     """Two-group homogeneity statistic of a single split about its own
     aggregated estimate (equivalent to the squared two-sample t statistic)."""
     (w1, w2), (a1, a2) = split.weights, split.arms
-    return w1 * (a1.y - split.agg_y) ** 2 + w2 * (a2.y - split.agg_y) ** 2
+    d1, d2 = a1.y - split.agg_y, a2.y - split.agg_y
+    return w1 * (d1 * d1) + w2 * (d2 * d2)
 
 
 def _split_counts(dataset: MetaDataset) -> list:

@@ -14,8 +14,8 @@ All replicate-level computation is vectorized, on arrays: no dataset
 records are built from simulated data. One call of the kernel
 `intervals.meta_kernel` evaluates every tau^2 estimator and CI method over
 a scenario's replicates, the same code that analyses one dataset, and each
-metric is aggregated for all methods in one call. The arm weights are
-computed once per scenario and shared by the study rows and the kernel.
+metric is aggregated for all methods in one call. The kernel is handed the
+arms alone and aggregates the study rows from the arm weights it pools.
 The aggregation takes numpy's direct paths with the bits of its wrappers:
 median lengths from one partition rank (_finite_median); the mean bias and
 its Monte Carlo SE from one np.add.reduce, then np.mean's and np.std's own
@@ -41,7 +41,7 @@ from typing import ClassVar, Iterable, Sequence
 import numpy as np
 
 from .data import MAX_ABS_EFFECT, ValidationError, canonical_json
-from .estimators import TAU2_METHODS, _arm_weights, _sum, cochran_q, dls_raw, expected_tau2_dls
+from .estimators import DL, TAU2_METHODS, dls_raw, expected_tau2_dls
 from .intervals import CI_METHODS, HCS_MAX1, HCS_MAX2, HKSJ, MKH, meta_kernel
 from .report import write_atomic
 
@@ -190,13 +190,6 @@ def _draw_replicates(scenario: Scenario, rng, n_reps: int, sizes=None):
     return y_sub, se, n_arm
 
 
-def _study_rows(y_sub, se_sub, arm_weights=None):
-    """Aggregate arm estimates into study-level rows (inverse-variance);
-    arm_weights is _arm_weights(se_sub), for a caller that already holds it."""
-    w_sub, sw = _arm_weights(se_sub) if arm_weights is None else arm_weights
-    return _sum(w_sub * y_sub) / sw, 1.0 / np.sqrt(sw)
-
-
 def scenario_grid(k=None, tau=None, delta=None, sigma_delta=None, p=None, **settings):
     """Cartesian grid of scenarios over the five design axes, k slowest and
     p fastest; each axis is None (its full grid), a scalar, or a sequence of
@@ -247,10 +240,7 @@ def run_scenario(scenario: Scenario) -> ScenarioMetrics:
     # Replicate-minor memory, same shape and values: each study or arm column
     # the kernel adds is then a contiguous run of n_reps values.
     y_sub, se_sub = np.asfortranarray(y_sub), np.asfortranarray(se_sub)
-    weights = _arm_weights(se_sub)  # shared by the study rows and the arm pool
-    y_stu, se_stu = _study_rows(y_sub, se_sub, weights)
-
-    result = meta_kernel(y_stu, se_stu, y_sub, se_sub, arm_weights=weights)
+    result = meta_kernel(None, None, y_sub, se_sub)
     if result.errors:
         raise ValidationError(next(iter(result.errors.values())))
 
@@ -343,18 +333,18 @@ def validate_expectation(scenario: Scenario, sizes):
 
 def variance_ordering(scenario: Scenario):
     """(qualifying, violations): the number of the scenario's n_reps
-    replicates whose Cochran Q is below k - 1 (DL's zero branch), and of
-    those not ordered HKSJ <= mKH <= HCS(MAX1) <= HCS(MAX2) within a relative
+    replicates whose Cochran Q is below k - 1 (DL's zero branch: its raw
+    value (Q - (k - 1)) / denom, denom > 0, is negative), and of those not
+    ordered HKSJ <= mKH <= HCS(MAX1) <= HCS(MAX2) within a relative
     slack of 1e-12; a NaN variance (a failed method) is out of order. The
     replicates are drawn one at a time from the scenario's stream, stacked
     and run through one kernel call."""
     rng = scenario_rng(scenario)
     draws = [_draw_replicates(scenario, rng, 1)[:2] for _ in range(scenario.n_reps)]
     y_sub, se_sub = map(np.concatenate, zip(*draws))
-    y, se = _study_rows(y_sub, se_sub)
-    qualifying = cochran_q(y, se) < scenario.k - 1
-    intervals = meta_kernel(y, se, y_sub, se_sub).intervals
-    var = [intervals[method].variance for method in (HKSJ, MKH, HCS_MAX1, HCS_MAX2)]
+    result = meta_kernel(None, None, y_sub, se_sub)
+    qualifying = result.tau2_raw[DL] < 0
+    var = [result.intervals[method].variance for method in (HKSJ, MKH, HCS_MAX1, HCS_MAX2)]
     ordered = np.logical_and.reduce([lo <= hi * (1.0 + 1e-12) for lo, hi in zip(var, var[1:])])
     return int(np.count_nonzero(qualifying)), int(np.count_nonzero(qualifying & ~ordered))
 

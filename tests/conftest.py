@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from fewmeta.data import (
@@ -43,6 +44,15 @@ def respire28():
 @pytest.fixture(scope="session")
 def sglt2():
     return load_csv(dataset_path("sglt2"))
+
+
+def study_rows(y_sub, se_sub):
+    """Each study's inverse-variance aggregate of its two arms, (y, se), with
+    the bits the kernel derives from arms alone: weights 1.0 / se^2, sums from
+    +0.0 in arm order, se = 1.0 / sqrt(sum w)."""
+    w = 1.0 / np.square(se_sub)
+    sw = 0.0 + w[..., 0] + w[..., 1]
+    return (0.0 + w[..., 0] * y_sub[..., 0] + w[..., 1] * y_sub[..., 1]) / sw, 1.0 / np.sqrt(sw)
 
 
 def make_split(name, y, se, n=(10, 10), p_interaction=None):

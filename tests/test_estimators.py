@@ -194,6 +194,11 @@ def test_expected_tau2_dls_symbolic():
     assert expected_tau2_dls(se, p, 0.0, 0.0, 0.0) == pytest.approx(0.0)
     assert expected_tau2_dls(se, p, 1.0, 0.0, 0.0) == pytest.approx(2.0 / 3.0)
     assert expected_tau2_dls(se, p, 0.0, 1.0, 0.0) == pytest.approx(1.0 / 3.0)
+    # tau squared as tau * tau, not libm's pow(tau, 2), one ulp off here
+    tau = 7.2249061795510094
+    a, _ = shrinkage_coefficients(se, p)
+    assert tau ** 2 != tau * tau
+    assert expected_tau2_dls(se, p, tau, 0.0, 0.0) == a * (tau * tau)
     with pytest.raises(ValidationError):
         expected_tau2_dls(se, p, -1.0, 0.0, 0.0)
 

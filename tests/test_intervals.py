@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from fewmeta import intervals
@@ -72,6 +73,19 @@ def test_incomplete_beta_reports_a_continued_fraction_that_does_not_converge():
     # zero, so the _TINY guard replaces it, and the terms never settle
     with pytest.raises(ArithmeticError, match="^incomplete beta continued fraction did not converge$"):
         regularized_incomplete_beta(1e300, 1e300, 0.5)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 3.0), (2.0, 2.0), (3.0, 5.0)])
+def test_betacf_survives_a_zero_first_denominator(a, b):
+    # at x = (a + 1) / (a + b) the fraction's first denominator
+    # 1 - (a + b) x / (a + 1) is exactly 0: the pre-loop _TINY guard replaces
+    # it, and the fraction still converges to I_x(a, b)
+    x = (a + 1.0) / (a + b)
+    assert 1.0 - (a + b) * x / (a + 1.0) == 0.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    expected = scipy.special.betainc(a, b, x)
+    assert front * intervals._betacf(a, b, x) / a == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("a", [2e5, 1e6, 5e6, 1e7])

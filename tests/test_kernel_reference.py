@@ -13,6 +13,8 @@ from fewmeta import estimators, intervals, simulation
 from fewmeta.data import ValidationError
 from fewmeta.intervals import CI_METHODS, meta_kernel
 
+from conftest import study_rows
+
 
 class Raised(NamedTuple):
     message: str
@@ -60,7 +62,7 @@ def _draws(k, n_reps, seed):
         k=k, tau=0.5 * (k % 2), delta=0.5, sigma_delta=0.2, p=1 / 3, seed=seed
     )
     y_sub, se_sub, n_arm = simulation._draw_replicates(sc, simulation.scenario_rng(sc), n_reps)
-    y, se = simulation._study_rows(y_sub, se_sub)
+    y, se = study_rows(y_sub, se_sub)
     return y, se, y_sub, se_sub, n_arm[..., 0] / np.sum(n_arm, axis=-1)
 
 
@@ -172,7 +174,7 @@ def test_kernel_failures_are_attributed_as_before():
 def _reference_metrics(scenario, kernel=ref.meta_kernel):
     rng = simulation.scenario_rng(scenario)
     y_sub, se_sub, n_arm = simulation._draw_replicates(scenario, rng, scenario.n_reps)
-    y, se = simulation._study_rows(y_sub, se_sub)
+    y, se = study_rows(y_sub, se_sub)
     p = n_arm[..., 0] / np.sum(n_arm, axis=-1)
     return ref.aggregate(kernel(y, se, y_sub, se_sub, p), scenario, scenario.n_reps)
 

@@ -354,9 +354,9 @@ def test_in_process_runs_keep_no_stream(tmp_path):
         assert code == expected, (args, err)
         assert out if code == 0 else json.loads(err)["error"]  # the streams were written
         streams += [(run, args[0], name, ref) for name, ref in zip(("stdout", "stderr"), refs)]
-    # in standalone mode click reports usage errors itself
+    # in standalone mode too, a usage error is a JSON error
     code, out, err, refs = _run_in_process(["analyze", "--bogus"], standalone=True)
-    assert (code, out) == (2, "") and err.startswith("Usage: fewmeta analyze")
+    assert (code, out) == (2, "") and json.loads(err)["error"] == "usage"
     streams += [(len(runs), "", name, ref) for name, ref in zip(("stdout", "stderr"), refs)]
     gc.collect()
     assert [(run, command, name) for run, command, name, ref in streams if ref() is not None] == []
@@ -372,6 +372,24 @@ def test_help_is_clicks_own(commands):
 
 def test_bare_fewmeta_prints_the_help_to_stderr_and_exits_2():
     assert _run_in_process([], standalone=True)[:3] == (2, "", _click_help())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["analyze"], "Missing argument 'DATA_PATH'"),
+    (["select", "missing.csv"], "does not exist"),
+    (["analyze", "."], "is a directory"),
+    (["analyze", dataset_path("sglt2"), "--level", "high"], "'--level'"),
+    (["analyze", dataset_path("sglt2"), "--select", "best"], "'--select'"),
+    (["analyze", dataset_path("sglt2"), "--bogus"], "No such option"),
+    (["bogus"], "No such command"),
+], ids=["no-data-path", "absent-data-path", "directory", "level", "select", "option", "command"])
+def test_usage_errors_are_json_errors(args, message):
+    # through click's runner and through the benchmark's in-process call
+    result = CliRunner().invoke(main, args)
+    for code, out, err in ((result.exit_code, result.stdout, result.stderr), _run_in_process(args)[:3]):
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        error = json.loads(err)
+        assert error["error"] == "usage" and message in error["message"]
 
 
 def test_cli_writes_utf8_to_an_ascii_stdout(tmp_path):
@@ -487,15 +505,15 @@ def test_cli_simulate_rejects_out_of_range_parameters(tmp_path, flag, value, mes
 
 @pytest.mark.parametrize("flag", ["--sizes-meanlog", "--sizes-sdlog"])
 def test_cli_simulate_has_no_study_size_flags(tmp_path, flag):
-    # the study-size law is fixed: its old flags are click's usage error
+    # the study-size law is fixed: its old flags are usage errors
     out = tmp_path / "m.csv"
     result = CliRunner().invoke(main, SIMULATE_ONE + [flag, "1", "--out", str(out)])
     assert result.exit_code == 2, result.output
     # click 8.4 writes "No such option '--x'."; older releases back to the
     # declared floor may word the rest otherwise, so only the prefix is checked
-    error = result.stderr.splitlines()[-1]
-    assert result.stderr.startswith("Usage: ") and error.startswith("Error: No such option")
-    assert flag in error
+    error = json.loads(result.stderr)
+    assert error["error"] == "usage" and error["message"].startswith("No such option")
+    assert flag in error["message"]
     assert result.stdout == "" and not out.exists()
 
 

@@ -40,6 +40,10 @@ def test_within_study_q_hand_case():
     steep = make_split("B", (-1.0, 1.0), (1.0, 1.0))
     assert within_study_q(flat) == pytest.approx(0.0)
     assert within_study_q(steep) == pytest.approx(2.0)
+    # deviations -d and d whose libm pow(d, 2) is one ulp off d * d
+    d = 7.2249061795510094
+    assert d ** 2 != d * d
+    assert within_study_q(make_split("C", (-d, d), (1.0, 1.0))) == 2.0 * (d * d)
 
 
 def _numpy_split_statistics(dataset):
@@ -52,7 +56,7 @@ def _numpy_split_statistics(dataset):
             agg = aggregate_study(split)
             w = np.array([1.0 / (a.se * a.se) for a in split.arms])
             d = np.array([a.y for a in split.arms]) - c
-            q = float(sum(1.0 / (a.se * a.se) * (a.y - agg.y) ** 2 for a in split.arms))
+            q = float(sum(1.0 / (a.se * a.se) * ((a.y - agg.y) * (a.y - agg.y)) for a in split.arms))
             out.append((q, (w.sum(), (w * d).sum(), (w * d * d).sum())))
     return out
 

@@ -27,7 +27,7 @@ from fewmeta.simulation import (
     write_metrics_csv,
 )
 
-from conftest import make_dataset, make_split
+from conftest import make_dataset, make_split, study_rows
 
 
 def _scenario(**kw):
@@ -141,7 +141,7 @@ def test_generated_identities():
     # and se = sigma_u / sqrt(n) exactly
     sc = _scenario(k=4, tau=0.7, delta=0.5, sigma_delta=0.3, p=1 / 3)
     y_sub, se_sub, n_arm = simulation._draw_replicates(sc, scenario_rng(sc), 20)
-    y_stu, se_stu = simulation._study_rows(y_sub, se_sub)
+    y_stu, se_stu = study_rows(y_sub, se_sub)
     w = se_sub ** -2
     assert y_stu == pytest.approx((w * y_sub).sum(-1) / w.sum(-1), rel=1e-12)
     assert se_stu == pytest.approx(w.sum(-1) ** -0.5, rel=1e-12)
@@ -378,7 +378,7 @@ def test_dataset_path_equals_batch_path():
     for k, tau, delta in ((2, 0.0, 0.0), (3, 0.5, 0.0), (5, 0.0, 1.0), (3, 0.5, 1.0)):
         sc = _scenario(k=k, tau=tau, delta=delta, sigma_delta=0.2, p=1 / 3)
         y_sub, se_sub, _ = simulation._draw_replicates(sc, scenario_rng(sc), 150)
-        y_stu, se_stu = simulation._study_rows(y_sub, se_sub)
+        y_stu, se_stu = study_rows(y_sub, se_sub)
         batch = meta_kernel(y_stu, se_stu, y_sub, se_sub)
         assert batch.errors == {}
         for tag, side in sides.items():
@@ -424,7 +424,7 @@ def test_variance_ordering_equals_the_one_dataset_loop():
         hits = violations = 0
         for _ in range(sc.n_reps):
             y_sub, se_sub, _ = simulation._draw_replicates(sc, rng, 1)
-            y, se = simulation._study_rows(y_sub[0], se_sub[0])
+            y, se = study_rows(y_sub[0], se_sub[0])
             if cochran_q(y, se) >= sc.k - 1:
                 continue
             hits += 1
@@ -443,6 +443,8 @@ def _edited_kernel(edit, seen):
 
     def kernel(y, se, *args, **kwargs):
         result = meta_kernel(y, se, *args, **kwargs)
+        if y is None:
+            y, se = study_rows(*args[:2])
         var = {m: result.intervals[m].variance for m in _ORDERED}
         rows = np.arange(len(y)) % 4 == 0
         seen.append((cochran_q(y, se) < y.shape[-1] - 1, rows, var))
