@@ -5,7 +5,7 @@ an output file that cannot be written, 3 combination budget exceeded,
 4 internal self-check failure. Validation, usage and output failures
 additionally emit a machine-readable JSON error object on stderr (a bare
 `fewmeta` prints click's help instead). Exits 2 and 3 are enforced in one
-place for every command, the `main` group (`_Commands.invoke`); a file is
+place for every command, the `main` group (`_Commands`); a file is
 written inside `_output`, which turns an OSError into exit 2 with an
 "output" error; `_distinct` exits 2 before a command would write over its
 own input or another of its outputs; `validate` exits 4 itself. Its Monte Carlo checks are computed in
@@ -74,7 +74,15 @@ def _fail(code: int, kind: str, message: str):
 
 
 class _Commands(click.Group):
-    """The exit-code boundary of every command."""
+    """The exit-code boundary of every command and of the group's own options."""
+
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.exceptions.NoArgsIsHelpError:
+            raise
+        except click.UsageError as exc:
+            _fail(EXIT_VALIDATION, "usage", exc.format_message())
 
     def invoke(self, ctx):
         try:

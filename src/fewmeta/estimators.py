@@ -2,10 +2,12 @@
 
 Numeric functions accept arrays whose *last* axis runs over studies (or,
 for subgroup quantities, last two axes run over studies x arms); leading
-axes broadcast over replicates. The five tau^2 estimates are combined in
-one place, the kernel `intervals.meta_kernel`, which serves both a Monte
-Carlo batch and a single dataset (the same code without the replicate
-axis); the report reads a dataset's estimates straight from its result.
+axes broadcast over replicates. The module holds array math alone and
+reads no dataset record: intervals.dataset_kernel turns one into arrays.
+The five tau^2 estimates are combined in one place, the kernel
+`intervals.meta_kernel`, which serves both a Monte Carlo batch and a single
+dataset (the same code without the replicate axis); the report reads a
+dataset's estimates straight from its result.
 Every weighted sum goes through one pooling step (_Pool), which the kernel
 runs once per level and batch and the public helpers here call too.
 
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import MetaDataset, ValidationError, prevalence_of
+from .data import ValidationError
 
 DL = "DL"
 DLS = "DLS"
@@ -188,27 +190,6 @@ def dl_raw(y, se):
 # ---------------------------------------------------------------------------
 # subgroup-level statistics
 # ---------------------------------------------------------------------------
-
-def _selected_arms(dataset: MetaDataset):
-    """(y, se) arrays of shape (k, 2) of every study's selected split.
-    Raises if any study lacks a selection."""
-    y, se = [], []
-    for study in dataset.studies:
-        split = study.selected_split
-        if split is None:
-            raise ValidationError(
-                f"study {study.study_id!r}: no selected subgroup split"
-            )
-        y.append([split.arms[0].y, split.arms[1].y])
-        se.append([split.arms[0].se, split.arms[1].se])
-    return np.array(y), np.array(se)
-
-
-def subgroup_arrays(dataset: MetaDataset):
-    """_selected_arms and the (k,) prevalences of the selected splits."""
-    y, se = _selected_arms(dataset)
-    return y, se, np.array([prevalence_of(s.selected_split) for s in dataset.studies])
-
 
 def _arm_pool(y_sub, se_sub):
     return _pool(np.asarray(y_sub, dtype=float), _weights(se_sub), (-2, -1))

@@ -10,10 +10,11 @@ One kernel, meta_kernel, computes the five tau^2 estimates and all six
 intervals for a batch of R datasets; the Monte Carlo harness calls it on a
 scenario's replicates, passing their arms alone: the kernel aggregates the
 study rows from the arm weights it pools the arms with. A single dataset
-runs the same code without the replicate axis (dataset_kernel), whose 0-d
-results run_all_methods and the report read. Studies, random effects and
-arms are each pooled once per batch; hksj_scale, zh_variance and
-variance_hcs call the same pieces. The first two reject a zero weight
+runs the same code without the replicate axis (dataset_kernel, the one
+reader of dataset records: it gathers the study rows and the selected
+splits' arms), whose 0-d results run_all_methods and the report read.
+Studies, random effects and arms are each pooled once per batch;
+hksj_scale, zh_variance and variance_hcs call the same pieces. The first two reject a zero weight
 (se = inf); in the kernel, DL rejects it. Both HCS variants share one
 weight check and one sum w, sum w^2 and (sum w)^2 (_hcs_sums); their tau2,
 a maximum with 0, needs no check.
@@ -45,7 +46,6 @@ from .estimators import (
     _pool,
     _re_weights,
     _require_two_studies,
-    _selected_arms,
     _shrinkage_a,
     _sum,
     _weights,
@@ -107,32 +107,32 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, terms):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the step's even partial numerator, then its odd one
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), computed via the continued fraction representation."""
+    """I_x(a, b), computed via the continued fraction representation.
+
+    The lgamma front factor loses relative precision as a and b grow: with
+    b = 0.5, the worst error against scipy.special.betainc over 2000 random
+    (a, x) was 3e-14 for a <= 10, 2e-9 for a <= 1e5 and 3e-7 for a <= 1e7.
+    With a and b both large it loses more: I_0.5(a, a) reads 0.5 + 1.5e-8 at
+    a = 5e6. fewmeta calls it only with b = 0.5.
+    """
     if not (a > 0 and b > 0):
         raise ValidationError("incomplete beta: a, b must be > 0")
     if x <= 0.0:
@@ -441,14 +441,18 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95) -> KernelResult:
 
 def dataset_kernel(dataset: MetaDataset, level: float = 0.95) -> KernelResult:
     """The kernel on one dataset at confidence level `level` (checked by
-    meta_kernel): its (k,) study rows, plus its (k, 2) selected arms when
-    every study has a selection (otherwise the HCS fallback). With no
+    meta_kernel), and the one place that turns dataset records into kernel
+    arrays: its (k,) study rows, plus the (k, 2) arms of its selected splits
+    when every study has a selection (otherwise the HCS fallback). With no
     replicate axis the kernel's study and arm sums are numpy scalars, which
     cost less to add than one-element arrays; the values are those of the
     same rows in a batch, bit for bit."""
     y = np.array([s.y for s in dataset.studies])
     se = np.array([s.se for s in dataset.studies])
-    arms = _selected_arms(dataset) if dataset.fully_selected else ()
+    arms = ()
+    if dataset.fully_selected:
+        pairs = [s.selected_split.arms for s in dataset.studies]
+        arms = np.array([[a.y for a in p] for p in pairs]), np.array([[a.se for a in p] for p in pairs])
     return meta_kernel(y, se, *arms, level=level)
 
 

@@ -53,21 +53,9 @@ def _exp(value: float) -> float:
 
 def _interval_entry(result) -> dict:
     return {
-        "method": result.method,
-        "point": result.point,
-        "lower": result.lower,
-        "upper": result.upper,
-        "variance": result.variance,
-        "df": result.df,
-        "level": result.level,
-        "tau2": result.tau2,
+        **vars(result),
         "tau": math.sqrt(result.tau2),
-        "fallback": result.fallback,
-        "exp": {
-            "point": _exp(result.point),
-            "lower": _exp(result.lower),
-            "upper": _exp(result.upper),
-        },
+        "exp": {"point": _exp(result.point), "lower": _exp(result.lower), "upper": _exp(result.upper)},
     }
 
 
@@ -84,21 +72,17 @@ def build_report(dataset: MetaDataset, selection=None, level: float = 0.95) -> d
     results, _ = result.interval_results()
     tau2 = {tag: float(value) for tag, value in result.tau2.items()}
     wins = result.subgroup_wins
+    studies = [
+        {
+            "study_id": s.study_id,
+            "n_splits": len(s.splits),
+            "selected_split": s.selected_split.split_name if s.selected_split else None,
+        }
+        for s in dataset.studies
+    ]
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "dataset": {
-            "k": dataset.k,
-            "studies": [
-                {
-                    "study_id": s.study_id,
-                    "n_splits": len(s.splits),
-                    "selected_split": (
-                        s.selected_split.split_name if s.selected_split else None
-                    ),
-                }
-                for s in dataset.studies
-            ],
-        },
+        "dataset": {"k": dataset.k, "studies": studies},
         "selection": None,
         "heterogeneity": {
             tag: {
@@ -116,16 +100,13 @@ def build_report(dataset: MetaDataset, selection=None, level: float = 0.95) -> d
             "consistency_gaps": [
                 g for g in consistency_gaps(dataset) if g["inconsistent"]
             ],
-            "fallback": any(r.fallback for r in results),
+            "fallback": result.fallback,
         },
     }
     if selection is not None:
         report["selection"] = {
             "strategy": selection.strategy,
-            "choices": [
-                dataset.studies[i].splits[c].split_name
-                for i, c in enumerate(selection.choices)
-            ],
+            "choices": [s["selected_split"] for s in studies],
             "q_s": selection.q_s,
             "combinations_evaluated": selection.combinations_evaluated,
         }

@@ -9,6 +9,7 @@ from fewmeta.data import (
     SubgroupArm,
     SubgroupSplit,
     load_csv,
+    prevalence_of,
 )
 
 DATASET_DIR = os.path.join(
@@ -53,6 +54,15 @@ def study_rows(y_sub, se_sub):
     w = 1.0 / np.square(se_sub)
     sw = 0.0 + w[..., 0] + w[..., 1]
     return (0.0 + w[..., 0] * y_sub[..., 0] + w[..., 1] * y_sub[..., 1]) / sw, 1.0 / np.sqrt(sw)
+
+
+def selected_arms(dataset):
+    """(y, se) arrays of shape (k, 2) of every study's selected split, and
+    the (k,) prevalences of those splits."""
+    splits = [s.selected_split for s in dataset.studies]
+    return (np.array([[a.y for a in split.arms] for split in splits]),
+            np.array([[a.se for a in split.arms] for split in splits]),
+            np.array([prevalence_of(split) for split in splits]))
 
 
 def make_split(name, y, se, n=(10, 10), p_interaction=None):

@@ -21,15 +21,14 @@ from fewmeta.estimators import (
     mu_ce_subgroup,
     qs_raw,
     shrinkage_coefficients,
-    subgroup_arrays,
 )
 from fewmeta.intervals import hksj_scale
 from fewmeta.report import build_report
 
-from conftest import make_dataset, make_split
+from conftest import make_dataset, make_split, selected_arms
 
 
-def _subgroup_dataset(ys, ses, selected=True):
+def _subgroup_dataset(ys, ses):
     """Dataset whose study rows aggregate the single split per study."""
     from fewmeta.data import aggregate_study
 
@@ -38,8 +37,7 @@ def _subgroup_dataset(ys, ses, selected=True):
         split = make_split("g", y, se)
         agg = aggregate_study(split)
         specs.append((agg.y, agg.se, [split]))
-    sel = [0] * len(ys) if selected else None
-    return make_dataset(specs, selected=sel)
+    return make_dataset(specs, selected=[0] * len(ys))
 
 
 def test_mu_ce_examples():
@@ -97,7 +95,7 @@ def test_tau2_dl_respire14(respire14):
 
 def _q_subgroup(ds):
     """Q_S over the arms of each study's selected split."""
-    return qs_raw(*subgroup_arrays(ds)[:2])
+    return qs_raw(*selected_arms(ds)[:2])
 
 
 def test_q_subgroup_examples():
@@ -105,12 +103,6 @@ def test_q_subgroup_examples():
     assert _q_subgroup(ds) == pytest.approx(0.0)
     ds = _subgroup_dataset([(0.0, 0.0), (1.0, 1.0)], [(1, 1), (1, 1)])
     assert _q_subgroup(ds) == pytest.approx(1.0)
-
-
-def test_q_subgroup_requires_selection():
-    ds = _subgroup_dataset([(0.0, 0.0), (1.0, 1.0)], [(1, 1), (1, 1)], selected=False)
-    with pytest.raises(ValidationError, match="no selected subgroup split"):
-        subgroup_arrays(ds)
 
 
 def test_tau2_dls_example():
@@ -123,7 +115,7 @@ def test_tau2_dls_example():
 def test_shrinkage_symbolic_cases():
     # k=2, all four subgroup weights equal: A = 1 - 1/(2k-1) = 2/3
     ds = _subgroup_dataset([(-1.0, 1.0), (-1.0, 1.0)], [(1, 1), (1, 1)])
-    a, b = shrinkage_coefficients(*subgroup_arrays(ds)[1:])
+    a, b = shrinkage_coefficients(*selected_arms(ds)[1:])
     assert a == pytest.approx(2.0 / 3.0)
     # plus p = 1/2: B = k / (2(2k-1)) = 1/3
     assert b == pytest.approx(1.0 / 3.0)

@@ -382,7 +382,9 @@ def test_bare_fewmeta_prints_the_help_to_stderr_and_exits_2():
     (["analyze", dataset_path("sglt2"), "--select", "best"], "'--select'"),
     (["analyze", dataset_path("sglt2"), "--bogus"], "No such option"),
     (["bogus"], "No such command"),
-], ids=["no-data-path", "absent-data-path", "directory", "level", "select", "option", "command"])
+    (["--bogus"], "No such option"),
+], ids=["no-data-path", "absent-data-path", "directory", "level", "select", "option", "command",
+        "group-option"])
 def test_usage_errors_are_json_errors(args, message):
     # through click's runner and through the benchmark's in-process call
     result = CliRunner().invoke(main, args)

@@ -20,7 +20,7 @@ from fewmeta.data import (
     aggregate_study,
     load_csv,
 )
-from fewmeta.estimators import qs_raw, subgroup_arrays
+from fewmeta.estimators import qs_raw
 from fewmeta.selection import (
     CombinationBudgetError,
     qs_histogram,
@@ -32,7 +32,7 @@ from fewmeta.selection import (
     write_histogram_csv,
 )
 
-from conftest import PVALUE_DATASET, dataset_path, make_dataset, make_split
+from conftest import PVALUE_DATASET, dataset_path, make_dataset, make_split, selected_arms
 
 
 def test_within_study_q_hand_case():
@@ -137,7 +137,7 @@ def test_global_matches_recomputed_qs():
     splits2 = [make_split(f"b{j}", rng.normal(0, 1, 2), rng.uniform(0.3, 1, 2)) for j in range(2)]
     ds = make_dataset([(0.0, 0.7, splits1), (0.0, 0.7, splits2)])
     res = select_global(ds)
-    recomputed = qs_raw(*subgroup_arrays(ds.with_selection(res.choices))[:2])
+    recomputed = qs_raw(*selected_arms(ds.with_selection(res.choices))[:2])
     assert res.q_s == pytest.approx(recomputed, rel=1e-12)
 
 
