@@ -261,8 +261,8 @@ def select(data_path, strategy, histogram, max_combos):
         lines += [f"histogram: {len(values)} combinations -> {histogram}",
                   f"threshold (positive subgroup-level tau2): Q_S > {threshold}"]
     chosen = ", ".join(
-        f"{study.study_id}={study.splits[c].split_name}"
-        for study, c in zip(dataset.studies, result.choices)
+        f"{sid}={name}"
+        for sid, name in zip(dataset.study_ids, dataset.with_selection(result.choices).selected_names)
     )
     lines += [f"strategy: {result.strategy}",
               f"choices: {chosen}",

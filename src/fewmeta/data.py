@@ -1,9 +1,20 @@
-"""Domain records and dataset construction for subgroup-informed meta-analysis.
+"""The dataset: one column table, its two front doors and CSV ingestion.
 
-A study is one record, Study(study_id, y, se, splits, selected), and each of
-its candidate splits a SubgroupSplit of two SubgroupArm(y, se, n). A
-MetaDataset holds at least two studies, the precondition of every analysis:
-it refuses fewer when built, so no analysis checks k again.
+A MetaDataset is one column table of k >= 2 studies and their S candidate
+subgroup splits, built once (see MetaDataset). Every analysis reads the
+table. It has two front doors:
+
+- load_csv (and validate_dataset, for rows as dicts) builds the table
+  straight from the file's columns and builds no record;
+- MetaDataset(studies) builds the same table from records:
+  Study(study_id, y, se, splits, selected), each split a SubgroupSplit of
+  two SubgroupArm(y, se, n).
+
+dataset.studies is the table seen as records, built on first use and
+cached. Both doors apply one set of value rules (_within a closed range
+per kind of number, _whole, _floor_ok) to scalars or to whole columns,
+and one aggregate (_aggregate). A MetaDataset refuses fewer than two
+studies when built, so no analysis checks k again.
 
 All effects live on the linear-predictor scale (e.g. log hazard ratios);
 exponentiation to ratio scales is presentation-only and happens in the
@@ -12,11 +23,18 @@ reporting layer.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import itertools
 import json
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 CSV_COLUMNS = ["study_id", "label", "level", "split", "arm", "y", "se", "n"]
 
@@ -28,16 +46,59 @@ class ValidationError(ValueError):
 # Effects and standard errors are squared (weights 1/se^2, squared
 # deviations) and summed in double precision; within these bounds every
 # such intermediate stays finite and nonzero. The bounds also hold for the
-# aggregate of every split, which SubgroupSplit checks.
+# aggregate of every split, which _floor_ok checks.
 MAX_ABS_EFFECT = 1e40
 SE_RANGE = (1e-40, 1e40)
 
+# The value rules: a number passes when it lies in its closed range, which
+# NaN never does, and a count must also be whole. Each rule takes a float or
+# an array of them; the loader checks a file's effects, ses and ns as the
+# rows of one array against the columns _LOWER and _UPPER.
+_EFFECT_RANGE = (-MAX_ABS_EFFECT, MAX_ABS_EFFECT)
+_COUNT_RANGE = (1.0, sys.float_info.max)
+_PROBABILITY_RANGE = (0.0, 1.0)
+_LOWER, _UPPER = np.array([_EFFECT_RANGE, SE_RANGE, _COUNT_RANGE]).T[..., None]
+
+
+# whether every element of an array is true, in one ufunc call
+_all = functools.partial(np.logical_and.reduce, axis=None)
+
+
+def _within(x, bounds):
+    return (bounds[0] <= x) & (x <= bounds[1])
+
+
+def _whole(n):
+    return np.trunc(n) == n
+
+
+def _floor_ok(agg_se):
+    """A split's aggregate lies between its arms' effects and its se below
+    both, so only the se floor can be crossed: two arms at 1e-40 give 7.1e-41."""
+    return agg_se >= SE_RANGE[0]
+
+
+def _aggregate(y, se):
+    """Arm weights w = 1 / se^2, each correctly rounded, their sum sw, and the
+    arms' inverse-variance aggregate (agg_y, agg_se = sw^-1/2), over the last
+    axis of (..., 2) arrays, arm 1 first."""
+    w = 1.0 / np.square(se)
+    sw = w[..., 0] + w[..., 1]
+    wy = w * y
+    return w, sw, (wy[..., 0] + wy[..., 1]) / sw, 1.0 / np.sqrt(sw)
+
+
+_EFFECT_RULE = f"effect must be finite with |y| <= {MAX_ABS_EFFECT:g}"
+_SE_RULE = f"se must be in [{SE_RANGE[0]:g}, {SE_RANGE[1]:g}]"
+_COUNT_RULE = "n must be a whole number >= 1, got {!r}"
+_PROBABILITY_RULE = "p_interaction must be a number in [0, 1], got {!r}"
+
 
 def _check_effect(y, se, who):
-    if not abs(y) <= MAX_ABS_EFFECT:
-        raise ValidationError(f"{who}: effect must be finite with |y| <= {MAX_ABS_EFFECT:g}")
-    if not SE_RANGE[0] <= se <= SE_RANGE[1]:
-        raise ValidationError(f"{who}: se must be in [{SE_RANGE[0]:g}, {SE_RANGE[1]:g}]")
+    if not _within(y, _EFFECT_RANGE):
+        raise ValidationError(f"{who}: {_EFFECT_RULE}")
+    if not _within(se, SE_RANGE):
+        raise ValidationError(f"{who}: {_SE_RULE}")
 
 
 @dataclass(frozen=True)
@@ -50,18 +111,21 @@ class SubgroupArm:
 
     def __post_init__(self):
         _check_effect(self.y, self.se, "arm")
-        if self.n < 1:
-            raise ValidationError("arm: n must be >= 1")
+        try:
+            n = float(self.n)
+        except (TypeError, ValueError, OverflowError):
+            n = math.nan
+        if not (_within(n, _COUNT_RANGE) and _whole(n)):
+            raise ValidationError("arm: " + _COUNT_RULE.format(self.n))
 
 
 @dataclass(frozen=True)
 class SubgroupSplit:
     """A named candidate two-way partition of one study.
 
-    The arm weights w = 1 / se^2, their sum and the aggregate of the arms (see
-    aggregate_study) are computed once, as plain floats, when the split is
-    made; selection, the consistency diagnostics and the derived study rows
-    all read them from here.
+    The arm weights, their sum and the aggregate of the arms (see
+    aggregate_study) are computed once, by _aggregate, when the split is
+    made; the dataset's table holds the same values.
     """
 
     split_name: str
@@ -76,23 +140,20 @@ class SubgroupSplit:
             raise ValidationError(
                 f"split {self.split_name!r}: exactly two arms required"
             )
-        if self.p_interaction is not None and not 0.0 <= self.p_interaction <= 1.0:  # NaN too
-            raise ValidationError(f"split {self.split_name!r}: p_interaction must be a number "
-                                  f"in [0, 1], got {self.p_interaction!r}")
-        a1, a2 = self.arms
-        w1, w2 = 1.0 / (a1.se * a1.se), 1.0 / (a2.se * a2.se)
-        sw = w1 + w2
-        se = 1.0 / math.sqrt(sw)
-        # The aggregate effect lies between the arms' and its se below both,
-        # so only the se floor can be crossed: two arms at 1e-40 give 7.1e-41.
-        if se < SE_RANGE[0]:
-            raise ValidationError(
-                f"split {self.split_name!r}: the arms aggregate to se {se:.3g}, "
-                f"below the floor {SE_RANGE[0]:g}"
-            )
-        object.__setattr__(self, "weights", (w1, w2))
-        object.__setattr__(self, "agg_y", (w1 * a1.y + w2 * a2.y) / sw)
-        object.__setattr__(self, "agg_se", se)
+        if self.p_interaction is not None and not _within(self.p_interaction, _PROBABILITY_RANGE):
+            raise ValidationError(f"split {self.split_name!r}: "
+                                  + _PROBABILITY_RULE.format(self.p_interaction))
+        w, _, agg_y, agg_se = _aggregate(np.array([a.y for a in self.arms]),
+                                         np.array([a.se for a in self.arms]))
+        if not _floor_ok(agg_se):
+            raise ValidationError(f"split {self.split_name!r}: {_floor_message(agg_se)}")
+        object.__setattr__(self, "weights", tuple(w.tolist()))
+        object.__setattr__(self, "agg_y", float(agg_y))
+        object.__setattr__(self, "agg_se", float(agg_se))
+
+
+def _floor_message(agg_se):
+    return f"the arms aggregate to se {float(agg_se):.3g}, below the floor {SE_RANGE[0]:g}"
 
 
 @dataclass(frozen=True)
@@ -124,40 +185,131 @@ class Study:
         return self.splits[self.selected]
 
 
-@dataclass(frozen=True)
+# the split columns of a dataset without splits
+_NO_ARMS = np.zeros((0, 2))
+_NO_SPLITS = np.zeros(0)
+_NO_ARMS.setflags(write=False)
+_NO_SPLITS.setflags(write=False)
+
+
 class MetaDataset:
-    """k >= 2 studies, each with an estimate and zero or more candidate splits."""
+    """k >= 2 studies, each with an estimate and zero or more candidate
+    splits, as one column table:
 
-    studies: tuple
+    - study_ids (k names), y and se ((k,) arrays), and selected: per study
+      the index of its selected split among its own, or None;
+    - split_start and split_count: per study, the row of its first split
+      and its number of splits, its splits being the rows in between;
+    - per split row (S of them, study by study): split_names, split_study
+      (the owning study's index), arm_y, arm_se and arm_n ((S, 2) arrays,
+      arm 1 first), p_interaction ((S,), NaN where absent), and from
+      _aggregate the arm weights w (S, 2), their sum sw and the aggregate
+      agg_y, agg_se (S,).
 
-    def __post_init__(self):
-        ids = [s.study_id for s in self.studies]
+    MetaDataset(studies) builds the table from records; load_csv builds it
+    from a file's columns. Its arrays are read-only.
+    """
+
+    def __init__(self, studies: Sequence[Study]):
+        studies = tuple(studies)
+        ids = [s.study_id for s in studies]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate study_id")
         if len(ids) < 2:
             raise ValidationError("analysis requires at least 2 studies")
+        splits = [split for s in studies for split in s.splits]
+        arms = [arm for split in splits for arm in split.arms]
+        self._build(
+            tuple(ids), np.array([s.y for s in studies], dtype=float),
+            np.array([s.se for s in studies], dtype=float),
+            tuple(len(s.splits) for s in studies), tuple(s.split_name for s in splits),
+            *(np.array([getattr(a, name) for a in arms], dtype=float).reshape(-1, 2)
+              for name in ("y", "se", "n")),
+            np.array([np.nan if s.p_interaction is None else s.p_interaction for s in splits],
+                     dtype=float),
+            tuple(s.selected for s in studies),
+        )
+        self._studies = studies
+
+    def _build(self, study_ids, y, se, split_count, split_names, arm_y, arm_se, arm_n,
+               p_interaction, selected, aggregates=None):
+        self.study_ids, self.y, self.se, self.selected = study_ids, y, se, selected
+        self.split_count = split_count
+        self.split_start = tuple(itertools.accumulate(split_count[:-1], initial=0))
+        self.split_names, self.arm_y, self.arm_se, self.arm_n = split_names, arm_y, arm_se, arm_n
+        self.p_interaction = p_interaction
+        self.split_study = tuple(i for i, count in enumerate(split_count) for _ in range(count))
+        if aggregates is None:
+            aggregates = _aggregate(arm_y, arm_se)
+        self.w, self.sw, self.agg_y, self.agg_se = aggregates
+        for column in (y, se, arm_y, arm_se, arm_n, p_interaction, *aggregates) if split_names else (y, se):
+            column.setflags(write=False)  # with_selection's copies share the table
+        self._studies = None
+
+    @classmethod
+    def _from_columns(cls, *columns, aggregates):
+        dataset = cls.__new__(cls)
+        dataset._build(*columns, selected=(None,) * len(columns[0]), aggregates=aggregates)
+        return dataset
+
+    @property
+    def studies(self) -> tuple:
+        """The table as Study records, built on first use and cached."""
+        if self._studies is None:
+            p = [None if v != v else v for v in self.p_interaction.tolist()]
+            arms = [SubgroupArm(y, se, int(n)) for y, se, n in
+                    zip(self.arm_y.ravel().tolist(), self.arm_se.ravel().tolist(),
+                        self.arm_n.ravel().tolist())]
+            splits = [SubgroupSplit(name, (arms[2 * s], arms[2 * s + 1]), p[s])
+                      for s, name in enumerate(self.split_names)]
+            self._studies = tuple(
+                Study(sid, y, se, tuple(splits[start:start + count]), selected)
+                for sid, y, se, start, count, selected in zip(
+                    self.study_ids, self.y.tolist(), self.se.tolist(),
+                    self.split_start, self.split_count, self.selected)
+            )
+        return self._studies
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.studies == other.studies
+
+    def __hash__(self):
+        return hash(self.studies)
+
+    def __repr__(self):
+        return f"MetaDataset(studies={self.studies!r})"
 
     @property
     def k(self) -> int:
-        return len(self.studies)
+        return len(self.study_ids)
 
     @property
     def has_splits(self) -> bool:
-        return any(s.splits for s in self.studies)
+        return bool(self.split_names)
 
     @property
     def fully_selected(self) -> bool:
-        return all(s.selected is not None for s in self.studies)
+        return None not in self.selected
+
+    @property
+    def selected_names(self) -> list:
+        """Each study's selected split name, or None."""
+        return [None if c is None else self.split_names[start + c]
+                for start, c in zip(self.split_start, self.selected)]
 
     def with_selection(self, choices: Sequence[int]) -> "MetaDataset":
-        """Return a copy with one split selected per study."""
+        """Return a copy, sharing the table, with one split selected per study."""
         if len(choices) != self.k:
             raise ValidationError("selection length must equal k")
-        studies = tuple(
-            Study(s.study_id, s.y, s.se, s.splits, int(c))
-            for s, c in zip(self.studies, choices)
-        )
-        return MetaDataset(studies)
+        selected = tuple(int(c) for c in choices)
+        for sid, c, count in zip(self.study_ids, selected, self.split_count):
+            if not 0 <= c < count:
+                raise ValidationError(f"study {sid!r}: selected split out of range")
+        dataset = object.__new__(MetaDataset)
+        dataset.__dict__.update(self.__dict__, selected=selected, _studies=None)
+        return dataset
 
 
 def prevalence_of(split: SubgroupSplit) -> float:
@@ -194,46 +346,47 @@ def consistency_gaps(dataset: MetaDataset) -> list:
     study-level values always win.
     """
     gaps = []
-    for study in dataset.studies:
-        for split in study.splits:
-            gap_y = abs(split.agg_y - study.y) / max(abs(study.y), 1.0)
-            gap_se = abs(split.agg_se - study.se) / study.se
-            gaps.append(
-                {
-                    "study_id": study.study_id,
-                    "split": split.split_name,
-                    "gap_y": gap_y,
-                    "gap_se": gap_se,
-                    "inconsistent": max(gap_y, gap_se) > CONSISTENCY_TOL,
-                }
-            )
+    ys, ses = dataset.y.tolist(), dataset.se.tolist()
+    for i, name, agg_y, agg_se in zip(dataset.split_study, dataset.split_names,
+                                      dataset.agg_y.tolist(), dataset.agg_se.tolist()):
+        gap_y = abs(agg_y - ys[i]) / max(abs(ys[i]), 1.0)
+        gap_se = abs(agg_se - ses[i]) / ses[i]
+        gaps.append(
+            {
+                "study_id": dataset.study_ids[i],
+                "split": name,
+                "gap_y": gap_y,
+                "gap_se": gap_se,
+                "inconsistent": max(gap_y, gap_se) > CONSISTENCY_TOL,
+            }
+        )
     return gaps
 
 
-# The parsers and record checks below raise without naming the row; the
-# loader prefixes where it was, formatting that prefix only on failure.
+# The fields of a row as _build_dataset reads them: those of CSV_COLUMNS it
+# uses, then the optional p_interaction.
+_FIELDS = ("study_id", "level", "split", "arm", "y", "se", "n", "p_interaction")
 
-def _parse_float(value):
+
+_ARMS = {"1": 1, "2": 2}
+_BLANK = (None, "")  # a field left blank, as `in` tests it
+
+
+def _floats(values):
+    """The values as a float array, NaN where one does not parse, and the
+    mask of those that did not (None when all parsed)."""
     try:
-        return float(value)
+        return np.fromiter(map(float, values), float, len(values)), None
     except (TypeError, ValueError):
-        raise ValidationError(f"cannot parse number {value!r}") from None
-
-
-def _parse_probability(value):
-    """A probability such as p_interaction: a number in [0, 1]."""
-    p = _parse_float(value)
-    if not 0.0 <= p <= 1.0:  # false on NaN too
-        raise ValidationError(f"p_interaction must be a number in [0, 1], got {value!r}")
-    return p
-
-
-def _parse_count(value):
-    """A count such as n: a whole number >= 1 ("12" and "12.0" both give 12)."""
-    n = _parse_float(value)
-    if not (1.0 <= n < math.inf and n.is_integer()):  # false on NaN too
-        raise ValidationError(f"n must be a whole number >= 1, got {value!r}")
-    return int(n)
+        pass
+    parsed = []
+    for value in values:
+        try:
+            parsed.append(float(value))
+        except (TypeError, ValueError):
+            parsed.append(None)
+    return (np.array([math.nan if v is None else v for v in parsed], dtype=float),
+            np.array([v is None for v in parsed]))
 
 
 def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
@@ -242,35 +395,50 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
     Rows follow the CSV schema: study_id, label, level, split, arm, y, se, n
     with level in {study, subgroup}, and an optional p_interaction on a
     split's arm-1 row. A study row with splits may leave both y and se
-    blank, in which case the study estimate is derived by aggregating the
-    first listed split; one of the two without the other is an error.
+    blank, in which case the study estimate is derived by aggregating its
+    first split in name order (not in file order); one of the two without
+    the other is an error.
     """
+    return _build_dataset(tuple(row.get(name) for name in _FIELDS) for row in rows)
+
+
+def _build_dataset(rows) -> MetaDataset:
+    """The dataset of rows of _FIELDS' values, in two steps. The row checks
+    run row by row and group the rows by study, split and arm. The value
+    checks then run over whole columns, and the first failure is reported
+    as a walk in file order would meet it: study by study, each study's
+    splits in name order (arm 1, arm 2, p_interaction, then the aggregate),
+    then the study row."""
     study_rows = {}  # study_id -> row, in file order
     subgroup_rows = {}  # study_id -> split name -> arm -> row
 
     for row in rows:
-        sid = (row.get("study_id") or "").strip()
+        sid = (row[0] or "").strip()
         if not sid:
             raise ValidationError("row with empty study_id")
-        level = (row.get("level") or "").strip()
-        if level == "study":
-            if sid in study_rows:
-                raise ValidationError(f"duplicate study row for {sid!r}")
-            study_rows[sid] = row
-        elif level == "subgroup":
-            split = (row.get("split") or "").strip()
+        level = (row[1] or "").strip()
+        if level == "subgroup":
+            split = (row[2] or "").strip()
             if not split:
                 raise ValidationError(f"subgroup row for {sid!r} without split name")
-            arm = (row.get("arm") or "").strip()
-            if arm not in ("1", "2"):
+            arm = _ARMS.get((row[3] or "").strip())
+            if arm is None:
                 raise ValidationError(
                     f"subgroup row {sid!r}/{split!r}: arm must be 1 or 2"
                 )
-            key = (sid, split, int(arm))
-            arm_rows = subgroup_rows.setdefault(sid, {}).setdefault(split, {})
-            if key[2] in arm_rows:
-                raise ValidationError(f"duplicate (study, split, arm) row {key}")
-            arm_rows[key[2]] = row
+            by_split = subgroup_rows.get(sid)
+            if by_split is None:
+                by_split = subgroup_rows[sid] = {}
+            arm_rows = by_split.get(split)
+            if arm_rows is None:
+                arm_rows = by_split[split] = {}
+            if arm in arm_rows:
+                raise ValidationError(f"duplicate (study, split, arm) row {(sid, split, arm)}")
+            arm_rows[arm] = row
+        elif level == "study":
+            if sid in study_rows:
+                raise ValidationError(f"duplicate study row for {sid!r}")
+            study_rows[sid] = row
         else:
             raise ValidationError(f"unknown level {level!r} for study {sid!r}")
 
@@ -278,63 +446,144 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
         if sid not in study_rows:
             raise ValidationError(f"orphan subgroup row: unknown study_id {sid!r}")
 
-    studies = []
-    for sid, row in study_rows.items():
-        splits = []
-        for name, arm_rows in sorted(subgroup_rows.get(sid, {}).items()):
-            arms = []
-            for j in (1, 2):
-                if j not in arm_rows:
-                    raise ValidationError(
-                        f"split {sid!r}/{name!r}: missing arm {j}"
-                    )
-                r = arm_rows[j]
-                nval = r.get("n")
-                if isinstance(nval, str):
-                    nval = nval.strip()
-                if nval in (None, ""):
-                    raise ValidationError(
-                        f"split {sid!r}/{name!r} arm {j}: n is required on subgroup rows"
-                    )
-                try:
-                    arms.append(SubgroupArm(_parse_float(r.get("y")), _parse_float(r.get("se")),
-                                            _parse_count(nval)))
-                except ValidationError as exc:
-                    raise ValidationError(f"{sid}/{name}/arm{j}: {exc}") from None
-            row_p = arm_rows[1].get("p_interaction")
-            try:
-                p_int = _parse_probability(row_p) if row_p not in (None, "") else None
-            except ValidationError as exc:
-                raise ValidationError(f"{sid}/{name}: {exc}") from None
-            try:  # arms in range, their aggregate possibly not
-                splits.append(SubgroupSplit(name, tuple(arms), p_int))
-            except ValidationError as exc:
-                raise ValidationError(f"study {sid!r} {exc}") from None
+    # the split rows, study by study and each study's splits in name order,
+    # a missing arm's row all None; then the study rows
+    ids = tuple(study_rows)
+    counts, names, arm_rows = [], [], []
+    for sid in ids:
+        splits = subgroup_rows.get(sid, {})
+        counts.append(len(splits))
+        for name in sorted(splits):
+            names.append(name)
+            arm_rows += (splits[name].get(1), splits[name].get(2))
+    arms = arm_rows if None not in arm_rows else [(None,) * len(_FIELDS) if r is None else r
+                                                  for r in arm_rows]
+    n_texts = [r[6].strip() if isinstance(r[6], str) else r[6] for r in arms]
+    p_texts = [r[7] for r in arms[::2]]  # read from arm 1's row
+    studies = [study_rows[sid] for sid in ids]
+    derived = [r[4] in _BLANK and r[5] in _BLANK for r in studies]
 
-        y_raw, se_raw = row.get("y"), row.get("se")
-        blank = (y_raw in (None, ""), se_raw in (None, ""))
-        if blank[0] != blank[1]:
-            raise ValidationError(f"{sid}: y and se must be given together, or both left "
-                                  f"blank to derive the study row (got y={y_raw!r}, se={se_raw!r})")
-        try:
-            if row.get("n") not in (None, ""):
-                _parse_count(row["n"])  # checked, not kept: nothing reads a study's n
-        except ValidationError as exc:
-            raise ValidationError(f"{sid}: {exc}") from None
-        if blank[0] and not splits:
-            raise ValidationError(
-                f"study {sid!r}: no estimate supplied and no splits to derive one"
-            )
-        try:
-            if blank[0]:
-                y, se = splits[0].agg_y, splits[0].agg_se
-            else:
-                y, se = _parse_float(y_raw), _parse_float(se_raw)
-            studies.append(Study(sid, y, se, tuple(splits)))
-        except ValidationError as exc:
-            raise ValidationError(f"{sid}: {exc}") from None
+    # Every number a check reads, in one column: the effects (arms, then
+    # studies), the ses and the ns in rows of m = 2S + k, then the S
+    # p_interactions. A derived study estimate reads NaN until it is filled
+    # in, an absent study n 1 and an absent p_interaction NaN.
+    size, m = len(names), 2 * len(names) + len(ids)
+    texts = [r[4] for r in arms]
+    texts += [math.nan if d else r[4] for d, r in zip(derived, studies)]
+    texts += [r[5] for r in arms]
+    texts += [math.nan if d else r[5] for d, r in zip(derived, studies)]
+    texts += n_texts
+    texts += [1.0 if r[6] in _BLANK else r[6] for r in studies]
+    p_given = [t not in _BLANK for t in p_texts]
+    texts += [t if given else math.nan for t, given in zip(p_texts, p_given)]
+    values, unparsed = _floats(texts)
+    numbers, p = values[:3 * m].reshape(3, m), values[3 * m:]
 
-    return MetaDataset(tuple(studies))
+    # the common case: every number given, parsed and in range
+    clean = (unparsed is None and None not in arm_rows and "" not in n_texts and None not in n_texts
+             and not any(r[4] in _BLANK or r[5] in _BLANK for r in studies))
+    if clean:
+        clean = (_all(_within(numbers, (_LOWER, _UPPER))) and _all(_whole(numbers[2]))
+                 and not (True in p_given and not _all(_within(p[p_given], _PROBABILITY_RANGE))))
+    arm_y = arm_se = arm_n = _NO_ARMS
+    aggregates = _NO_ARMS, _NO_SPLITS, _NO_SPLITS, _NO_SPLITS
+    if size:
+        arm_y, arm_se, arm_n = numbers[:, :2 * size].reshape(3, size, 2)
+        with contextlib.nullcontext() if clean else np.errstate(all="ignore"):
+            aggregates = _aggregate(arm_y, arm_se)  # a failing arm may hold any value
+        clean = clean and _all(_floor_ok(aggregates[3]))
+    if not clean:  # a derived estimate or a failure: walk to the first failure, if any
+        start = 0
+        for i, count in enumerate(counts):  # a derived estimate is its first split's aggregate
+            if derived[i] and count:
+                numbers[:2, 2 * size + i] = aggregates[2][start], aggregates[3][start]
+            start += count
+        failure = _first_failure(ids, names, counts, arms, n_texts, studies, derived,
+                                 values, unparsed, aggregates[3])
+        if failure:
+            raise ValidationError(failure)
+    if len(ids) < 2:
+        raise ValidationError("analysis requires at least 2 studies")
+    return MetaDataset._from_columns(ids, numbers[0, 2 * size:], numbers[1, 2 * size:],
+                                     tuple(counts), tuple(names), arm_y, arm_se, arm_n, p,
+                                     aggregates=aggregates)
+
+
+def _first_failure(ids, names, counts, arms, n_texts, studies, derived, values, unparsed, agg_se):
+    """The message of the first failing check, or None, as a walk in file
+    order would meet it: study by study, each study's splits (arm 1, arm 2,
+    then p_interaction and the aggregate), then the study row. Each check is
+    a mask over split rows or study rows, in the order the checks run."""
+    size, k = len(names), len(ids)
+    m = 2 * size + k
+    unparsed = np.zeros(values.size, dtype=bool) if unparsed is None else unparsed
+    numbers, bad = values[:3 * m].reshape(3, m), unparsed[:3 * m].reshape(3, m)
+    out = ~_within(numbers, (_LOWER, _UPPER))  # effects, ses and ns out of their ranges
+    out[2] |= ~_whole(numbers[2])
+    split_study = [i for i, count in enumerate(counts) for _ in range(count)]
+
+    def arm_checks(j):
+        def at(s):
+            return f"{ids[split_study[s]]}/{names[s]}/arm{j + 1}: "
+
+        arm = slice(j, 2 * size, 2)
+        return [
+            ([r[0] is None for r in arms[arm]],
+             lambda s: f"split {ids[split_study[s]]!r}/{names[s]!r}: missing arm {j + 1}"),
+            ([v in _BLANK for v in n_texts[arm]],
+             lambda s: f"split {ids[split_study[s]]!r}/{names[s]!r} arm {j + 1}: "
+                       "n is required on subgroup rows"),
+            (bad[0, arm], lambda s: f"{at(s)}cannot parse number {arms[2 * s + j][4]!r}"),
+            (bad[1, arm], lambda s: f"{at(s)}cannot parse number {arms[2 * s + j][5]!r}"),
+            (bad[2, arm], lambda s: f"{at(s)}cannot parse number {n_texts[2 * s + j]!r}"),
+            (out[2, arm], lambda s: at(s) + _COUNT_RULE.format(n_texts[2 * s + j])),
+            (out[0, arm], lambda s: f"{at(s)}arm: {_EFFECT_RULE}"),
+            (out[1, arm], lambda s: f"{at(s)}arm: {_SE_RULE}"),
+        ]
+
+    def where(s):
+        return f"{ids[split_study[s]]}/{names[s]}: "
+
+    p_texts = [r[7] for r in arms[::2]]
+    p_given = np.array([t not in _BLANK for t in p_texts], dtype=bool)
+    split_failure = _first(arm_checks(0) + arm_checks(1) + [
+        (unparsed[3 * m:], lambda s: f"{where(s)}cannot parse number {p_texts[s]!r}"),
+        (p_given & ~_within(values[3 * m:], _PROBABILITY_RANGE),
+         lambda s: where(s) + _PROBABILITY_RULE.format(p_texts[s])),
+        (~_floor_ok(agg_se),
+         lambda s: f"study {ids[split_study[s]]!r} split {names[s]!r}: {_floor_message(agg_se[s])}"),
+    ], size)
+    study = slice(2 * size, m)
+    study_failure = _first([
+        ([(r[4] in _BLANK) != (r[5] in _BLANK) for r in studies],
+         lambda i: f"{ids[i]}: y and se must be given together, or both left blank to derive the "
+                   f"study row (got y={studies[i][4]!r}, se={studies[i][5]!r})"),
+        (bad[2, study], lambda i: f"{ids[i]}: cannot parse number {studies[i][6]!r}"),
+        (out[2, study], lambda i: f"{ids[i]}: " + _COUNT_RULE.format(studies[i][6])),
+        ([d and not count for d, count in zip(derived, counts)],
+         lambda i: f"study {ids[i]!r}: no estimate supplied and no splits to derive one"),
+        (bad[0, study], lambda i: f"{ids[i]}: cannot parse number {studies[i][4]!r}"),
+        (bad[1, study], lambda i: f"{ids[i]}: cannot parse number {studies[i][5]!r}"),
+        (out[0, study], lambda i: f"{ids[i]}: study {ids[i]!r}: {_EFFECT_RULE}"),
+        (out[1, study], lambda i: f"{ids[i]}: study {ids[i]!r}: {_SE_RULE}"),
+    ], k)
+    if split_failure and not (study_failure and study_failure[0] < split_study[split_failure[0]]):
+        return split_failure[1]  # a study's splits come before its row
+    return study_failure and study_failure[1]
+
+
+def _first(checks, size):
+    """The first of `size` items, in item order, that fails one of `checks`,
+    (mask, message) pairs in the order the checks run, and the message of
+    the first check it fails: (item, message(item)), or None."""
+    if not size:
+        return None
+    failed = np.array([mask for mask, _ in checks], dtype=bool).reshape(len(checks), size)
+    failing = failed.any(0)
+    if not failing.any():
+        return None
+    item = int(failing.argmax())
+    return item, checks[int(failed[:, item].argmax())][1](item)
 
 
 def load_csv(path) -> MetaDataset:
@@ -349,16 +598,26 @@ def load_csv(path) -> MetaDataset:
             missing = set(CSV_COLUMNS) - set(header)
             if missing:
                 raise ValidationError(f"{path}: missing columns {sorted(missing)}")
-            # the rows csv.DictReader gives, as validate_dataset reads them:
-            # blank lines skipped, missing fields None (overriding an earlier
-            # column of the same name), extra fields dropped
-            pad = [None] * len(header)
-            rows = [dict(zip(header, row + pad[len(row):])) for row in reader if row]
+            # each row's fields as csv.DictReader's row dict would give them:
+            # blank lines skipped, a missing field None, extra fields dropped,
+            # of two columns with one name the last; an absent p_interaction
+            # is read from one place past the header, always None
+            width = len(header)
+            column = {name: i for i, name in enumerate(header)}
+            fields = operator.itemgetter(*(column.get(name, width) for name in _FIELDS))
+            rows = []
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    row = row[:width] + [None] * (width - len(row))
+                row.append(None)
+                rows.append(fields(row))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 ({exc.reason})") from None
     except csv.Error as exc:
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-    return validate_dataset(rows)
+    return _build_dataset(rows)
 
 
 def canonical_json(obj) -> str:

@@ -3,7 +3,7 @@
 Numeric functions accept arrays whose *last* axis runs over studies (or,
 for subgroup quantities, last two axes run over studies x arms); leading
 axes broadcast over replicates. The module holds array math alone and
-reads no dataset record: intervals.dataset_kernel turns one into arrays.
+reads no dataset: intervals.dataset_kernel hands it a dataset's table.
 The five tau^2 estimates are combined in one place, the kernel
 `intervals.meta_kernel`, which serves both a Monte Carlo batch and a single
 dataset (the same code without the replicate axis); the report reads a

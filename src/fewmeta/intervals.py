@@ -10,9 +10,9 @@ One kernel, meta_kernel, computes the five tau^2 estimates and all six
 intervals for a batch of R datasets; the Monte Carlo harness calls it on a
 scenario's replicates, passing their arms alone: the kernel aggregates the
 study rows from the arm weights it pools the arms with. A single dataset
-runs the same code without the replicate axis (dataset_kernel, the one
-reader of dataset records: it gathers the study rows and the selected
-splits' arms), whose 0-d results run_all_methods and the report read.
+runs the same code without the replicate axis (dataset_kernel, which
+reads the study rows and the selected splits' arms from the dataset's
+table), whose 0-d results run_all_methods and the report read.
 Studies, random effects and arms are each pooled once per batch;
 hksj_scale, zh_variance and variance_hcs call the same pieces. The first two reject a zero weight
 (se = inf); in the kernel, DL rejects it. Both HCS variants share one
@@ -441,19 +441,16 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95) -> KernelResult:
 
 def dataset_kernel(dataset: MetaDataset, level: float = 0.95) -> KernelResult:
     """The kernel on one dataset at confidence level `level` (checked by
-    meta_kernel), and the one place that turns dataset records into kernel
-    arrays: its (k,) study rows, plus the (k, 2) arms of its selected splits
-    when every study has a selection (otherwise the HCS fallback). With no
-    replicate axis the kernel's study and arm sums are numpy scalars, which
-    cost less to add than one-element arrays; the values are those of the
-    same rows in a batch, bit for bit."""
-    y = np.array([s.y for s in dataset.studies])
-    se = np.array([s.se for s in dataset.studies])
+    meta_kernel): its (k,) study rows from the dataset's table, plus the
+    (k, 2) arms of its selected splits when every study has a selection
+    (otherwise the HCS fallback). With no replicate axis the kernel's study
+    and arm sums are numpy scalars, which cost less to add than one-element
+    arrays; the values are those of the same rows in a batch, bit for bit."""
     arms = ()
     if dataset.fully_selected:
-        pairs = [s.selected_split.arms for s in dataset.studies]
-        arms = np.array([[a.y for a in p] for p in pairs]), np.array([[a.se for a in p] for p in pairs])
-    return meta_kernel(y, se, *arms, level=level)
+        rows = np.add(dataset.split_start, dataset.selected)  # each selected split's table row
+        arms = dataset.arm_y[rows], dataset.arm_se[rows]
+    return meta_kernel(dataset.y, dataset.se, *arms, level=level)
 
 
 def run_all_methods(dataset: MetaDataset, level: float = 0.95):

@@ -73,12 +73,8 @@ def build_report(dataset: MetaDataset, selection=None, level: float = 0.95) -> d
     tau2 = {tag: float(value) for tag, value in result.tau2.items()}
     wins = result.subgroup_wins
     studies = [
-        {
-            "study_id": s.study_id,
-            "n_splits": len(s.splits),
-            "selected_split": s.selected_split.split_name if s.selected_split else None,
-        }
-        for s in dataset.studies
+        {"study_id": sid, "n_splits": count, "selected_split": name}
+        for sid, count, name in zip(dataset.study_ids, dataset.split_count, dataset.selected_names)
     ]
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,

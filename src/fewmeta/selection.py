@@ -63,43 +63,40 @@ class SelectionResult:
     combinations_evaluated: int
 
 
+def _within_q(w, y, agg_y):
+    """Two-group homogeneity statistic of splits, their arms on the last
+    axis, about their aggregated estimates agg_y."""
+    d = y - agg_y[..., None]
+    wd2 = w * (d * d)
+    return wd2[..., 0] + wd2[..., 1]
+
+
 def within_study_q(split) -> float:
     """Two-group homogeneity statistic of a single split about its own
     aggregated estimate (equivalent to the squared two-sample t statistic)."""
-    (w1, w2), (a1, a2) = split.weights, split.arms
-    d1, d2 = a1.y - split.agg_y, a2.y - split.agg_y
-    return w1 * (d1 * d1) + w2 * (d2 * d2)
-
-
-def _split_counts(dataset: MetaDataset) -> list:
-    return [len(study.splits) for study in dataset.studies]
+    return float(_within_q(np.array(split.weights), np.array([a.y for a in split.arms]),
+                           np.float64(split.agg_y)))
 
 
 def _require_candidates(dataset: MetaDataset):
-    for study in dataset.studies:
-        if not study.splits:
-            raise ValidationError(
-                f"study {study.study_id!r} has no candidate subgroup splits"
-            )
+    for sid, count in zip(dataset.study_ids, dataset.split_count):
+        if not count:
+            raise ValidationError(f"study {sid!r} has no candidate subgroup splits")
 
 
 def _split_moments(dataset: MetaDataset):
     """Per (study, split) sufficient statistics (sum w, sum w*d, sum w*d^2)
-    of the arm deviations d = y - c. The one reference c, the mean study
-    effect, keeps S2 - S1^2 / S0 from cancelling when the effects sit far
-    from zero; being shared by all splits, it leaves Q_S exact in theory.
-    The two-term sums add in estimators._sum's order, (0.0 + a) + b."""
-    c = float(np.mean([study.y for study in dataset.studies]))
-    moments = []
-    for study in dataset.studies:
-        rows = []
-        for split in study.splits:
-            (w1, w2), (a1, a2) = split.weights, split.arms
-            d1, d2 = a1.y - c, a2.y - c
-            wd1, wd2 = w1 * d1, w2 * d2
-            rows.append(((0.0 + w1) + w2, (0.0 + wd1) + wd2, (0.0 + wd1 * d1) + wd2 * d2))
-        moments.append(rows)
-    return moments
+    of the arm deviations d = y - c, as one list of [S0, S1, S2] rows per
+    study, computed over the whole table at once. The one reference c, the
+    mean study effect, keeps S2 - S1^2 / S0 from cancelling when the effects
+    sit far from zero; being shared by all splits, it leaves Q_S exact in
+    theory. The two-term sums add in estimators._sum's order, (0.0 + a) + b."""
+    d = dataset.arm_y - float(np.add.reduce(dataset.y) / dataset.k)  # np.mean's sum and division
+    wd = dataset.w * d
+    terms = np.array((dataset.w, wd, wd * d))  # (3, S, 2)
+    moments = ((0.0 + terms[..., 0]) + terms[..., 1]).T.tolist()
+    return [moments[start:start + count]
+            for start, count in zip(dataset.split_start, dataset.split_count)]
 
 
 def _qs_from_moments(moments, choices) -> float:
@@ -112,29 +109,31 @@ def _qs_from_moments(moments, choices) -> float:
     return s2 - s1 * s1 / s0
 
 
-def _choose_per_study(dataset: MetaDataset, key, strategy, evaluated) -> SelectionResult:
-    """Choose, in each study, the first split with the smallest key(study,
-    split); `evaluated` is reported as the combinations evaluated."""
-    _require_candidates(dataset)
-    choices = []
-    for study in dataset.studies:
-        keys = [key(study, split) for split in study.splits]
-        choices.append(keys.index(min(keys)))
+def _choose_per_study(dataset: MetaDataset, keys, strategy, evaluated) -> SelectionResult:
+    """Choose, in each study, the split with the smallest (keys[row], split
+    name) over its table rows; `evaluated` is reported as the combinations
+    evaluated."""
+    names = dataset.split_names
+    choices = tuple(
+        min(range(count), key=lambda c, start=start: (keys[start + c], names[start + c]))
+        for start, count in zip(dataset.split_start, dataset.split_count)
+    )
     q_s = _qs_from_moments(_split_moments(dataset), choices)
-    return SelectionResult(tuple(choices), float(q_s), strategy, evaluated)
+    return SelectionResult(choices, float(q_s), strategy, evaluated)
 
 
 def select_local(dataset: MetaDataset) -> SelectionResult:
     """Independently pick, per study, the split maximizing the within-study
     two-group statistic. Ties break to the lexicographically smallest
     split name. Every split is evaluated once."""
-    return _choose_per_study(dataset, lambda _, split: (-within_study_q(split), split.split_name),
-                             LOCAL, sum(_split_counts(dataset)))
+    _require_candidates(dataset)
+    q = _within_q(dataset.w, dataset.arm_y, dataset.agg_y)
+    return _choose_per_study(dataset, (-q).tolist(), LOCAL, len(dataset.split_names))
 
 
 def _check_budget(dataset: MetaDataset, max_combinations: int) -> int:
     _require_candidates(dataset)
-    total = math.prod(_split_counts(dataset))
+    total = math.prod(dataset.split_count)
     if total > max_combinations:
         raise CombinationBudgetError(total, max_combinations)
     return total
@@ -146,8 +145,10 @@ def _qs_blocks(dataset: MetaDataset):
     one per prefix of the leading studies, broadcast over the trailing ones.
     The sums grow study by study as in _qs_from_moments, so Q_S is identical.
     """
-    sums = [np.array(rows).T.copy() for rows in _split_moments(dataset)]  # C order broadcasts faster
-    counts = [m.shape[1] for m in sums]
+    moments = _split_moments(dataset)
+    counts = [len(rows) for rows in moments]
+    table = np.array(list(zip(*itertools.chain.from_iterable(moments))))  # (3, S): C order broadcasts faster
+    sums = [table[:, start:end] for start, end in itertools.pairwise(itertools.accumulate(counts, initial=0))]
     lead = len(counts)
     while lead and math.prod(counts[lead - 1:]) <= _QS_BLOCK:
         lead -= 1
@@ -173,19 +174,18 @@ def select_global(
     return values.selection()
 
 
-def _pvalue_key(study, split):
-    if split.p_interaction is None:
-        raise ValidationError(
-            f"study {study.study_id!r} split {split.split_name!r}: "
-            "p_interaction required for the pvalue strategy"
-        )
-    return split.p_interaction, split.split_name
-
-
 def select_pvalue(dataset: MetaDataset) -> SelectionResult:
     """Pick the split with the smallest reported interaction p-value per
     study. All candidate splits must carry a p_interaction value."""
-    return _choose_per_study(dataset, _pvalue_key, PVALUE, dataset.k)
+    _require_candidates(dataset)
+    p = dataset.p_interaction.tolist()
+    s = next((s for s, v in enumerate(p) if v != v), None)  # NaN: absent
+    if s is not None:
+        raise ValidationError(
+            f"study {dataset.study_ids[dataset.split_study[s]]!r} split "
+            f"{dataset.split_names[s]!r}: p_interaction required for the pvalue strategy"
+        )
+    return _choose_per_study(dataset, p, PVALUE, dataset.k)
 
 
 def select(dataset: MetaDataset, strategy: str, max_combinations: int = DEFAULT_MAX_COMBINATIONS) -> SelectionResult:
@@ -241,7 +241,7 @@ class QsValues:
         if self._best is None:
             raise RuntimeError("selection() needs a complete pass over the blocks")
         best_q, best_at = self._best
-        choices = tuple(int(c) for c in np.unravel_index(best_at, _split_counts(self._dataset)))
+        choices = tuple(int(c) for c in np.unravel_index(best_at, self._dataset.split_count))
         return SelectionResult(choices, best_q, GLOBAL, self._total)
 
 

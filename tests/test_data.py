@@ -19,7 +19,8 @@ from fewmeta.data import (
     validate_dataset,
 )
 
-from conftest import dataset_path, make_dataset, make_split
+import reference_loader
+from conftest import PVALUE_DATASET, dataset_path, make_dataset, make_split
 
 
 def test_prevalence_examples():
@@ -45,6 +46,19 @@ def test_arm_validation():
         SubgroupArm(y=0.0, se=1.0, n=0)
     with pytest.raises(ValidationError, match="study 's': effect must be finite"):
         Study("s", float("nan"), 1.0)
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, 0, -4, 10 ** 400])
+def test_arm_n_must_be_a_whole_number_of_at_least_1(n):
+    """The library door keeps the CSV door's rule on n; 2.5, nan and inf
+    used to pass and give a prevalence of nan."""
+    with pytest.raises(ValidationError, match=r"^arm: n must be a whole number >= 1, got "):
+        SubgroupArm(0.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [1, 12, 12.0, np.int64(7), 2 ** 53])
+def test_arm_accepts_a_whole_n(n):
+    assert SubgroupArm(0.0, 1.0, n).n == n
 
 
 def test_aggregate_identical_arms():
@@ -221,13 +235,34 @@ def test_study_estimate_derived_from_split():
     assert ds.studies[0].se == pytest.approx(math.sqrt(0.5))
 
 
-def test_each_csv_effect_is_checked_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(data, "_check_effect", lambda *args: calls.append(args))
+def test_blank_study_row_is_derived_from_the_first_split_in_name_order(tmp_path):
+    """zeta is listed first in the file, alpha first in name order: alpha
+    gives the study's estimate."""
+    lines = ["s1,,study,,,,,", _STUDIES[1],
+             "s1,,subgroup,zeta,1,0.0,1.0,5", "s1,,subgroup,zeta,2,0.0,1.0,5",
+             "s1,,subgroup,alpha,1,2.0,0.5,5", "s1,,subgroup,alpha,2,2.0,0.5,5"]
+    path = tmp_path / "d.csv"
+    path.write_text(_csv(*lines), encoding="utf-8")
+    keys = ["study_id", "label", "level", "split", "arm", "y", "se", "n"]
+    for ds in (load_csv(path), validate_dataset([dict(zip(keys, line.split(","))) for line in lines])):
+        study = ds.studies[0]
+        assert [split.split_name for split in study.splits] == ["alpha", "zeta"]
+        assert (study.y, study.se) == (study.splits[0].agg_y, study.splits[0].agg_se)
+        assert study.y == 2.0 and study.se == pytest.approx(math.sqrt(0.125), rel=1e-15)
+
+
+def test_each_csv_effect_is_checked_once_over_columns(monkeypatch):
+    """The loader range-checks each effect, se and n of a file once, all of
+    them in one array (rows of effects, ses and ns), and builds no record."""
+    sizes = []
+    within = data._within
+    monkeypatch.setattr(data, "_within", lambda x, bounds: sizes.append(np.shape(x)) or within(x, bounds))
+    for record in ("SubgroupArm", "SubgroupSplit", "Study"):
+        monkeypatch.setattr(data, record, None)
     with open(dataset_path("respire14"), encoding="utf-8") as fh:
-        n_rows = sum(1 for _ in fh) - 1  # every data row has its y and se
+        n_rows = sum(1 for _ in fh) - 1  # every data row has its y, se and n
     load_csv(dataset_path("respire14"))
-    assert len(calls) == n_rows
+    assert sizes == [(3, n_rows)]
 
 
 def test_bundled_respire14_shape(respire14):
@@ -244,6 +279,16 @@ def test_consistency_gap_diagnostic():
     gaps = consistency_gaps(ds)
     assert len(gaps) == 1
     assert gaps[0]["inconsistent"]
+
+
+def test_the_table_is_read_only(sglt2):
+    """with_selection's copy shares the table, so no array of it can be
+    written."""
+    chosen = sglt2.with_selection([0] * sglt2.k)
+    for name in ("y", "se", "arm_y", "arm_se", "arm_n", "p_interaction", "w", "sw", "agg_y", "agg_se"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(chosen, name)[...] = 0.0
+    assert chosen.arm_y is sglt2.arm_y
 
 
 def test_selection_application():
@@ -338,9 +383,168 @@ _LOADER_CASES = {
 
 @pytest.mark.parametrize("text", _LOADER_CASES.values(), ids=_LOADER_CASES.keys())
 def test_load_csv_reads_as_dictreader_rows(tmp_path, text):
-    """load_csv builds its rows with csv.reader and dict(zip(header, row));
-    the dataset, or the error, is what csv.DictReader's rows through
-    validate_dataset give."""
+    """load_csv reads its rows with csv.reader, as lists; the dataset, or
+    the error, is what csv.DictReader's rows through validate_dataset give."""
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(load_csv, path) == _outcome(_load_by_dictreader, path)
+
+
+_TABLE = ("study_ids", "y", "se", "selected", "split_start", "split_count", "split_names",
+          "split_study", "arm_y", "arm_se", "arm_n", "p_interaction", "w", "sw", "agg_y", "agg_se")
+
+
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+def _dump(dataset):
+    """Every value of a dataset, floats as float.hex: its records, in order,
+    and its column table, arrays as dtype, shape and bytes."""
+    records = [
+        (s.study_id, _hex(s.y), _hex(s.se), s.selected, [
+            (split.split_name, _hex(split.p_interaction),
+             [(_hex(a.y), _hex(a.se), a.n, type(a.n).__name__) for a in split.arms])
+            for split in s.splits])
+        for s in dataset.studies
+    ]
+    table = {}
+    for name in _TABLE:
+        value = getattr(dataset, name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        table[name] = value
+    return records, table
+
+
+def _same_as_reference(live, reference, *args):
+    """The live and the reference loader give the same dataset, value for
+    value, or the same ValidationError text."""
+    def outcome(load):
+        try:
+            return _dump(load(*args))
+        except ValidationError as exc:
+            return f"ValidationError: {exc}"
+    expected = outcome(reference)
+    assert outcome(live) == expected
+    return expected
+
+
+def _write(tmp_path, text, name="d.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("text", _LOADER_CASES.values(), ids=_LOADER_CASES.keys())
+def test_load_csv_matches_the_reference_loader(tmp_path, text):
+    _same_as_reference(load_csv, reference_loader.load_csv, _write(tmp_path, text))
+
+
+@pytest.mark.parametrize("path", [dataset_path("respire14"), dataset_path("respire28"),
+                                  dataset_path("sglt2"), PVALUE_DATASET],
+                         ids=["respire14", "respire28", "sglt2", "sglt2_pvalue"])
+def test_bundled_datasets_match_the_reference_loader(path):
+    assert not isinstance(_same_as_reference(load_csv, reference_loader.load_csv, path), str)
+
+
+def _generated_csv(rng, counts):
+    """A dataset of the benchmark's shapes, values to four decimals: a study
+    row per study, then two arm rows per split."""
+    lines = [_HEADER]
+    for i in range(len(counts)):
+        lines.append(f"S{i + 1},trial {i + 1},study,,,{rng.normal(-0.2, 0.3):.4f},"
+                     f"{rng.uniform(0.05, 0.4):.4f},{int(rng.integers(24, 600))}")
+    for i, count in enumerate(counts):
+        for c in range(count):
+            for j in (1, 2):
+                lines.append(f"S{i + 1},split{c + 1}-{j},subgroup,split{c + 1},{j},"
+                             f"{rng.normal(-0.2, 0.4):.4f},{rng.uniform(0.07, 0.6):.4f},"
+                             f"{int(rng.integers(1, 300))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_generated_datasets_match_the_reference_loader(tmp_path):
+    """report_stream's shapes (2-6 studies, 0-4 splits each) and
+    select_wide's (five studies, 5-7 splits each)."""
+    rng = np.random.default_rng(29)
+    shapes = [(s,) * k for k in (2, 3, 5, 6) for s in range(5)]
+    shapes += [tuple(rng.integers(5, 8, 5)) for _ in range(8)]
+    for counts in shapes:
+        path = _write(tmp_path, _generated_csv(rng, counts))
+        assert not isinstance(_same_as_reference(load_csv, reference_loader.load_csv, path), str)
+
+
+def _arm(sid, split, arm, y="0.1", se="0.3", n="20", p=""):
+    return f"{sid},,subgroup,{split},{arm},{y},{se},{n},{p}"
+
+
+_P_HEADER = _HEADER + ",p_interaction"
+_PRECEDENCE_CASES = {
+    # split a (name order first) fails a range check, split b later fails to parse
+    "earlier split's range error before a later split's parse error": _csv(
+        *(s + "," for s in _STUDIES), _arm("s1", "b", 1, y="abc"), _arm("s1", "b", 2),
+        _arm("s1", "a", 1, se="1e41"), _arm("s1", "a", 2), header=_P_HEADER),
+    "arm 1's range error before arm 2's parse error": _csv(
+        *(s + "," for s in _STUDIES), _arm("s1", "a", 2, n="x"), _arm("s1", "a", 1, y="1e41"),
+        header=_P_HEADER),
+    "arm 1's parse error before arm 2's": _csv(
+        *(s + "," for s in _STUDIES), _arm("s1", "a", 2, se="?"), _arm("s1", "a", 1, n="2.5x"),
+        header=_P_HEADER),
+    "an arm's error before its split's p_interaction": _csv(
+        *(s + "," for s in _STUDIES), _arm("s1", "a", 1, p="x"), _arm("s1", "a", 2, se="0"),
+        header=_P_HEADER),
+    "p_interaction's error before a later split's arm": _csv(
+        *(s + "," for s in _STUDIES), _arm("s1", "b", 1, y="nan"), _arm("s1", "b", 2),
+        _arm("s1", "a", 1, p="2"), _arm("s1", "a", 2), header=_P_HEADER),
+    "a study's split error before its own row's": _csv(
+        "s1,,study,,,y?,0.2,40,", _STUDIES[1] + ",", _arm("s1", "a", 1, se="-1"),
+        _arm("s1", "a", 2), header=_P_HEADER),
+    "a study row's error before a later study's split error": _csv(
+        "s1,,study,,,0.1,1e41,40,", _STUDIES[1] + ",", _arm("s2", "a", 1, y="?"),
+        _arm("s2", "a", 2), header=_P_HEADER),
+    "a later study's row error after an earlier study's split": _csv(
+        _STUDIES[0] + ",", "s2,,study,,,0.1,,x,", _arm("s1", "a", 1, n="0"),
+        _arm("s1", "a", 2), header=_P_HEADER),
+    "an aggregate below the floor before a later split's parse error": _csv(
+        *(s + "," for s in _STUDIES), _arm("s1", "b", 1, y="?"), _arm("s1", "b", 2),
+        _arm("s1", "a", 1, se="1e-40"), _arm("s1", "a", 2, se="1e-40"), header=_P_HEADER),
+    "a missing arm before its split's p_interaction": _csv(
+        *(s + "," for s in _STUDIES), _arm("s1", "a", 2, p="x"), header=_P_HEADER),
+    "a blank n before arm 1's parse error": _csv(
+        *(s + "," for s in _STUDIES), _arm("s1", "a", 1, y="?", n=" "), _arm("s1", "a", 2),
+        header=_P_HEADER),
+    "a derived study row from an arm at the effect bound": _csv(
+        "s1,,study,,,,,,", _STUDIES[1] + ",", _arm("s1", "a", 1, y="1e40", se="0.3"),
+        _arm("s1", "a", 2, y="1e40", se="0.7"), header=_P_HEADER),
+    "one study": _csv(_STUDIES[0] + ",", _arm("s1", "a", 1), _arm("s1", "a", 2),
+                      header=_P_HEADER),
+}
+
+
+@pytest.mark.parametrize("text", _PRECEDENCE_CASES.values(), ids=_PRECEDENCE_CASES.keys())
+def test_error_precedence_matches_the_reference_loader(tmp_path, text):
+    _same_as_reference(load_csv, reference_loader.load_csv, _write(tmp_path, text))
+
+
+_CORRUPTIONS = ["abc", "", " ", "nan", "inf", "-inf", "1e41", "-1e41", "1e-41", "1e-40", "1e40",
+                "0", "-1", "2.5", " 3 ", "1e400", "0x10", "1_0", "0.5", "1", "7"]
+
+
+def test_corrupted_files_match_the_reference_loader(tmp_path):
+    """Seeded corruptions of one to three value fields (y, se, n and
+    p_interaction, on study and arm rows): the same dataset or error as the
+    reference loader, from a file and from rows as dicts."""
+    rng = np.random.default_rng(54)
+    base = [line.split(",") for line in _generated_csv(rng, (2, 3, 1)).splitlines()]
+    base = [row + (["p_interaction"] if r == 0 else [f"{rng.uniform():.2f}" if row[4] == "1" else ""])
+            for r, row in enumerate(base)]
+    for case in range(300):
+        rows = [list(row) for row in base]
+        for _ in range(int(rng.integers(1, 4))):
+            r = int(rng.integers(1, len(rows)))
+            rows[r][int(rng.choice([5, 6, 7, 8]))] = str(rng.choice(_CORRUPTIONS))
+        text = "\n".join(",".join(row) for row in rows) + "\n"
+        _same_as_reference(load_csv, reference_loader.load_csv, _write(tmp_path, text))
+        dicts = [dict(zip(rows[0], row)) for row in rows[1:]]
+        _same_as_reference(validate_dataset, reference_loader.validate_dataset, dicts)

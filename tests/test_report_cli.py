@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fewmeta.cli import main, run_self_checks
-from fewmeta.data import ValidationError, load_csv
+from fewmeta.data import Study, SubgroupArm, SubgroupSplit, ValidationError, load_csv
 from fewmeta.intervals import CI_METHODS, run_all_methods
 from fewmeta.report import (
     build_report,
@@ -30,7 +30,7 @@ from fewmeta.report import (
 from fewmeta.selection import select_local
 from fewmeta.simulation import MAX_REPLICATE_STUDIES
 
-from conftest import dataset_path
+from conftest import PVALUE_DATASET, dataset_path
 
 
 def test_round_half_up():
@@ -195,6 +195,24 @@ def test_cli_malformed_csv_is_a_validation_error(tmp_path, command):
     error = json.loads(result.stderr)
     assert error["error"] == "validation"
     assert error["message"].startswith(f"{bad}: line 2: field larger than field limit")
+
+
+@pytest.mark.parametrize("args", [
+    ["select", "SGLT2"], ["select", "SGLT2", "--histogram", "HIST"],
+    ["select", "SGLT2", "--strategy", "local"], ["select", "PVALUE", "--strategy", "pvalue"],
+    ["analyze", "SGLT2", "--select", "local"], ["analyze", "SGLT2", "--select", "global"],
+    ["analyze", "SGLT2", "--select", "none"], ["analyze", "PVALUE", "--select", "pvalue"],
+], ids=lambda args: " ".join(args))
+def test_cli_builds_no_records(tmp_path, monkeypatch, args):
+    """select and analyze read the column table load_csv builds: no
+    SubgroupArm, SubgroupSplit or Study is constructed."""
+    built = []
+    for record in (SubgroupArm, SubgroupSplit, Study):
+        monkeypatch.setattr(record, "__post_init__", lambda self: built.append(type(self).__name__))
+    paths = {"SGLT2": dataset_path("sglt2"), "PVALUE": PVALUE_DATASET, "HIST": str(tmp_path / "h.csv")}
+    result = CliRunner().invoke(main, [paths.get(arg, arg) for arg in args])
+    assert result.exit_code == 0, result.output
+    assert built == []
 
 
 def test_cli_analyze_exp_presentation_only(tmp_path):
