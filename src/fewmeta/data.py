@@ -13,8 +13,10 @@ table. It has two front doors:
 dataset.studies is the table seen as records, built on first use and
 cached. Both doors apply one set of value rules (_within a closed range
 per kind of number, _whole, _floor_ok) to scalars or to whole columns,
-and one aggregate (_aggregate). A MetaDataset refuses fewer than two
-studies when built, so no analysis checks k again.
+and one aggregate (_aggregate). The CSV door fills a derived study
+estimate in before it checks, and walks the rows for the first failure
+(_first_failure) only when a check has failed. A MetaDataset refuses
+fewer than two studies when built, so no analysis checks k again.
 
 All effects live on the linear-predictor scale (e.g. log hazard ratios);
 exponentiation to ratio scales is presentation-only and happens in the
@@ -23,14 +25,13 @@ reporting layer.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import functools
 import itertools
 import json
 import math
 import operator
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -60,8 +61,8 @@ _PROBABILITY_RANGE = (0.0, 1.0)
 _LOWER, _UPPER = np.array([_EFFECT_RANGE, SE_RANGE, _COUNT_RANGE]).T[..., None]
 
 
-# whether every element of an array is true, in one ufunc call
-_all = functools.partial(np.logical_and.reduce, axis=None)
+def _all(mask):  # whether every element is true: half the cost of a logical_and reduce
+    return np.count_nonzero(mask) == mask.size
 
 
 def _within(x, bounds):
@@ -78,14 +79,15 @@ def _floor_ok(agg_se):
     return agg_se >= SE_RANGE[0]
 
 
+@np.errstate(all="ignore")  # the loader aggregates before it checks: an arm may hold any value
 def _aggregate(y, se):
-    """Arm weights w = 1 / se^2, each correctly rounded, their sum sw, and the
-    arms' inverse-variance aggregate (agg_y, agg_se = sw^-1/2), over the last
-    axis of (..., 2) arrays, arm 1 first."""
+    """Arm weights w = 1 / se^2, each correctly rounded, and the arms'
+    inverse-variance aggregate (agg_y, agg_se = sw^-1/2, sw the weights'
+    sum), over the last axis of (..., 2) arrays, arm 1 first."""
     w = 1.0 / np.square(se)
     sw = w[..., 0] + w[..., 1]
     wy = w * y
-    return w, sw, (wy[..., 0] + wy[..., 1]) / sw, 1.0 / np.sqrt(sw)
+    return w, (wy[..., 0] + wy[..., 1]) / sw, 1.0 / np.sqrt(sw)
 
 
 _EFFECT_RULE = f"effect must be finite with |y| <= {MAX_ABS_EFFECT:g}"
@@ -123,7 +125,7 @@ class SubgroupArm:
 class SubgroupSplit:
     """A named candidate two-way partition of one study.
 
-    The arm weights, their sum and the aggregate of the arms (see
+    The arm weights and the aggregate of the arms (see
     aggregate_study) are computed once, by _aggregate, when the split is
     made; the dataset's table holds the same values.
     """
@@ -143,8 +145,8 @@ class SubgroupSplit:
         if self.p_interaction is not None and not _within(self.p_interaction, _PROBABILITY_RANGE):
             raise ValidationError(f"split {self.split_name!r}: "
                                   + _PROBABILITY_RULE.format(self.p_interaction))
-        w, _, agg_y, agg_se = _aggregate(np.array([a.y for a in self.arms]),
-                                         np.array([a.se for a in self.arms]))
+        w, agg_y, agg_se = _aggregate(np.array([a.y for a in self.arms]),
+                                      np.array([a.se for a in self.arms]))
         if not _floor_ok(agg_se):
             raise ValidationError(f"split {self.split_name!r}: {_floor_message(agg_se)}")
         object.__setattr__(self, "weights", tuple(w.tolist()))
@@ -203,8 +205,8 @@ class MetaDataset:
     - per split row (S of them, study by study): split_names, split_study
       (the owning study's index), arm_y, arm_se and arm_n ((S, 2) arrays,
       arm 1 first), p_interaction ((S,), NaN where absent), and from
-      _aggregate the arm weights w (S, 2), their sum sw and the aggregate
-      agg_y, agg_se (S,).
+      _aggregate the arm weights w (S, 2) and the aggregate agg_y, agg_se
+      (S,).
 
     MetaDataset(studies) builds the table from records; load_csv builds it
     from a file's columns. Its arrays are read-only.
@@ -215,8 +217,6 @@ class MetaDataset:
         ids = [s.study_id for s in studies]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate study_id")
-        if len(ids) < 2:
-            raise ValidationError("analysis requires at least 2 studies")
         splits = [split for s in studies for split in s.splits]
         arms = [arm for split in splits for arm in split.arms]
         self._build(
@@ -233,6 +233,8 @@ class MetaDataset:
 
     def _build(self, study_ids, y, se, split_count, split_names, arm_y, arm_se, arm_n,
                p_interaction, selected, aggregates=None):
+        if len(study_ids) < 2:
+            raise ValidationError("analysis requires at least 2 studies")
         self.study_ids, self.y, self.se, self.selected = study_ids, y, se, selected
         self.split_count = split_count
         self.split_start = tuple(itertools.accumulate(split_count[:-1], initial=0))
@@ -241,16 +243,10 @@ class MetaDataset:
         self.split_study = tuple(i for i, count in enumerate(split_count) for _ in range(count))
         if aggregates is None:
             aggregates = _aggregate(arm_y, arm_se)
-        self.w, self.sw, self.agg_y, self.agg_se = aggregates
+        self.w, self.agg_y, self.agg_se = aggregates
         for column in (y, se, arm_y, arm_se, arm_n, p_interaction, *aggregates) if split_names else (y, se):
             column.setflags(write=False)  # with_selection's copies share the table
         self._studies = None
-
-    @classmethod
-    def _from_columns(cls, *columns, aggregates):
-        dataset = cls.__new__(cls)
-        dataset._build(*columns, selected=(None,) * len(columns[0]), aggregates=aggregates)
-        return dataset
 
     @property
     def studies(self) -> tuple:
@@ -370,6 +366,7 @@ _FIELDS = ("study_id", "level", "split", "arm", "y", "se", "n", "p_interaction")
 
 _ARMS = {"1": 1, "2": 2}
 _BLANK = (None, "")  # a field left blank, as `in` tests it
+_MISSING = (None,) * len(_FIELDS)  # a missing arm's row: its numbers fail to parse
 
 
 def _floats(values):
@@ -397,20 +394,34 @@ def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
     split's arm-1 row. A study row with splits may leave both y and se
     blank, in which case the study estimate is derived by aggregating its
     first split in name order (not in file order); one of the two without
-    the other is an error.
+    the other is an error. study_id, level, split and arm must be strings
+    or None (blank).
     """
-    return _build_dataset(tuple(row.get(name) for name in _FIELDS) for row in rows)
+    return _build_dataset(map(_dict_fields, rows))
+
+
+def _dict_fields(row):
+    """A dict row's _FIELDS values. The fields _build_dataset strips must be
+    strings or None (blank), as a CSV row's always are: study_id and level,
+    and on a subgroup row split and arm."""
+    fields = tuple(row.get(name) for name in _FIELDS)
+    for name, value in zip(_FIELDS[:4], fields):
+        if not (value is None or isinstance(value, str)):
+            raise ValidationError(f"{name} must be a string, got {value!r}")
+        if name == "level" and (value or "").strip() != "subgroup":
+            break
+    return fields
 
 
 def _build_dataset(rows) -> MetaDataset:
-    """The dataset of rows of _FIELDS' values, in two steps. The row checks
-    run row by row and group the rows by study, split and arm. The value
-    checks then run over whole columns, and the first failure is reported
-    as a walk in file order would meet it: study by study, each study's
-    splits in name order (arm 1, arm 2, p_interaction, then the aggregate),
-    then the study row."""
+    """The dataset of rows of _FIELDS' values, in three steps. The row checks
+    run row by row and group the rows by study, split and arm. Every number
+    is then parsed into one column, each split's arms are aggregated, and
+    each derived study estimate is filled in from its first split's
+    aggregate. Last, the value checks run over whole columns; only if one
+    fails does _first_failure walk the rows for the message."""
     study_rows = {}  # study_id -> row, in file order
-    subgroup_rows = {}  # study_id -> split name -> arm -> row
+    subgroup_rows = defaultdict(lambda: defaultdict(dict))  # study_id -> split name -> arm -> row
 
     for row in rows:
         sid = (row[0] or "").strip()
@@ -426,12 +437,7 @@ def _build_dataset(rows) -> MetaDataset:
                 raise ValidationError(
                     f"subgroup row {sid!r}/{split!r}: arm must be 1 or 2"
                 )
-            by_split = subgroup_rows.get(sid)
-            if by_split is None:
-                by_split = subgroup_rows[sid] = {}
-            arm_rows = by_split.get(split)
-            if arm_rows is None:
-                arm_rows = by_split[split] = {}
+            arm_rows = subgroup_rows[sid][split]
             if arm in arm_rows:
                 raise ValidationError(f"duplicate (study, split, arm) row {(sid, split, arm)}")
             arm_rows[arm] = row
@@ -446,18 +452,16 @@ def _build_dataset(rows) -> MetaDataset:
         if sid not in study_rows:
             raise ValidationError(f"orphan subgroup row: unknown study_id {sid!r}")
 
-    # the split rows, study by study and each study's splits in name order,
-    # a missing arm's row all None; then the study rows
+    # the split rows, study by study and each study's splits in name order;
+    # then the study rows
     ids = tuple(study_rows)
-    counts, names, arm_rows = [], [], []
+    counts, names, arms = [], [], []
     for sid in ids:
         splits = subgroup_rows.get(sid, {})
         counts.append(len(splits))
         for name in sorted(splits):
             names.append(name)
-            arm_rows += (splits[name].get(1), splits[name].get(2))
-    arms = arm_rows if None not in arm_rows else [(None,) * len(_FIELDS) if r is None else r
-                                                  for r in arm_rows]
+            arms += (splits[name].get(1, _MISSING), splits[name].get(2, _MISSING))
     n_texts = [r[6].strip() if isinstance(r[6], str) else r[6] for r in arms]
     p_texts = [r[7] for r in arms[::2]]  # read from arm 1's row
     studies = [study_rows[sid] for sid in ids]
@@ -479,111 +483,82 @@ def _build_dataset(rows) -> MetaDataset:
     values, unparsed = _floats(texts)
     numbers, p = values[:3 * m].reshape(3, m), values[3 * m:]
 
-    # the common case: every number given, parsed and in range
-    clean = (unparsed is None and None not in arm_rows and "" not in n_texts and None not in n_texts
-             and not any(r[4] in _BLANK or r[5] in _BLANK for r in studies))
-    if clean:
-        clean = (_all(_within(numbers, (_LOWER, _UPPER))) and _all(_whole(numbers[2]))
-                 and not (True in p_given and not _all(_within(p[p_given], _PROBABILITY_RANGE))))
     arm_y = arm_se = arm_n = _NO_ARMS
-    aggregates = _NO_ARMS, _NO_SPLITS, _NO_SPLITS, _NO_SPLITS
+    aggregates = _NO_ARMS, _NO_SPLITS, _NO_SPLITS
     if size:
         arm_y, arm_se, arm_n = numbers[:, :2 * size].reshape(3, size, 2)
-        with contextlib.nullcontext() if clean else np.errstate(all="ignore"):
-            aggregates = _aggregate(arm_y, arm_se)  # a failing arm may hold any value
-        clean = clean and _all(_floor_ok(aggregates[3]))
-    if not clean:  # a derived estimate or a failure: walk to the first failure, if any
+        aggregates = _aggregate(arm_y, arm_se)
         start = 0
         for i, count in enumerate(counts):  # a derived estimate is its first split's aggregate
             if derived[i] and count:
-                numbers[:2, 2 * size + i] = aggregates[2][start], aggregates[3][start]
+                numbers[:2, 2 * size + i] = aggregates[1][start], aggregates[2][start]
             start += count
-        failure = _first_failure(ids, names, counts, arms, n_texts, studies, derived,
-                                 values, unparsed, aggregates[3])
-        if failure:
-            raise ValidationError(failure)
-    if len(ids) < 2:
-        raise ValidationError("analysis requires at least 2 studies")
-    return MetaDataset._from_columns(ids, numbers[0, 2 * size:], numbers[1, 2 * size:],
-                                     tuple(counts), tuple(names), arm_y, arm_se, arm_n, p,
-                                     aggregates=aggregates)
+    in_range, whole = _within(numbers, (_LOWER, _UPPER)), _whole(numbers[2])
+    if (unparsed is not None or not (_all(in_range) and _all(whole))
+            or size and not _all(_floor_ok(aggregates[2]))
+            or True in p_given and not _all(_within(p[p_given], _PROBABILITY_RANGE))):
+        bad = [False] * len(values) if unparsed is None else unparsed.tolist()
+        raise ValidationError(_first_failure(ids, counts, names, arms, n_texts, studies,
+                                             bad, in_range, whole, p, aggregates[2]))
+    dataset = MetaDataset.__new__(MetaDataset)
+    dataset._build(ids, *numbers[:2, 2 * size:], tuple(counts), tuple(names),
+                   arm_y, arm_se, arm_n, p, (None,) * len(ids), aggregates)
+    return dataset
 
 
-def _first_failure(ids, names, counts, arms, n_texts, studies, derived, values, unparsed, agg_se):
-    """The message of the first failing check, or None, as a walk in file
-    order would meet it: study by study, each study's splits (arm 1, arm 2,
-    then p_interaction and the aggregate), then the study row. Each check is
-    a mask over split rows or study rows, in the order the checks run."""
-    size, k = len(names), len(ids)
-    m = 2 * size + k
-    unparsed = np.zeros(values.size, dtype=bool) if unparsed is None else unparsed
-    numbers, bad = values[:3 * m].reshape(3, m), unparsed[:3 * m].reshape(3, m)
-    out = ~_within(numbers, (_LOWER, _UPPER))  # effects, ses and ns out of their ranges
-    out[2] |= ~_whole(numbers[2])
-    split_study = [i for i, count in enumerate(counts) for _ in range(count)]
-
-    def arm_checks(j):
-        def at(s):
-            return f"{ids[split_study[s]]}/{names[s]}/arm{j + 1}: "
-
-        arm = slice(j, 2 * size, 2)
-        return [
-            ([r[0] is None for r in arms[arm]],
-             lambda s: f"split {ids[split_study[s]]!r}/{names[s]!r}: missing arm {j + 1}"),
-            ([v in _BLANK for v in n_texts[arm]],
-             lambda s: f"split {ids[split_study[s]]!r}/{names[s]!r} arm {j + 1}: "
-                       "n is required on subgroup rows"),
-            (bad[0, arm], lambda s: f"{at(s)}cannot parse number {arms[2 * s + j][4]!r}"),
-            (bad[1, arm], lambda s: f"{at(s)}cannot parse number {arms[2 * s + j][5]!r}"),
-            (bad[2, arm], lambda s: f"{at(s)}cannot parse number {n_texts[2 * s + j]!r}"),
-            (out[2, arm], lambda s: at(s) + _COUNT_RULE.format(n_texts[2 * s + j])),
-            (out[0, arm], lambda s: f"{at(s)}arm: {_EFFECT_RULE}"),
-            (out[1, arm], lambda s: f"{at(s)}arm: {_SE_RULE}"),
-        ]
-
-    def where(s):
-        return f"{ids[split_study[s]]}/{names[s]}: "
-
-    p_texts = [r[7] for r in arms[::2]]
-    p_given = np.array([t not in _BLANK for t in p_texts], dtype=bool)
-    split_failure = _first(arm_checks(0) + arm_checks(1) + [
-        (unparsed[3 * m:], lambda s: f"{where(s)}cannot parse number {p_texts[s]!r}"),
-        (p_given & ~_within(values[3 * m:], _PROBABILITY_RANGE),
-         lambda s: where(s) + _PROBABILITY_RULE.format(p_texts[s])),
-        (~_floor_ok(agg_se),
-         lambda s: f"study {ids[split_study[s]]!r} split {names[s]!r}: {_floor_message(agg_se[s])}"),
-    ], size)
-    study = slice(2 * size, m)
-    study_failure = _first([
-        ([(r[4] in _BLANK) != (r[5] in _BLANK) for r in studies],
-         lambda i: f"{ids[i]}: y and se must be given together, or both left blank to derive the "
-                   f"study row (got y={studies[i][4]!r}, se={studies[i][5]!r})"),
-        (bad[2, study], lambda i: f"{ids[i]}: cannot parse number {studies[i][6]!r}"),
-        (out[2, study], lambda i: f"{ids[i]}: " + _COUNT_RULE.format(studies[i][6])),
-        ([d and not count for d, count in zip(derived, counts)],
-         lambda i: f"study {ids[i]!r}: no estimate supplied and no splits to derive one"),
-        (bad[0, study], lambda i: f"{ids[i]}: cannot parse number {studies[i][4]!r}"),
-        (bad[1, study], lambda i: f"{ids[i]}: cannot parse number {studies[i][5]!r}"),
-        (out[0, study], lambda i: f"{ids[i]}: study {ids[i]!r}: {_EFFECT_RULE}"),
-        (out[1, study], lambda i: f"{ids[i]}: study {ids[i]!r}: {_SE_RULE}"),
-    ], k)
-    if split_failure and not (study_failure and study_failure[0] < split_study[split_failure[0]]):
-        return split_failure[1]  # a study's splits come before its row
-    return study_failure and study_failure[1]
-
-
-def _first(checks, size):
-    """The first of `size` items, in item order, that fails one of `checks`,
-    (mask, message) pairs in the order the checks run, and the message of
-    the first check it fails: (item, message(item)), or None."""
-    if not size:
-        return None
-    failed = np.array([mask for mask, _ in checks], dtype=bool).reshape(len(checks), size)
-    failing = failed.any(0)
-    if not failing.any():
-        return None
-    item = int(failing.argmax())
-    return item, checks[int(failed[:, item].argmax())][1](item)
+def _first_failure(ids, counts, names, arms, n_texts, studies, bad, in_range, whole, p, agg_se):
+    """The message of the first failed check, as a walk in file order meets
+    it: study by study, each study's splits in name order (arm 1, arm 2,
+    p_interaction, then the aggregate), then the study row. It reads the
+    masks _build_dataset checked: bad (a number did not parse), in_range
+    (of the (3, m) effects, ses and ns) and whole (of the ns)."""
+    m = 2 * len(names) + len(ids)
+    (y_ok, se_ok, n_ok), whole = in_range.tolist(), whole.tolist()
+    start = 0
+    for i, (sid, count, study) in enumerate(zip(ids, counts, studies)):
+        for s in range(start, start + count):
+            name = names[s]
+            for j in (0, 1):
+                c, row, n = 2 * s + j, arms[2 * s + j], n_texts[2 * s + j]
+                if row is _MISSING:
+                    return f"split {sid!r}/{name!r}: missing arm {j + 1}"
+                if n in _BLANK:
+                    return f"split {sid!r}/{name!r} arm {j + 1}: n is required on subgroup rows"
+                at = f"{sid}/{name}/arm{j + 1}: "
+                for text, failed in ((row[4], bad[c]), (row[5], bad[m + c]), (n, bad[2 * m + c])):
+                    if failed:
+                        return f"{at}cannot parse number {text!r}"
+                if not (n_ok[c] and whole[c]):
+                    return at + _COUNT_RULE.format(n)
+                if not y_ok[c]:
+                    return f"{at}arm: {_EFFECT_RULE}"
+                if not se_ok[c]:
+                    return f"{at}arm: {_SE_RULE}"
+            p_text = arms[2 * s][7]
+            if bad[3 * m + s]:
+                return f"{sid}/{name}: cannot parse number {p_text!r}"
+            if p_text not in _BLANK and not _within(p[s], _PROBABILITY_RANGE):
+                return f"{sid}/{name}: " + _PROBABILITY_RULE.format(p_text)
+            if not _floor_ok(agg_se[s]):
+                return f"study {sid!r} split {name!r}: {_floor_message(agg_se[s])}"
+        start += count
+        c = 2 * len(names) + i
+        if (study[4] in _BLANK) != (study[5] in _BLANK):
+            return (f"{sid}: y and se must be given together, or both left blank to derive the "
+                    f"study row (got y={study[4]!r}, se={study[5]!r})")
+        if bad[2 * m + c]:
+            return f"{sid}: cannot parse number {study[6]!r}"
+        if not (n_ok[c] and whole[c]):
+            return f"{sid}: " + _COUNT_RULE.format(study[6])
+        if study[4] in _BLANK and not count:  # both blank: derived
+            return f"study {sid!r}: no estimate supplied and no splits to derive one"
+        for text, failed in ((study[4], bad[c]), (study[5], bad[m + c])):
+            if failed:
+                return f"{sid}: cannot parse number {text!r}"
+        if not y_ok[c]:
+            return f"{sid}: study {sid!r}: {_EFFECT_RULE}"
+        if not se_ok[c]:
+            return f"{sid}: study {sid!r}: {_SE_RULE}"
 
 
 def load_csv(path) -> MetaDataset:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,36 @@ def test_validate_error_precedence():
         validate_dataset(_rows(*rows, *orphans))
 
 
+_SEX_ROWS = (("s1", "", "study", "", "", "0.1", "0.2", ""),
+             ("s2", "", "study", "", "", "0.3", "0.4", ""),
+             ("s1", "", "subgroup", "sex", "1", "0.0", "1.0", "5"),
+             ("s1", "", "subgroup", "sex", "2", "0.0", "1.0", "5"))
+
+
+@pytest.mark.parametrize("row, field, value, message", [
+    (2, "arm", 1, "arm must be a string, got 1"),
+    (0, "study_id", 7, "study_id must be a string, got 7"),
+    (1, "level", 2.0, "level must be a string, got 2.0"),
+    (3, "split", ("sex",), "split must be a string, got ('sex',)"),
+])
+def test_validate_dataset_names_a_field_that_is_not_a_string(row, field, value, message):
+    """A dict row's study_id, level, split or arm that is not a string (or
+    None) is a ValidationError naming the field and the value; it used to
+    escape as AttributeError from str.strip."""
+    rows = _rows(*_SEX_ROWS)
+    rows[row][field] = value
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        validate_dataset(rows)
+
+
+def test_validate_dataset_reads_no_split_or_arm_on_a_study_row():
+    """A study row's split and arm are not read, so they may hold anything,
+    such as the nan that pandas reads from a blank cell."""
+    rows = _rows(*_SEX_ROWS)
+    rows[0].update(split=math.nan, arm=1.0)
+    assert validate_dataset(rows).split_names == ("sex",)
+
+
 @pytest.mark.parametrize("n_arms", [0, 1, 3])
 def test_split_requires_exactly_two_arms(n_arms):
     arms = tuple(SubgroupArm(0.1 * j, 1.0, 5) for j in range(n_arms))
@@ -285,7 +316,7 @@ def test_the_table_is_read_only(sglt2):
     """with_selection's copy shares the table, so no array of it can be
     written."""
     chosen = sglt2.with_selection([0] * sglt2.k)
-    for name in ("y", "se", "arm_y", "arm_se", "arm_n", "p_interaction", "w", "sw", "agg_y", "agg_se"):
+    for name in ("y", "se", "arm_y", "arm_se", "arm_n", "p_interaction", "w", "agg_y", "agg_se"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(chosen, name)[...] = 0.0
     assert chosen.arm_y is sglt2.arm_y
@@ -391,7 +422,7 @@ def test_load_csv_reads_as_dictreader_rows(tmp_path, text):
 
 
 _TABLE = ("study_ids", "y", "se", "selected", "split_start", "split_count", "split_names",
-          "split_study", "arm_y", "arm_se", "arm_n", "p_interaction", "w", "sw", "agg_y", "agg_se")
+          "split_study", "arm_y", "arm_se", "arm_n", "p_interaction", "w", "agg_y", "agg_se")
 
 
 def _hex(value):
@@ -519,6 +550,11 @@ _PRECEDENCE_CASES = {
         _arm("s1", "a", 2, y="1e40", se="0.7"), header=_P_HEADER),
     "one study": _csv(_STUDIES[0] + ",", _arm("s1", "a", 1), _arm("s1", "a", 2),
                       header=_P_HEADER),
+    "a half-blank study row before its own unparsable n": _csv(
+        "s1,,study,,,0.1,,x,", _STUDIES[1] + ",", header=_P_HEADER),
+    "an unparsable p_interaction before its split's aggregate floor": _csv(
+        *(s + "," for s in _STUDIES), _arm("s1", "a", 1, se="1e-40", p="x"),
+        _arm("s1", "a", 2, se="1e-40"), header=_P_HEADER),
 }
 
 
@@ -548,3 +584,53 @@ def test_corrupted_files_match_the_reference_loader(tmp_path):
         _same_as_reference(load_csv, reference_loader.load_csv, _write(tmp_path, text))
         dicts = [dict(zip(rows[0], row)) for row in rows[1:]]
         _same_as_reference(validate_dataset, reference_loader.validate_dataset, dicts)
+
+
+def test_structural_corruptions_match_the_reference_loader(tmp_path):
+    """Seeded structural faults (a deleted arm row, a study row's y and se
+    both blanked, so that it is derived, only one of them blanked, and a
+    derived study without splits) mixed with the value corruptions above:
+    the same dataset or error as the reference loader, from a file and from
+    rows as dicts."""
+    rng = np.random.default_rng(30)
+    base = [line.split(",") for line in _generated_csv(rng, (2, 3, 1, 0)).splitlines()]
+    base = [row + (["p_interaction"] if r == 0 else [f"{rng.uniform():.2f}" if row[4] == "1" else ""])
+            for r, row in enumerate(base)]
+    study_rows, no_splits = [1, 2, 3, 4], 4  # S1-S4 by row; S4 has no splits
+    loaded = 0
+    for _ in range(300):
+        rows = [list(row) for row in base]
+        for _ in range(int(rng.integers(0, 3))):  # half of them on a study row
+            r = int(rng.choice(study_rows if rng.integers(2) else range(1, len(rows))))
+            rows[r][int(rng.choice([5, 6, 7, 8]))] = str(rng.choice(_CORRUPTIONS))
+        for fault in rng.integers(0, 4, int(rng.integers(1, 3))):
+            if fault == 0:  # an arm row deleted; the study rows come first and keep their index
+                del rows[int(rng.integers(len(study_rows) + 1, len(rows)))]
+                continue
+            r = no_splits if fault == 1 else int(rng.choice(study_rows))
+            if fault == 3:
+                rows[r][int(rng.choice([5, 6]))] = ""
+            else:
+                rows[r][5] = rows[r][6] = ""
+        text = "\n".join(",".join(row) for row in rows) + "\n"
+        expected = _same_as_reference(load_csv, reference_loader.load_csv, _write(tmp_path, text))
+        dicts = [dict(zip(rows[0], row)) for row in rows[1:]]
+        _same_as_reference(validate_dataset, reference_loader.validate_dataset, dicts)
+        loaded += not isinstance(expected, str)
+    assert 0 < loaded < 300  # both outcomes were met
+
+
+def test_the_walk_runs_only_when_a_check_fails(tmp_path, monkeypatch):
+    """A valid file, with a derived study row or not, loads without the walk
+    to the first failure; a failing file takes it once."""
+    walk = data._first_failure
+    monkeypatch.setattr(data, "_first_failure", lambda *args: pytest.fail("walked a valid file"))
+    derived = _write(tmp_path, _LOADER_CASES["derived study row"], "derived.csv")
+    for path in (dataset_path("respire14"), dataset_path("respire28"), dataset_path("sglt2"),
+                 PVALUE_DATASET, derived):
+        load_csv(path)
+    walks = []
+    monkeypatch.setattr(data, "_first_failure", lambda *args: walks.append(args) or walk(*args))
+    with pytest.raises(ValidationError, match="^s1/sex/arm1: arm: se must be in"):
+        load_csv(_write(tmp_path, _LOADER_CASES["arm se out of range"]))
+    assert len(walks) == 1
