@@ -1,7 +1,7 @@
 """Subgroup-informed random-effects meta-analysis of few studies.
 
 Core objects are re-exported here; the submodules hold the full API:
-data (the dataset table, its records, CSV ingestion), estimators (heterogeneity),
+data (the dataset table, its record door, CSV ingestion), estimators (heterogeneity),
 intervals (CI methods and t quantiles), selection (split search),
 simulation (Monte Carlo harness), report (serialization), cli.
 """

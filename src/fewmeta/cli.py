@@ -205,7 +205,7 @@ def main():
 
 
 @main.command()
-@click.argument("data_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("data_path", type=click.Path(exists=True, dir_okay=False, readable=False))
 @click.option(
     "--select",
     "strategy",
@@ -235,7 +235,7 @@ def analyze(data_path, strategy, level, exp, max_combos, json_out):
 
 
 @main.command()
-@click.argument("data_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("data_path", type=click.Path(exists=True, dir_okay=False, readable=False))
 @click.option(
     "--strategy",
     type=click.Choice(list(STRATEGIES)),
@@ -282,7 +282,7 @@ def _setting_options(command):
 @main.command()
 @_setting_options
 @click.option("--jobs", type=int, default=1, show_default=True, help="Worker processes (capped at the CPU and scenario counts).")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), help="Flat key=value config file (flags override).")
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False, readable=False), help="Flat key=value config file (flags override).")
 @click.option("--out", type=click.Path(dir_okay=False), default="metrics.csv", show_default=True, help="Write the per-scenario metrics CSV here.")
 @click.option("--summary", type=click.Path(dir_okay=False), help="Write a JSON summary here.")
 def simulate(jobs, config_path, out, summary, **flags):

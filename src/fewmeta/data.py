@@ -10,11 +10,11 @@ table. It has two front doors:
   Study(study_id, y, se, splits, selected), each split a SubgroupSplit of
   two SubgroupArm(y, se, n).
 
-dataset.studies is the table seen as records, built on first use and
-cached. Both doors apply one set of value rules (_within a closed range
-per kind of number, _whole, _floor_ok) to scalars or to whole columns,
-and one aggregate (_aggregate). The CSV door fills a derived study
-estimate in before it checks, and walks the rows for the first failure
+The table keeps no record, and nothing turns it back into records. Both
+doors apply one set of value rules (_within a closed range per kind of
+number, _whole, _floor_ok) to scalars or to whole columns, and one
+aggregate (_aggregate). The CSV door fills a derived study estimate in
+before it checks, and walks the rows for the first failure
 (_first_failure) only when a check has failed. A MetaDataset refuses
 fewer than two studies when built, so no analysis checks k again.
 
@@ -180,12 +180,6 @@ class Study:
                 f"study {self.study_id!r}: selected split out of range"
             )
 
-    @property
-    def selected_split(self) -> Optional[SubgroupSplit]:
-        if self.selected is None:
-            return None
-        return self.splits[self.selected]
-
 
 # the split columns of a dataset without splits
 _NO_ARMS = np.zeros((0, 2))
@@ -208,8 +202,8 @@ class MetaDataset:
       _aggregate the arm weights w (S, 2) and the aggregate agg_y, agg_se
       (S,).
 
-    MetaDataset(studies) builds the table from records; load_csv builds it
-    from a file's columns. Its arrays are read-only.
+    MetaDataset(studies) builds the table from records and keeps none;
+    load_csv builds it from a file's columns. Its arrays are read-only.
     """
 
     def __init__(self, studies: Sequence[Study]):
@@ -229,7 +223,6 @@ class MetaDataset:
                      dtype=float),
             tuple(s.selected for s in studies),
         )
-        self._studies = studies
 
     def _build(self, study_ids, y, se, split_count, split_names, arm_y, arm_se, arm_n,
                p_interaction, selected, aggregates=None):
@@ -246,36 +239,19 @@ class MetaDataset:
         self.w, self.agg_y, self.agg_se = aggregates
         for column in (y, se, arm_y, arm_se, arm_n, p_interaction, *aggregates) if split_names else (y, se):
             column.setflags(write=False)  # with_selection's copies share the table
-        self._studies = None
 
-    @property
-    def studies(self) -> tuple:
-        """The table as Study records, built on first use and cached."""
-        if self._studies is None:
-            p = [None if v != v else v for v in self.p_interaction.tolist()]
-            arms = [SubgroupArm(y, se, int(n)) for y, se, n in
-                    zip(self.arm_y.ravel().tolist(), self.arm_se.ravel().tolist(),
-                        self.arm_n.ravel().tolist())]
-            splits = [SubgroupSplit(name, (arms[2 * s], arms[2 * s + 1]), p[s])
-                      for s, name in enumerate(self.split_names)]
-            self._studies = tuple(
-                Study(sid, y, se, tuple(splits[start:start + count]), selected)
-                for sid, y, se, start, count, selected in zip(
-                    self.study_ids, self.y.tolist(), self.se.tolist(),
-                    self.split_start, self.split_count, self.selected)
-            )
-        return self._studies
+    def _key(self):  # the fields that hold no float, all that __hash__ reads
+        return self.study_ids, self.selected, self.split_count, self.split_names
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # equal tables, value for value
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.studies == other.studies
+        return self._key() == other._key() and all(  # NaN in p_interaction means absent
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=name == "p_interaction")
+            for name in ("y", "se", "arm_y", "arm_se", "arm_n", "p_interaction"))
 
     def __hash__(self):
-        return hash(self.studies)
-
-    def __repr__(self):
-        return f"MetaDataset(studies={self.studies!r})"
+        return hash(self._key())
 
     @property
     def k(self) -> int:
@@ -304,7 +280,7 @@ class MetaDataset:
             if not 0 <= c < count:
                 raise ValidationError(f"study {sid!r}: selected split out of range")
         dataset = object.__new__(MetaDataset)
-        dataset.__dict__.update(self.__dict__, selected=selected, _studies=None)
+        dataset.__dict__.update(self.__dict__, selected=selected)
         return dataset
 
 
@@ -590,6 +566,8 @@ def load_csv(path) -> MetaDataset:
                 rows.append(fields(row))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror or exc})") from None
     except csv.Error as exc:
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     return _build_dataset(rows)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Sequence
@@ -63,6 +64,12 @@ DEFAULT_N_REPS = 1000
 # 207 B at k = 5, 185 B at k = 9), so the cap keeps one scenario, and so each
 # worker process, below about 1 GB.
 MAX_REPLICATE_STUDIES = 2_500_000
+
+# Upper bound on a grid's scenario count. simulate holds about 5.1 KB per
+# scenario until the write (tracemalloc over 3000 scenarios: 145 B for the
+# Scenario, 3.6 KB for its metrics, 1.3 KB for its summary entry), so the cap
+# keeps a run below about 1 GB.
+MAX_SCENARIOS = 200_000
 
 
 @dataclass(frozen=True)
@@ -194,20 +201,21 @@ def scenario_grid(k=None, tau=None, delta=None, sigma_delta=None, p=None, **sett
     """Cartesian grid of scenarios over the five design axes, k slowest and
     p fastest; each axis is None (its full grid), a scalar, or a sequence of
     values. `settings` are the remaining Scenario fields, n_reps and seed,
-    shared by every point. The full grid has 1125 points."""
+    shared by every point. The full grid has 1125 points; a grid of more
+    than MAX_SCENARIOS is refused before any scenario is built."""
 
     def axis(value, default):
         if value is None:
             return default
-        return [value] if np.isscalar(value) else value
+        return [value] if np.isscalar(value) else list(value)
 
-    scenarios = [
-        Scenario(int(kv), float(tv), float(dv), float(sv), float(pv), **settings)
-        for kv, tv, dv, sv, pv in itertools.product(
-            axis(k, K_GRID), axis(tau, TAU_GRID), axis(delta, DELTA_GRID),
-            axis(sigma_delta, SIGMA_DELTA_GRID), axis(p, P_GRID),
-        )
-    ]
+    axes = [axis(k, K_GRID), axis(tau, TAU_GRID), axis(delta, DELTA_GRID),
+            axis(sigma_delta, SIGMA_DELTA_GRID), axis(p, P_GRID)]
+    count = math.prod(map(len, axes))
+    if count > MAX_SCENARIOS:
+        raise ValidationError(f"scenario_grid: {count} scenarios exceed {MAX_SCENARIOS}")
+    scenarios = [Scenario(int(kv), float(tv), float(dv), float(sv), float(pv), **settings)
+                 for kv, tv, dv, sv, pv in itertools.product(*axes)]
     if not scenarios:
         raise ValidationError("scenario_grid: empty grid")
     return scenarios

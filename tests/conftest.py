@@ -9,7 +9,6 @@ from fewmeta.data import (
     SubgroupArm,
     SubgroupSplit,
     load_csv,
-    prevalence_of,
 )
 
 DATASET_DIR = os.path.join(
@@ -58,11 +57,33 @@ def study_rows(y_sub, se_sub):
 
 def selected_arms(dataset):
     """(y, se) arrays of shape (k, 2) of every study's selected split, and
-    the (k,) prevalences of those splits."""
-    splits = [s.selected_split for s in dataset.studies]
-    return (np.array([[a.y for a in split.arms] for split in splits]),
-            np.array([[a.se for a in split.arms] for split in splits]),
-            np.array([prevalence_of(split) for split in splits]))
+    the (k,) prevalences n1 / (n1 + n2) of those splits, gathered from the
+    table's rows split_start + selected as dataset_kernel gathers them."""
+    rows = np.add(dataset.split_start, dataset.selected)
+    n = dataset.arm_n[rows]
+    return dataset.arm_y[rows], dataset.arm_se[rows], n[:, 0] / (n[:, 0] + n[:, 1])
+
+
+def table_rows(dataset, **columns):
+    """The dataset's table as dict rows of the CSV schema, study rows first,
+    every float as its repr (which keeps its bits); p_interaction on arm 1's
+    row, blank where absent. A keyword replaces the table's column of that
+    name (y, se, arm_y, arm_se, arm_n or p_interaction). Loading the rows
+    orders each study's splits by name, so it gives the same table back
+    only when they are in name order already."""
+    y, se, arm_y, arm_se, arm_n, p = (
+        np.asarray(columns.get(name, getattr(dataset, name))).tolist()
+        for name in ("y", "se", "arm_y", "arm_se", "arm_n", "p_interaction"))
+    rows = [dict(study_id=sid, label="", level="study", split="", arm="",
+                 y=repr(y[i]), se=repr(se[i]), n="", p_interaction="")
+            for i, sid in enumerate(dataset.study_ids)]
+    for s, (i, name) in enumerate(zip(dataset.split_study, dataset.split_names)):
+        for j in (0, 1):
+            rows.append(dict(study_id=dataset.study_ids[i], label="", level="subgroup",
+                             split=name, arm=str(j + 1), y=repr(arm_y[s][j]),
+                             se=repr(arm_se[s][j]), n=repr(arm_n[s][j]),
+                             p_interaction=repr(p[s]) if j == 0 and p[s] == p[s] else ""))
+    return rows
 
 
 def make_split(name, y, se, n=(10, 10), p_interaction=None):

@@ -154,11 +154,9 @@ def test_validate_groups_interleaved_subgroup_rows():
               ("s1", "", "subgroup", "sex", "2", "0.0", "1.0", "5"),
               ("s2", "", "subgroup", "age", "2", "0.1", "1.0", "5"),
               ("s1", "", "subgroup", "age", "1", "0.0", "1.0", "5")))
-    assert [s.study_id for s in ds.studies] == ["s1", "s2"]
-    assert [[sp.split_name for sp in s.splits] for s in ds.studies] == [
-        ["age", "sex"], ["age", "sex"]
-    ]
-    assert ds.studies[1].splits[1].arms[0].y == 0.2
+    assert ds.study_ids == ("s1", "s2")
+    assert (ds.split_count, ds.split_names) == ((2, 2), ("age", "sex", "age", "sex"))
+    assert ds.arm_y[ds.split_start[1] + 1, 0] == 0.2
 
 
 def test_validate_error_precedence():
@@ -256,14 +254,21 @@ def test_study_rejects_duplicate_split_names():
         Study("s", 0.0, 1.0, (split, split))
 
 
+@pytest.mark.parametrize("selected", [1, -1])
+def test_study_rejects_a_selected_split_out_of_range(selected):
+    split = make_split("sex", (0.1, -0.4), (0.5, 0.7))
+    with pytest.raises(ValidationError, match="^study 's': selected split out of range$"):
+        Study("s", 0.0, 1.0, (split,), selected)
+
+
 def test_study_estimate_derived_from_split():
     ds = validate_dataset(
         _rows(("s1", "", "study", "", "", "", "", ""),
               ("s2", "", "study", "", "", "0.3", "0.4", ""),
               ("s1", "", "subgroup", "sex", "1", "1.0", "1.0", "5"),
               ("s1", "", "subgroup", "sex", "2", "1.0", "1.0", "5")))
-    assert ds.studies[0].y == pytest.approx(1.0)
-    assert ds.studies[0].se == pytest.approx(math.sqrt(0.5))
+    assert ds.y[0] == pytest.approx(1.0)
+    assert ds.se[0] == pytest.approx(math.sqrt(0.5))
 
 
 def test_blank_study_row_is_derived_from_the_first_split_in_name_order(tmp_path):
@@ -276,10 +281,9 @@ def test_blank_study_row_is_derived_from_the_first_split_in_name_order(tmp_path)
     path.write_text(_csv(*lines), encoding="utf-8")
     keys = ["study_id", "label", "level", "split", "arm", "y", "se", "n"]
     for ds in (load_csv(path), validate_dataset([dict(zip(keys, line.split(","))) for line in lines])):
-        study = ds.studies[0]
-        assert [split.split_name for split in study.splits] == ["alpha", "zeta"]
-        assert (study.y, study.se) == (study.splits[0].agg_y, study.splits[0].agg_se)
-        assert study.y == 2.0 and study.se == pytest.approx(math.sqrt(0.125), rel=1e-15)
+        assert (ds.split_count[0], ds.split_names[:2]) == (2, ("alpha", "zeta"))
+        assert (ds.y[0], ds.se[0]) == (ds.agg_y[0], ds.agg_se[0])
+        assert ds.y[0] == 2.0 and ds.se[0] == pytest.approx(math.sqrt(0.125), rel=1e-15)
 
 
 def test_each_csv_effect_is_checked_once_over_columns(monkeypatch):
@@ -298,9 +302,9 @@ def test_each_csv_effect_is_checked_once_over_columns(monkeypatch):
 
 def test_bundled_respire14_shape(respire14):
     assert respire14.k == 2
-    for study in respire14.studies:
-        assert len(study.splits) == 3
-        assert {s.split_name for s in study.splits} == {"age", "race", "sex"}
+    assert respire14.split_count == (3, 3)
+    for start in respire14.split_start:
+        assert set(respire14.split_names[start:start + 3]) == {"age", "race", "sex"}
 
 
 def test_consistency_gap_diagnostic():
@@ -328,7 +332,7 @@ def test_selection_application():
     assert not ds.fully_selected
     sel = ds.with_selection([0, 0])
     assert sel.fully_selected
-    assert sel.studies[0].selected_split.split_name == "sex"
+    assert sel.selected_names == ["sex", "sex"]
     with pytest.raises(ValidationError, match="^selection length must equal k$"):
         ds.with_selection([0])
     with pytest.raises(ValidationError, match="^study 's2': selected split out of range$"):
@@ -425,27 +429,16 @@ _TABLE = ("study_ids", "y", "se", "selected", "split_start", "split_count", "spl
           "split_study", "arm_y", "arm_se", "arm_n", "p_interaction", "w", "agg_y", "agg_se")
 
 
-def _hex(value):
-    return None if value is None else float(value).hex()
-
-
 def _dump(dataset):
-    """Every value of a dataset, floats as float.hex: its records, in order,
-    and its column table, arrays as dtype, shape and bytes."""
-    records = [
-        (s.study_id, _hex(s.y), _hex(s.se), s.selected, [
-            (split.split_name, _hex(split.p_interaction),
-             [(_hex(a.y), _hex(a.se), a.n, type(a.n).__name__) for a in split.arms])
-            for split in s.splits])
-        for s in dataset.studies
-    ]
+    """Every value of a dataset's column table, arrays as dtype, shape and
+    bytes."""
     table = {}
     for name in _TABLE:
         value = getattr(dataset, name)
         if isinstance(value, np.ndarray):
             value = (value.dtype.str, value.shape, value.tobytes())
         table[name] = value
-    return records, table
+    return table
 
 
 def _same_as_reference(live, reference, *args):
@@ -634,3 +627,48 @@ def test_the_walk_runs_only_when_a_check_fails(tmp_path, monkeypatch):
     with pytest.raises(ValidationError, match="^s1/sex/arm1: arm: se must be in"):
         load_csv(_write(tmp_path, _LOADER_CASES["arm se out of range"]))
     assert len(walks) == 1
+
+
+def test_load_csv_of_a_path_it_cannot_read_is_a_validation_error(tmp_path):
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(tmp_path))}: cannot read \\(Is a directory\\)$"):
+        load_csv(tmp_path)
+
+
+def _sex_split_records(n=(20, 20), p_interaction=0.5):
+    """The records of the file _EQUAL_CSV holds, s1's split with the given
+    arm sizes n and p_interaction."""
+    return MetaDataset((
+        Study("s1", 0.1, 0.2, (make_split("sex", (0.05, 0.15), (0.3, 0.3), n, p_interaction),)),
+        Study("s2", 0.3, 0.4, (make_split("sex", (0.25, 0.35), (0.5, 0.5), (15, 15)),)),
+    ))
+
+
+# _STUDIES and _ARMS with p_interaction 0.5 on s1's split, absent (NaN in
+# the table) on s2's
+_EQUAL_CSV = _csv(*(line + "," for line in _STUDIES), _ARMS[0] + ",0.5",
+                  *(line + "," for line in _ARMS[1:]), header=_HEADER + ",p_interaction")
+
+
+def test_datasets_are_equal_by_their_tables(tmp_path):
+    """One dataset from each door compares equal, with equal hashes: the
+    CSV's, the dict rows' and the records'. NaN equals NaN in p_interaction,
+    where it means absent."""
+    path = _write(tmp_path, _EQUAL_CSV)
+    with open(path, encoding="utf-8", newline="") as fh:
+        from_rows = validate_dataset(csv.DictReader(fh))
+    datasets = [load_csv(path), from_rows, _sex_split_records()]
+    assert np.isnan(datasets[0].p_interaction[1])
+    for other in datasets[1:]:
+        assert other == datasets[0] and hash(other) == hash(datasets[0])
+    assert datasets[0] != _STUDIES
+
+
+@pytest.mark.parametrize("change", ["arm n", "p_interaction absent", "selection"])
+def test_one_changed_value_makes_datasets_unequal(change):
+    dataset = _sex_split_records()
+    other = {
+        "arm n": lambda: _sex_split_records(n=(20, 21)),
+        "p_interaction absent": lambda: _sex_split_records(p_interaction=None),
+        "selection": lambda: dataset.with_selection([0, 0]),
+    }[change]()
+    assert other != dataset and not other == dataset

@@ -14,14 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from fewmeta.data import (
-    MetaDataset,
-    Study,
-    SubgroupSplit,
-    aggregate_study,
-    load_csv,
-    prevalence_of,
-)
+from fewmeta.data import aggregate_study, load_csv, validate_dataset
 from fewmeta.estimators import (
     cochran_q,
     dl_raw,
@@ -36,7 +29,7 @@ from fewmeta.intervals import hksj_scale, variance_hcs, zh_variance
 from fewmeta.report import build_report
 from fewmeta.selection import select_global, select_local
 
-from conftest import dataset_path, make_dataset, make_split
+from conftest import dataset_path, make_dataset, make_split, selected_arms, table_rows
 
 N_INSTANCES = 10000
 
@@ -153,14 +146,11 @@ def test_global_at_least_local_randomized():
 
 
 def _arms_reversed(dataset):
-    """The dataset with the two arms of every split in reverse order."""
-    return MetaDataset(tuple(
-        Study(study.study_id, study.y, study.se,
-              tuple(SubgroupSplit(split.split_name, split.arms[::-1], split.p_interaction)
-                    for split in study.splits),
-              study.selected)
-        for study in dataset.studies
-    ))
+    """The dataset, its splits in name order, with the two arms of every
+    split in reverse order."""
+    return validate_dataset(table_rows(dataset, arm_y=dataset.arm_y[:, ::-1],
+                                       arm_se=dataset.arm_se[:, ::-1],
+                                       arm_n=dataset.arm_n[:, ::-1]))
 
 
 def _assert_close(a, b, where):
@@ -213,9 +203,7 @@ def test_arm_order_changes_no_statistic():
             for part in ("heterogeneity", "intervals"):
                 _assert_close(report[part], report_r[part], f"{name} {sel.strategy} {part}")
 
-            splits = [study.selected_split for study in chosen.studies]
-            se = np.array([[arm.se for arm in split.arms] for split in splits])
-            p = np.array([prevalence_of(split) for split in splits])
+            _, se, p = selected_arms(chosen)
             a, b = shrinkage_coefficients(se, p)
             a_r, b_r = shrinkage_coefficients(se[:, ::-1], 1.0 - p)
             assert a_r == pytest.approx(a, rel=1e-12) and b_r == pytest.approx(b, rel=1e-12)

@@ -1,6 +1,7 @@
 import codecs
 import contextlib
 import csv
+import errno
 import gc
 import io
 import json
@@ -180,6 +181,27 @@ def test_cli_non_utf8_input_is_a_validation_error(tmp_path):
         error = json.loads(result.stderr)
         assert error["error"] == "validation"
         assert "not UTF-8" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "select"])
+@pytest.mark.parametrize("code", [errno.EIO, errno.EACCES], ids=["EIO", "EACCES"])
+def test_cli_unreadable_input_is_a_validation_error(monkeypatch, command, code):
+    """An input file that exists but cannot be read exits 2 with a JSON
+    error instead of a traceback: /proc/self/mem gives EIO, and a file
+    without read permission EACCES, which os.access also reports to a user
+    who is not root. The load reports both, not click's argument check."""
+    def unreadable(*args, **kwargs):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr("fewmeta.data.open", unreadable, raising=False)
+    if code == errno.EACCES:
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    path = dataset_path("sglt2")
+    result = CliRunner().invoke(main, [command, path])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "validation", "message": f"{path}: cannot read ({os.strerror(code)})"
+    }
 
 
 @pytest.mark.parametrize("command", ["analyze", "select"])
@@ -482,6 +504,18 @@ def test_cli_simulate_rejects_reps_above_the_cap_before_allocating(tmp_path):
     assert str(MAX_REPLICATE_STUDIES) in error["message"]
     assert peak < 10 * 2 ** 20
     assert not out.exists()
+
+
+def test_cli_simulate_refuses_a_grid_above_the_ceiling(tmp_path):
+    values = ",".join(str(i / 1000) for i in range(1000))
+    out, summary = tmp_path / "m.csv", tmp_path / "s.json"
+    result = CliRunner().invoke(main, ["simulate", "--seed", "1", "--tau", values, "--delta", values,
+                                       "--out", str(out), "--summary", str(summary)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "validation", "message": "scenario_grid: 45000000 scenarios exceed 200000"
+    }
+    assert not out.exists() and not summary.exists()
 
 
 def test_cli_simulate_config_file(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import os
@@ -12,13 +13,11 @@ from fewmeta import selection
 from fewmeta.cli import main
 
 from fewmeta.data import (
-    MetaDataset,
-    Study,
-    SubgroupArm,
-    SubgroupSplit,
+    CSV_COLUMNS,
     ValidationError,
     aggregate_study,
     load_csv,
+    validate_dataset,
 )
 from fewmeta.estimators import qs_raw
 from fewmeta.selection import (
@@ -32,7 +31,14 @@ from fewmeta.selection import (
     write_histogram_csv,
 )
 
-from conftest import PVALUE_DATASET, dataset_path, make_dataset, make_split, selected_arms
+from conftest import (
+    PVALUE_DATASET,
+    dataset_path,
+    make_dataset,
+    make_split,
+    selected_arms,
+    table_rows,
+)
 
 
 def test_within_study_q_hand_case():
@@ -46,13 +52,14 @@ def test_within_study_q_hand_case():
     assert within_study_q(make_split("C", (-d, d), (1.0, 1.0))) == 2.0 * (d * d)
 
 
-def _numpy_split_statistics(dataset):
-    """Per split, within_study_q and the Q_S moments as numpy sums over the
-    two arms: the formulation the plain-float statistics reproduce."""
-    c = np.mean([study.y for study in dataset.studies])
+def _numpy_split_statistics(specs):
+    """Per split of make_dataset's study specs, within_study_q and the Q_S
+    moments as numpy sums over the two arms: the formulation the
+    plain-float statistics reproduce."""
+    c = np.mean([y for y, _, _ in specs])
     out = []
-    for study in dataset.studies:
-        for split in study.splits:
+    for _, _, splits in specs:
+        for split in splits:
             agg = aggregate_study(split)
             w = np.array([1.0 / (a.se * a.se) for a in split.arms])
             d = np.array([a.y for a in split.arms]) - c
@@ -63,26 +70,32 @@ def _numpy_split_statistics(dataset):
 
 @pytest.mark.parametrize("case", ["random", "shifted", "signed-zeros"])
 def test_split_statistics_are_the_numpy_sums_bit_for_bit(case):
+    """within_study_q of each split record, and the table's _within_q of
+    the same splits, equal the numpy sums bit for bit."""
     rng = np.random.default_rng(21)
     if case == "signed-zeros":
         def effects(n):
             return rng.choice([-0.0, 0.0], n)
+    elif case == "shifted":  # every effect moved far from zero
+        def effects(n):
+            return rng.normal(0, 1, n) + 1e6
     else:
         def effects(n):
             return rng.normal(0, 1, n)
     for _ in range(40):
-        ds = make_dataset([
+        specs = [
             (effects(1)[0], rng.uniform(0.2, 1.0),
              [make_split(f"s{j}", effects(2), rng.uniform(0.2, 1.5, 2))
               for j in range(rng.integers(1, 4))])
             for _ in range(rng.integers(2, 5))
-        ])
-        if case == "shifted":
-            ds = _affine(ds, 1e6, 1.0)
-        expected = _numpy_split_statistics(ds)
-        q = [within_study_q(split) for study in ds.studies for split in study.splits]
+        ]
+        ds = make_dataset(specs)
+        expected = _numpy_split_statistics(specs)
+        q = [within_study_q(split) for _, _, splits in specs for split in splits]
         moments = [row for rows in selection._split_moments(ds) for row in rows]
         assert [repr(v) for v in q] == [repr(e) for e, _ in expected]
+        assert ([repr(v) for v in selection._within_q(ds.w, ds.arm_y, ds.agg_y).tolist()]
+                == [repr(e) for e, _ in expected])
         assert [[repr(float(v)) for v in row] for row in moments] == [
             [repr(float(v)) for v in row] for _, row in expected
         ]
@@ -104,8 +117,7 @@ def test_select_local_tie_breaks_lexicographically():
     ds = make_dataset([(0.0, 0.7, [a, b]), (0.0, 0.7, [a, b])])
     res = select_local(ds)
     # equal within-study Q -> lowest split name wins
-    assert [ds.studies[i].splits[c].split_name for i, c in enumerate(res.choices)] \
-        == ["alpha", "alpha"]
+    assert ds.with_selection(res.choices).selected_names == ["alpha", "alpha"]
 
 
 def test_single_candidate_local_equals_global():
@@ -274,30 +286,16 @@ def test_sglt2_local_vs_global_disagree_only_on_one_study(sglt2):
     ]
     assert len(differing) == 1
     i = differing[0]
-    study = sglt2.studies[i]
-    assert study.splits[loc.choices[i]].split_name == "diuretic"
-    assert study.splits[glo.choices[i]].split_name == "eGFR"
+    assert sglt2.with_selection(loc.choices).selected_names[i] == "diuretic"
+    assert sglt2.with_selection(glo.choices).selected_names[i] == "eGFR"
 
 
 def _affine(dataset, shift, scale):
-    """The dataset with every effect y mapped to scale * y + shift and every
-    se to scale * se."""
-    studies = []
-    for study in dataset.studies:
-        splits = tuple(
-            SubgroupSplit(
-                split.split_name,
-                tuple(
-                    SubgroupArm(scale * a.y + shift, scale * a.se, a.n)
-                    for a in split.arms
-                ),
-                split.p_interaction,
-            )
-            for split in study.splits
-        )
-        studies.append(Study(study.study_id, scale * study.y + shift, scale * study.se,
-                             splits, study.selected))
-    return MetaDataset(tuple(studies))
+    """The dataset, its splits in name order, with every effect y mapped to
+    scale * y + shift and every se to scale * se."""
+    return validate_dataset(table_rows(
+        dataset, y=scale * dataset.y + shift, se=scale * dataset.se,
+        arm_y=scale * dataset.arm_y + shift, arm_se=scale * dataset.arm_se))
 
 
 @pytest.mark.parametrize(
@@ -336,7 +334,7 @@ def _qs_loop(dataset):
     """Every (choices, Q_S) pair, summed one combination at a time."""
     moments = selection._split_moments(dataset)
     out = []
-    for choices in _enumerate([len(s.splits) for s in dataset.studies]):
+    for choices in _enumerate(dataset.split_count):
         s0 = s1 = s2 = 0.0
         for rows, c in zip(moments, choices):
             a, b, d = rows[c]
@@ -436,15 +434,11 @@ def test_select_global_skips_nan(monkeypatch):
 
 
 def _csv_of(dataset, path):
-    """`dataset` as a fewmeta CSV; repr keeps every float's bits."""
-    lines = ["study_id,label,level,split,arm,y,se,n"]
-    for study in dataset.studies:
-        lines.append(f"{study.study_id},,study,,,{study.y!r},{study.se!r},")
-        for split in study.splits:
-            for j, arm in enumerate(split.arms, 1):
-                lines.append(f"{study.study_id},,subgroup,{split.split_name},{j},"
-                             f"{arm.y!r},{arm.se!r},{arm.n}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """`dataset`, its splits in name order, as a fewmeta CSV."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, CSV_COLUMNS + ["p_interaction"])
+        writer.writeheader()
+        writer.writerows(table_rows(dataset))
     return str(path)
 
 

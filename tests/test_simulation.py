@@ -170,6 +170,21 @@ def test_scenario_grid_counts():
         scenario_grid(k=[])
 
 
+def test_scenario_grid_is_bounded_before_any_scenario_is_built(monkeypatch):
+    """A grid above MAX_SCENARIOS is refused from its axis lengths alone; one
+    at the ceiling is built."""
+    made = []
+    monkeypatch.setattr(simulation, "Scenario", lambda *args, **settings: made.append(args))
+    values = [i / 1000 for i in range(1000)]
+    with pytest.raises(ValidationError, match="^scenario_grid: 45000000 scenarios exceed 200000$"):
+        scenario_grid(tau=values, delta=values)
+    with pytest.raises(ValidationError, match="^scenario_grid: 200001 scenarios exceed 200000$"):
+        scenario_grid(k=2, tau=[0.0] * 200_001, delta=0, sigma_delta=0, p=0.5)
+    assert made == []
+    scenario_grid(k=2, tau=[0.0] * simulation.MAX_SCENARIOS, delta=0, sigma_delta=0, p=0.5)
+    assert len(made) == simulation.MAX_SCENARIOS
+
+
 def test_scenario_grid_order_and_shared_settings():
     grid = scenario_grid(k=[3, 2], tau=0.5, delta=[0, 1], sigma_delta=0, p=[1 / 2, 1 / 4],
                          n_reps=7, seed=9)
