@@ -11,7 +11,8 @@ written inside `_output`, which turns an OSError into exit 2 with an
 own input or another of its outputs; `validate` exits 4 itself. Its Monte Carlo checks are computed in
 `simulation` and only formatted here.
 `simulate` reads its settings from one table, `_SETTINGS`, with precedence
-flag > config file > FEWMETA_SEED (a fallback seed).
+flag > config file > FEWMETA_SEED (a fallback seed). Every number it or
+an option reads keeps to the loader's grammar (data.plain_number).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import click
 
-from .data import ValidationError, load_csv
+from .data import ValidationError, load_csv, plain_number
 from .intervals import t_quantile
 from .report import build_report, render_text, report_to_json, write_atomic, write_files
 from .selection import (
@@ -128,6 +129,18 @@ def _number(token: str) -> float:
         raise ValueError("zero denominator") from None
 
 
+class _PlainNumber(click.ParamType):
+    """click's INT or FLOAT in the number grammar (data.plain_number)."""
+
+    def __init__(self, base):
+        self.base, self.name = base, base.name
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str) and not plain_number(value):
+            self.fail(f"{value!r} is not a valid {self.name}.", param, ctx)
+        return self.base.convert(value, param, ctx)
+
+
 def _values(convert):
     """Parser of a comma-separated list."""
     return lambda text: [convert(part.strip()) for part in text.split(",") if part.strip()]
@@ -182,13 +195,15 @@ def _grid_settings(flags: dict, config_path) -> dict:
     for name, text in texts.items():
         argument, parse, _ = _SETTINGS[name]
         try:
+            if not plain_number(text):
+                raise ValueError("a number is ASCII text with no '_'")
             grid[argument] = parse(text)
         except (ValueError, ArithmeticError) as exc:
             raise ValidationError(f"{name}: cannot parse {text!r}: {exc}") from None
     return grid
 
 
-_max_combos = click.option("--max-combos", default=DEFAULT_MAX_COMBINATIONS, show_default=True,
+_max_combos = click.option("--max-combos", type=_PlainNumber(click.INT), default=DEFAULT_MAX_COMBINATIONS, show_default=True,
                            help="Most split combinations the global search or a histogram may enumerate, "
                                 f"1 to {MAX_COMBINATIONS_CEILING}; more combinations exit 3.")
 
@@ -214,7 +229,7 @@ def main():
     show_default=True,
     help="Subgroup split selection strategy.",
 )
-@click.option("--level", default=0.95, show_default=True, help="Confidence level, in (0, 1).")
+@click.option("--level", type=_PlainNumber(click.FLOAT), default=0.95, show_default=True, help="Confidence level, in (0, 1).")
 @click.option("--exp", is_flag=True, help="Present results on the ratio scale.")
 @_max_combos
 @click.option("--json", "json_out", type=click.Path(dir_okay=False), help="Write the JSON report here.")
@@ -281,7 +296,7 @@ def _setting_options(command):
 
 @main.command()
 @_setting_options
-@click.option("--jobs", type=int, default=1, show_default=True, help="Worker processes (capped at the CPU and scenario counts).")
+@click.option("--jobs", type=_PlainNumber(click.INT), default=1, show_default=True, help="Worker processes (capped at the CPU and scenario counts).")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False, readable=False), help="Flat key=value config file (flags override).")
 @click.option("--out", type=click.Path(dir_okay=False), default="metrics.csv", show_default=True, help="Write the per-scenario metrics CSV here.")
 @click.option("--summary", type=click.Path(dir_okay=False), help="Write a JSON summary here.")
@@ -345,7 +360,7 @@ def run_self_checks(seed: int = 0):
 
 
 @main.command()
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed of the Monte Carlo checks.")
+@click.option("--seed", type=_PlainNumber(click.INT), default=0, show_default=True, help="Seed of the Monte Carlo checks.")
 def validate(seed):
     """Run internal self-checks (quantiles, expectation oracle, variance
     ordering); nonzero exit if any fails."""

@@ -125,15 +125,14 @@ class SubgroupArm:
 class SubgroupSplit:
     """A named candidate two-way partition of one study.
 
-    The arm weights and the aggregate of the arms (see
-    aggregate_study) are computed once, by _aggregate, when the split is
-    made; the dataset's table holds the same values.
+    The aggregate of the arms (see aggregate_study) is computed once, by
+    _aggregate, when the split is made; the dataset's table holds the same
+    values.
     """
 
     split_name: str
     arms: tuple
     p_interaction: Optional[float] = None
-    weights: tuple = field(init=False, repr=False, compare=False)
     agg_y: float = field(init=False, repr=False, compare=False)
     agg_se: float = field(init=False, repr=False, compare=False)
 
@@ -145,11 +144,10 @@ class SubgroupSplit:
         if self.p_interaction is not None and not _within(self.p_interaction, _PROBABILITY_RANGE):
             raise ValidationError(f"split {self.split_name!r}: "
                                   + _PROBABILITY_RULE.format(self.p_interaction))
-        w, agg_y, agg_se = _aggregate(np.array([a.y for a in self.arms]),
+        _, agg_y, agg_se = _aggregate(np.array([a.y for a in self.arms]),
                                       np.array([a.se for a in self.arms]))
         if not _floor_ok(agg_se):
             raise ValidationError(f"split {self.split_name!r}: {_floor_message(agg_se)}")
-        object.__setattr__(self, "weights", tuple(w.tolist()))
         object.__setattr__(self, "agg_y", float(agg_y))
         object.__setattr__(self, "agg_se", float(agg_se))
 
@@ -284,17 +282,6 @@ class MetaDataset:
         return dataset
 
 
-def prevalence_of(split: SubgroupSplit) -> float:
-    """Fraction of units in arm 1, derived from arm sizes.
-
-    Arm sizes may be subject counts or event counts (for endpoints whose
-    standard errors scale with events); either way the prevalence is
-    n1 / (n1 + n2) and lies strictly inside (0, 1).
-    """
-    n1, n2 = split.arms[0].n, split.arms[1].n
-    return n1 / (n1 + n2)
-
-
 def aggregate_study(split: SubgroupSplit) -> Study:
     """Combine the two arms of a split into a study-level estimate, without splits.
 
@@ -345,17 +332,25 @@ _BLANK = (None, "")  # a field left blank, as `in` tests it
 _MISSING = (None,) * len(_FIELDS)  # a missing arm's row: its numbers fail to parse
 
 
+def plain_number(text: str) -> bool:
+    """Whether a number's text keeps to every input door's grammar: ASCII with
+    no `_`. float and int also take 2_89 and -٠.٦١٩٥, so a typo would load."""
+    return text.isascii() and "_" not in text
+
+
 def _floats(values):
     """The values as a float array, NaN where one does not parse, and the
-    mask of those that did not (None when all parsed)."""
+    mask of those that did not (None when all parsed). Texts parse only in
+    plain_number's grammar, checked once over them all joined."""
     try:
-        return np.fromiter(map(float, values), float, len(values)), None
+        if plain_number("".join([v for v in values if isinstance(v, str)])):
+            return np.fromiter(map(float, values), float, len(values)), None
     except (TypeError, ValueError):
         pass
     parsed = []
     for value in values:
         try:
-            parsed.append(float(value))
+            parsed.append(None if isinstance(value, str) and not plain_number(value) else float(value))
         except (TypeError, ValueError):
             parsed.append(None)
     return (np.array([math.nan if v is None else v for v in parsed], dtype=float),

@@ -14,8 +14,8 @@ runs the same code without the replicate axis (dataset_kernel, which
 reads the study rows and the selected splits' arms from the dataset's
 table), whose 0-d results run_all_methods and the report read.
 Studies, random effects and arms are each pooled once per batch;
-hksj_scale, zh_variance and variance_hcs call the same pieces. The first two reject a zero weight
-(se = inf); in the kernel, DL rejects it. Both HCS variants share one
+hksj_scale and variance_hcs call the same pieces. hksj_scale rejects a zero
+weight (se = inf); in the kernel, DL rejects it. Both HCS variants share one
 weight check and one sum w, sum w^2 and (sum w)^2 (_hcs_sums); their tau2,
 a maximum with 0, needs no check.
 
@@ -240,27 +240,16 @@ def hksj_scale(y, se, tau2):
     """
     k = np.shape(y)[-1]
     _require_two_studies(k, "hksj_scale")
-    re = _positive_re_pool(y, se, tau2, "hksj_scale")
+    w = _re_weights(se, tau2)
+    if _least(w) <= 0:  # a zero weight (se = inf)
+        raise ValidationError("hksj_scale: weights must be positive")
+    re = _pool(np.asarray(y, dtype=float), w)
     return re.mu, 1.0 / re.sw, re.q() / (k - 1)
 
 
-def zh_variance(y, se, tau2):
-    """Leverage-penalized robust variance of the random-effects mean: each
-    squared residual term carries the fixed penalty (1 - h_i)^-2 of its
-    leverage h_i."""
-    re = _positive_re_pool(y, se, tau2, "zh_variance")
-    return re.mu, _zh_variance(re)
-
-
-def _positive_re_pool(y, se, tau2, name):
-    """Random-effects pooling that rejects a zero weight (se = inf) first."""
-    w = _re_weights(se, tau2)
-    if _least(w) <= 0:
-        raise ValidationError(f"{name}: weights must be positive")
-    return _pool(np.asarray(y, dtype=float), w)
-
-
 def _zh_variance(re):
+    """Robust variance of the random-effects mean of the pool re: each squared
+    residual term carries the fixed penalty (1 - h_i)^-2 of its leverage h_i."""
     leverage = re.w / re.sw[..., None]
     terms = re.w ** 2 * re.dev2 * (1.0 / np.square(1.0 - leverage))
     return _sum(terms) / np.square(re.sw)

@@ -5,7 +5,8 @@ different keys: the split maximizing its within-study statistic (local,
 n x k evaluations), or the one with the smallest reported interaction
 p-value (pvalue), when the input carries them. The third is an exhaustive
 (global) search over all n^k combinations, evaluated in numpy blocks of at
-most _QS_BLOCK (about 0.1 us each).
+most _QS_BLOCK (about 0.1 us each). All three read the (3, S) moments of
+_split_moments at table rows split_start + c, as dataset_kernel does.
 
 qs_histogram returns a lazy view of every (combination id, Q_S) pair: each
 pass over it evaluates the blocks again, and a complete pass also yields the
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MetaDataset, ValidationError
+from .estimators import _sum
 from .report import write_atomic
 
 LOCAL = "local"
@@ -71,13 +73,6 @@ def _within_q(w, y, agg_y):
     return wd2[..., 0] + wd2[..., 1]
 
 
-def within_study_q(split) -> float:
-    """Two-group homogeneity statistic of a single split about its own
-    aggregated estimate (equivalent to the squared two-sample t statistic)."""
-    return float(_within_q(np.array(split.weights), np.array([a.y for a in split.arms]),
-                           np.float64(split.agg_y)))
-
-
 def _require_candidates(dataset: MetaDataset):
     for sid, count in zip(dataset.study_ids, dataset.split_count):
         if not count:
@@ -85,41 +80,28 @@ def _require_candidates(dataset: MetaDataset):
 
 
 def _split_moments(dataset: MetaDataset):
-    """Per (study, split) sufficient statistics (sum w, sum w*d, sum w*d^2)
-    of the arm deviations d = y - c, as one list of [S0, S1, S2] rows per
-    study, computed over the whole table at once. The one reference c, the
-    mean study effect, keeps S2 - S1^2 / S0 from cancelling when the effects
-    sit far from zero; being shared by all splits, it leaves Q_S exact in
-    theory. The two-term sums add in estimators._sum's order, (0.0 + a) + b."""
+    """Per split the sufficient statistics (sum w, sum w*d, sum w*d^2) of its
+    arm deviations d = y - c, summed by estimators._sum, as one (3, S) array
+    in C order, which broadcasts faster. The one reference c, the mean study
+    effect, keeps S2 - S1^2 / S0 from cancelling when the effects sit far
+    from zero; being shared by all splits, it leaves Q_S exact in theory."""
     d = dataset.arm_y - float(np.add.reduce(dataset.y) / dataset.k)  # np.mean's sum and division
     wd = dataset.w * d
-    terms = np.array((dataset.w, wd, wd * d))  # (3, S, 2)
-    moments = ((0.0 + terms[..., 0]) + terms[..., 1]).T.tolist()
-    return [moments[start:start + count]
-            for start, count in zip(dataset.split_start, dataset.split_count)]
-
-
-def _qs_from_moments(moments, choices) -> float:
-    s0 = s1 = s2 = 0.0
-    for rows, c in zip(moments, choices):
-        a, b, d = rows[c]
-        s0 += a
-        s1 += b
-        s2 += d
-    return s2 - s1 * s1 / s0
+    return _sum(np.array((dataset.w, wd, wd * d)))
 
 
 def _choose_per_study(dataset: MetaDataset, keys, strategy, evaluated) -> SelectionResult:
     """Choose, in each study, the split with the smallest (keys[row], split
-    name) over its table rows; `evaluated` is reported as the combinations
-    evaluated."""
+    name) over its table rows, and its Q_S, summed study by study as in
+    _qs_blocks; `evaluated` is reported as the combinations evaluated."""
     names = dataset.split_names
     choices = tuple(
         min(range(count), key=lambda c, start=start: (keys[start + c], names[start + c]))
         for start, count in zip(dataset.split_start, dataset.split_count)
     )
-    q_s = _qs_from_moments(_split_moments(dataset), choices)
-    return SelectionResult(choices, float(q_s), strategy, evaluated)
+    rows = np.add(dataset.split_start, choices)
+    s0, s1, s2 = _sum(_split_moments(dataset)[:, rows]).tolist()
+    return SelectionResult(choices, s2 - s1 * s1 / s0, strategy, evaluated)
 
 
 def select_local(dataset: MetaDataset) -> SelectionResult:
@@ -143,12 +125,10 @@ def _qs_blocks(dataset: MetaDataset):
     """Q_S of every combination in enumeration order (last study fastest, a
     mixed-radix number over split indices), in arrays of at most _QS_BLOCK:
     one per prefix of the leading studies, broadcast over the trailing ones.
-    The sums grow study by study as in _qs_from_moments, so Q_S is identical.
+    The sums grow study by study as in _choose_per_study, so Q_S is identical.
     """
-    moments = _split_moments(dataset)
-    counts = [len(rows) for rows in moments]
-    table = np.array(list(zip(*itertools.chain.from_iterable(moments))))  # (3, S): C order broadcasts faster
-    sums = [table[:, start:end] for start, end in itertools.pairwise(itertools.accumulate(counts, initial=0))]
+    moments, counts = _split_moments(dataset), dataset.split_count
+    sums = [moments[:, start:start + count] for start, count in zip(dataset.split_start, counts)]
     lead = len(counts)
     while lead and math.prod(counts[lead - 1:]) <= _QS_BLOCK:
         lead -= 1

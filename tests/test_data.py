@@ -16,28 +16,11 @@ from fewmeta.data import (
     aggregate_study,
     consistency_gaps,
     load_csv,
-    prevalence_of,
     validate_dataset,
 )
 
 import reference_loader
 from conftest import PVALUE_DATASET, dataset_path, make_dataset, make_split
-
-
-def test_prevalence_examples():
-    assert prevalence_of(make_split("a", (0, 0), (1, 1), n=(6, 6))) == 0.5
-    assert prevalence_of(make_split("a", (0, 0), (1, 1), n=(4, 8))) == pytest.approx(1 / 3)
-    assert prevalence_of(make_split("a", (0, 0), (1, 1), n=(3, 9))) == 0.25
-
-
-def test_prevalence_scale_free():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        n1, n2 = rng.integers(1, 50, size=2)
-        c = int(rng.integers(1, 20))
-        p1 = prevalence_of(make_split("a", (0, 0), (1, 1), n=(n1, n2)))
-        p2 = prevalence_of(make_split("a", (0, 0), (1, 1), n=(c * n1, c * n2)))
-        assert p1 == pytest.approx(p2, abs=1e-15)
 
 
 def test_arm_validation():
@@ -286,6 +269,37 @@ def test_blank_study_row_is_derived_from_the_first_split_in_name_order(tmp_path)
         assert ds.y[0] == 2.0 and ds.se[0] == pytest.approx(math.sqrt(0.125), rel=1e-15)
 
 
+def _respire14_rows():
+    with open(dataset_path("respire14"), encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("row, column, value, message", [
+    (0, "n", "2_89", "RESPIRE-1: cannot parse number '2_89'"),
+    (0, "y", "-\u0660.\u0666\u0661\u0669\u0665",
+     "RESPIRE-1: cannot parse number '-\u0660.\u0666\u0661\u0669\u0665'"),
+    (2, "y", "-0.7_333", "RESPIRE-1/sex/arm1: cannot parse number '-0.7_333'"),
+    (3, "n", "\u0667\u0662", "RESPIRE-1/sex/arm2: cannot parse number '\u0667\u0662'"),
+    (2, "p_interaction", "0.0_5", "RESPIRE-1/sex: cannot parse number '0.0_5'"),
+], ids=["study-n", "study-y", "arm-y", "arm-n", "p_interaction"])
+def test_dict_rows_keep_to_the_number_grammar(row, column, value, message):
+    """The dict-row door reads its texts as the CSV door does: ASCII with
+    no '_', which float alone does not ask."""
+    rows = _respire14_rows()
+    rows[row][column] = value
+    with pytest.raises(ValidationError) as exc:
+        validate_dataset(rows)
+    assert str(exc.value) == message
+
+
+def test_dict_rows_may_hold_numbers_rather_than_texts():
+    """A value that is not text, such as a float or an int, is read by
+    float as it is: the same dataset as its repr."""
+    texts = _respire14_rows()
+    numbers = [dict(row, y=float(row["y"]), n=int(row["n"])) for row in texts]
+    assert validate_dataset(numbers) == validate_dataset(texts)
+
+
 def test_each_csv_effect_is_checked_once_over_columns(monkeypatch):
     """The loader range-checks each effect, se and n of a file once, all of
     them in one array (rows of effects, ses and ns), and builds no record."""
@@ -441,16 +455,18 @@ def _dump(dataset):
     return table
 
 
+def _dumped_outcome(load, *args):
+    try:
+        return _dump(load(*args))
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
 def _same_as_reference(live, reference, *args):
     """The live and the reference loader give the same dataset, value for
     value, or the same ValidationError text."""
-    def outcome(load):
-        try:
-            return _dump(load(*args))
-        except ValidationError as exc:
-            return f"ValidationError: {exc}"
-    expected = outcome(reference)
-    assert outcome(live) == expected
+    expected = _dumped_outcome(reference, *args)
+    assert _dumped_outcome(live, *args) == expected
     return expected
 
 
@@ -560,10 +576,34 @@ _CORRUPTIONS = ["abc", "", " ", "nan", "inf", "-inf", "1e41", "-1e41", "1e-41", 
                 "0", "-1", "2.5", " 3 ", "1e400", "0x10", "1_0", "0.5", "1", "7"]
 
 
+def _same_as_reference_in_the_grammar(tmp_path, rows):
+    """The rows (header first), from a file and as dicts, give the dataset
+    or the error that the reference loader gives once each 1_0 reads 1_0?
+    to it; returns the file's outcome. The reference reads 1_0 as 10,
+    while in the number grammar (data.plain_number) 1_0 does not parse, as
+    1_0? does not for both: the message names the text the rows hold."""
+    reference_rows = [["1_0?" if value == "1_0" else value for value in row] for row in rows]
+    outcomes = []
+    for live, reference, args in (
+        (load_csv, reference_loader.load_csv,
+         [_write(tmp_path, "\n".join(",".join(row) for row in r) + "\n", name)
+          for r, name in ((rows, "d.csv"), (reference_rows, "r.csv"))]),
+        (validate_dataset, reference_loader.validate_dataset,
+         [[dict(zip(r[0], row)) for row in r[1:]] for r in (rows, reference_rows)]),
+    ):
+        expected = _dumped_outcome(reference, args[1])
+        if isinstance(expected, str):
+            expected = expected.replace("'1_0?'", "'1_0'")
+        assert _dumped_outcome(live, args[0]) == expected
+        outcomes.append(expected)
+    return outcomes[0]
+
+
 def test_corrupted_files_match_the_reference_loader(tmp_path):
     """Seeded corruptions of one to three value fields (y, se, n and
     p_interaction, on study and arm rows): the same dataset or error as the
-    reference loader, from a file and from rows as dicts."""
+    reference loader in the number grammar, from a file and from rows as
+    dicts."""
     rng = np.random.default_rng(54)
     base = [line.split(",") for line in _generated_csv(rng, (2, 3, 1)).splitlines()]
     base = [row + (["p_interaction"] if r == 0 else [f"{rng.uniform():.2f}" if row[4] == "1" else ""])
@@ -573,18 +613,15 @@ def test_corrupted_files_match_the_reference_loader(tmp_path):
         for _ in range(int(rng.integers(1, 4))):
             r = int(rng.integers(1, len(rows)))
             rows[r][int(rng.choice([5, 6, 7, 8]))] = str(rng.choice(_CORRUPTIONS))
-        text = "\n".join(",".join(row) for row in rows) + "\n"
-        _same_as_reference(load_csv, reference_loader.load_csv, _write(tmp_path, text))
-        dicts = [dict(zip(rows[0], row)) for row in rows[1:]]
-        _same_as_reference(validate_dataset, reference_loader.validate_dataset, dicts)
+        _same_as_reference_in_the_grammar(tmp_path, rows)
 
 
 def test_structural_corruptions_match_the_reference_loader(tmp_path):
     """Seeded structural faults (a deleted arm row, a study row's y and se
     both blanked, so that it is derived, only one of them blanked, and a
     derived study without splits) mixed with the value corruptions above:
-    the same dataset or error as the reference loader, from a file and from
-    rows as dicts."""
+    the same dataset or error as the reference loader in the number grammar,
+    from a file and from rows as dicts."""
     rng = np.random.default_rng(30)
     base = [line.split(",") for line in _generated_csv(rng, (2, 3, 1, 0)).splitlines()]
     base = [row + (["p_interaction"] if r == 0 else [f"{rng.uniform():.2f}" if row[4] == "1" else ""])
@@ -605,11 +642,7 @@ def test_structural_corruptions_match_the_reference_loader(tmp_path):
                 rows[r][int(rng.choice([5, 6]))] = ""
             else:
                 rows[r][5] = rows[r][6] = ""
-        text = "\n".join(",".join(row) for row in rows) + "\n"
-        expected = _same_as_reference(load_csv, reference_loader.load_csv, _write(tmp_path, text))
-        dicts = [dict(zip(rows[0], row)) for row in rows[1:]]
-        _same_as_reference(validate_dataset, reference_loader.validate_dataset, dicts)
-        loaded += not isinstance(expected, str)
+        loaded += not isinstance(_same_as_reference_in_the_grammar(tmp_path, rows), str)
     assert 0 < loaded < 300  # both outcomes were met
 
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from fewmeta import intervals
+from fewmeta import estimators, intervals
 from fewmeta.data import ValidationError
 from fewmeta.intervals import (
     HCS_MAX1,
@@ -23,7 +23,6 @@ from fewmeta.intervals import (
     student_t_cdf,
     t_quantile,
     variance_hcs,
-    zh_variance,
 )
 
 from conftest import make_dataset, make_split
@@ -294,18 +293,19 @@ def test_ci_mkh_matches_hksj_when_q_large():
 
 
 def test_zh_variance_hand_cases():
-    _, v2 = zh_variance([0.0, 1.0], [0.5, 0.5], 0.25)
+    v2 = intervals._zh_variance(estimators._pool(np.array([0.0, 1.0]),
+                                                 estimators._re_weights([0.5, 0.5], 0.25)))
     assert v2 == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("helper", [hksj_scale, zh_variance])
+@pytest.mark.parametrize("helper", [hksj_scale])
 @pytest.mark.parametrize("y, se", [
     ([0.1, 0.2], [0.5, math.inf]),
     ([0.1, 0.2, 0.3], [0.5, math.inf, 0.4]),
 ], ids=["k2", "k3"])
 def test_re_helpers_reject_a_zero_weight(helper, y, se):
-    # se = inf weighs zero: k = 2 used to give a finite q of 0.0 (HKSJ) or
-    # divide by zero (ZH), k = 3 a finite value from the other studies
+    # se = inf weighs zero: k = 2 used to give a finite q of 0.0, k = 3 a
+    # finite value from the other studies
     with pytest.raises(ValidationError, match=f"{helper.__name__}: weights must be positive"):
         helper(y, se, 0.0)
     with pytest.raises(ValidationError, match="weights must be positive"):

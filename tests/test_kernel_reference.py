@@ -79,9 +79,9 @@ def _compare(y, se, y_sub, se_sub, p, level=0.95):
     )
     tau2 = np.abs(y[..., 0]) * 0.3
     w = se ** -2.0
-    # hksj_scale and zh_variance reject a zero weight, which the frozen
-    # reference lets through
-    rejects_zero_weight = (intervals.hksj_scale, intervals.zh_variance)
+    # hksj_scale rejects a zero weight, which the frozen reference lets
+    # through
+    rejects_zero_weight = (intervals.hksj_scale,)
     zero_weight = bool(np.isinf(se).any())
     for new, old, args in (
         (estimators.mu_ce, ref.mu_ce, (y, w)),
@@ -93,7 +93,6 @@ def _compare(y, se, y_sub, se_sub, p, level=0.95):
         (estimators.shrinkage_coefficients, ref.shrinkage_coefficients, (se_sub, p)),
         (estimators.dls_adj_raw, ref.dls_adj_raw, (y_sub, se_sub, p)),
         (intervals.hksj_scale, ref.hksj_scale, (y, se, tau2)),
-        (intervals.zh_variance, ref.zh_variance, (y, se, tau2)),
         (intervals.variance_hcs, ref.variance_hcs, (tau2, w)),
     ):
         if zero_weight and new in rejects_zero_weight:

@@ -25,7 +25,7 @@ from fewmeta.estimators import (
     qs_raw,
     shrinkage_coefficients,
 )
-from fewmeta.intervals import hksj_scale, variance_hcs, zh_variance
+from fewmeta.intervals import ZH, hksj_scale, meta_kernel, variance_hcs
 from fewmeta.report import build_report
 from fewmeta.selection import select_global, select_local
 
@@ -121,9 +121,8 @@ def test_scale_and_translation_equivariance(instances):
     assert np.allclose(
         mu_ce_subgroup(y + shift, se), mu_ce_subgroup(y, se) + shift, rtol=1e-12
     )
-    tau2 = np.maximum(0.0, dl_raw(y_stu, se_stu))
-    _, v0 = zh_variance(y_stu, se_stu, tau2)
-    _, v1 = zh_variance(y_stu + shift, se_stu, tau2)
+    v0 = meta_kernel(y_stu, se_stu).intervals[ZH].variance
+    v1 = meta_kernel(y_stu + shift, se_stu).intervals[ZH].variance
     assert np.allclose(v0, v1, rtol=1e-9, atol=1e-15)
 
 

@@ -557,6 +557,57 @@ def test_cli_simulate_rejects_out_of_range_parameters(tmp_path, flag, value, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("door, name, text", [
+    ("flag", "reps", "1_0"), ("flag", "k", "\u0662"), ("flag", "prev", "1_0/2_0"),
+    ("config", "tau", "0_0"), ("config", "sigma_delta", "\u0660"), ("env", "seed", "1_0"),
+])
+def test_cli_simulate_settings_keep_to_the_number_grammar(tmp_path, monkeypatch, door, name, text):
+    """int, float and Fraction read 1_0 as 10 and \u0662 as 2; a setting,
+    from a flag, the config file or FEWMETA_SEED, must be ASCII with no '_'."""
+    flags = dict(zip(SIMULATE_ONE[1::2], SIMULATE_ONE[2::2]))
+    flag = "--" + name.replace("_", "-")
+    del flags[flag]
+    monkeypatch.delenv("FEWMETA_SEED", raising=False)
+    extra = []
+    if door == "flag":
+        flags[flag] = text
+    elif door == "config":
+        (tmp_path / "sim.cfg").write_text(f"{name}={text}\n", encoding="utf-8")
+        extra = ["--config", str(tmp_path / "sim.cfg")]
+    else:
+        monkeypatch.setenv("FEWMETA_SEED", text)
+    out = tmp_path / "m.csv"
+    args = ["simulate", *(part for pair in flags.items() for part in pair), *extra, "--out", str(out)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "validation",
+        "message": f"{name}: cannot parse {text!r}: a number is ASCII text with no '_'",
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, option, text, kind", [
+    (["analyze", dataset_path("sglt2"), "--level"], "--level", "0.9_5", "float"),
+    (["analyze", dataset_path("sglt2"), "--level"], "--level", "\u0660.95", "float"),
+    (["select", dataset_path("sglt2"), "--max-combos"], "--max-combos", "1_000", "integer"),
+    (["analyze", dataset_path("sglt2"), "--max-combos"], "--max-combos", "\u0661\u0660", "integer"),
+    (SIMULATE_ONE + ["--jobs"], "--jobs", "1_0", "integer"),
+    (["validate", "--seed"], "--seed", "\u0662", "integer"),
+], ids=["level-underscore", "level-digits", "max-combos-underscore", "max-combos-digits", "jobs",
+        "validate-seed"])
+def test_numeric_options_keep_to_the_number_grammar(tmp_path, args, option, text, kind):
+    """click's INT and FLOAT read 1_0 as 10 and \u0662 as 2; the numeric
+    options refuse them as click refuses any other text."""
+    with CliRunner().isolated_filesystem(temp_dir=tmp_path):
+        result = CliRunner().invoke(main, args + [text])
+        assert os.listdir(".") == []
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "usage", "message": f"Invalid value for {option!r}: {text!r} is not a valid {kind}.",
+    }
+
+
 @pytest.mark.parametrize("flag", ["--sizes-meanlog", "--sizes-sdlog"])
 def test_cli_simulate_has_no_study_size_flags(tmp_path, flag):
     # the study-size law is fixed: its old flags are usage errors
@@ -960,6 +1011,24 @@ def test_cli_malformed_numbers_are_validation_errors(tmp_path, row, column, valu
     assert error["error"] == "validation"
     assert error["message"].startswith(where + ":")
     assert repr(value) in error["message"]
+
+
+@pytest.mark.parametrize("row, column, value, message", [
+    (0, "n", "2_89", "RESPIRE-1: cannot parse number '2_89'"),
+    (0, "y", "-\u0660.\u0666\u0661\u0669\u0665",
+     "RESPIRE-1: cannot parse number '-\u0660.\u0666\u0661\u0669\u0665'"),
+    (2, "n", "2_17", "RESPIRE-1/sex/arm1: cannot parse number '2_17'"),
+    (2, "se", "\u0660.1693", "RESPIRE-1/sex/arm1: cannot parse number '\u0660.1693'"),
+    (2, "p_interaction", "0.0_5", "RESPIRE-1/sex: cannot parse number '0.0_5'"),
+], ids=["study-n", "study-y", "arm-n", "arm-se", "p_interaction"])
+def test_cli_numbers_outside_the_grammar_are_validation_errors(tmp_path, row, column, value, message):
+    """float reads 2_89 as 289 and Arabic-Indic digits as their ASCII
+    values; a number in a file is ASCII text with no '_'."""
+    path = tmp_path / "grammar.csv"
+    path.write_text(_respire14_with(row, column, value), encoding="utf-8")
+    result = CliRunner().invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {"error": "validation", "message": message}
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from fewmeta.selection import (
     select_global,
     select_local,
     select_pvalue,
-    within_study_q,
     write_histogram_csv,
 )
 
@@ -42,20 +41,21 @@ from conftest import (
 
 
 def test_within_study_q_hand_case():
-    flat = make_split("A", (0.0, 0.0), (1.0, 1.0))
-    steep = make_split("B", (-1.0, 1.0), (1.0, 1.0))
-    assert within_study_q(flat) == pytest.approx(0.0)
-    assert within_study_q(steep) == pytest.approx(2.0)
     # deviations -d and d whose libm pow(d, 2) is one ulp off d * d
     d = 7.2249061795510094
     assert d ** 2 != d * d
-    assert within_study_q(make_split("C", (-d, d), (1.0, 1.0))) == 2.0 * (d * d)
+    flat = make_split("A", (0.0, 0.0), (1.0, 1.0))
+    steep = make_split("B", (-1.0, 1.0), (1.0, 1.0))
+    ds = make_dataset([(0.0, 0.7, [flat, steep]), (0.0, 0.7, [make_split("C", (-d, d), (1.0, 1.0))])])
+    q = selection._within_q(ds.w, ds.arm_y, ds.agg_y).tolist()
+    assert q[:2] == pytest.approx([0.0, 2.0])
+    assert q[2] == 2.0 * (d * d)
 
 
 def _numpy_split_statistics(specs):
-    """Per split of make_dataset's study specs, within_study_q and the Q_S
-    moments as numpy sums over the two arms: the formulation the
-    plain-float statistics reproduce."""
+    """Per split of make_dataset's study specs, the within-study Q and the
+    Q_S moments as numpy sums over the two arms: the formulation the
+    table's statistics reproduce."""
     c = np.mean([y for y, _, _ in specs])
     out = []
     for _, _, splits in specs:
@@ -70,8 +70,8 @@ def _numpy_split_statistics(specs):
 
 @pytest.mark.parametrize("case", ["random", "shifted", "signed-zeros"])
 def test_split_statistics_are_the_numpy_sums_bit_for_bit(case):
-    """within_study_q of each split record, and the table's _within_q of
-    the same splits, equal the numpy sums bit for bit."""
+    """The table's _within_q and Q_S moments of each split equal the numpy
+    sums bit for bit."""
     rng = np.random.default_rng(21)
     if case == "signed-zeros":
         def effects(n):
@@ -91,9 +91,7 @@ def test_split_statistics_are_the_numpy_sums_bit_for_bit(case):
         ]
         ds = make_dataset(specs)
         expected = _numpy_split_statistics(specs)
-        q = [within_study_q(split) for _, _, splits in specs for split in splits]
-        moments = [row for rows in selection._split_moments(ds) for row in rows]
-        assert [repr(v) for v in q] == [repr(e) for e, _ in expected]
+        moments = selection._split_moments(ds).T.tolist()
         assert ([repr(v) for v in selection._within_q(ds.w, ds.arm_y, ds.agg_y).tolist()]
                 == [repr(e) for e, _ in expected])
         assert [[repr(float(v)) for v in row] for row in moments] == [
@@ -332,12 +330,12 @@ def _enumerate(counts):
 
 def _qs_loop(dataset):
     """Every (choices, Q_S) pair, summed one combination at a time."""
-    moments = selection._split_moments(dataset)
+    moments = selection._split_moments(dataset).T.tolist()
     out = []
     for choices in _enumerate(dataset.split_count):
         s0 = s1 = s2 = 0.0
-        for rows, c in zip(moments, choices):
-            a, b, d = rows[c]
+        for start, c in zip(dataset.split_start, choices):
+            a, b, d = moments[start + c]
             s0 += a
             s1 += b
             s2 += d
@@ -388,6 +386,27 @@ def test_qs_all_equals_loop_bit_for_bit(monkeypatch, block):
         assert list(values) == list(values) == [(cid, q) for cid, (_, q) in enumerate(expected)]
 
 
+def _enumerated_qs(dataset, result):
+    """The Q_S that the enumeration gives at the combination of `result`."""
+    values = np.concatenate(list(selection._qs_blocks(dataset)))
+    return float(values[np.ravel_multi_index(result.choices, dataset.split_count)])
+
+
+def test_per_study_choosers_and_the_enumeration_agree_bit_for_bit():
+    """select_local's and select_pvalue's Q_S, read at table rows
+    split_start + choices, is the enumeration's Q_S of that combination,
+    and no global maximum falls below a local choice, with no slack:
+    shifted effects and tied splits included."""
+    bundled = [load_csv(dataset_path(name)) for name in ("sglt2", "respire14", "respire28")]
+    for ds in [*_random_datasets(), *bundled]:
+        local = select_local(ds)
+        assert repr(local.q_s) == repr(_enumerated_qs(ds, local))
+        assert select_global(ds).q_s >= local.q_s
+    pvalue = load_csv(PVALUE_DATASET)
+    result = select_pvalue(pvalue)
+    assert repr(result.q_s) == repr(_enumerated_qs(pvalue, result))
+
+
 def test_histogram_is_streamed_in_bounded_memory(tmp_path):
     """8^6 = 262 144 combinations go to the file holding one block of Q_S
     and one chunk of at most 1000 rows at a time (2.5 MB); a list of the
@@ -426,7 +445,7 @@ def test_select_global_skips_nan(monkeypatch):
     a = make_split("a", (0.5, -0.5), (1.0, 1.0))
     b = make_split("b", (0.1, -0.1), (1.0, 1.0))
     ds = make_dataset([(0.0, 0.7, [a, b]), (0.0, 0.7, [a, b])])
-    moments = [[(1.0, math.nan, 0.0), (1.0, 1.0, 2.0)], [(1.0, 0.0, 0.0), (1.0, 1.0, 2.0)]]
+    moments = np.array([(1.0, math.nan, 0.0), (1.0, 1.0, 2.0), (1.0, 0.0, 0.0), (1.0, 1.0, 2.0)]).T
     monkeypatch.setattr(selection, "_split_moments", lambda dataset: moments)
     res = select_global(ds)
     assert res.choices == (1, 1)
@@ -472,7 +491,7 @@ def test_select_histogram_skips_nan_as_plain_select_does(tmp_path, monkeypatch, 
     a = make_split("a", (0.5, -0.5), (1.0, 1.0))
     b = make_split("b", (0.1, -0.1), (1.0, 1.0))
     path = _csv_of(make_dataset([(0.0, 0.7, [a, b]), (0.0, 0.7, [a, b])]), tmp_path / "d.csv")
-    moments = [[(1.0, math.nan, 0.0), (1.0, 1.0, 2.0)], [(1.0, 0.0, 0.0), (1.0, 1.0, 2.0)]]
+    moments = np.array([(1.0, math.nan, 0.0), (1.0, 1.0, 2.0), (1.0, 0.0, 0.0), (1.0, 1.0, 2.0)]).T
     monkeypatch.setattr(selection, "_split_moments", lambda dataset: moments)
     plain = _select_lines(path)
     assert plain[1:3] == ["choices: s1=b, s2=b", "Q_S: 2"]

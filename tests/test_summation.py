@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import fewmeta
 from fewmeta.cli import main
 from fewmeta.estimators import _sum, shrinkage_coefficients
-from fewmeta.intervals import variance_hcs, zh_variance
+from fewmeta.intervals import hksj_scale, variance_hcs
 
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
 
@@ -215,7 +215,7 @@ def test_helpers_on_one_dataset_equal_their_rows_of_a_batch():
 
     def helpers(*rows):
         y, se, tau2, se_sub, p = rows
-        return (*zh_variance(y, se, tau2), variance_hcs(tau2, se ** -2.0),
+        return (*hksj_scale(y, se, tau2), variance_hcs(tau2, se ** -2.0),
                 *shrinkage_coefficients(se_sub, p))
 
     batch = helpers(y, se, tau2, se_sub, p)
