@@ -7,12 +7,13 @@ table. It has two front doors:
 - load_csv (and validate_dataset, for rows as dicts) builds the table
   straight from the file's columns and builds no record;
 - MetaDataset(studies) builds the same table from records:
-  Study(study_id, y, se, splits, selected), each split a SubgroupSplit of
-  two SubgroupArm(y, se, n).
+  Study(study_id, y, se, splits), each split a SubgroupSplit of two
+  SubgroupArm(y, se, n).
 
-The table keeps no record, and nothing turns it back into records. Both
-doors apply one set of value rules (_within a closed range per kind of
-number, _whole, _floor_ok) to scalars or to whole columns, and one
+Neither door selects a split (only with_selection does, in every study at
+once). The table keeps no record, and nothing turns it back into records.
+Both doors apply one set of value rules (_within a closed range per kind
+of number, _whole, _floor_ok) to scalars or to whole columns, and one
 aggregate (_aggregate). The CSV door fills a derived study estimate in
 before it checks, and walks the rows for the first failure
 (_first_failure) only when a check has failed. A MetaDataset refuses
@@ -96,10 +97,15 @@ _COUNT_RULE = "n must be a whole number >= 1, got {!r}"
 _PROBABILITY_RULE = "p_interaction must be a number in [0, 1], got {!r}"
 
 
+def _number(x):
+    """A record's value, a text (str, bytes, bytearray) as NaN: see plain_number."""
+    return math.nan if isinstance(x, (str, bytes, bytearray)) else x
+
+
 def _check_effect(y, se, who):
-    if not _within(y, _EFFECT_RANGE):
+    if not _within(_number(y), _EFFECT_RANGE):
         raise ValidationError(f"{who}: {_EFFECT_RULE}")
-    if not _within(se, SE_RANGE):
+    if not _within(_number(se), SE_RANGE):
         raise ValidationError(f"{who}: {_SE_RULE}")
 
 
@@ -114,7 +120,7 @@ class SubgroupArm:
     def __post_init__(self):
         _check_effect(self.y, self.se, "arm")
         try:
-            n = float(self.n)
+            n = float(_number(self.n))
         except (TypeError, ValueError, OverflowError):
             n = math.nan
         if not (_within(n, _COUNT_RANGE) and _whole(n)):
@@ -141,7 +147,7 @@ class SubgroupSplit:
             raise ValidationError(
                 f"split {self.split_name!r}: exactly two arms required"
             )
-        if self.p_interaction is not None and not _within(self.p_interaction, _PROBABILITY_RANGE):
+        if self.p_interaction is not None and not _within(_number(self.p_interaction), _PROBABILITY_RANGE):
             raise ValidationError(f"split {self.split_name!r}: "
                                   + _PROBABILITY_RULE.format(self.p_interaction))
         _, agg_y, agg_se = _aggregate(np.array([a.y for a in self.arms]),
@@ -164,7 +170,6 @@ class Study:
     y: float
     se: float
     splits: tuple = ()
-    selected: Optional[int] = None
 
     def __post_init__(self):
         _check_effect(self.y, self.se, f"study {self.study_id!r}")
@@ -172,10 +177,6 @@ class Study:
         if len(set(names)) != len(names):
             raise ValidationError(
                 f"study {self.study_id!r}: duplicate split names"
-            )
-        if self.selected is not None and not (0 <= self.selected < len(self.splits)):
-            raise ValidationError(
-                f"study {self.study_id!r}: selected split out of range"
             )
 
 
@@ -190,8 +191,8 @@ class MetaDataset:
     """k >= 2 studies, each with an estimate and zero or more candidate
     splits, as one column table:
 
-    - study_ids (k names), y and se ((k,) arrays), and selected: per study
-      the index of its selected split among its own, or None;
+    - study_ids (k names), y and se ((k,) arrays), and selected: None, or
+      per study the index of its split that with_selection selected;
     - split_start and split_count: per study, the row of its first split
       and its number of splits, its splits being the rows in between;
     - per split row (S of them, study by study): split_names, split_study
@@ -219,14 +220,13 @@ class MetaDataset:
               for name in ("y", "se", "n")),
             np.array([np.nan if s.p_interaction is None else s.p_interaction for s in splits],
                      dtype=float),
-            tuple(s.selected for s in studies),
         )
 
     def _build(self, study_ids, y, se, split_count, split_names, arm_y, arm_se, arm_n,
-               p_interaction, selected, aggregates=None):
+               p_interaction, aggregates=None):
         if len(study_ids) < 2:
             raise ValidationError("analysis requires at least 2 studies")
-        self.study_ids, self.y, self.se, self.selected = study_ids, y, se, selected
+        self.study_ids, self.y, self.se, self.selected = study_ids, y, se, None
         self.split_count = split_count
         self.split_start = tuple(itertools.accumulate(split_count[:-1], initial=0))
         self.split_names, self.arm_y, self.arm_se, self.arm_n = split_names, arm_y, arm_se, arm_n
@@ -260,14 +260,11 @@ class MetaDataset:
         return bool(self.split_names)
 
     @property
-    def fully_selected(self) -> bool:
-        return None not in self.selected
-
-    @property
     def selected_names(self) -> list:
-        """Each study's selected split name, or None."""
-        return [None if c is None else self.split_names[start + c]
-                for start, c in zip(self.split_start, self.selected)]
+        """Each study's selected split name, all None without a selection."""
+        if self.selected is None:
+            return [None] * self.k
+        return [self.split_names[start + c] for start, c in zip(self.split_start, self.selected)]
 
     def with_selection(self, choices: Sequence[int]) -> "MetaDataset":
         """Return a copy, sharing the table, with one split selected per study."""
@@ -341,20 +338,23 @@ def plain_number(text: str) -> bool:
 def _floats(values):
     """The values as a float array, NaN where one does not parse, and the
     mask of those that did not (None when all parsed). Texts parse only in
-    plain_number's grammar, checked once over them all joined."""
+    plain_number's grammar, checked once over them all joined when all are
+    texts; bytes never parse, though float reads b'2_89' as 289."""
     try:
-        if plain_number("".join([v for v in values if isinstance(v, str)])):
+        if plain_number("".join(values)):
             return np.fromiter(map(float, values), float, len(values)), None
     except (TypeError, ValueError):
         pass
     parsed = []
     for value in values:
         try:
-            parsed.append(None if isinstance(value, str) and not plain_number(value) else float(value))
+            parsed.append(None if isinstance(value, (bytes, bytearray))
+                          or isinstance(value, str) and not plain_number(value) else float(value))
         except (TypeError, ValueError):
             parsed.append(None)
+    unparsed = np.array([v is None for v in parsed])
     return (np.array([math.nan if v is None else v for v in parsed], dtype=float),
-            np.array([v is None for v in parsed]))
+            unparsed if unparsed.any() else None)
 
 
 def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
@@ -440,17 +440,18 @@ def _build_dataset(rows) -> MetaDataset:
 
     # Every number a check reads, in one column: the effects (arms, then
     # studies), the ses and the ns in rows of m = 2S + k, then the S
-    # p_interactions. A derived study estimate reads NaN until it is filled
-    # in, an absent study n 1 and an absent p_interaction NaN.
+    # p_interactions. A derived study estimate reads "nan" until it is filled
+    # in, an absent study n "1" and an absent p_interaction "nan": fillers
+    # written as text keep a file's column all text, for _floats' one join.
     size, m = len(names), 2 * len(names) + len(ids)
     texts = [r[4] for r in arms]
-    texts += [math.nan if d else r[4] for d, r in zip(derived, studies)]
+    texts += ["nan" if d else r[4] for d, r in zip(derived, studies)]
     texts += [r[5] for r in arms]
-    texts += [math.nan if d else r[5] for d, r in zip(derived, studies)]
+    texts += ["nan" if d else r[5] for d, r in zip(derived, studies)]
     texts += n_texts
-    texts += [1.0 if r[6] in _BLANK else r[6] for r in studies]
+    texts += ["1" if r[6] in _BLANK else r[6] for r in studies]
     p_given = [t not in _BLANK for t in p_texts]
-    texts += [t if given else math.nan for t, given in zip(p_texts, p_given)]
+    texts += [t if given else "nan" for t, given in zip(p_texts, p_given)]
     values, unparsed = _floats(texts)
     numbers, p = values[:3 * m].reshape(3, m), values[3 * m:]
 
@@ -473,7 +474,7 @@ def _build_dataset(rows) -> MetaDataset:
                                              bad, in_range, whole, p, aggregates[2]))
     dataset = MetaDataset.__new__(MetaDataset)
     dataset._build(ids, *numbers[:2, 2 * size:], tuple(counts), tuple(names),
-                   arm_y, arm_se, arm_n, p, (None,) * len(ids), aggregates)
+                   arm_y, arm_se, arm_n, p, aggregates)
     return dataset
 
 

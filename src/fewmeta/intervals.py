@@ -431,12 +431,12 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95) -> KernelResult:
 def dataset_kernel(dataset: MetaDataset, level: float = 0.95) -> KernelResult:
     """The kernel on one dataset at confidence level `level` (checked by
     meta_kernel): its (k,) study rows from the dataset's table, plus the
-    (k, 2) arms of its selected splits when every study has a selection
-    (otherwise the HCS fallback). With no replicate axis the kernel's study
-    and arm sums are numpy scalars, which cost less to add than one-element
-    arrays; the values are those of the same rows in a batch, bit for bit."""
+    (k, 2) arms of its selected splits when it has a selection (otherwise
+    the HCS fallback). With no replicate axis the kernel's study and arm
+    sums are numpy scalars, which cost less to add than one-element arrays;
+    the values are those of the same rows in a batch, bit for bit."""
     arms = ()
-    if dataset.fully_selected:
+    if dataset.selected is not None:
         rows = np.add(dataset.split_start, dataset.selected)  # each selected split's table row
         arms = dataset.arm_y[rows], dataset.arm_se[rows]
     return meta_kernel(dataset.y, dataset.se, *arms, level=level)

@@ -8,15 +8,16 @@ p-value (pvalue), when the input carries them. The third is an exhaustive
 most _QS_BLOCK (about 0.1 us each). All three read the (3, S) moments of
 _split_moments at table rows split_start + c, as dataset_kernel does.
 
-qs_histogram returns a lazy view of every (combination id, Q_S) pair: each
-pass over it evaluates the blocks again, and a complete pass also yields the
-global choice (QsValues.selection), the first maximum in enumeration order,
-NaN never winning; select_global is one such pass, so `select --histogram`
-enumerates once. write_histogram_csv writes the blocks chunk by chunk, at
-most 1000 rows to a chunk, so a histogram of any size holds about one block
-(a few MB) at a time. Its rows come from fixed templates of the ids, so the
-only per-row formatting is each float's repr (about 0.6 of the 0.7 us a row
-costs).
+QsValues, made by select_global and qs_histogram, is the global search: it
+checks the candidates and the budget, and each pass over it evaluates the
+blocks again, yielding every (combination id, Q_S) pair and keeping the
+global choice, the first maximum in enumeration order, NaN never winning.
+selection() returns it, after a pass of its own if none has completed, so
+`select --histogram` enumerates once. write_histogram_csv writes the blocks
+chunk by chunk, at most 1000 rows to a chunk, so a histogram of any size
+holds about one block (a few MB) at a time. Its rows come from fixed
+templates of the ids, so the only per-row formatting is each float's repr
+(about 0.6 of the 0.7 us a row costs).
 """
 
 from __future__ import annotations
@@ -113,14 +114,6 @@ def select_local(dataset: MetaDataset) -> SelectionResult:
     return _choose_per_study(dataset, (-q).tolist(), LOCAL, len(dataset.split_names))
 
 
-def _check_budget(dataset: MetaDataset, max_combinations: int) -> int:
-    _require_candidates(dataset)
-    total = math.prod(dataset.split_count)
-    if total > max_combinations:
-        raise CombinationBudgetError(total, max_combinations)
-    return total
-
-
 def _qs_blocks(dataset: MetaDataset):
     """Q_S of every combination in enumeration order (last study fastest, a
     mixed-radix number over split indices), in arrays of at most _QS_BLOCK:
@@ -148,10 +141,7 @@ def select_global(
     """Exhaustively evaluate the subgroup Q statistic over every split
     combination and return the argmax: one pass of QsValues, whose rule
     picks the first maximum in enumeration order."""
-    values = QsValues(dataset, _check_budget(dataset, max_combinations))
-    for _ in values.arrays():
-        pass
-    return values.selection()
+    return QsValues(dataset, max_combinations).selection()
 
 
 def select_pvalue(dataset: MetaDataset) -> SelectionResult:
@@ -179,23 +169,26 @@ def select(dataset: MetaDataset, strategy: str, max_combinations: int = DEFAULT_
 
 
 class QsValues:
-    """Every (combination id, Q_S) pair of a dataset, in enumeration order:
-    `len()` is the number of combinations, and each pass evaluates
-    _qs_blocks afresh, holding one block at a time. A complete pass also
-    finds the global choice, which selection() then returns, so a
-    histogram and the global search share one enumeration."""
+    """Every (combination id, Q_S) pair of a dataset, in enumeration order,
+    at most max_combinations of them (len()): each pass evaluates
+    _qs_blocks afresh, holding one block at a time, and a complete pass
+    finds the global choice that selection() returns, so a histogram and
+    the global search share one enumeration."""
 
-    def __init__(self, dataset: MetaDataset, total: int):
+    def __init__(self, dataset: MetaDataset, max_combinations: int):
+        _require_candidates(dataset)
+        self._total = math.prod(dataset.split_count)
+        if self._total > max_combinations:
+            raise CombinationBudgetError(self._total, max_combinations)
         self._dataset = dataset
-        self._total = total
         self._best = None  # (Q_S, id) of the first maximum, after a complete pass
 
     def __len__(self) -> int:
         return self._total
 
-    def arrays(self):
-        """The Q_S blocks as arrays, keeping the first maximum in
-        enumeration order; NaN never wins."""
+    def blocks(self):
+        """The Q_S arrays, block by block (the ids run on from 0 across them),
+        keeping the first maximum in enumeration order; NaN never wins."""
         best_q, best_at, start = -math.inf, None, 0
         for q in _qs_blocks(self._dataset):
             i = int(q.argmax())
@@ -207,19 +200,14 @@ class QsValues:
             yield q
         self._best = best_q, best_at
 
-    def blocks(self):
-        """The Q_S values as lists of floats, block by block; the ids run on
-        from 0 across them."""
-        for q in self.arrays():
-            yield q.tolist()
-
     def __iter__(self):
-        return enumerate(itertools.chain.from_iterable(self.blocks()))
+        return enumerate(itertools.chain.from_iterable(q.tolist() for q in self.blocks()))
 
     def selection(self) -> SelectionResult:
-        """The global choice found by the last complete pass."""
+        """The global choice of the last complete pass, making one if none has."""
         if self._best is None:
-            raise RuntimeError("selection() needs a complete pass over the blocks")
+            for _ in self.blocks():
+                pass
         best_q, best_at = self._best
         choices = tuple(int(c) for c in np.unravel_index(best_at, self._dataset.split_count))
         return SelectionResult(choices, best_q, GLOBAL, self._total)
@@ -231,8 +219,7 @@ def qs_histogram(
     """All (combination id, Q_S) pairs over the full enumeration, as a lazy
     QsValues view, plus the threshold 2k-1 above which the subgroup-level
     tau^2 estimate is positive."""
-    total = _check_budget(dataset, max_combinations)
-    return QsValues(dataset, total), 2 * dataset.k - 1
+    return QsValues(dataset, max_combinations), 2 * dataset.k - 1
 
 
 # Row templates: the ids below 1000, and the three-digit tails of larger ids.
@@ -267,7 +254,7 @@ def write_histogram_csv(values, path):
         yield "combination_id,q_s\r\n"
         start = 0
         for q in values.blocks():
-            yield from _histogram_rows(start, q)
-            start += len(q)
+            yield from _histogram_rows(start, q.tolist())
+            start += q.size
 
     write_atomic(path, chunks())

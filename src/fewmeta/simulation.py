@@ -42,7 +42,7 @@ from typing import ClassVar, Iterable, Sequence
 import numpy as np
 
 from .data import MAX_ABS_EFFECT, ValidationError, canonical_json
-from .estimators import DL, TAU2_METHODS, dls_raw, expected_tau2_dls
+from .estimators import DL, DLS, TAU2_METHODS, expected_tau2_dls
 from .intervals import CI_METHODS, HCS_MAX1, HCS_MAX2, HKSJ, MKH, meta_kernel
 from .report import write_atomic
 
@@ -316,13 +316,16 @@ def validate_expectation(scenario: Scenario, sizes):
     mean at fixed weights.
 
     The k study `sizes` are given and held fixed; only the effects are
-    resampled. Passes iff the Monte Carlo mean of the raw estimator is
-    within 3 Monte Carlo SEs of
+    resampled. Passes iff the Monte Carlo mean of the raw estimator, as the
+    kernel the commands run computes it, is within 3 Monte Carlo SEs of
     A * tau^2 + (Delta^2 + sigma_Delta^2) * B_coefficient.
     """
     rng = scenario_rng(scenario)
     y_sub, se_sub, n_arm = _draw_replicates(scenario, rng, scenario.n_reps, sizes=sizes)
-    raw = dls_raw(y_sub, se_sub)
+    result = meta_kernel(None, None, y_sub, se_sub)
+    if result.errors:
+        raise ValidationError(next(iter(result.errors.values())))
+    raw = result.tau2_raw[DLS]
     p_arr = n_arm[0, :, 0] / np.sum(n_arm[0], axis=-1)
     expected = float(
         expected_tau2_dls(

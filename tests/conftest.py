@@ -95,9 +95,8 @@ def make_split(name, y, se, n=(10, 10), p_interaction=None):
 
 
 def make_dataset(study_specs, selected=None):
-    """study_specs: list of (y, se, [splits]); selected: index list or None."""
-    studies = []
-    for i, (y, se, splits) in enumerate(study_specs):
-        sel = None if selected is None else selected[i]
-        studies.append(Study(f"s{i + 1}", float(y), float(se), tuple(splits), sel))
-    return MetaDataset(tuple(studies))
+    """study_specs: list of (y, se, [splits]); selected: None, or one split
+    index per study, applied by with_selection."""
+    dataset = MetaDataset(Study(f"s{i + 1}", float(y), float(se), tuple(splits))
+                          for i, (y, se, splits) in enumerate(study_specs))
+    return dataset if selected is None else dataset.with_selection(selected)

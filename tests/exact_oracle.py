@@ -1,11 +1,14 @@
-"""Exact values of the moment tau^2 estimators and of Q_S, for the tests.
+"""Exact values of the moment tau^2 estimators, of Q_S and of the interval
+variances, for the tests.
 
 Every input double is taken as the Fraction it equals, and DL, DLS, the
 shrinkage factor A and DLS_ADJ are computed from it without rounding: each
-is rational in the study rows and the selected splits' arms. So is Q_S,
-the subgroup Q statistic of every split combination. The formulas are the
-package's own (fewmeta.estimators, fewmeta.selection), written once more
-in exact arithmetic, so a test can bound the rounding error.
+is rational in the study rows and the selected splits' arms. So are
+Cochran's Q, the bias coefficient B, Q_S, the subgroup Q statistic of every
+split combination, and the six interval variances given the tau^2 each
+plugs in. The formulas are the package's own (fewmeta.estimators,
+fewmeta.selection, fewmeta.intervals), written once more in exact
+arithmetic, so a test can bound the rounding error.
 """
 
 from fractions import Fraction
@@ -13,15 +16,30 @@ from fractions import Fraction
 from conftest import selected_arms
 
 
-def _moment_tau2(y, se, df):
-    """The untruncated moment estimate (Q - df) / (sw - sum w^2 / sw) of the
-    effects y with standard errors se, weights w = 1 / se^2."""
-    w = [1 / Fraction(s) ** 2 for s in se]
+def _pool(y, w):
+    """sum w, and the squared deviations (y - mu)^2 of the effects y from
+    their w-weighted mean mu."""
     y = [Fraction(v) for v in y]
     sw = sum(w)
     mu = sum(wi * yi for wi, yi in zip(w, y)) / sw
-    q = sum(wi * (yi - mu) ** 2 for wi, yi in zip(w, y))
-    return (q - df) / (sw - sum(wi * wi for wi in w) / sw)
+    return sw, [(yi - mu) ** 2 for yi in y]
+
+
+def _q(y, w):
+    """sum w (y - mu)^2: Cochran's Q with common-effect weights w."""
+    return sum(wi * d for wi, d in zip(w, _pool(y, w)[1]))
+
+
+def _weights(se):
+    return [1 / Fraction(s) ** 2 for s in se]
+
+
+def _moment_tau2(y, se, df):
+    """The untruncated moment estimate (Q - df) / (sw - sum w^2 / sw) of the
+    effects y with standard errors se, weights w = 1 / se^2."""
+    w = _weights(se)
+    sw = sum(w)
+    return (_q(y, w) - df) / (sw - sum(wi * wi for wi in w) / sw)
 
 
 def tau2(dataset):
@@ -58,3 +76,49 @@ def qs(dataset):
         sums = [tuple(a + b for a, b in zip(prefix, split))
                 for prefix in sums for split in splits[start:start + count]]
     return [s2 - s1 * s1 / s0 for s0, s1, s2 in sums]
+
+
+def cochran_q(dataset):
+    """Cochran's Q of the dataset's k study rows."""
+    return _q(dataset.y.tolist(), _weights(dataset.se.tolist()))
+
+
+def b_coefficient(dataset):
+    """B = sum_ij w_ij p_i (1 - p_i) * sum w / ((sum w)^2 - sum w^2) over
+    the arm weights of the selected splits, p_i the prevalences (doubles)
+    that selected_arms gives."""
+    _, se_sub, p = selected_arms(dataset)
+    w = [_weights(arms) for arms in se_sub.tolist()]
+    sw = sum(w1 + w2 for w1, w2 in w)
+    sw2 = sum(w1 * w1 + w2 * w2 for w1, w2 in w)
+    pq = [Fraction(pi) * (1 - Fraction(pi)) for pi in p.tolist()]
+    return sum((w1 + w2) * c for (w1, w2), c in zip(w, pq)) * sw / (sw * sw - sw2)
+
+
+def interval_variances(dataset, tau2):
+    """The variance of each of the six intervals of a selected dataset, as
+    Fractions, given the tau^2 (a double) it plugs in, tau2[method]. NORMAL,
+    HKSJ, MKH and ZH pool the study rows with random-effects weights
+    (se^2 + tau^2)^-1: 1 / sum w; q / sum w, with q = Q / (k - 1) of those
+    weights; max(1, q) / sum w; and sum w^2 (y - mu)^2 / (1 - w / sum w)^2
+    over (sum w)^2. The two HCS variances are (tau^2 sum w^2 + sum w) /
+    (sum w)^2 with each study's weight the sum of its selected arms'."""
+    y, se = dataset.y.tolist(), dataset.se.tolist()
+    k = dataset.k
+    variances = {}
+    for method in ("NORMAL", "HKSJ", "MKH", "ZH"):
+        w = [1 / (Fraction(s) ** 2 + Fraction(tau2[method])) for s in se]
+        sw, dev2 = _pool(y, w)
+        q = sum(wi * d for wi, d in zip(w, dev2)) / (k - 1)
+        variances[method] = {
+            "NORMAL": 1 / sw,
+            "HKSJ": q / sw,
+            "MKH": max(Fraction(1), q) / sw,
+            "ZH": sum(wi * wi * d / (1 - wi / sw) ** 2 for wi, d in zip(w, dev2)) / (sw * sw),
+        }[method]
+    _, se_sub, _ = selected_arms(dataset)
+    w = [sum(_weights(arms)) for arms in se_sub.tolist()]
+    sw, sw2 = sum(w), sum(wi * wi for wi in w)
+    for method in ("HCS_MAX1", "HCS_MAX2"):
+        variances[method] = (Fraction(tau2[method]) * sw2 + sw) / (sw * sw)
+    return variances

@@ -386,18 +386,6 @@ def test_run_all_methods_fallback_flags():
     assert errors == {}
 
 
-def test_run_all_methods_partial_selection_falls_back():
-    # a study without a selected split leaves the kernel without arms: both
-    # HCS intervals take the study-level fallback, as with no selection
-    split = make_split("g", (0.0, 1.0), (0.6, 0.8))
-    specs = [(0.2, 0.5, [split]), (1.0, 0.4, [split]), (0.6, 0.3, [split])]
-    partial = run_all_methods(make_dataset(specs, selected=[0, None, 0]))
-    assert partial == run_all_methods(make_dataset(specs))
-    results, errors = partial
-    assert {r.method for r in results if r.fallback} == {HCS_MAX1, HCS_MAX2}
-    assert errors == {}
-
-
 def test_respire28_inclusive_except_normal_hksj(respire28):
     from fewmeta.selection import select_local
 

@@ -164,7 +164,7 @@ def test_write_histogram_csv_keeps_target_on_failure(tmp_path):
     path.write_text("previous run\n")
 
     def blocks():
-        yield [1.5]
+        yield np.array([1.5])
         raise RuntimeError("enumeration interrupted")
 
     with pytest.raises(RuntimeError):
@@ -172,7 +172,7 @@ def test_write_histogram_csv_keeps_target_on_failure(tmp_path):
     assert path.read_text() == "previous run\n"
     assert os.listdir(tmp_path) == ["qs.csv"]
 
-    write_histogram_csv(SimpleNamespace(blocks=lambda: [[1.5, 0.25]]), path)
+    write_histogram_csv(SimpleNamespace(blocks=lambda: [np.array([1.5, 0.25])]), path)
     assert path.read_bytes() == b"combination_id,q_s\r\n0,1.5\r\n1,0.25\r\n"
 
 
@@ -210,7 +210,7 @@ def test_write_histogram_csv_numbers_ids_across_blocks(tmp_path):
     q = rng.choice(_SPECIAL_FLOATS, sum(sizes)).tolist()
     blocks, at = [], 0
     for n in sizes:
-        blocks.append(q[at:at + n])
+        blocks.append(np.array(q[at:at + n]))
         at += n
     assert _written_rows(tmp_path, blocks) == _rows_by_percent(0, q)
     assert _written_rows(tmp_path, []) == ""
@@ -518,11 +518,21 @@ def test_select_histogram_enumerates_once(tmp_path, monkeypatch, strategy):
     assert len(calls) == (strategy == "global")
 
 
-def test_qs_values_selection_needs_a_complete_pass(sglt2):
+def test_qs_values_selection_needs_a_complete_pass(sglt2, monkeypatch):
+    """selection() needs a complete pass: it makes one when none has
+    completed, an unfinished one included, and then reuses the last."""
+    calls = []
+
+    def counted(dataset):
+        calls.append(dataset)
+        return qs_blocks(dataset)
+
+    qs_blocks = selection._qs_blocks
+    monkeypatch.setattr(selection, "_qs_blocks", counted)
     values, _ = qs_histogram(sglt2)
-    with pytest.raises(RuntimeError, match="complete pass"):
-        values.selection()
     next(values.blocks())
-    with pytest.raises(RuntimeError, match="complete pass"):
-        values.selection()
-    assert list(values) and values.selection() == select_global(sglt2)
+    chosen = values.selection()
+    assert len(calls) == 2 and values.selection() == chosen
+    assert list(values) and values.selection() == chosen and len(calls) == 3
+    monkeypatch.undo()
+    assert chosen == select_global(sglt2)
