@@ -98,8 +98,14 @@ _PROBABILITY_RULE = "p_interaction must be a number in [0, 1], got {!r}"
 
 
 def _number(x):
-    """A record's value, a text (str, bytes, bytearray) as NaN: see plain_number."""
-    return math.nan if isinstance(x, (str, bytes, bytearray)) else x
+    """A record's value as a float, NaN where it is no real number: a text
+    (str, bytes, bytearray; see plain_number) or a value float refuses."""
+    if isinstance(x, (str, bytes, bytearray)):
+        return math.nan
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
 def _check_effect(y, se, who):
@@ -119,10 +125,7 @@ class SubgroupArm:
 
     def __post_init__(self):
         _check_effect(self.y, self.se, "arm")
-        try:
-            n = float(_number(self.n))
-        except (TypeError, ValueError, OverflowError):
-            n = math.nan
+        n = _number(self.n)
         if not (_within(n, _COUNT_RANGE) and _whole(n)):
             raise ValidationError("arm: " + _COUNT_RULE.format(self.n))
 
@@ -338,10 +341,15 @@ def plain_number(text: str) -> bool:
 def _floats(values):
     """The values as a float array, NaN where one does not parse, and the
     mask of those that did not (None when all parsed). Texts parse only in
-    plain_number's grammar, checked once over them all joined when all are
-    texts; bytes never parse, though float reads b'2_89' as 289."""
+    plain_number's grammar, checked once over the texts joined (numbers
+    among them keep no grammar); bytes never parse, though float reads
+    b'2_89' as 289, so a bytes value fails the join."""
     try:
-        if plain_number("".join(values)):
+        try:
+            texts = "".join(values)
+        except TypeError:  # not all texts
+            texts = "".join([v for v in values if isinstance(v, (str, bytes, bytearray))])
+        if plain_number(texts):
             return np.fromiter(map(float, values), float, len(values)), None
     except (TypeError, ValueError):
         pass

@@ -14,7 +14,8 @@ runs once per level and batch and the public helpers here call too.
 Every weight is correctly rounded, 1 / se^2 as 1.0 / np.square(se)
 (_weights), so it has the same bits on every CPU and in Python floats
 (data.SubgroupSplit). Every sum over studies or arms goes through _sum, one
-order in any memory layout: from +0.0, in study order, then arm order.
+order in any memory layout: from +0.0, in study order, then arm order (in
+one np.add.reduce over a simulated batch, replicates fastest in memory).
 Without a replicate axis the sums are numpy scalars, squared with np.square:
 a scalar's ** 2 calls the C library's pow, which differs from x * x in the
 last bit for about one value in a thousand.
@@ -45,13 +46,25 @@ def _sum(x, axes=(-1,)):
     """The sum of x over its trailing study axis, axes=(-1,), or study and
     arm axes, axes=(-2, -1): from +0.0, in study order, then arm order, so
     that -0.0 terms alone sum to +0.0, and the same bits in any memory
-    layout and for one dataset as for its row of a batch."""
+    layout and for one dataset as for its row of a batch.
+
+    Without a replicate axis it adds Python floats. A batch whose replicate
+    axis is fastest in memory (_one_reduce: a simulated batch) takes one
+    np.add.reduce from +0.0: numpy then runs its inner loop along the
+    replicate axis, adding one term to every replicate's total, and steps
+    the summed axes outside it, the larger stride outermost, so each total
+    takes its terms one at a time in study order, then arm order, as the
+    column loop does. Every other batch (C-ordered tables, broadcast,
+    strided or reversed views) takes the column loop, as numpy would add a
+    contiguous summed axis pairwise."""
     lead = x.ndim - len(axes)
     if not lead:
         total = 0.0
         for term in x.ravel().tolist():
             total += term
         return np.float64(total)
+    if _one_reduce(x, axes):
+        return np.add.reduce(x, axis=axes, initial=0.0)
     columns = x.transpose((*range(lead, x.ndim), *range(lead)))
     if len(axes) == 2:
         columns = [arm for study in columns for arm in study]
@@ -64,6 +77,16 @@ def _sum(x, axes=(-1,)):
     for column in columns[1:]:
         total += column
     return total
+
+
+def _one_reduce(x, axes):
+    """Whether _sum adds x in one np.add.reduce: its replicate axis (axis 0)
+    runs over two or more contiguous terms, every summed axis steps over at
+    least a whole run of them, and a study axis has a larger stride than
+    its arms."""
+    n_reps, step, summed = len(x), x.strides[0], x.strides[-len(axes):]
+    return (n_reps >= 2 and step == x.itemsize and min(summed) >= n_reps * step
+            and (len(axes) == 1 or summed[0] > summed[1]))
 
 
 # The least non-NaN value of an array, +inf if it has none: guards test

@@ -82,6 +82,21 @@ def test_split_refuses_a_text_p_interaction(text):
     assert str(exc.value) == f"split 'a': p_interaction must be a number in [0, 1], got {text!r}"
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Study("s", None, 0.2), f"study 's': {_EFFECT}"),
+    (lambda: SubgroupArm([0.1], 0.2, 10), f"arm: {_EFFECT}"),
+    (lambda: SubgroupSplit("a", (SubgroupArm(0.1, 0.2, 10), SubgroupArm(0.3, 0.2, 10)),
+                           p_interaction=[0.5]),
+     "split 'a': p_interaction must be a number in [0, 1], got [0.5]"),
+], ids=["study", "arm", "split"])
+def test_records_refuse_a_value_that_is_no_number(make, message):
+    """None, a list: a value that is not a real number fails its rule with
+    the rule's message, as a text does, not with a TypeError."""
+    with pytest.raises(ValidationError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_aggregate_identical_arms():
     agg = aggregate_study(make_split("a", (1.0, 1.0), (1.0, 1.0)))
     assert agg.study_id == "aggregate"
@@ -337,12 +352,22 @@ def test_dict_rows_refuse_bytes(row, column, value, message):
     assert str(exc.value) == message
 
 
-def test_dict_rows_may_hold_numbers_rather_than_texts():
+def test_dict_rows_may_hold_numbers_rather_than_texts(monkeypatch):
     """A value that is not text, such as a float or an int, is read by
-    float as it is: the same dataset as its repr."""
+    float as it is: the same dataset as its repr. The grammar is checked
+    once, over the texts among the numbers joined, so a text out of it
+    still fails with the all-text rows' message."""
     texts = _respire14_rows()
     numbers = [dict(row, y=float(row["y"]), n=int(row["n"])) for row in texts]
+    checked = []
+    plain = data.plain_number
+    monkeypatch.setattr(data, "plain_number", lambda text: checked.append(text) or plain(text))
     assert validate_dataset(numbers) == validate_dataset(texts)
+    assert len(checked) == 2
+    numbers[0]["se"] = "0.1_5"
+    with pytest.raises(ValidationError) as exc:
+        validate_dataset(numbers)
+    assert str(exc.value) == "RESPIRE-1: cannot parse number '0.1_5'"
 
 
 def test_each_csv_effect_is_checked_once_over_columns(monkeypatch):

@@ -1,8 +1,9 @@
 """estimators._sum against an independent in-order sum. Every study and arm
 reduction in the package goes through _sum, which adds from +0.0 in study
 order, then arm order, whatever the memory layout: _in_order, numpy's
-accumulate over the C-ordered terms, gives those bits on any CPU. And the
-pinned outputs hold without numpy's AVX-512 loops."""
+accumulate over the C-ordered terms, gives those bits on any CPU, on each
+of _sum's paths. A simulated batch takes its one-reduce path at every sum.
+And the pinned outputs hold without numpy's AVX-512 loops."""
 
 import json
 import math
@@ -17,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fewmeta
+from fewmeta import estimators, simulation
 from fewmeta.cli import main
-from fewmeta.estimators import _sum, shrinkage_coefficients
+from fewmeta.estimators import _one_reduce, _sum, shrinkage_coefficients
 from fewmeta.intervals import hksj_scale, variance_hcs
 
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
@@ -93,11 +95,13 @@ def test_sum_over_studies_and_arms_matches_numpy(n_terms, n_reps):
 
 @pytest.mark.parametrize("n_studies", [2, 3, 5, 8, 9])
 def test_sum_is_numpys_order_in_any_memory_layout(n_studies):
-    """run_scenario hands the kernel replicate-minor (Fortran-ordered) arms:
-    _sum adds them in the order of the same C-ordered terms."""
+    """The simulation hands the kernel its arms replicate-fastest, then arm,
+    then study (simulation._batch_kernel), which _sum adds in one reduce,
+    and Fortran order puts the arm axis outermost, which takes the column
+    loop: both give the order of the same C-ordered terms."""
     rng = np.random.default_rng(n_studies)
     arms = _terms(rng, 1000, 2 * n_studies).reshape(1000, n_studies, 2)
-    for layout in (np.asfortranarray(arms), arms.transpose(2, 1, 0).copy().transpose(2, 1, 0)):
+    for layout in (_LAYOUTS["replicate-fastest"](arms), np.asfortranarray(arms)):
         _assert_same(_sum(layout, (-2, -1)), _in_order(arms, (-2, -1)))
         _assert_same(_sum(layout), _in_order(arms))
         _assert_same(_sum(layout[..., 0]), _in_order(arms[..., 0]))
@@ -117,6 +121,8 @@ def test_sum_of_no_terms_and_of_long_axes_matches_numpy(n_terms):
 _LAYOUTS = {
     "C": lambda x: x,
     "replicate-minor": np.asfortranarray,
+    # the simulation's batches: replicates fastest, then arms, then studies
+    "replicate-fastest": lambda x: np.asfortranarray(x.reshape(len(x), -1)).reshape(x.shape),
     "reversed": lambda x: x[..., ::-1],
     "strided": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
     "strided replicates": lambda x: np.asfortranarray(np.repeat(x, 2, axis=0))[::2],
@@ -140,11 +146,12 @@ with np.errstate(invalid="ignore"):
                       max_size=8),
 )
 def test_sum_dispatch_matches_column_adds_and_numpy(k, axes, n_reps, seed, specials):
-    """Whichever way _sum goes, Python floats without a replicate axis or
-    column adds with one, the bits are those of the in-order accumulate: k
-    studies (by two arms for axes (-2, -1)), with no replicate axis or R
-    replicates in any layout, over magnitudes from 1e-5 to 1e5, signed
-    zeros, NaN and infinities."""
+    """Whichever way _sum goes, Python floats without a replicate axis, one
+    np.add.reduce over a replicate-fastest batch of R >= 2, or column adds,
+    the bits are those of the in-order accumulate: k studies (by two arms
+    for axes (-2, -1)), with no replicate axis or R replicates in any
+    layout, over magnitudes from 1e-5 to 1e5, signed zeros, NaN and
+    infinities."""
     shape = (() if n_reps is None else (n_reps,)) + (k,) + ((2,) if len(axes) == 2 else ())
     rng = np.random.default_rng(seed)
     x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5, 5, shape)
@@ -152,9 +159,27 @@ def test_sum_dispatch_matches_column_adds_and_numpy(k, axes, n_reps, seed, speci
         x.flat[index % x.size] = value
     if n_reps == 1000 and rng.random() < 0.5:
         x[rng.integers(n_reps)] = -0.0  # a replicate of -0.0 terms alone sums to +0.0
-    for layout in _LAYOUTS.values():
+    for name, layout in _LAYOUTS.items():
         view = layout(x)
+        if name == "replicate-fastest" and n_reps not in (None, 1):
+            assert _one_reduce(view, axes)
         _assert_same(_sum(view, axes), _in_order(view, axes))
+
+
+@pytest.mark.parametrize("batch", ["run_scenario", "validate_expectation", "variance_ordering"])
+def test_simulated_batches_take_one_reduce_per_sum(monkeypatch, batch):
+    """Each of the kernel's 17 study and arm sums over a simulated batch is
+    one np.add.reduce: the batch's layout passes _one_reduce at each."""
+    seen = []
+    one_reduce = estimators._one_reduce
+    monkeypatch.setattr(estimators, "_one_reduce",
+                        lambda x, axes: seen.append(one_reduce(x, axes)) or seen[-1])
+    scenario = simulation.Scenario(3, 0.2, 0.1, 0.1, 0.5, n_reps=50, seed=1)
+    if batch == "validate_expectation":
+        simulation.validate_expectation(scenario, [24, 36, 48])
+    else:
+        getattr(simulation, batch)(scenario)
+    assert seen == [True] * 17
 
 
 def _without_avx512(code):
