@@ -14,8 +14,9 @@ runs once per level and batch and the public helpers here call too.
 Every weight is correctly rounded, 1 / se^2 as 1.0 / np.square(se)
 (_weights), so it has the same bits on every CPU and in Python floats
 (data.SubgroupSplit). Every sum over studies or arms goes through _sum, one
-order in any memory layout: from +0.0, in study order, then arm order (in
-one np.add.reduce over a simulated batch, replicates fastest in memory).
+order in any memory layout: from +0.0, in study order, then arm order (one
+np.add.reduce over a batch, laid out replicates fastest by _laid_out, which
+the kernel applies to its inputs once, at entry).
 Without a replicate axis the sums are numpy scalars, squared with np.square:
 a scalar's ** 2 calls the C library's pow, which differs from x * x in the
 last bit for about one value in a thousand.
@@ -48,45 +49,44 @@ def _sum(x, axes=(-1,)):
     that -0.0 terms alone sum to +0.0, and the same bits in any memory
     layout and for one dataset as for its row of a batch.
 
-    Without a replicate axis it adds Python floats. A batch whose replicate
-    axis is fastest in memory (_one_reduce: a simulated batch) takes one
-    np.add.reduce from +0.0: numpy then runs its inner loop along the
-    replicate axis, adding one term to every replicate's total, and steps
-    the summed axes outside it, the larger stride outermost, so each total
-    takes its terms one at a time in study order, then arm order, as the
-    column loop does. Every other batch (C-ordered tables, broadcast,
-    strided or reversed views) takes the column loop, as numpy would add a
-    contiguous summed axis pairwise."""
+    Without a replicate axis (axis 0, ahead of the summed axes) it adds
+    Python floats, and a batch of fewer than two replicates adds each
+    replicate so. Every other batch is one np.add.reduce from +0.0, laid
+    out replicates fastest first (_laid_out) unless it is so already: its
+    replicate axis runs over contiguous terms, every summed axis steps over
+    at least a whole run of them, and a study axis has a larger stride than
+    its arms. numpy then runs its inner loop along the replicate axis,
+    adding one term to every replicate's total, and steps the summed axes
+    outside it, the larger stride outermost, so each total takes its terms
+    one at a time in study order, then arm order; over a contiguous summed
+    axis it would add pairwise."""
     lead = x.ndim - len(axes)
     if not lead:
         total = 0.0
         for term in x.ravel().tolist():
             total += term
         return np.float64(total)
-    if _one_reduce(x, axes):
-        return np.add.reduce(x, axis=axes, initial=0.0)
-    columns = x.transpose((*range(lead, x.ndim), *range(lead)))
-    if len(axes) == 2:
-        columns = [arm for study in columns for arm in study]
-    if not len(columns):
-        return np.zeros(x.shape[:lead])
-    # The +0.0 goes into the first column, not into a zero total, so that the
-    # total keeps the columns' memory layout; a sum is -0.0 only when all its
-    # terms are, so the bits are the same.
-    total = columns[0] + 0.0
-    for column in columns[1:]:
-        total += column
-    return total
+    if len(x) < 2:
+        return np.array([_sum(row, axes) for row in x]).reshape(x.shape[:lead])
+    step, summed = x.strides[0], x.strides[lead:]
+    if not (step == x.itemsize and min(summed) >= len(x) * step
+            and (len(axes) == 1 or summed[0] > summed[1])):
+        x = _laid_out(x, len(axes))
+    return np.add.reduce(x, axis=axes, initial=0.0)
 
 
-def _one_reduce(x, axes):
-    """Whether _sum adds x in one np.add.reduce: its replicate axis (axis 0)
-    runs over two or more contiguous terms, every summed axis steps over at
-    least a whole run of them, and a study axis has a larger stride than
-    its arms."""
-    n_reps, step, summed = len(x), x.strides[0], x.strides[-len(axes):]
-    return (n_reps >= 2 and step == x.itemsize and min(summed) >= n_reps * step
-            and (len(axes) == 1 or summed[0] > summed[1]))
+def _laid_out(x, n_summed):
+    """x as float64: one dataset (no axis ahead of its n_summed trailing
+    ones) as it is, a batch copied with the same shape and values into
+    replicate-fastest order, then the other axes in C order (a no-op if it
+    is so already): strides (8, 8R) for (R, k) study rows, (8, 16R, 8R) for
+    (R, k, 2) arms. Each study or arm column is then a contiguous run of R
+    values, and the study axis the outer one (_sum says why)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim <= n_summed:
+        return x
+    last = x.ndim - 1  # the replicate axis is moved last for the copy, then back
+    return np.ascontiguousarray(x.transpose((*range(1, x.ndim), 0))).transpose((last, *range(last)))
 
 
 # The least non-NaN value of an array, +inf if it has none: guards test

@@ -7,7 +7,8 @@ around the common-effect estimate using a Henmi-Copas-type variance with
 hybrid heterogeneity estimates and flexible degrees of freedom.
 
 One kernel, meta_kernel, computes the five tau^2 estimates and all six
-intervals for a batch of R datasets; the Monte Carlo harness calls it on a
+intervals for a batch of R datasets, in float64, laying a batch out once, at
+entry (estimators._laid_out); the Monte Carlo harness calls it on a
 scenario's replicates, passing their arms alone: the kernel aggregates the
 study rows from the arm weights it pools the arms with. A single dataset
 runs the same code without the replicate axis (dataset_kernel, which
@@ -42,6 +43,7 @@ from .estimators import (
     _check_ce_weights,
     _dl,
     _dls,
+    _laid_out,
     _least,
     _pool,
     _re_weights,
@@ -351,7 +353,10 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95) -> KernelResult:
     Weights, sums and means are pooled once per batch at each level:
     studies, random effects and arms.
     """
+    if y is not None:  # float64, and a batch copied once, replicates fastest
+        y, se = _laid_out(y, 1), _laid_out(se, 1)
     if y_sub is not None:
+        y_sub, se_sub = _laid_out(y_sub, 2), _laid_out(se_sub, 2)
         w_sub = _weights(se_sub)
         w = _sum(w_sub)  # each study's sum of arm weights: its common-effect weight
         if y is None:

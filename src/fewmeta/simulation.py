@@ -15,10 +15,8 @@ records are built from simulated data. One call of the kernel
 `intervals.meta_kernel` evaluates every tau^2 estimator and CI method over
 a scenario's replicates, the same code that analyses one dataset, and each
 metric is aggregated for all methods in one call. The kernel is handed the
-arms alone and aggregates the study rows from the arm weights it pools.
-Every batch it gets, in run_scenario and in validate's checks, is laid out
-replicates fastest, then arms, then studies (_batch_kernel), so that each
-of its study and arm sums is one np.add.reduce in estimators._sum's order.
+arms alone (meta_kernel(None, None, y_sub, se_sub)), lays them out itself
+and aggregates the study rows from the arm weights it pools.
 The aggregation takes numpy's direct paths with the bits of its wrappers:
 median lengths from one partition rank (_finite_median); the mean bias and
 its Monte Carlo SE from one np.add.reduce, then np.mean's and np.std's own
@@ -242,23 +240,13 @@ def _finite_median(x):
     return np.mean(part[..., lo:hi + 1], axis=-1)
 
 
-def _batch_kernel(y_sub, se_sub):
-    """meta_kernel over (R, k, 2) arms, copied with the same shape and values
-    into replicate-fastest, then arm, then study order: strides (8, 16R, 8R).
-    Each study or arm column is then a contiguous run of R values, and the
-    study axis the outer one, so every study and arm sum of the kernel is
-    one np.add.reduce in estimators._sum's order (_sum says why)."""
-    return meta_kernel(None, None, *(np.asfortranarray(a.reshape(len(a), -1)).reshape(a.shape)
-                                     for a in (y_sub, se_sub)))
-
-
 def run_scenario(scenario: Scenario) -> ScenarioMetrics:
     """Simulate n_reps meta-analyses and aggregate estimator and interval
     metrics. Deterministic given the scenario (including its seed)."""
     rng = scenario_rng(scenario)
     n_reps = scenario.n_reps
     y_sub, se_sub, _ = _draw_replicates(scenario, rng, n_reps)
-    result = _batch_kernel(y_sub, se_sub)
+    result = meta_kernel(None, None, y_sub, se_sub)
     if result.errors:
         raise ValidationError(next(iter(result.errors.values())))
 
@@ -332,7 +320,7 @@ def validate_expectation(scenario: Scenario, sizes):
     """
     rng = scenario_rng(scenario)
     y_sub, se_sub, n_arm = _draw_replicates(scenario, rng, scenario.n_reps, sizes=sizes)
-    result = _batch_kernel(y_sub, se_sub)
+    result = meta_kernel(None, None, y_sub, se_sub)
     if result.errors:
         raise ValidationError(next(iter(result.errors.values())))
     raw = result.tau2_raw[DLS]
@@ -362,7 +350,7 @@ def variance_ordering(scenario: Scenario):
     and run through one kernel call."""
     rng = scenario_rng(scenario)
     draws = [_draw_replicates(scenario, rng, 1)[:2] for _ in range(scenario.n_reps)]
-    result = _batch_kernel(*map(np.concatenate, zip(*draws)))
+    result = meta_kernel(None, None, *map(np.concatenate, zip(*draws)))
     qualifying = result.tau2_raw[DL] < 0
     var = [result.intervals[method].variance for method in (HKSJ, MKH, HCS_MAX1, HCS_MAX2)]
     ordered = np.logical_and.reduce([lo <= hi * (1.0 + 1e-12) for lo, hi in zip(var, var[1:])])

@@ -1,15 +1,18 @@
 """estimators._sum against an independent in-order sum. Every study and arm
 reduction in the package goes through _sum, which adds from +0.0 in study
 order, then arm order, whatever the memory layout: _in_order, numpy's
-accumulate over the C-ordered terms, gives those bits on any CPU, on each
-of _sum's paths. A simulated batch takes its one-reduce path at every sum.
-And the pinned outputs hold without numpy's AVX-512 loops."""
+accumulate over the C-ordered terms, gives those bits on any CPU, on both
+of _sum's paths. The kernel lays a batch out once, at entry, so that none
+of its sums copies, and its results depend on neither the layout nor the
+float dtype of its inputs. And the pinned outputs hold without numpy's
+AVX-512 loops."""
 
 import json
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fewmeta
-from fewmeta import estimators, simulation
+from fewmeta import estimators, intervals, simulation
 from fewmeta.cli import main
-from fewmeta.estimators import _one_reduce, _sum, shrinkage_coefficients
-from fewmeta.intervals import hksj_scale, variance_hcs
+from fewmeta.estimators import _sum, shrinkage_coefficients
+from fewmeta.intervals import hksj_scale, meta_kernel, variance_hcs
 
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
 
@@ -95,10 +98,10 @@ def test_sum_over_studies_and_arms_matches_numpy(n_terms, n_reps):
 
 @pytest.mark.parametrize("n_studies", [2, 3, 5, 8, 9])
 def test_sum_is_numpys_order_in_any_memory_layout(n_studies):
-    """The simulation hands the kernel its arms replicate-fastest, then arm,
-    then study (simulation._batch_kernel), which _sum adds in one reduce,
-    and Fortran order puts the arm axis outermost, which takes the column
-    loop: both give the order of the same C-ordered terms."""
+    """The kernel lays a batch out replicate-fastest, then arm, then study
+    (estimators._laid_out), which _sum adds in one reduce as it is, and
+    Fortran order puts the arm axis outermost, which _sum first copies into
+    that layout: both give the order of the same C-ordered terms."""
     rng = np.random.default_rng(n_studies)
     arms = _terms(rng, 1000, 2 * n_studies).reshape(1000, n_studies, 2)
     for layout in (_LAYOUTS["replicate-fastest"](arms), np.asfortranarray(arms)):
@@ -121,7 +124,7 @@ def test_sum_of_no_terms_and_of_long_axes_matches_numpy(n_terms):
 _LAYOUTS = {
     "C": lambda x: x,
     "replicate-minor": np.asfortranarray,
-    # the simulation's batches: replicates fastest, then arms, then studies
+    # the kernel's batches: replicates fastest, then arms, then studies
     "replicate-fastest": lambda x: np.asfortranarray(x.reshape(len(x), -1)).reshape(x.shape),
     "reversed": lambda x: x[..., ::-1],
     "strided": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
@@ -145,12 +148,13 @@ with np.errstate(invalid="ignore"):
     specials=st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from(_SPECIAL_VALUES)),
                       max_size=8),
 )
-def test_sum_dispatch_matches_column_adds_and_numpy(k, axes, n_reps, seed, specials):
-    """Whichever way _sum goes, Python floats without a replicate axis, one
-    np.add.reduce over a replicate-fastest batch of R >= 2, or column adds,
-    the bits are those of the in-order accumulate: k studies (by two arms
-    for axes (-2, -1)), with no replicate axis or R replicates in any
-    layout, over magnitudes from 1e-5 to 1e5, signed zeros, NaN and
+def test_sum_dispatch_matches_numpy_in_every_layout(k, axes, n_reps, seed, specials):
+    """Whichever way _sum goes, Python floats without a replicate axis or
+    below two replicates, or one np.add.reduce over a batch (copied
+    replicate-fastest first unless it is so already, as the kernel's own
+    batches are), the bits are those of the in-order accumulate: k studies
+    (by two arms for axes (-2, -1)), with no replicate axis or R replicates
+    in any layout, over magnitudes from 1e-5 to 1e5, signed zeros, NaN and
     infinities."""
     shape = (() if n_reps is None else (n_reps,)) + (k,) + ((2,) if len(axes) == 2 else ())
     rng = np.random.default_rng(seed)
@@ -161,25 +165,92 @@ def test_sum_dispatch_matches_column_adds_and_numpy(k, axes, n_reps, seed, speci
         x[rng.integers(n_reps)] = -0.0  # a replicate of -0.0 terms alone sums to +0.0
     for name, layout in _LAYOUTS.items():
         view = layout(x)
-        if name == "replicate-fastest" and n_reps not in (None, 1):
-            assert _one_reduce(view, axes)
-        _assert_same(_sum(view, axes), _in_order(view, axes))
+        with mock.patch.object(estimators, "_laid_out", wraps=estimators._laid_out) as copy:
+            _assert_same(_sum(view, axes), _in_order(view, axes))
+        if name == "replicate-fastest":
+            assert not copy.called
 
 
 @pytest.mark.parametrize("batch", ["run_scenario", "validate_expectation", "variance_ordering"])
 def test_simulated_batches_take_one_reduce_per_sum(monkeypatch, batch):
-    """Each of the kernel's 17 study and arm sums over a simulated batch is
-    one np.add.reduce: the batch's layout passes _one_reduce at each."""
-    seen = []
-    one_reduce = estimators._one_reduce
-    monkeypatch.setattr(estimators, "_one_reduce",
-                        lambda x, axes: seen.append(one_reduce(x, axes)) or seen[-1])
+    """The kernel lays each of a simulated batch's two arm arrays out once,
+    at entry, and none of its 17 study and arm sums copies: each is one
+    np.add.reduce over the batch as it is."""
+    arms, laid_out, sums, kernel_sums = [], [], [], []
+    kernel, lay_out, add = meta_kernel, estimators._laid_out, estimators._sum
+
+    def spy_kernel(*args):
+        arms.extend(args[2:])
+        sums.clear()
+        result = kernel(*args)
+        kernel_sums.append(len(sums))
+        return result
+
+    def spy_lay_out(x, n_summed):
+        laid_out.append(x)
+        return lay_out(x, n_summed)
+
+    def spy_sum(x, axes=(-1,)):
+        sums.append(axes)
+        return add(x, axes)
+
+    monkeypatch.setattr(simulation, "meta_kernel", spy_kernel)
+    for module in (estimators, intervals):
+        monkeypatch.setattr(module, "_laid_out", spy_lay_out)
+        monkeypatch.setattr(module, "_sum", spy_sum)
     scenario = simulation.Scenario(3, 0.2, 0.1, 0.1, 0.5, n_reps=50, seed=1)
     if batch == "validate_expectation":
         simulation.validate_expectation(scenario, [24, 36, 48])
     else:
         getattr(simulation, batch)(scenario)
-    assert seen == [True] * 17
+    assert [a.shape for a in arms] == [(50, 3, 2)] * 2
+    assert len(laid_out) == 2 and all(x is a for x, a in zip(laid_out, arms))
+    assert kernel_sums == [17]
+
+
+def _outcome(result):
+    """Every array of a kernel result, as (dtype, shape, bytes), and its errors."""
+    arrays = [*result.tau2.values(), *result.tau2_raw.values(), *result.subgroup_wins.values(),
+              *(a for ci in result.intervals.values() for a in ci if a is not None)]
+    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)], result.errors
+
+
+# the kernel's three ways in: study rows and arms, arms alone, study rows alone
+_KERNEL_INPUTS = (lambda y, se, y_sub, se_sub: (y, se, y_sub, se_sub),
+                  lambda y, se, y_sub, se_sub: (None, None, y_sub, se_sub),
+                  lambda y, se, y_sub, se_sub: (y, se))
+
+
+def _kernel_data(rng, lead, k):
+    """Study rows and arms of shape lead + (k,) and lead + (k, 2)."""
+    return (rng.normal(0.0, 1.0, lead + (k,)), rng.uniform(0.1, 1.5, lead + (k,)),
+            rng.normal(0.0, 1.0, lead + (k, 2)), rng.uniform(0.1, 1.5, lead + (k, 2)))
+
+
+@pytest.mark.parametrize("n_reps", [1, 2, 7])
+@pytest.mark.parametrize("k", range(2, 7))
+def test_kernel_results_do_not_depend_on_the_input_layout(k, n_reps):
+    """meta_kernel gives a batch in each layout of _LAYOUTS the bytes and
+    errors of a C-ordered copy of it, on each of its three ways in; at k = 6
+    one replicate is degenerate, so that every batch fails alike."""
+    data = _kernel_data(np.random.default_rng([k, n_reps]), (n_reps,), k)
+    if k == 6:
+        data[1][-1, 0] = data[3][-1, 0] = 1e-9
+    for layout in _LAYOUTS.values():
+        views = [layout(a) for a in data]
+        for inputs in _KERNEL_INPUTS:
+            assert (_outcome(meta_kernel(*inputs(*views)))
+                    == _outcome(meta_kernel(*inputs(*map(np.array, views)))))
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (7,)])
+def test_kernel_computes_in_float64_whatever_dtype_it_is_handed(lead):
+    """float32 inputs give the kernel's float64 result for the same values,
+    bit for bit, for one dataset and for a batch."""
+    data = [a.astype(np.float32) for a in _kernel_data(np.random.default_rng(3), lead, 4)]
+    for inputs in _KERNEL_INPUTS:
+        assert (_outcome(meta_kernel(*inputs(*data)))
+                == _outcome(meta_kernel(*inputs(*(a.astype(float) for a in data)))))
 
 
 def _without_avx512(code):
@@ -197,7 +268,7 @@ def test_sum_dispatch_holds_without_avx512():
     """The same property without numpy's AVX-512 loops: _sum's adds and the
     accumulate keep their bits whichever SIMD loop numpy dispatches."""
     result = _without_avx512("import test_summation as t; "
-                             "t.test_sum_dispatch_matches_column_adds_and_numpy()")
+                             "t.test_sum_dispatch_matches_numpy_in_every_layout()")
     assert result.returncode == 0, result.stderr
 
 
