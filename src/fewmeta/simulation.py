@@ -17,18 +17,27 @@ a scenario's replicates, the same code that analyses one dataset, and each
 metric is aggregated for all methods in one call. The kernel is handed the
 arms alone (meta_kernel(None, None, y_sub, se_sub)), lays them out itself
 and aggregates the study rows from the arm weights it pools.
-The aggregation takes numpy's direct paths with the bits of its wrappers:
-median lengths from one partition rank (_finite_median); the mean bias and
-its Monte Carlo SE from one np.add.reduce, then np.mean's and np.std's own
-steps (divide by n; subtract, square, sum, divide by n - 1, square root);
-counts as np.add.reduce over booleans, np.count_nonzero's int64 values.
+A scenario takes numpy's direct paths with the bits of its wrappers. The
+draw rounds with np.rint, which np.round with 0 decimals calls. Median
+lengths come from one partition rank, made in place on a temporary
+(_finite_median): ndarray.partition, the lower middle by np.maximum.reduce
+and the mean as np.add.reduce over the middle slots divided by their count,
+np.mean's own steps. The mean bias and its Monte Carlo SE come from one
+np.add.reduce, then np.mean's and np.std's own steps (divide by n;
+subtract, square, sum, divide by n - 1, square root); counts are
+np.add.reduce over booleans, np.count_nonzero's int64 values. metrics.csv
+formats a scenario's 44 rows with one `%` over one template, its common
+start joined with the rows' suffixes (_ROW_SUFFIXES), so repr is all each
+row formats.
 `fewmeta validate`'s Monte Carlo checks live here too: the expectation
 oracle and the variance ordering, the latter in one kernel call.
 Scenarios are embarrassingly parallel and each derives its own RNG stream
 from a content hash, making results independent of the execution schedule.
 With jobs > 1 they go to a process pool in batches (see run_scenarios);
-the pool machinery is imported only then. metrics.csv is streamed into its
-atomic write one scenario at a time.
+the pool machinery is imported only then. The simulate command and each
+pool worker fix glibc's malloc thresholds first (keep_heap_pages), so a
+process keeps its heap pages from one scenario to the next. metrics.csv is
+streamed into its atomic write one scenario at a time.
 """
 
 from __future__ import annotations
@@ -100,6 +109,8 @@ class Scenario:
             raise ValidationError("scenario: p must be in (0, 1)")
         if self.n_reps < 1:
             raise ValidationError("scenario: n_reps must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValidationError("scenario: seed must be in [0, 2^64)")
         if self.n_reps * self.k > MAX_REPLICATE_STUDIES:
             raise ValidationError(
                 f"scenario: n_reps x k = {self.n_reps} x {self.k} exceeds "
@@ -146,7 +157,7 @@ def scenario_rng(scenario: Scenario) -> np.random.Generator:
     """
     digest = hashlib.sha256(scenario.key().encode()).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    ss = np.random.SeedSequence(entropy=[scenario.seed & (2 ** 64 - 1), *words])
+    ss = np.random.SeedSequence(entropy=[scenario.seed, *words])
     return np.random.default_rng(ss)
 
 
@@ -162,13 +173,13 @@ def draw_study_sizes(k, rng, size=None):
         raise ValidationError("draw_study_sizes: k must be >= 1")
     shape = (k,) if size is None else tuple(size) + (k,)
     draws = rng.lognormal(mean=SIZES_MEANLOG, sigma=SIZES_SDLOG, size=shape)
-    return np.maximum(12, 12 * np.round(draws / 12.0)).astype(int)
+    return np.maximum(12, 12 * np.rint(draws / 12.0)).astype(int)
 
 
 def _arm_sizes(n, p):
     """Split study sizes into two arm sizes, keeping both >= 1."""
     n = np.asarray(n)
-    n1 = np.round(p * n).astype(int)
+    n1 = np.rint(p * n).astype(int)
     n1 = np.minimum(np.maximum(n1, 1), n - 1)
     return n1, n - n1
 
@@ -225,19 +236,22 @@ def scenario_grid(k=None, tau=None, delta=None, sigma_delta=None, p=None, **sett
 def _finite_median(x):
     """np.median(x, axis=-1) of an all-finite x, bit for bit, from one
     partition rank instead of np.median's two (and its NaN rank and pass).
+    x is a temporary: it is partitioned and overwritten in place.
 
-    x is partitioned at hi = n // 2 only. For even n, the lower middle value,
-    rank lo = hi - 1, is the largest of the values below rank hi, and is
+    x is partitioned at hi = n // 2 only (ndarray.partition). For even n,
+    the lower middle value, rank lo = hi - 1, is the largest of the values
+    below rank hi (np.maximum.reduce, ndarray.max's own call), and is
     written into slot lo; np.median's partition at [lo, hi] puts the same
-    two values in the same two slots, so np.mean of slots lo..hi returns
-    its bits. Equal values have equal bits, except +0.0 and -0.0, and a
-    mean of zeros is +0.0 either way (the sum starts from +0.0)."""
+    two values in the same two slots, and its np.mean of slots lo..hi is
+    np.add.reduce over them divided by their count, as here. Equal values
+    have equal bits, except +0.0 and -0.0, and a mean of zeros is +0.0
+    either way (the sum starts from +0.0)."""
     n = x.shape[-1]
     lo, hi = (n - 1) // 2, n // 2
-    part = np.partition(x, hi, axis=-1)
+    x.partition(hi, axis=-1)
     if lo < hi:
-        part[..., lo] = part[..., :hi].max(axis=-1)
-    return np.mean(part[..., lo:hi + 1], axis=-1)
+        x[..., lo] = np.maximum.reduce(x[..., :hi], axis=-1)
+    return np.add.reduce(x[..., lo:hi + 1], axis=-1) / (hi - lo + 1)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioMetrics:
@@ -292,20 +306,47 @@ def run_scenario(scenario: Scenario) -> ScenarioMetrics:
     return ScenarioMetrics(scenario=scenario, tau_metrics=tau_metrics, ci_metrics=ci_metrics)
 
 
+# glibc's mallopt parameters, and the values its dynamic rule raises them to
+# at most on a 64-bit host: an mmap threshold of 32 MiB, a trim threshold of
+# twice that
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
+
+
+def keep_heap_pages():
+    """Fix glibc's malloc thresholds at the ceiling of its dynamic rule, so
+    that a process running scenario after scenario keeps its heap pages:
+    with the defaults, glibc trims the heap top after each scenario and the
+    next one faults the pages back in. Without glibc's mallopt (another C
+    library, another platform) it does nothing. It sets the whole process,
+    so only the simulate command and the pool's workers call it, never an
+    import or run_scenario: a library caller keeps glibc's defaults."""
+    import ctypes  # only this helper needs it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1):
     """Run many scenarios, optionally across processes. Output order and
     values are independent of the worker count, which is capped at the
     CPU count and the number of scenarios. Each worker is handed batches
     of about 1/32 of its share, few enough to keep the pool's per-task
     round trips small and many enough to balance the costlier k = 5 tail of
-    the grid."""
+    the grid; each worker starts with keep_heap_pages."""
     workers = min(jobs, os.cpu_count() or 1, len(scenarios))
     if workers <= 1:
         return [run_scenario(s) for s in scenarios]
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
     chunksize = max(1, len(scenarios) // (32 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=keep_heap_pages) as pool:
         return list(pool.map(run_scenario, scenarios, chunksize=chunksize))
 
 
@@ -362,21 +403,31 @@ def variance_ordering(scenario: Scenario):
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = "k,tau,delta,sigma_delta,p,n_reps,seed,kind,method,metric,value\r\n"
+# each method's metric names, in the sorted order of its rows
+_TAU_METRICS = ("bias", "bias_mc_se", "zero_count", "zero_proportion")
+_CI_METRICS = ("coverage", "coverage_mc_se", "failures", "median_length")
+# a scenario's rows after their common start, in order, each with its value's %r
+_ROW_SUFFIXES = tuple(
+    f",{kind},{method},{metric},%r\r\n"
+    for kind, methods, metrics in (("tau2", TAU2_METHODS, _TAU_METRICS),
+                                   ("ci", CI_METHODS, _CI_METRICS))
+    for method in methods
+    for metric in metrics
+)
 
 
 def metrics_to_csv(results: Iterable[ScenarioMetrics]):
     """Tidy CSV, one row per scenario x method x metric, as chunks produced
-    as they are written: the header, then one chunk per scenario."""
+    as they are written: the header, then one chunk per scenario, formatted
+    by one `%` over its rows' template, so repr is all each row formats."""
     yield _CSV_HEADER
     for res in results:
         s = res.scenario
         base = f"{s.k},{s.tau!r},{s.delta!r},{s.sigma_delta!r},{s.p!r},{s.n_reps},{s.seed}"
-        yield "".join(
-            f"{base},{kind},{method},{metric},{value!r}\r\n"
-            for kind, methods, metrics in (("tau2", TAU2_METHODS, res.tau_metrics),
-                                           ("ci", CI_METHODS, res.ci_metrics))
-            for method in methods
-            for metric, value in sorted(metrics[method].items())
+        tau, ci = res.tau_metrics, res.ci_metrics
+        yield (base + base.join(_ROW_SUFFIXES)) % (
+            *[tau[method][metric] for method in TAU2_METHODS for metric in _TAU_METRICS],
+            *[ci[method][metric] for method in CI_METHODS for metric in _CI_METRICS],
         )
 
 

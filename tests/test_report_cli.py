@@ -587,6 +587,48 @@ def test_cli_simulate_settings_keep_to_the_number_grammar(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("door", ["flag", "config", "env", "validate"])
+def test_seeds_outside_the_stream_range_exit_2(tmp_path, monkeypatch, door, seed):
+    """A seed enters the RNG stream as one 64-bit word: -1 and 2^64 - 1
+    would draw the same values while recording different seeds. A seed
+    outside [0, 2^64), from any door, exits 2 and writes nothing."""
+    monkeypatch.delenv("FEWMETA_SEED", raising=False)
+    out = tmp_path / "m.csv"
+    args = SIMULATE_ONE[:1] + SIMULATE_ONE[3:] + ["--out", str(out)]  # no --seed
+    if door == "flag":
+        args += ["--seed", str(seed)]
+    elif door == "config":
+        (tmp_path / "sim.cfg").write_text(f"seed={seed}\n", encoding="utf-8")
+        args += ["--config", str(tmp_path / "sim.cfg")]
+    elif door == "env":
+        monkeypatch.setenv("FEWMETA_SEED", str(seed))
+    else:
+        args = ["validate", "--seed", str(seed)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "validation", "message": "scenario: seed must be in [0, 2^64)"}
+    assert result.stdout == "" and not out.exists()
+
+
+def test_the_largest_seed_still_runs(tmp_path):
+    out = tmp_path / "m.csv"
+    args = SIMULATE_ONE[:2] + [str(2 ** 64 - 1)] + SIMULATE_ONE[3:] + ["--out", str(out)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert {row["seed"] for row in csv.DictReader(io.StringIO(out.read_text()))} == {str(2 ** 64 - 1)}
+
+
+def test_cli_simulate_keeps_its_heap_pages_once(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("fewmeta.cli.keep_heap_pages", lambda: calls.append("heap"))
+    monkeypatch.setattr("fewmeta.cli.run_scenarios", lambda *args, **kw: calls.append("run") or [])
+    result = CliRunner().invoke(main, SMALL_SIMULATION + ["--out", str(tmp_path / "m.csv")])
+    assert result.exit_code == 0, result.output
+    assert calls == ["heap", "run"]
+
+
 @pytest.mark.parametrize("args, option, text, kind", [
     (["analyze", dataset_path("sglt2"), "--level"], "--level", "0.9_5", "float"),
     (["analyze", dataset_path("sglt2"), "--level"], "--level", "\u0660.95", "float"),

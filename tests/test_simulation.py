@@ -11,8 +11,8 @@ import pytest
 
 from fewmeta import report, simulation
 from fewmeta.data import ValidationError
-from fewmeta.estimators import MAX1, MAX2, cochran_q, mu_ce, mu_ce_subgroup
-from fewmeta.intervals import meta_kernel, run_all_methods
+from fewmeta.estimators import MAX1, MAX2, TAU2_METHODS, cochran_q, mu_ce, mu_ce_subgroup
+from fewmeta.intervals import CI_METHODS, meta_kernel, run_all_methods
 from fewmeta.simulation import (
     MAX_REPLICATE_STUDIES,
     Scenario,
@@ -45,6 +45,11 @@ def test_scenario_validation():
         _scenario(p=0.0)
     with pytest.raises(ValidationError):
         _scenario(n_reps=0)
+    # a seed is one word of the stream's entropy: refused outside [0, 2^64)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValidationError, match=r"^scenario: seed must be in \[0, 2\^64\)$"):
+            _scenario(seed=seed)
+    assert scenario_rng(_scenario(seed=2 ** 64 - 1)).random() != scenario_rng(_scenario(seed=0)).random()
     # the rest of the model is fixed: a scenario has no other setting
     assert [f.name for f in dataclasses.fields(Scenario)] == [
         "k", "tau", "delta", "sigma_delta", "p", "n_reps", "seed"]
@@ -88,6 +93,42 @@ def test_draw_study_sizes_rules():
     assert small.any() and np.all(n[small] == 12)
 
 
+def test_arm_sizes_round_as_np_round_with_ties_to_even():
+    # _arm_sizes rounds p * n with np.rint: np.round's bits, a tie at .5
+    # going to the even neighbour (13 / 2 -> 6, 15 / 2 -> 8)
+    n = np.arange(2, 400)
+    for p in simulation.P_GRID + (0.1, 0.3, 0.75):
+        n1, n2 = simulation._arm_sizes(n, p)
+        expected = np.clip(np.round(p * n).astype(int), 1, n - 1)
+        assert n1.dtype == expected.dtype and np.array_equal(n1, expected)
+        assert np.array_equal(n2, n - expected)
+    assert simulation._arm_sizes(np.array([13, 15]), 1 / 2)[0].tolist() == [6, 8]
+
+
+def test_numpy_round_with_0_decimals_is_rint():
+    """The draw calls np.rint for np.round's bits; numpy's round with 0
+    decimals is its rint (pinned with numpy, see the workflow)."""
+    rng = np.random.default_rng(4)
+    x = np.concatenate([
+        np.arange(-40, 40) + 0.5,  # ties
+        rng.lognormal(5.0, 1.0, 5000) / 12.0,
+        np.outer(simulation.P_GRID, np.arange(1, 500)).ravel(),
+        [-0.0, 0.0, -0.5, 0.49999999999999994, 2.0 ** 52 + 1, np.inf, -np.inf, np.nan],
+    ])
+    assert np.round(x).tobytes() == np.rint(x).tobytes()
+
+
+def test_numpy_mean_is_add_reduce_over_the_count():
+    """_finite_median and the mean bias take np.mean's steps: np.add.reduce
+    over the axis, divided by the count (pinned with numpy, see the
+    workflow)."""
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.standard_normal((6, 1001)), rng.lognormal(0.0, 3.0, (6, 1001))])
+    for part in (x, x[:, 499:500], x[:, 499:501], x[:, ::7], x.T):
+        n = part.shape[-1]
+        assert np.mean(part, axis=-1).tobytes() == (np.add.reduce(part, axis=-1) / n).tobytes()
+
+
 @pytest.mark.parametrize("n_reps", [1, 2, 3, 7, 1000, 1001])
 def test_finite_median_is_np_median(n_reps):
     rng = np.random.default_rng(n_reps)
@@ -102,8 +143,14 @@ def test_finite_median_is_np_median(n_reps):
         # leaves a value below the lower middle one in slot n // 2 - 1
         rng.integers(0, 10, (500, n_reps)).astype(float),
     ])
+    untouched = rows.copy()
     got = simulation._finite_median(rows)
-    assert got.tobytes() == np.median(rows, axis=-1).tobytes()
+    assert got.tobytes() == np.median(untouched, axis=-1).tobytes()
+    # the argument is partitioned in place at n // 2
+    hi = n_reps // 2
+    assert np.array_equal(rows[:, hi], np.sort(untouched, axis=-1)[:, hi])  # -0.0 == 0.0
+    assert (rows[:, :hi] <= rows[:, hi:hi + 1]).all() and (rows[:, hi:] >= rows[:, hi:hi + 1]).all()
+    assert n_reps < 3 or not np.array_equal(rows, untouched)
 
 
 def test_arm_sizes_clip_both_arms_to_one():
@@ -225,11 +272,11 @@ def test_run_scenarios_caps_workers(monkeypatch):
     pools = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records the worker count and
-        the batch size and runs the work in this process."""
+        """Stands in for ProcessPoolExecutor: records the worker count, the
+        initializer and the batch size and runs the work in this process."""
 
-        def __init__(self, max_workers):
-            pools.append([max_workers])
+        def __init__(self, max_workers, initializer):
+            pools.append([max_workers, initializer])
 
         def __enter__(self):
             return self
@@ -249,7 +296,7 @@ def test_run_scenarios_caps_workers(monkeypatch):
     for cpus, jobs, expected in ((2, 10 ** 6, 2), (64, 10 ** 6, 3), (64, 2, 2)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         capped = run_scenarios(scenarios, jobs=jobs)
-        assert pools[-1] == [expected, 1]
+        assert pools[-1] == [expected, simulation.keep_heap_pages, 1]
         assert [m.ci_metrics for m in capped] == [m.ci_metrics for m in serial]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_scenarios(scenarios, jobs=10 ** 6)
@@ -259,7 +306,40 @@ def test_run_scenarios_caps_workers(monkeypatch):
     monkeypatch.setattr(simulation, "run_scenario", lambda s: s)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run_scenarios(grid, jobs=2) == grid
-    assert pools[-1] == [2, 17]
+    assert pools[-1] == [2, simulation.keep_heap_pages, 17]
+
+
+class _FakeLibc:
+    """Stands in for ctypes.CDLL(None): its mallopt records its calls."""
+
+    def __init__(self, name):
+        assert name is None
+        self.calls = []
+        self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+        _FakeLibc.last = self
+
+
+def test_keep_heap_pages_fixes_both_malloc_thresholds(monkeypatch):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", _FakeLibc)
+    simulation.keep_heap_pages()
+    libc = _FakeLibc.last
+    # M_MMAP_THRESHOLD (-3) at 32 MiB, then M_TRIM_THRESHOLD (-1) at 64 MiB
+    assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    assert libc.mallopt.restype is ctypes.c_int
+
+
+@pytest.mark.parametrize("libc", ["no-mallopt", "no-library"])
+def test_keep_heap_pages_does_nothing_without_mallopt(monkeypatch, libc):
+    import ctypes
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", (lambda name: object()) if libc == "no-mallopt" else no_library)
+    assert simulation.keep_heap_pages() is None
 
 
 def test_importing_the_package_loads_no_process_pool():
@@ -336,6 +416,48 @@ def test_metrics_output(tmp_path):
         "seed": 123, "mu": 0.0, "sigma_u": 4.0, "sizes_meanlog": 5.0, "sizes_sdlog": 1.0,
     }
     assert results[0].n_reps == sc.n_reps == 100
+
+
+def _per_row_metrics_csv(results):
+    """metrics_to_csv as it was before its row templates, the reference: one
+    f-string per row, each method's metrics in sorted order."""
+    yield "k,tau,delta,sigma_delta,p,n_reps,seed,kind,method,metric,value\r\n"
+    for res in results:
+        s = res.scenario
+        base = f"{s.k},{s.tau!r},{s.delta!r},{s.sigma_delta!r},{s.p!r},{s.n_reps},{s.seed}"
+        yield "".join(
+            f"{base},{kind},{method},{metric},{value!r}\r\n"
+            for kind, methods, metrics in (("tau2", TAU2_METHODS, res.tau_metrics),
+                                           ("ci", CI_METHODS, res.ci_metrics))
+            for method in methods
+            for metric, value in sorted(metrics[method].items())
+        )
+
+
+def test_metrics_csv_templates_write_the_per_row_bytes(monkeypatch):
+    results = [run_scenario(sc) for sc in (
+        _scenario(k=3, tau=0.5, delta=0.2, sigma_delta=0.1, p=1 / 3, n_reps=50),
+        _scenario(k=5, tau=1e-300, delta=-1.0, p=0.25, n_reps=1, seed=2 ** 64 - 1),
+    )]
+
+    def failing_bounds(*args, **kwargs):
+        """HKSJ fails in every replicate, MKH in every third."""
+        result = meta_kernel(*args, **kwargs)
+        hksj, mkh = result.intervals["HKSJ"], result.intervals["MKH"]
+        upper = mkh.upper.copy()
+        upper[::3] = np.nan
+        intervals = {**result.intervals, "HKSJ": hksj._replace(lower=np.full_like(hksj.lower, -np.inf)),
+                     "MKH": mkh._replace(upper=upper)}
+        return dataclasses.replace(result, intervals=intervals)
+
+    monkeypatch.setattr(simulation, "meta_kernel", failing_bounds)
+    failed = run_scenario(_scenario(k=2, tau=0.1, n_reps=30))
+    assert failed.ci_metrics["HKSJ"]["failures"] == 30
+    assert math.isnan(failed.ci_metrics["HKSJ"]["median_length"])
+    assert failed.ci_metrics["MKH"]["failures"] == 10
+    assert math.isfinite(failed.ci_metrics["MKH"]["median_length"])
+    results.append(failed)
+    assert list(simulation.metrics_to_csv(results)) == list(_per_row_metrics_csv(results))
 
 
 def test_run_scenario_raises_the_kernel_error(monkeypatch):
