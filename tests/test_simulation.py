@@ -93,15 +93,16 @@ def test_draw_study_sizes_rules():
     assert small.any() and np.all(n[small] == 12)
 
 
-def test_arm_sizes_round_as_np_round_with_ties_to_even():
+def test_arm_sizes_clip_both_arms_to_one():
     # _arm_sizes rounds p * n with np.rint: np.round's bits, a tie at .5
     # going to the even neighbour (13 / 2 -> 6, 15 / 2 -> 8)
-    n = np.arange(2, 400)
-    for p in simulation.P_GRID + (0.1, 0.3, 0.75):
-        n1, n2 = simulation._arm_sizes(n, p)
-        expected = np.clip(np.round(p * n).astype(int), 1, n - 1)
-        assert n1.dtype == expected.dtype and np.array_equal(n1, expected)
-        assert np.array_equal(n2, n - expected)
+    small = np.array([[1, 2, 3, 12, 13], [24, 36, 100, 7, 2]])
+    for n in (small, np.arange(2, 400)):
+        for p in (0.01, 0.1, 0.25, 0.3, 1 / 3, 0.5, 0.75, 0.99):
+            n1, n2 = simulation._arm_sizes(n, p)
+            expected = np.clip(np.round(p * n).astype(int), 1, n - 1)
+            assert n1.dtype == expected.dtype and np.array_equal(n1, expected)
+            assert np.array_equal(n2, n - expected)
     assert simulation._arm_sizes(np.array([13, 15]), 1 / 2)[0].tolist() == [6, 8]
 
 
@@ -151,15 +152,6 @@ def test_finite_median_is_np_median(n_reps):
     assert np.array_equal(rows[:, hi], np.sort(untouched, axis=-1)[:, hi])  # -0.0 == 0.0
     assert (rows[:, :hi] <= rows[:, hi:hi + 1]).all() and (rows[:, hi:] >= rows[:, hi:hi + 1]).all()
     assert n_reps < 3 or not np.array_equal(rows, untouched)
-
-
-def test_arm_sizes_clip_both_arms_to_one():
-    n = np.array([[1, 2, 3, 12, 13], [24, 36, 100, 7, 2]])
-    for p in (0.01, 0.25, 1 / 3, 0.5, 0.99):
-        n1, n2 = simulation._arm_sizes(n, p)
-        expected = np.clip(np.round(p * n).astype(int), 1, n - 1)
-        assert n1.dtype == expected.dtype and np.array_equal(n1, expected)
-        assert np.array_equal(n2, n - expected)
 
 
 @pytest.mark.parametrize("k", [0, -1])
