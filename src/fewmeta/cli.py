@@ -41,7 +41,6 @@ from .selection import (
 )
 from .simulation import (
     Scenario,
-    keep_heap_pages,
     metrics_to_csv,
     metrics_to_json,
     run_scenarios,
@@ -310,7 +309,6 @@ def simulate(jobs, config_path, out, summary, **flags):
     for path in filter(None, (out, summary)):  # fail before the run, not after it
         with _output(path), tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
             pass
-    keep_heap_pages()
     results = run_scenarios(scenarios, jobs=jobs)
     outputs = [(summary, metrics_to_json(results))] if summary else []
     with _output():

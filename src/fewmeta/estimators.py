@@ -133,10 +133,9 @@ class _Pool(NamedTuple):
         return (self.q() - df) / denom
 
 
-def _pool(y, w, axes=(-1,), wy=None):
-    """The _Pool of y with weights w; wy is w * y when the caller has it."""
+def _pool(y, w, axes=(-1,)):
     sw = _sum(w, axes)
-    mu = _sum(w * y if wy is None else wy, axes) / sw
+    mu = _sum(w * y, axes) / sw
     return _Pool(w, sw, mu, (y - mu[(...,) + (None,) * len(axes)]) ** 2, axes)
 
 

@@ -349,8 +349,7 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95) -> KernelResult:
     (y_sub=None) only DL is estimated and both HCS intervals fall back to the
     study-level common effect with DL and k-1 degrees of freedom. With arms
     alone (y = se = None, a simulated batch) the study rows are the arms'
-    inverse-variance aggregates, from the arm weights and weighted
-    effects (w * y, formed once) the arm pool uses.
+    inverse-variance aggregates, from the arm weights the arm pool uses.
     Weights, sums and means are pooled once per batch at each level:
     studies, random effects and arms.
     """
@@ -359,10 +358,9 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95) -> KernelResult:
     if y_sub is not None:
         y_sub, se_sub = _laid_out(y_sub, 2), _laid_out(se_sub, 2)
         w_sub = _weights(se_sub)
-        wy_sub = w_sub * y_sub  # formed once, for the study rows and the arm pool
         w = _sum(w_sub)  # each study's sum of arm weights: its common-effect weight
         if y is None:
-            y, se = _sum(wy_sub) / w, 1.0 / np.sqrt(w)
+            y, se = _sum(w_sub * y_sub) / w, 1.0 / np.sqrt(w)
     k = y.shape[-1]
     _require_two_studies(k, "meta_kernel")
     p_upper = 0.5 + level / 2.0
@@ -405,7 +403,7 @@ def meta_kernel(y, se, y_sub=None, se_sub=None, level=0.95) -> KernelResult:
         hcs = _variance_hcs(tau2[DL], study.sw, sw2, np.square(study.sw))
         intervals[HCS_MAX1] = intervals[HCS_MAX2] = interval(study.mu, hcs, df_lo, t_lo, tau2[DL])
     else:
-        arms = _pool(y_sub, w_sub, (-2, -1), wy_sub)
+        arms = _pool(y_sub, w_sub, (-2, -1))
         arms_sw2 = _sum(arms.w ** 2, (-2, -1))
         raw[DLS] = attempt(DLS, _dls, arms, arms_sw2)
         a = attempt("A", lambda: _shrinkage_a(arms.w, arms.sw, arms_sw2)[0])

@@ -34,10 +34,8 @@ oracle and the variance ordering, the latter in one kernel call.
 Scenarios are embarrassingly parallel and each derives its own RNG stream
 from a content hash, making results independent of the execution schedule.
 With jobs > 1 they go to a process pool in batches (see run_scenarios);
-the pool machinery is imported only then. The simulate command and each
-pool worker fix glibc's malloc thresholds first (keep_heap_pages), so a
-process keeps its heap pages from one scenario to the next. metrics.csv is
-streamed into its atomic write one scenario at a time.
+the pool machinery is imported only then. metrics.csv is streamed into its
+atomic write one scenario at a time.
 """
 
 from __future__ import annotations
@@ -129,6 +127,11 @@ class Scenario:
         )
 
 
+# each method's metric names, in the order of its metrics dict
+_TAU_METRICS = ("bias", "bias_mc_se", "zero_proportion", "zero_count")
+_CI_METRICS = ("coverage", "coverage_mc_se", "median_length", "failures")
+
+
 @dataclass(frozen=True)
 class ScenarioMetrics:
     """Aggregated Monte Carlo metrics of one scenario.
@@ -137,7 +140,8 @@ class ScenarioMetrics:
     (on the standard deviation scale, against the true tau), its Monte
     Carlo SE, and the proportion/count of zero estimates. ci_metrics maps
     each interval method to empirical coverage of the true mean, its
-    binomial SE, the median interval length, and the failure count.
+    binomial SE, the median interval length, and the failure count. Each
+    method's metrics are named by _TAU_METRICS and _CI_METRICS.
     """
 
     scenario: Scenario
@@ -275,7 +279,7 @@ def run_scenario(scenario: Scenario) -> ScenarioMetrics:
         bias_se = np.zeros(len(t2))
     zeros = np.add.reduce(t2 == 0.0, axis=-1)
     tau_metrics = {
-        method: {"bias": b, "bias_mc_se": se, "zero_proportion": z / n_reps, "zero_count": z}
+        method: dict(zip(_TAU_METRICS, (b, se, z / n_reps, z)))
         for method, b, se, z in zip(
             TAU2_METHODS, mean[:, 0].tolist(), bias_se.tolist(), zeros.tolist()
         )
@@ -297,7 +301,7 @@ def run_scenario(scenario: Scenario) -> ScenarioMetrics:
             for row, keep in zip(lengths, ok)
         ]
     ci_metrics = {
-        method: {"coverage": c, "coverage_mc_se": se, "median_length": m, "failures": f}
+        method: dict(zip(_CI_METRICS, (c, se, m, f)))
         for method, c, se, m, f in zip(
             CI_METHODS, coverage.tolist(), coverage_se.tolist(), median_length, failures.tolist()
         )
@@ -306,47 +310,20 @@ def run_scenario(scenario: Scenario) -> ScenarioMetrics:
     return ScenarioMetrics(scenario=scenario, tau_metrics=tau_metrics, ci_metrics=ci_metrics)
 
 
-# glibc's mallopt parameters, and the values its dynamic rule raises them to
-# at most on a 64-bit host: an mmap threshold of 32 MiB, a trim threshold of
-# twice that
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
-
-
-def keep_heap_pages():
-    """Fix glibc's malloc thresholds at the ceiling of its dynamic rule, so
-    that a process running scenario after scenario keeps its heap pages:
-    with the defaults, glibc trims the heap top after each scenario and the
-    next one faults the pages back in. Without glibc's mallopt (another C
-    library, another platform) it does nothing. It sets the whole process,
-    so only the simulate command and the pool's workers call it, never an
-    import or run_scenario: a library caller keeps glibc's defaults."""
-    import ctypes  # only this helper needs it
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
 def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1):
     """Run many scenarios, optionally across processes. Output order and
     values are independent of the worker count, which is capped at the
     CPU count and the number of scenarios. Each worker is handed batches
     of about 1/32 of its share, few enough to keep the pool's per-task
     round trips small and many enough to balance the costlier k = 5 tail of
-    the grid; each worker starts with keep_heap_pages."""
+    the grid."""
     workers = min(jobs, os.cpu_count() or 1, len(scenarios))
     if workers <= 1:
         return [run_scenario(s) for s in scenarios]
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
     chunksize = max(1, len(scenarios) // (32 * workers))
-    with ProcessPoolExecutor(max_workers=workers, initializer=keep_heap_pages) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_scenario, scenarios, chunksize=chunksize))
 
 
@@ -403,14 +380,13 @@ def variance_ordering(scenario: Scenario):
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = "k,tau,delta,sigma_delta,p,n_reps,seed,kind,method,metric,value\r\n"
-# each method's metric names, in the sorted order of its rows
-_TAU_METRICS = ("bias", "bias_mc_se", "zero_count", "zero_proportion")
-_CI_METRICS = ("coverage", "coverage_mc_se", "failures", "median_length")
+# a method's rows take its metrics in sorted order
+_TAU_ROWS, _CI_ROWS = sorted(_TAU_METRICS), sorted(_CI_METRICS)
 # a scenario's rows after their common start, in order, each with its value's %r
 _ROW_SUFFIXES = tuple(
     f",{kind},{method},{metric},%r\r\n"
-    for kind, methods, metrics in (("tau2", TAU2_METHODS, _TAU_METRICS),
-                                   ("ci", CI_METHODS, _CI_METRICS))
+    for kind, methods, metrics in (("tau2", TAU2_METHODS, _TAU_ROWS),
+                                   ("ci", CI_METHODS, _CI_ROWS))
     for method in methods
     for metric in metrics
 )
@@ -426,8 +402,8 @@ def metrics_to_csv(results: Iterable[ScenarioMetrics]):
         base = f"{s.k},{s.tau!r},{s.delta!r},{s.sigma_delta!r},{s.p!r},{s.n_reps},{s.seed}"
         tau, ci = res.tau_metrics, res.ci_metrics
         yield (base + base.join(_ROW_SUFFIXES)) % (
-            *[tau[method][metric] for method in TAU2_METHODS for metric in _TAU_METRICS],
-            *[ci[method][metric] for method in CI_METHODS for metric in _CI_METRICS],
+            *[tau[method][metric] for method in TAU2_METHODS for metric in _TAU_ROWS],
+            *[ci[method][metric] for method in CI_METHODS for metric in _CI_ROWS],
         )
 
 

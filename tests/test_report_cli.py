@@ -620,15 +620,6 @@ def test_the_largest_seed_still_runs(tmp_path):
     assert {row["seed"] for row in csv.DictReader(io.StringIO(out.read_text()))} == {str(2 ** 64 - 1)}
 
 
-def test_cli_simulate_keeps_its_heap_pages_once(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr("fewmeta.cli.keep_heap_pages", lambda: calls.append("heap"))
-    monkeypatch.setattr("fewmeta.cli.run_scenarios", lambda *args, **kw: calls.append("run") or [])
-    result = CliRunner().invoke(main, SMALL_SIMULATION + ["--out", str(tmp_path / "m.csv")])
-    assert result.exit_code == 0, result.output
-    assert calls == ["heap", "run"]
-
-
 @pytest.mark.parametrize("args, option, text, kind", [
     (["analyze", dataset_path("sglt2"), "--level"], "--level", "0.9_5", "float"),
     (["analyze", dataset_path("sglt2"), "--level"], "--level", "\u0660.95", "float"),

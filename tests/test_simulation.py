@@ -264,11 +264,11 @@ def test_run_scenarios_caps_workers(monkeypatch):
     pools = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records the worker count, the
-        initializer and the batch size and runs the work in this process."""
+        """Stands in for ProcessPoolExecutor: records the worker count and
+        the batch size and runs the work in this process."""
 
-        def __init__(self, max_workers, initializer):
-            pools.append([max_workers, initializer])
+        def __init__(self, max_workers):
+            pools.append([max_workers])
 
         def __enter__(self):
             return self
@@ -288,7 +288,7 @@ def test_run_scenarios_caps_workers(monkeypatch):
     for cpus, jobs, expected in ((2, 10 ** 6, 2), (64, 10 ** 6, 3), (64, 2, 2)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         capped = run_scenarios(scenarios, jobs=jobs)
-        assert pools[-1] == [expected, simulation.keep_heap_pages, 1]
+        assert pools[-1] == [expected, 1]
         assert [m.ci_metrics for m in capped] == [m.ci_metrics for m in serial]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_scenarios(scenarios, jobs=10 ** 6)
@@ -298,40 +298,7 @@ def test_run_scenarios_caps_workers(monkeypatch):
     monkeypatch.setattr(simulation, "run_scenario", lambda s: s)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run_scenarios(grid, jobs=2) == grid
-    assert pools[-1] == [2, simulation.keep_heap_pages, 17]
-
-
-class _FakeLibc:
-    """Stands in for ctypes.CDLL(None): its mallopt records its calls."""
-
-    def __init__(self, name):
-        assert name is None
-        self.calls = []
-        self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
-        _FakeLibc.last = self
-
-
-def test_keep_heap_pages_fixes_both_malloc_thresholds(monkeypatch):
-    import ctypes
-
-    monkeypatch.setattr(ctypes, "CDLL", _FakeLibc)
-    simulation.keep_heap_pages()
-    libc = _FakeLibc.last
-    # M_MMAP_THRESHOLD (-3) at 32 MiB, then M_TRIM_THRESHOLD (-1) at 64 MiB
-    assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
-    assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
-    assert libc.mallopt.restype is ctypes.c_int
-
-
-@pytest.mark.parametrize("libc", ["no-mallopt", "no-library"])
-def test_keep_heap_pages_does_nothing_without_mallopt(monkeypatch, libc):
-    import ctypes
-
-    def no_library(name):
-        raise OSError("no C library")
-
-    monkeypatch.setattr(ctypes, "CDLL", (lambda name: object()) if libc == "no-mallopt" else no_library)
-    assert simulation.keep_heap_pages() is None
+    assert pools[-1] == [2, 17]
 
 
 def test_importing_the_package_loads_no_process_pool():
