@@ -3,13 +3,16 @@ import hashlib
 import math
 import os
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fewmeta import selection
+from fewmeta import report, selection
 from fewmeta.cli import main
 
 from fewmeta.data import (
@@ -197,28 +200,93 @@ def _written_rows(tmp_path, blocks):
 
 
 def test_histogram_rows_equal_percent_format():
-    """Rows for any first id and length, across thousand-id boundaries, are
-    "%d,%r\r\n" rows, at most 1000 to a chunk."""
+    """A chunk's rows, for any first id and length up to _CHUNK_ROWS, across
+    thousand- and ten-thousand-id boundaries, are "%d,%r\r\n" rows."""
     rng = np.random.default_rng(24)
-    for start in [0, 1, 999, 1000, 999_999, 10 ** 6] + rng.integers(0, 10 ** 9, 30).tolist():
-        for length in (1, 2, 999, 1000, 1001, 2500, int(rng.integers(1, 3000))):
+    starts = [0, 1, 999, 1000, 4095, 4096, 9999, 999_999, 10 ** 6, 10 ** 8 - 4096, 10 ** 8]
+    for start in starts + rng.integers(0, 10 ** 9, 30).tolist():
+        for length in (1, 2, 999, 1000, 1001, 2500, 4095, 4096, int(rng.integers(1, 4097))):
             pool = _SPECIAL_FLOATS + (rng.standard_normal(6) * 10.0 ** rng.integers(-8, 17, 6)).tolist()
-            q = rng.choice(pool, length).tolist()
-            chunks = list(selection._histogram_rows(start, q))
-            assert all(chunk.count("\n") <= 1000 for chunk in chunks)
-            assert "".join(chunks) == _rows_by_percent(start, q)
+            q = rng.choice(pool, length)
+            assert selection._histogram_chunk(start, q) == _rows_by_percent(start, q.tolist())
 
 
-def test_write_histogram_csv_numbers_ids_across_blocks(tmp_path):
+def test_write_histogram_csv_numbers_ids_across_blocks(tmp_path, monkeypatch):
+    """Ids run on across blocks, and no chunk holds more than 4096 rows."""
+    written = []
+
+    def recording(path, chunks):
+        report.write_atomic(path, (written.append(chunk) or chunk for chunk in chunks))
+
+    monkeypatch.setattr(selection, "write_atomic", recording)
     rng = np.random.default_rng(5)
-    sizes = [3, 996, 1, 1000, 2048, 7]
-    q = rng.choice(_SPECIAL_FLOATS, sum(sizes)).tolist()
+    sizes = [3, 996, 1, 1000, 2048, 7, 4096, 4097, 9000]
+    pool = _SPECIAL_FLOATS + (rng.standard_normal(20) * 100.0).tolist()
+    q = rng.choice(pool, sum(sizes)).tolist()
     blocks, at = [], 0
     for n in sizes:
         blocks.append(np.array(q[at:at + n]))
         at += n
     assert _written_rows(tmp_path, blocks) == _rows_by_percent(0, q)
+    assert max(chunk.count("\n") for chunk in written) == 4096
     assert _written_rows(tmp_path, []) == ""
+
+
+def _bits_to_float(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64).item()
+
+
+# float64 values as bit patterns: any pattern; the fast domain's exponents
+# with any mantissa (0 a power of two, 1 and 2^52 - 1 its ends); decimals of
+# at most 14 digits; 10^k and powers of two with their neighbours
+_FLOAT64 = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_bits_to_float),
+    st.builds(lambda sign, exponent, mantissa: _bits_to_float(sign << 63 | exponent << 52 | mantissa),
+              st.integers(0, 1), st.integers(1023, 1074),
+              st.sampled_from([0, 1, 2 ** 52 - 1]) | st.integers(0, 2 ** 52 - 1)),
+    st.builds(lambda m, e: m / 10 ** e, st.integers(-10 ** 14, 10 ** 14), st.integers(0, 14)),
+    st.builds(lambda base, k, step: math.nextafter(base ** k, step),
+              st.sampled_from([2.0, 10.0]), st.integers(-30, 60), st.sampled_from([-math.inf, math.inf])),
+    st.builds(lambda base, k: base ** k, st.sampled_from([2.0, 10.0]), st.integers(-30, 60)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.sampled_from([0, 999, 1000, 4095, 4096, 10 ** 8 - 1]) | st.integers(0, 10 ** 8),
+       values=st.lists(_FLOAT64, min_size=1, max_size=200))
+def test_histogram_chunk_is_percent_r_on_float64_bits(start, values):
+    q = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert selection._histogram_chunk(start, q) == _rows_by_percent(start, values)
+
+
+def test_histogram_chunk_is_percent_r_in_bulk():
+    """About a million values, in chunks of 4096 whose ids cross 10^8: every
+    sign and exponent with extreme and random mantissas, 12 000 random
+    mantissas for each exponent of the fast domain, every power of two and
+    of ten in range with both neighbours (1.0, 2^52 - ulp and 2^52 among
+    them), and decimals of at most 14 digits with theirs."""
+    rng = np.random.default_rng(37)
+    exponents = np.arange(4096, dtype=np.uint64) << np.uint64(52)  # with the sign bit
+    domain = np.arange(1023, 1075, dtype=np.uint64) << np.uint64(52)
+    extremes = np.concatenate([[0, 1, 2 ** 52 - 1], rng.integers(0, 2 ** 52, 20)]).astype(np.uint64)
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-323, 309)])
+    decimals = rng.integers(1, 10 ** 14, 100_000) / 10.0 ** rng.integers(0, 15, 100_000)
+    edges = np.concatenate([powers, decimals])
+    q = np.concatenate([
+        (exponents[:, None] | extremes).ravel().view(np.float64),
+        (domain[:, None] | rng.integers(0, 2 ** 52, (domain.size, 12_000), dtype=np.uint64)).ravel().view(np.float64),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+    ])
+    q.view(np.uint64)[rng.random(q.size) < 0.5] ^= np.uint64(1 << 63)  # either sign
+    assert q.size > 10 ** 6
+    start = 10 ** 8 - q.size // 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(0, q.size, 4096):
+            chunk = q[i:i + 4096]
+            assert selection._histogram_chunk(start + i, chunk) == _rows_by_percent(start + i, chunk.tolist())
 
 
 @pytest.mark.parametrize("block", [7, 1000])
