@@ -25,10 +25,15 @@ and the mean as np.add.reduce over the middle slots divided by their count,
 np.mean's own steps. The mean bias and its Monte Carlo SE come from one
 np.add.reduce, then np.mean's and np.std's own steps (divide by n;
 subtract, square, sum, divide by n - 1, square root); counts are
-np.add.reduce over booleans, np.count_nonzero's int64 values. metrics.csv
-formats a scenario's 44 rows with one `%` over one template, its common
-start joined with the rows' suffixes (_ROW_SUFFIXES), so repr is all each
-row formats.
+np.add.reduce over booleans, np.count_nonzero's int64 values.
+Each metric value is formatted once: a ScenarioMetrics keeps its token row,
+the repr of its 44 values in metrics.csv's row order, made the first time a
+writer needs it. metrics.csv fills one template per scenario with it, its
+common start joined with the rows' suffixes (_ROW_SUFFIXES). The summary
+fills one entry template per scenario, which canonical_json writes once from
+a skeleton with placeholder leaves (_summary_template), and joins the
+entries; a leaf that is not a finite float or an int (a NaN median length,
+say) takes canonical_json's spelling instead.
 `fewmeta validate`'s Monte Carlo checks live here too: the expectation
 oracle and the variance ordering, the latter in one kernel call.
 Scenarios are embarrassingly parallel and each derives its own RNG stream
@@ -43,8 +48,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import os
+import re
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -73,11 +81,12 @@ DEFAULT_N_REPS = 1000
 # worker process, below about 1 GB.
 MAX_REPLICATE_STUDIES = 2_500_000
 
-# Upper bound on a grid's scenario count. simulate holds about 5.1 KB per
-# scenario until the write (tracemalloc over 3000 scenarios: 145 B for the
-# Scenario, 3.6 KB for its metrics, 1.3 KB for its summary entry), so the cap
-# keeps a run below about 1 GB.
-MAX_SCENARIOS = 200_000
+# Upper bound on a grid's scenario count. simulate holds about 6.0 KB per
+# scenario until the write (tracemalloc over 3000 scenarios: 151 B for the
+# Scenario, 3.7 KB for its metrics, 0.7 KB for its token row, 1.4 KB for its
+# summary entry), so the cap keeps a run below about 1 GB. While the summary
+# text is joined, its entries hold about 1.5 KB per scenario more.
+MAX_SCENARIOS = 160_000
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,9 @@ class ScenarioMetrics:
     each interval method to empirical coverage of the true mean, its
     binomial SE, the median interval length, and the failure count. Each
     method's metrics are named by _TAU_METRICS and _CI_METRICS.
+
+    The metric dicts are not changed after a ScenarioMetrics is made: both
+    writers read its token row, which is formatted from them once and kept.
     """
 
     scenario: Scenario
@@ -151,6 +163,19 @@ class ScenarioMetrics:
     @property
     def n_reps(self) -> int:
         return self.scenario.n_reps
+
+    @cached_property
+    def token_row(self) -> tuple[str, bool]:
+        """(row, numbers): the repr of the 44 metric values in metrics.csv's
+        row order, one a line, and whether each of them is also the JSON
+        encoder's spelling of its value: a finite float or an int. Made the
+        first time a writer needs it and then kept in the instance's
+        __dict__ (a frozen dataclass allows that), as one string of about
+        0.6 KB; eq, repr, dataclasses.replace and pickling see only the
+        fields."""
+        values = _metric_values(self)
+        row = "\n".join(map(repr, values))
+        return row, _json_numbers(values, row)
 
 
 def scenario_rng(scenario: Scenario) -> np.random.Generator:
@@ -382,9 +407,10 @@ def variance_ordering(scenario: Scenario):
 _CSV_HEADER = "k,tau,delta,sigma_delta,p,n_reps,seed,kind,method,metric,value\r\n"
 # a method's rows take its metrics in sorted order
 _TAU_ROWS, _CI_ROWS = sorted(_TAU_METRICS), sorted(_CI_METRICS)
-# a scenario's rows after their common start, in order, each with its value's %r
+_TAU_ROW, _CI_ROW = operator.itemgetter(*_TAU_ROWS), operator.itemgetter(*_CI_ROWS)
+# a scenario's rows after their common start, in order, each with its value's token
 _ROW_SUFFIXES = tuple(
-    f",{kind},{method},{metric},%r\r\n"
+    f",{kind},{method},{metric},%s\r\n"
     for kind, methods, metrics in (("tau2", TAU2_METHODS, _TAU_ROWS),
                                    ("ci", CI_METHODS, _CI_ROWS))
     for method in methods
@@ -392,19 +418,30 @@ _ROW_SUFFIXES = tuple(
 )
 
 
+def _json_numbers(values, text: str) -> bool:
+    """Whether `text`, the reprs of `values`, spells each value as the JSON
+    encoder does: every value is a float or an int, and none is nan, inf or
+    -inf, the only such reprs with an "n"."""
+    return {float, int}.issuperset(map(type, values)) and "n" not in text
+
+
+def _metric_values(res: ScenarioMetrics) -> list:
+    """A scenario's 44 metric values in metrics.csv's row order."""
+    tau, ci = res.tau_metrics, res.ci_metrics
+    return [*[v for method in TAU2_METHODS for v in _TAU_ROW(tau[method])],
+            *[v for method in CI_METHODS for v in _CI_ROW(ci[method])]]
+
+
 def metrics_to_csv(results: Iterable[ScenarioMetrics]):
     """Tidy CSV, one row per scenario x method x metric, as chunks produced
     as they are written: the header, then one chunk per scenario, formatted
-    by one `%` over its rows' template, so repr is all each row formats."""
+    by one `%` over its rows' template from the scenario's token row, so
+    each row costs its value's repr, made once for both writers."""
     yield _CSV_HEADER
     for res in results:
         s = res.scenario
         base = f"{s.k},{s.tau!r},{s.delta!r},{s.sigma_delta!r},{s.p!r},{s.n_reps},{s.seed}"
-        tau, ci = res.tau_metrics, res.ci_metrics
-        yield (base + base.join(_ROW_SUFFIXES)) % (
-            *[tau[method][metric] for method in TAU2_METHODS for metric in _TAU_ROWS],
-            *[ci[method][metric] for method in CI_METHODS for metric in _CI_ROWS],
-        )
+        yield (base + base.join(_ROW_SUFFIXES)) % tuple(res.token_row[0].split("\n"))
 
 
 def write_metrics_csv(results: Iterable[ScenarioMetrics], path):
@@ -413,17 +450,50 @@ def write_metrics_csv(results: Iterable[ScenarioMetrics], path):
 
 
 _SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))  # all scalars
+_SCENARIO_VALUES = operator.attrgetter(*_SCENARIO_FIELDS)
 _FIXED_MODEL = dict(mu=MU, sigma_u=SIGMA_U, sizes_meanlog=SIZES_MEANLOG, sizes_sdlog=SIZES_SDLOG)
 
 
+def _summary_template():
+    """(template, order): one summary entry as canonical_json writes it,
+    with a `%s` for each of its 51 leaves, and the itemgetter that puts
+    the leaves, the scenario's fields and then its token row, in the
+    template's order. canonical_json writes the entry once, from a
+    skeleton whose leaves are numbered placeholders, so its key order and
+    separators are the one writer's."""
+    leaf = map("@{}".format, itertools.count())
+    skeleton = {
+        "scenario": {**_FIXED_MODEL, **{name: next(leaf) for name in _SCENARIO_FIELDS}},
+        "tau_metrics": {method: {metric: next(leaf) for metric in _TAU_ROWS}
+                        for method in TAU2_METHODS},
+        "ci_metrics": {method: {metric: next(leaf) for metric in _CI_ROWS}
+                       for method in CI_METHODS},
+    }
+    parts = re.split(r'"@(\d+)"', canonical_json(skeleton)[:-1])
+    template = "%s".join(part.replace("%", "%%") for part in parts[::2])
+    return template, operator.itemgetter(*map(int, parts[1::2]))
+
+
+_SUMMARY_ENTRY, _SUMMARY_ORDER = _summary_template()
+
+
+def _summary_entry(res: ScenarioMetrics) -> str:
+    """canonical_json of one scenario's summary entry, without its newline.
+    Where every leaf is a finite float or an int, its token is its repr,
+    the encoder's own spelling; otherwise (a NaN median length, say) each
+    leaf is spelled by canonical_json."""
+    scenario = _SCENARIO_VALUES(res.scenario)
+    tokens = [*map(repr, scenario)]
+    row, numbers = res.token_row
+    if numbers and _json_numbers(scenario, "".join(tokens)):
+        leaves = (*tokens, *row.split("\n"))
+    else:
+        leaves = [canonical_json(v)[:-1] for v in (*scenario, *_metric_values(res))]
+    return _SUMMARY_ENTRY % _SUMMARY_ORDER(leaves)
+
+
 def metrics_to_json(results: Sequence[ScenarioMetrics]) -> str:
-    payload = [
-        {
-            "scenario": {**_FIXED_MODEL,
-                         **{name: getattr(r.scenario, name) for name in _SCENARIO_FIELDS}},
-            "tau_metrics": r.tau_metrics,
-            "ci_metrics": r.ci_metrics,
-        }
-        for r in results
-    ]
-    return canonical_json(payload)
+    """The simulate summary: canonical_json of the list of every scenario's
+    fields, the fixed model's values and its metrics, written as
+    "[" + ",".join(entries) + "]\n" from one template per entry."""
+    return "[" + ",".join([_summary_entry(r) for r in results]) + "]\n"

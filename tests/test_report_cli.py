@@ -513,7 +513,7 @@ def test_cli_simulate_refuses_a_grid_above_the_ceiling(tmp_path):
                                        "--out", str(out), "--summary", str(summary)])
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr) == {
-        "error": "validation", "message": "scenario_grid: 45000000 scenarios exceed 200000"
+        "error": "validation", "message": "scenario_grid: 45000000 scenarios exceed 160000"
     }
     assert not out.exists() and not summary.exists()
 

@@ -482,7 +482,8 @@ def test_per_study_choosers_and_the_enumeration_agree_bit_for_bit():
 
 def test_histogram_is_streamed_in_bounded_memory(tmp_path):
     """8^6 = 262 144 combinations go to the file holding one block of Q_S
-    and one chunk of at most 1000 rows at a time (2.5 MB); a list of the
+    and one chunk of at most 4096 rows (selection._CHUNK_ROWS) at a time:
+    the write peaks at about 1.6 MB under tracemalloc, while a list of the
     pairs alone takes about 240 B per combination, 63 MB here. The bound
     does not grow with the combination count."""
     rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from fewmeta import report, simulation
-from fewmeta.data import ValidationError
+from fewmeta.data import ValidationError, canonical_json
 from fewmeta.estimators import MAX1, MAX2, TAU2_METHODS, cochran_q, mu_ce, mu_ce_subgroup
 from fewmeta.intervals import CI_METHODS, meta_kernel, run_all_methods
 from fewmeta.simulation import (
@@ -215,10 +216,10 @@ def test_scenario_grid_is_bounded_before_any_scenario_is_built(monkeypatch):
     made = []
     monkeypatch.setattr(simulation, "Scenario", lambda *args, **settings: made.append(args))
     values = [i / 1000 for i in range(1000)]
-    with pytest.raises(ValidationError, match="^scenario_grid: 45000000 scenarios exceed 200000$"):
+    with pytest.raises(ValidationError, match="^scenario_grid: 45000000 scenarios exceed 160000$"):
         scenario_grid(tau=values, delta=values)
-    with pytest.raises(ValidationError, match="^scenario_grid: 200001 scenarios exceed 200000$"):
-        scenario_grid(k=2, tau=[0.0] * 200_001, delta=0, sigma_delta=0, p=0.5)
+    with pytest.raises(ValidationError, match="^scenario_grid: 160001 scenarios exceed 160000$"):
+        scenario_grid(k=2, tau=[0.0] * 160_001, delta=0, sigma_delta=0, p=0.5)
     assert made == []
     scenario_grid(k=2, tau=[0.0] * simulation.MAX_SCENARIOS, delta=0, sigma_delta=0, p=0.5)
     assert len(made) == simulation.MAX_SCENARIOS
@@ -417,6 +418,77 @@ def test_metrics_csv_templates_write_the_per_row_bytes(monkeypatch):
     assert math.isfinite(failed.ci_metrics["MKH"]["median_length"])
     results.append(failed)
     assert list(simulation.metrics_to_csv(results)) == list(_per_row_metrics_csv(results))
+
+
+def _canonical_summary(results):
+    """metrics_to_json as it was before its entry template, the reference:
+    canonical_json of the whole payload, each scenario's fields with the
+    fixed model's values and its metric dicts."""
+    fixed = dict(mu=simulation.MU, sigma_u=simulation.SIGMA_U,
+                 sizes_meanlog=simulation.SIZES_MEANLOG, sizes_sdlog=simulation.SIZES_SDLOG)
+    return canonical_json([
+        {"scenario": {**fixed, **{f.name: getattr(r.scenario, f.name)
+                                  for f in dataclasses.fields(Scenario)}},
+         "tau_metrics": r.tau_metrics, "ci_metrics": r.ci_metrics}
+        for r in results
+    ])
+
+
+def _with_values(res, **changes):
+    """res with some metric values replaced, in new dicts; each change is
+    named method__metric."""
+    tau = {method: dict(m) for method, m in res.tau_metrics.items()}
+    ci = {method: dict(m) for method, m in res.ci_metrics.items()}
+    for name, value in changes.items():
+        method, metric = name.split("__")
+        (tau if method in tau else ci)[method][metric] = value
+    return dataclasses.replace(res, tau_metrics=tau, ci_metrics=ci)
+
+
+def test_summary_and_csv_writers_equal_their_references():
+    """metrics_to_json equals canonical_json of the payload, and
+    metrics_to_csv the per-row CSV, on results whose metrics hold NaN,
+    +-inf and -0.0, a numpy float (whose repr is no JSON number) and a
+    numpy scenario field, next to ordinary rows."""
+    ordinary = [run_scenario(sc) for sc in (
+        _scenario(k=3, tau=0.5, delta=0.2, sigma_delta=0.1, p=1 / 3, n_reps=50),
+        _scenario(k=5, tau=1e-300, delta=-1.0, p=0.25, n_reps=1, seed=2 ** 64 - 1),
+    )]
+    results = [
+        ordinary[0],
+        _with_values(ordinary[0], HKSJ__median_length=math.nan, DL__bias=-math.inf),
+        _with_values(ordinary[1], MAX1__bias=math.inf, ZH__coverage=-0.0, DLS__bias_mc_se=-0.0),
+        ordinary[1],
+        _with_values(ordinary[0], MKH__median_length=np.float64(0.25)),
+        run_scenario(_scenario(tau=np.float64(0.5), n_reps=10)),
+    ]
+    assert metrics_to_json(results) == _canonical_summary(results)
+    assert list(simulation.metrics_to_csv(results)) == list(_per_row_metrics_csv(results))
+    for res in results:  # one entry alone, with a token row kept
+        assert metrics_to_json([res]) == _canonical_summary([res])
+    assert metrics_to_json([]) == canonical_json([]) == "[]\n"
+
+
+def test_summary_refuses_what_canonical_json_refuses():
+    res = _with_values(run_scenario(_scenario(n_reps=10)), HCS_MAX1__coverage=object())
+    with pytest.raises(TypeError):
+        _canonical_summary([res])
+    with pytest.raises(TypeError):
+        metrics_to_json([res])
+
+
+def test_token_row_is_made_once_and_leaves_the_fields_alone():
+    res = run_scenario(_scenario(k=3, tau=0.2, n_reps=30))
+    assert "token_row" not in vars(res)
+    row, numbers = res.token_row
+    assert res.token_row is res.token_row and numbers
+    assert row.split("\n") == [line.rsplit(",", 1)[1] for line in
+                                "".join(simulation.metrics_to_csv([res])).splitlines()[1:]]
+    copy = dataclasses.replace(res)
+    assert copy == res and repr(copy) == repr(res) and "token_row" not in vars(copy)
+    assert pickle.loads(pickle.dumps(res)) == res
+    nan = _with_values(res, ZH__median_length=math.nan)
+    assert nan.token_row[1] is False and nan.token_row[0] != row
 
 
 def test_run_scenario_raises_the_kernel_error(monkeypatch):
