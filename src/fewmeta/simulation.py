@@ -31,9 +31,10 @@ the repr of its 44 values in metrics.csv's row order, made the first time a
 writer needs it. metrics.csv fills one template per scenario with it, its
 common start joined with the rows' suffixes (_ROW_SUFFIXES). The summary
 fills one entry template per scenario, which canonical_json writes once from
-a skeleton with placeholder leaves (_summary_template), and joins the
-entries; a leaf that is not a finite float or an int (a NaN median length,
-say) takes canonical_json's spelling instead.
+a skeleton with placeholder leaves (data.json_template, as it writes the
+analysis report's), and joins the entries; a leaf that is not a finite
+float or an int (a NaN median length, say) takes canonical_json's spelling
+instead.
 `fewmeta validate`'s Monte Carlo checks live here too: the expectation
 oracle and the variance ordering, the latter in one kernel call.
 Scenarios are embarrassingly parallel and each derives its own RNG stream
@@ -48,16 +49,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import numbers
 import operator
 import os
-import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .data import MAX_ABS_EFFECT, ValidationError, canonical_json
+from .data import MAX_ABS_EFFECT, ValidationError, canonical_json, json_template
 from .estimators import DL, DLS, TAU2_METHODS, expected_tau2_dls
 from .intervals import CI_METHODS, HCS_MAX1, HCS_MAX2, HKSJ, MKH, meta_kernel
 from .report import write_atomic
@@ -81,12 +82,16 @@ DEFAULT_N_REPS = 1000
 # worker process, below about 1 GB.
 MAX_REPLICATE_STUDIES = 2_500_000
 
-# Upper bound on a grid's scenario count. simulate holds about 6.0 KB per
-# scenario until the write (tracemalloc over 3000 scenarios: 151 B for the
-# Scenario, 3.7 KB for its metrics, 0.7 KB for its token row, 1.4 KB for its
-# summary entry), so the cap keeps a run below about 1 GB. While the summary
-# text is joined, its entries hold about 1.5 KB per scenario more.
+# Upper bound on a grid's scenario count. It bounds what simulate holds until
+# the write, about 6.0 KB per scenario (tracemalloc over 3000 scenarios: 151 B
+# for the Scenario, 3.7 KB for its metrics, 0.7 KB for its token row, 1.4 KB
+# for its summary entry), about 1 GB at the cap. It does not bound the peak:
+# while the summary is joined, its entries and the joined text coexist, about
+# 7.4 KB per scenario in all, so a grid at the cap peaks near 1.2 GB.
 MAX_SCENARIOS = 160_000
+
+
+_INTEGER_FIELDS, _REAL_FIELDS = ("k", "n_reps", "seed"), ("tau", "delta", "sigma_delta", "p")
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,25 @@ class Scenario:
     mu: ClassVar[float] = MU
 
     def __post_init__(self):
+        # each field is kept as an int or a float, whatever number type it
+        # came as, so that equal scenarios have one key() and so one stream
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int:
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise ValidationError(f"scenario: {name} must be an integer") from None
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not float:
+                if not isinstance(value, numbers.Real):
+                    raise ValidationError(f"scenario: {name} must be a real number")
+                try:
+                    value = float(value)
+                except OverflowError:  # an int or a Fraction beyond any double: out of range
+                    value = math.inf if value > 0 else -math.inf
+                object.__setattr__(self, name, value)
         if self.k < 2:
             raise ValidationError("scenario: k must be >= 2")
         for name in ("tau", "delta", "sigma_delta"):
@@ -255,8 +279,7 @@ def scenario_grid(k=None, tau=None, delta=None, sigma_delta=None, p=None, **sett
     count = math.prod(map(len, axes))
     if count > MAX_SCENARIOS:
         raise ValidationError(f"scenario_grid: {count} scenarios exceed {MAX_SCENARIOS}")
-    scenarios = [Scenario(int(kv), float(tv), float(dv), float(sv), float(pv), **settings)
-                 for kv, tv, dv, sv, pv in itertools.product(*axes)]
+    scenarios = [Scenario(*point, **settings) for point in itertools.product(*axes)]
     if not scenarios:
         raise ValidationError("scenario_grid: empty grid")
     return scenarios
@@ -455,23 +478,17 @@ _FIXED_MODEL = dict(mu=MU, sigma_u=SIGMA_U, sizes_meanlog=SIZES_MEANLOG, sizes_s
 
 
 def _summary_template():
-    """(template, order): one summary entry as canonical_json writes it,
-    with a `%s` for each of its 51 leaves, and the itemgetter that puts
-    the leaves, the scenario's fields and then its token row, in the
-    template's order. canonical_json writes the entry once, from a
-    skeleton whose leaves are numbered placeholders, so its key order and
-    separators are the one writer's."""
+    """(template, order) of one summary entry (data.json_template), with a
+    `%s` for each of its 51 leaves, which `order` takes as the scenario's
+    fields and then its token row."""
     leaf = map("@{}".format, itertools.count())
-    skeleton = {
+    return json_template({
         "scenario": {**_FIXED_MODEL, **{name: next(leaf) for name in _SCENARIO_FIELDS}},
         "tau_metrics": {method: {metric: next(leaf) for metric in _TAU_ROWS}
                         for method in TAU2_METHODS},
         "ci_metrics": {method: {metric: next(leaf) for metric in _CI_ROWS}
                        for method in CI_METHODS},
-    }
-    parts = re.split(r'"@(\d+)"', canonical_json(skeleton)[:-1])
-    template = "%s".join(part.replace("%", "%%") for part in parts[::2])
-    return template, operator.itemgetter(*map(int, parts[1::2]))
+    })
 
 
 _SUMMARY_ENTRY, _SUMMARY_ORDER = _summary_template()

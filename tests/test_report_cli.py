@@ -1,6 +1,7 @@
 import codecs
 import contextlib
 import csv
+import decimal
 import errno
 import gc
 import io
@@ -38,6 +39,52 @@ def test_round_half_up():
     assert round_half_up(0.6395) == 0.640
     assert round_half_up(0.1234) == 0.123
     assert round_half_up(-0.0005) == -0.001
+
+
+_DECIMAL_HALF_UP = decimal.Context(prec=400, rounding=decimal.ROUND_HALF_UP)
+
+
+def _decimal_half_up(value):
+    """The reference: the repr's decimal, quantized to three digits half-up."""
+    return float(_DECIMAL_HALF_UP.quantize(decimal.Decimal(repr(value)), decimal.Decimal("0.001")))
+
+
+def _assert_rounds_as_decimal(value):
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(round_half_up(value)) == repr(_decimal_half_up(value)), value
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.floats(min_value=-1e16, max_value=1e16)
+       | st.floats(min_value=-2.0, max_value=2.0))
+def test_round_half_up_is_decimal_half_up_on_the_repr(value):
+    _assert_rounds_as_decimal(value)
+
+
+def test_round_half_up_constructed_cases():
+    ties = [float(f"{sign}{whole}.{milli:03d}5") for sign in ("", "-")
+            for whole in (0, 1, 7, 123, 98765) for milli in range(0, 1000, 37)]
+    large = [1e15, 1e15 + 0.5, 1234567890123456.7, 9999999999999998.0, 5e15 + 0.25,
+             1e16, 1e16 + 2.0, 1.2345678901234568e16, 123456789012.3455, 1234567890123.4565]
+    tiny = [1e-4, 9.999999999999999e-05, 1.0000000000000002e-4, 1.5e-4, 4.9999e-4, 5e-4,
+            5.000000000000001e-4, 4.999999999999999e-4, 1e-5, 5e-5, 1e-300, 5e-324]
+    # just inside and outside the 1e-6 band around a half where the double
+    # stops deciding, and around 1e6, where it stops for every value
+    edges = [(whole + 0.5 + shift) / 1000.0 for whole in (0, 1, 639, 12345, 999_999_999)
+             for shift in (-1.01e-6, -1e-6, -0.99e-6, -3e-7, 0.0, 3e-7, 0.99e-6, 1e-6, 1.01e-6)]
+    edges += [999_999.9995, 999_999.9994999, 999_999.999, 1e6 - 1e-10, 1e6, 1e6 + 0.0005]
+    # ties whose double, times 1000, is an ulp off the half (by 6e-8, 7e-9,
+    # 3e-8 and 6e-8): the double alone would round two of them the wrong way
+    edges += [531627.1375, 66838.0905, 266818.7505, 530098.8185]
+    for value in [0.0, -0.0, 0.6395, 0.9995, 9.9995, 999.9995, *ties, *large, *tiny, *edges]:
+        _assert_rounds_as_decimal(value)
+        _assert_rounds_as_decimal(-value)
+    assert repr(round_half_up(-0.0)) == "-0.0" and repr(round_half_up(-0.0004)) == "-0.0"
+    assert round_half_up(9.9995) == 10.0 and round_half_up(-1.2345) == -1.235
+    for value in (math.inf, -math.inf):
+        assert round_half_up(value) == value
+    assert math.isnan(round_half_up(math.nan))
 
 
 def test_report_exp_is_exact(respire14):
@@ -90,6 +137,28 @@ def test_write_atomic_streams_chunks_and_keeps_target_on_failure(tmp_path):
         write_atomic(target, disk_full())
     assert target.read_bytes() == b"a,b\r\n"
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_write_atomic_writes_each_chunk_as_utf8_bytes_whatever_os_write_takes(tmp_path, monkeypatch):
+    """Each chunk goes to the fd as its UTF-8 bytes, \n and \r\n as they are;
+    a write that takes only part of what it is given is carried on."""
+    taken = []
+
+    def short_write(fd, data):
+        taken.append(bytes(data[:3]))
+        return real_write(fd, data[:3])
+
+    real_write = os.write
+    monkeypatch.setattr(os, "write", short_write)
+    chunks = ["é\u2028日本\n", "", "a,b\r\n", "\U0001f600" * 5]
+    target = tmp_path / "out.txt"
+    write_atomic(target, iter(chunks))
+    assert target.read_bytes() == "".join(chunks).encode("utf-8")
+    assert max(map(len, taken)) == 3 and len(taken) > len(chunks)
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate is not UTF-8
+        write_atomic(target, ["ok", "\ud800"])
+    assert target.read_bytes() == "".join(chunks).encode("utf-8")
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def test_write_files_renames_only_when_every_file_is_complete(tmp_path, monkeypatch):

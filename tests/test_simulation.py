@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,11 @@ def test_scenario_validation():
         _scenario(tau=-0.1)
     with pytest.raises(ValidationError):
         _scenario(p=0.0)
+    # a real number beyond any double is out of range, not an OverflowError
+    with pytest.raises(ValidationError, match="^scenario: delta must be finite"):
+        _scenario(delta=-10 ** 400)
+    with pytest.raises(ValidationError, match=r"^scenario: p must be in \(0, 1\)$"):
+        _scenario(p=Fraction(10 ** 400))
     with pytest.raises(ValidationError):
         _scenario(n_reps=0)
     # a seed is one word of the stream's entropy: refused outside [0, 2^64)
@@ -58,6 +64,35 @@ def test_scenario_validation():
         with pytest.raises(TypeError):
             _scenario(**{name: 1.0})
     assert _scenario().mu == simulation.MU == 0.0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("k", 2.5), ("k", math.nan), ("k", "3"), ("k", 3.0), ("n_reps", 10.0), ("seed", "1"),
+    ("tau", "0.5"), ("delta", b"0"), ("p", 0.5j),
+])
+def test_scenario_refuses_a_field_that_is_not_its_kind_of_number(name, value):
+    kind = "an integer" if name in ("k", "n_reps", "seed") else "a real number"
+    with pytest.raises(ValidationError, match=f"^scenario: {name} must be {kind}$"):
+        _scenario(**{name: value})
+    with pytest.raises(ValidationError, match=f"^scenario: {name} must be {kind}$"):
+        scenario_grid(**{"k": 2, "tau": 0, "delta": 0, "sigma_delta": 0, "p": 0.5, name: value})
+
+
+def test_a_scenario_of_numpy_scalars_is_the_same_scenario():
+    """Each field is kept as an int or a float, so numpy scalars (and a
+    Fraction) give the scenario, the stream and the output bytes that
+    Python numbers give."""
+    plain = _scenario(k=3, tau=0.5, sigma_delta=0.0, p=0.5, n_reps=40)
+    made = _scenario(k=np.int64(3), tau=np.float64(0.5), delta=np.float32(0.0),
+                     sigma_delta=np.int8(0), p=Fraction(1, 2), n_reps=np.int32(40),
+                     seed=np.uint64(123))
+    assert made == plain and hash(made) == hash(plain)
+    assert [type(getattr(made, f.name)) for f in dataclasses.fields(Scenario)] == [
+        int, float, float, float, float, int, int]
+    assert made.key() == plain.key()
+    ours, theirs = run_scenario(made), run_scenario(plain)
+    assert metrics_to_json([ours]) == metrics_to_json([theirs])
+    assert "".join(simulation.metrics_to_csv([ours])) == "".join(simulation.metrics_to_csv([theirs]))
 
 
 def test_scenario_key_is_pinned():
