@@ -31,7 +31,6 @@ import itertools
 import json
 import math
 import operator
-import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -581,39 +580,9 @@ def load_csv(path) -> MetaDataset:
 def canonical_json(obj) -> str:
     """The one writer of every JSON file fewmeta writes: one line, keys
     sorted, "," and ":" separators, non-ASCII escaped, a trailing newline,
-    all from one call of the stdlib's C encoder. The report and the
-    simulate summary are filled into templates that it wrote
-    (json_template), with its spelling of each leaf, and have its bytes.
-    Parsing the file and writing it again gives the same bytes. Keys must
-    be str; a value that is not JSON raises TypeError and a container that
-    holds itself ValueError. Non-finite floats are written as Infinity and
-    NaN, as json.dumps writes them."""
+    all from one call of the stdlib's C encoder. Parsing the file and
+    writing it again gives the same bytes. Keys must be str; a value that
+    is not JSON raises TypeError and a container that holds itself
+    ValueError. Non-finite floats are written as Infinity and NaN, as
+    json.dumps writes them."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def json_template(skeleton):
-    """(template, order): canonical_json(skeleton) without its newline, with
-    a `%s` for each leaf, and the itemgetter that puts the leaves, listed by
-    their numbers, in the template's order. Each leaf of `skeleton` is a
-    numbered placeholder, "@0", "@1", ...; at least two. A `%` elsewhere is
-    escaped, so `template % order(tokens)`, each token a leaf's JSON
-    spelling, is canonical_json's text: its key order and separators are
-    the one writer's."""
-    parts = re.split(r'"@(\d+)"', canonical_json(skeleton)[:-1])
-    template = "%s".join(part.replace("%", "%%") for part in parts[::2])
-    return template, operator.itemgetter(*map(int, parts[1::2]))
-
-
-# canonical_json's encoder with a newline between items; it keeps no state
-# between calls
-_TOKEN_ENCODER = json.JSONEncoder(sort_keys=True, separators=("\n", ":"))
-
-
-def json_tokens(values: list):
-    """canonical_json's spelling of each of `values` (one or more), from one
-    call of the same C encoder with a newline between items, or None where a
-    value's spelling holds a newline: a list or dict of two or more items.
-    Nothing else does: the encoder escapes a newline inside a string. A
-    value that is not JSON raises as canonical_json does."""
-    tokens = _TOKEN_ENCODER.encode(values)[1:-1].split("\n")
-    return tokens if len(tokens) == len(values) else None

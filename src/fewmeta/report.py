@@ -3,22 +3,10 @@
 All analysis happens on the linear-predictor scale; the report carries
 exact exponentiated values alongside (computed before any rounding) and
 the text renderer decides which scale to present. Every JSON file fewmeta
-writes (report, simulation summary) has the bytes of the one writer
+writes (report, simulation summary) goes through the one writer
 data.canonical_json: one line of sorted keys with "," and ":" separators
 and a trailing newline, so that parsing a written report and
 re-serializing it is byte-identical.
-
-report_to_json fills templates that canonical_json wrote once, at import,
-from skeletons with placeholder leaves (data.json_template): one per entry
-kind (the report itself, a study, a consistency gap, a heterogeneity tag,
-an interval with its ratio-scale values, and the selection), a list's
-entries joined by ",". The leaves, read in the templates' order, are
-spelled by one call of the same C encoder (data.json_tokens): a finite
-float or an int as its repr, a string with non-ASCII escaped, None and the
-bools as null, true and false, and an overflowed ratio as Infinity. A dict
-whose keys are not exactly those build_report writes (a report of another
-shape, or one with a key added), and a leaf that is a list or dict of two
-or more items, send the whole report to canonical_json instead.
 
 The text table rounds each number to three digits, half-up on its repr
 (round_half_up), from the double itself unless 1000 times it lies within
@@ -36,15 +24,12 @@ new file 0o666 less the umask, a replaced file its old mode.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import stat
 from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Context, Decimal
-from itertools import chain
 
-from .data import (MetaDataset, ValidationError, canonical_json, consistency_gaps,
-                   json_template, json_tokens)
+from .data import MetaDataset, ValidationError, canonical_json, consistency_gaps
 from .estimators import STUDY_SIDE, SUBGROUP_SIDE
 from .intervals import dataset_kernel
 
@@ -145,129 +130,8 @@ def build_report(dataset: MetaDataset, selection=None, level: float = 0.95) -> d
     return report
 
 
-class _Unlike(Exception):
-    """A report that is not of build_report's shape."""
-
-
-def _numbered(keys, start=0) -> dict:
-    """A skeleton of one leaf per key, numbered from `start` (see json_template)."""
-    return {key: f"@{i}" for i, key in enumerate(keys, start)}
-
-
-def _fields(value, leaves, size: int):
-    """leaves(value), for `value` a dict of `size` keys, which are then
-    exactly the keys that the itemgetter `leaves` reads."""
-    if type(value) is not dict or len(value) != size:
-        raise _Unlike
-    return leaves(value)
-
-
-def _entries(value, size: int) -> list:
-    """`value`, a list of dicts of `size` keys each."""
-    if type(value) is not list or not {dict} >= set(map(type, value)) \
-            or not {size} >= set(map(len, value)):
-        raise _Unlike
-    return value
-
-
-def _joined(template: str, count: int, brackets: str = "[]") -> str:
-    return brackets[0] + ",".join([template] * count) + brackets[1]
-
-
-# Each entry kind's template, and the getter that reads an entry's leaves in
-# the template's order: sorted keys, as the skeleton numbers them.
-_STUDY_KEYS = ("n_splits", "selected_split", "study_id")
-_GAP_KEYS = ("gap_se", "gap_y", "inconsistent", "split", "study_id")
-_TAG_KEYS = ("is_zero", "tau", "tau2", "tau2_raw", "winner")
-_INTERVAL_KEYS = ("df", "fallback", "level", "lower", "method", "point", "tau", "tau2",
-                  "upper", "variance")  # and "exp", the ratio-scale values
-_EXP_KEYS = ("lower", "point", "upper")
-_SELECTION_KEYS = ("choices", "combinations_evaluated", "q_s", "strategy")
-_STUDY, _ = json_template(_numbered(_STUDY_KEYS))
-_GAP, _ = json_template(_numbered(_GAP_KEYS))
-_TAG = "%s:" + json_template(_numbered(_TAG_KEYS))[0]  # the tag, then its entry
-# an interval's leaves are read as its own, then its ratio-scale values
-_INTERVAL, _INTERVAL_ORDER = json_template(
-    {**_numbered(_INTERVAL_KEYS), "exp": _numbered(_EXP_KEYS, len(_INTERVAL_KEYS))}
-)
-_SELECTION, _ = json_template(_numbered(_SELECTION_KEYS))
-_STUDY_LEAVES = operator.itemgetter(*_STUDY_KEYS)
-_GAP_LEAVES = operator.itemgetter(*_GAP_KEYS)
-_TAG_LEAVES = operator.itemgetter(*_TAG_KEYS)
-_INTERVAL_LEAVES = operator.itemgetter(*_INTERVAL_KEYS)
-_EXP_LEAVES = operator.itemgetter(*_EXP_KEYS)
-_SELECTION_LEAVES = operator.itemgetter(*_SELECTION_KEYS)
-# The report's template holds each list, and the heterogeneity object, as
-# one leaf, which the first of its two fills gives the entries' templates,
-# leaving a `%s` in every other leaf. No key holds a `%`, so that fill
-# changes nothing else.
-_REPORT, _ = json_template({
-    "dataset": _numbered(("k", "studies")),
-    "diagnostics": _numbered(("consistency_gaps", "fallback"), 2),
-    **_numbered(("errors", "heterogeneity", "intervals", "schema_version", "selection"), 4),
-})
-_REPORT_FIELDS = operator.itemgetter("dataset", "diagnostics", "errors", "heterogeneity",
-                                     "intervals", "schema_version", "selection")
-_DATASET_FIELDS = operator.itemgetter("k", "studies")
-_DIAGNOSTICS_FIELDS = operator.itemgetter("consistency_gaps", "fallback")
-
-
-def _template_and_leaves(report):
-    """The template of `report`, with a `%s` for each leaf, and its leaves
-    in that order."""
-    dataset, diagnostics, errors, heterogeneity, intervals, version, selection = \
-        _fields(report, _REPORT_FIELDS, 7)
-    k, studies = _fields(dataset, _DATASET_FIELDS, 2)
-    gaps, fallback = _fields(diagnostics, _DIAGNOSTICS_FIELDS, 2)
-    if type(heterogeneity) is not dict:
-        raise _Unlike
-    tags = sorted(heterogeneity)  # the encoder's key order
-    if not {str} >= set(map(type, tags)):  # spelled as a leaf, a key must be a str
-        raise _Unlike
-    tagged = _entries(list(map(heterogeneity.__getitem__, tags)), len(_TAG_KEYS))
-    exps = _entries([entry["exp"] for entry in _entries(intervals, len(_INTERVAL_KEYS) + 1)],
-                    len(_EXP_KEYS))
-    leaves = [
-        k,
-        *chain.from_iterable(map(_STUDY_LEAVES, _entries(studies, len(_STUDY_KEYS)))),
-        *chain.from_iterable(map(_GAP_LEAVES, _entries(gaps, len(_GAP_KEYS)))),
-        fallback,
-        errors,
-        *chain.from_iterable(map(operator.add, zip(tags), map(_TAG_LEAVES, tagged))),
-        *chain.from_iterable(map(_INTERVAL_ORDER, map(operator.add, map(_INTERVAL_LEAVES, intervals),
-                                                      map(_EXP_LEAVES, exps)))),
-        version,
-    ]
-    if selection is None:
-        chosen = "null"
-    else:
-        choices, *rest = _fields(selection, _SELECTION_LEAVES, len(_SELECTION_KEYS))
-        if type(choices) is not list:
-            raise _Unlike
-        leaves += choices
-        leaves += rest
-        chosen = _SELECTION % (_joined("%s", len(choices)), "%s", "%s", "%s")
-    template = _REPORT % (
-        "%s", _joined(_STUDY, len(studies)), _joined(_GAP, len(gaps)), "%s", "%s",
-        _joined(_TAG, len(tags), "{}"), _joined(_INTERVAL, len(intervals)), "%s", chosen,
-    )
-    return template, leaves
-
-
 def report_to_json(report: dict) -> str:
-    """canonical_json(report), byte for byte. A report of build_report's
-    shape, parsed back from its file or not, is filled into the entry
-    templates; any other dict, or a leaf that is a list or dict of two or
-    more items, is written by canonical_json whole, which also raises for a
-    value that is not JSON."""
-    try:
-        template, leaves = _template_and_leaves(report)
-        tokens = json_tokens(leaves)
-    except (_Unlike, KeyError, TypeError, ValueError):
-        tokens = None
-    if tokens is None:
-        return canonical_json(report)
-    return template % tuple(tokens) + "\n"
+    return canonical_json(report)
 
 
 def render_text(report: dict, exp: bool = False) -> str:

@@ -31,10 +31,9 @@ the repr of its 44 values in metrics.csv's row order, made the first time a
 writer needs it. metrics.csv fills one template per scenario with it, its
 common start joined with the rows' suffixes (_ROW_SUFFIXES). The summary
 fills one entry template per scenario, which canonical_json writes once from
-a skeleton with placeholder leaves (data.json_template, as it writes the
-analysis report's), and joins the entries; a leaf that is not a finite
-float or an int (a NaN median length, say) takes canonical_json's spelling
-instead.
+a skeleton with placeholder leaves (_summary_template), and joins the
+entries; a leaf that is not a finite float or an int (a NaN median length,
+say) takes canonical_json's spelling instead.
 `fewmeta validate`'s Monte Carlo checks live here too: the expectation
 oracle and the variance ordering, the latter in one kernel call.
 Scenarios are embarrassingly parallel and each derives its own RNG stream
@@ -52,13 +51,14 @@ import math
 import numbers
 import operator
 import os
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .data import MAX_ABS_EFFECT, ValidationError, canonical_json, json_template
+from .data import MAX_ABS_EFFECT, ValidationError, canonical_json
 from .estimators import DL, DLS, TAU2_METHODS, expected_tau2_dls
 from .intervals import CI_METHODS, HCS_MAX1, HCS_MAX2, HKSJ, MKH, meta_kernel
 from .report import write_atomic
@@ -478,17 +478,23 @@ _FIXED_MODEL = dict(mu=MU, sigma_u=SIGMA_U, sizes_meanlog=SIZES_MEANLOG, sizes_s
 
 
 def _summary_template():
-    """(template, order) of one summary entry (data.json_template), with a
-    `%s` for each of its 51 leaves, which `order` takes as the scenario's
-    fields and then its token row."""
+    """(template, order): one summary entry as canonical_json writes it,
+    with a `%s` for each of its 51 leaves, and the itemgetter that puts
+    the leaves, the scenario's fields and then its token row, in the
+    template's order. canonical_json writes the entry once, from a
+    skeleton whose leaves are numbered placeholders, so its key order and
+    separators are the one writer's."""
     leaf = map("@{}".format, itertools.count())
-    return json_template({
+    skeleton = {
         "scenario": {**_FIXED_MODEL, **{name: next(leaf) for name in _SCENARIO_FIELDS}},
         "tau_metrics": {method: {metric: next(leaf) for metric in _TAU_ROWS}
                         for method in TAU2_METHODS},
         "ci_metrics": {method: {metric: next(leaf) for metric in _CI_ROWS}
                        for method in CI_METHODS},
-    })
+    }
+    parts = re.split(r'"@(\d+)"', canonical_json(skeleton)[:-1])
+    template = "%s".join(part.replace("%", "%%") for part in parts[::2])
+    return template, operator.itemgetter(*map(int, parts[1::2]))
 
 
 _SUMMARY_ENTRY, _SUMMARY_ORDER = _summary_template()

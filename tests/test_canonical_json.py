@@ -2,22 +2,16 @@
 "," and ":" separators and a trailing newline, as one json.dumps call writes
 it, for small trees and for every file the package writes."""
 
-import collections
-import copy
 import json
 import math
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fewmeta import report as report_module
 from fewmeta.cli import main
-from fewmeta.data import MetaDataset, Study, canonical_json, load_csv
-from fewmeta.report import build_report, report_to_json
-from fewmeta.selection import STRATEGIES, select
+from fewmeta.data import canonical_json
 
-from conftest import PVALUE_DATASET, dataset_path, make_split
+from conftest import dataset_path
 
 
 def reference(obj):
@@ -83,150 +77,3 @@ def test_simulate_summary_is_json_dumps(tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert_canonical(summary.read_text(encoding="utf-8"))
-
-
-# ---------------------------------------------------------------------------
-# report_to_json: the entry templates, and the fallback to canonical_json
-# ---------------------------------------------------------------------------
-
-def _report(dataset, strategy="none", level=0.95):
-    selection = None
-    if strategy != "none" and dataset.has_splits:
-        selection = select(dataset, strategy)
-        dataset = dataset.with_selection(selection.choices)
-    return build_report(dataset, selection, level)
-
-
-def _split_free(k):
-    return MetaDataset(Study(f"s{i}", 0.1 * i - 0.2, 0.1 + 0.05 * i) for i in range(k))
-
-
-def _reports():
-    """Every bundled dataset under every strategy that applies to it, the
-    p-value dataset under all of them, split-free datasets (DL alone, the HCS
-    fallback), a ratio overflow (Infinity), and names that need escaping."""
-    cases = [(name, strategy) for name in ("sglt2", "respire14", "respire28")
-             for strategy in ("global", "local", "none")]
-    reports = {f"{name}-{strategy}": _report(load_csv(dataset_path(name)), strategy)
-               for name, strategy in cases}
-    pvalue = load_csv(PVALUE_DATASET)
-    reports.update((f"pvalue-{s}", _report(pvalue, s, 0.9)) for s in (*STRATEGIES, "none"))
-    reports.update((f"split-free-{k}", _report(_split_free(k), "local")) for k in (2, 3, 6))
-    overflow = MetaDataset([Study("s1", 800.0, 0.2), Study("s2", 801.0, 0.3)])
-    reports["overflow"] = _report(overflow)
-    arms = ((0.1, 0.3), (0.2, 0.25))
-    odd = MetaDataset([
-        Study('é"\\\n%s\u2028', 0.1, 0.2, (make_split("a,b", *arms), make_split("ü\t\"%%", *arms))),
-        Study("\x00</script>", 0.3, 0.25, (make_split("\\u0041", *arms),)),
-        Study("s3", -0.2, 0.3, (make_split("日本", *arms), make_split("", *arms))),
-    ])
-    reports.update((f"escapes-{s}", _report(odd, s)) for s in ("global", "local"))
-    return reports
-
-
-_REPORTS = _reports()
-
-
-@pytest.fixture
-def no_fallback(monkeypatch):
-    """report_to_json may not call canonical_json: the templates write it."""
-    def refuse(obj):
-        raise AssertionError("report_to_json fell back to canonical_json")
-    monkeypatch.setattr(report_module, "canonical_json", refuse)
-
-
-@pytest.mark.parametrize("name", sorted(_REPORTS))
-def test_report_to_json_is_canonical_json_from_the_templates(name, no_fallback):
-    rep = _REPORTS[name]
-    text = report_to_json(rep)
-    assert text == reference(rep)
-    assert_canonical(text)
-    assert report_to_json(json.loads(text)) == text  # a parsed report, likewise
-
-
-def test_the_reports_hold_every_entry_kind():
-    reps = _REPORTS.values()
-    assert any(r["selection"] is None for r in reps) and any(r["selection"] for r in reps)
-    assert any(r["diagnostics"]["consistency_gaps"] for r in reps)
-    assert any(r["diagnostics"]["fallback"] and list(r["heterogeneity"]) == ["DL"] for r in reps)
-    assert any(math.isinf(e["exp"]["lower"]) for e in _REPORTS["overflow"]["intervals"])
-    assert '"lower":Infinity' in report_to_json(_REPORTS["overflow"])
-    assert "\\u2028" in report_to_json(_REPORTS["escapes-local"])
-
-
-@pytest.mark.parametrize("leaf, value", [
-    (("intervals", 0, "tau"), math.nan),
-    (("intervals", 1, "exp", "upper"), -math.inf),
-    (("heterogeneity", "DL", "tau2"), np.float64(0.25)),  # a float subclass: float's repr
-    (("dataset", "k"), True),
-    (("errors",), {"HKSJ": "failed"}),  # a dict of one item is one token
-    (("selection", "choices", 0), [1.5]),
-    (("dataset", "studies", 0, "study_id"), None),
-    (("schema_version",), 10 ** 30),
-])
-def test_report_to_json_spells_any_json_leaf_as_the_encoder(leaf, value, no_fallback):
-    rep = copy.deepcopy(_REPORTS["sglt2-local"])
-    _at(rep, leaf[:-1])[leaf[-1]] = value
-    assert report_to_json(rep) == reference(rep)
-
-
-def _at(tree, path):
-    for key in path:
-        tree = tree[key]
-    return tree
-
-
-# every dict of a report: the report, its dataset, a study, its diagnostics,
-# a gap, the heterogeneity object, a tag's entry, an interval, its ratio
-# values, the selection
-_DICTS = [(), ("dataset",), ("dataset", "studies", 0), ("diagnostics",),
-          ("diagnostics", "consistency_gaps", 0), ("heterogeneity",), ("heterogeneity", "DL"),
-          ("intervals", 0), ("intervals", 0, "exp"), ("selection",)]
-
-
-def _edits():
-    for path in _DICTS:
-        yield f"extra key in {path}", path, lambda d: d.update(zz=1)
-        yield f"missing key in {path}", path, lambda d: d.pop(sorted(d)[0])
-        yield f"dict subclass at {path}", path, collections.OrderedDict
-    for path in (("dataset", "studies"), ("diagnostics", "consistency_gaps"), ("intervals",),
-                 ("selection", "choices")):
-        yield f"tuple at {path}", path, tuple
-    yield "an int tag", ("heterogeneity",), lambda d: {7: d["DL"]}  # written as "7"
-    yield "a list or dict of two items as a leaf", ("errors",), lambda d: d.update(a=1, b=[2])
-    yield "a report that is a list", None, None
-
-
-@pytest.mark.parametrize("edit", list(_edits()), ids=lambda edit: edit[0])
-def test_a_report_of_another_shape_is_written_by_canonical_json(edit, monkeypatch):
-    _, path, change = edit
-    rep = {"report": copy.deepcopy(_REPORTS["sglt2-global"])}
-    if path is None:
-        rep["report"] = [rep["report"]]
-    else:
-        *above, key = ("report", *path)
-        parent = _at(rep, above)
-        replaced = change(parent[key])  # in place, or a new value
-        if replaced is not None:
-            parent[key] = replaced
-    rep = rep["report"]
-    whole = []
-    monkeypatch.setattr(report_module, "canonical_json",
-                        lambda obj: whole.append(obj) or canonical_json(obj))
-    assert report_to_json(rep) == reference(rep)
-    assert len(whole) == 1 and whole[0] is rep
-
-
-@pytest.mark.parametrize("value, error", [(object(), TypeError), (np.int64(3), TypeError),
-                                          ({1j: 0}, TypeError)])
-def test_report_to_json_raises_as_canonical_json(value, error):
-    rep = copy.deepcopy(_REPORTS["respire14-local"])
-    rep["intervals"][2]["df"] = value
-    with pytest.raises(error) as ours:
-        report_to_json(rep)
-    with pytest.raises(error) as theirs:
-        canonical_json(rep)
-    assert str(ours.value) == str(theirs.value)
-    rep["intervals"][2]["df"] = rep
-    with pytest.raises(ValueError, match="Circular reference detected"):
-        report_to_json(rep)
