@@ -4,8 +4,8 @@ A MetaDataset is one column table of k >= 2 studies and their S candidate
 subgroup splits, built once (see MetaDataset). Every analysis reads the
 table. It has two front doors:
 
-- load_csv (and validate_dataset, for rows as dicts) builds the table
-  straight from the file's columns and builds no record;
+- load_csv builds the table straight from the file's columns and builds
+  no record;
 - MetaDataset(studies) builds the same table from records:
   Study(study_id, y, se, splits), each split a SubgroupSplit of two
   SubgroupArm(y, se, n).
@@ -34,7 +34,7 @@ import operator
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -339,57 +339,24 @@ def plain_number(text: str) -> bool:
 
 
 def _floats(values):
-    """The values as a float array, NaN where one does not parse, and the
-    mask of those that did not (None when all parsed). Texts parse only in
-    plain_number's grammar, checked once over the texts joined (numbers
-    among them keep no grammar); bytes never parse, though float reads
-    b'2_89' as 289, so a bytes value fails the join."""
+    """The values, each a field's text or None where the field is missing,
+    as a float array, NaN where one does not parse, and the mask of those
+    that did not (None when all parsed). A text parses only in
+    plain_number's grammar, checked once over all the texts joined."""
     try:
-        try:
-            texts = "".join(values)
-        except TypeError:  # not all texts
-            texts = "".join([v for v in values if isinstance(v, (str, bytes, bytearray))])
-        if plain_number(texts):
+        if plain_number("".join(values)):
             return np.fromiter(map(float, values), float, len(values)), None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError):  # a missing field, or a text float refuses
         pass
     parsed = []
     for value in values:
         try:
-            parsed.append(None if isinstance(value, (bytes, bytearray))
-                          or isinstance(value, str) and not plain_number(value) else float(value))
-        except (TypeError, ValueError):
+            parsed.append(float(value) if value is not None and plain_number(value) else None)
+        except ValueError:
             parsed.append(None)
     unparsed = np.array([v is None for v in parsed])
     return (np.array([math.nan if v is None else v for v in parsed], dtype=float),
             unparsed if unparsed.any() else None)
-
-
-def validate_dataset(rows: Iterable[dict]) -> MetaDataset:
-    """Build a MetaDataset from tabular rows.
-
-    Rows follow the CSV schema: study_id, label, level, split, arm, y, se, n
-    with level in {study, subgroup}, and an optional p_interaction on a
-    split's arm-1 row. A study row with splits may leave both y and se
-    blank, in which case the study estimate is derived by aggregating its
-    first split in name order (not in file order); one of the two without
-    the other is an error. study_id, level, split and arm must be strings
-    or None (blank).
-    """
-    return _build_dataset(map(_dict_fields, rows))
-
-
-def _dict_fields(row):
-    """A dict row's _FIELDS values. The fields _build_dataset strips must be
-    strings or None (blank), as a CSV row's always are: study_id and level,
-    and on a subgroup row split and arm."""
-    fields = tuple(row.get(name) for name in _FIELDS)
-    for name, value in zip(_FIELDS[:4], fields):
-        if not (value is None or isinstance(value, str)):
-            raise ValidationError(f"{name} must be a string, got {value!r}")
-        if name == "level" and (value or "").strip() != "subgroup":
-            break
-    return fields
 
 
 def _build_dataset(rows) -> MetaDataset:
@@ -441,7 +408,7 @@ def _build_dataset(rows) -> MetaDataset:
         for name in sorted(splits):
             names.append(name)
             arms += (splits[name].get(1, _MISSING), splits[name].get(2, _MISSING))
-    n_texts = [r[6].strip() if isinstance(r[6], str) else r[6] for r in arms]
+    n_texts = [r[6] and r[6].strip() for r in arms]
     p_texts = [r[7] for r in arms[::2]]  # read from arm 1's row
     studies = [study_rows[sid] for sid in ids]
     derived = [r[4] in _BLANK and r[5] in _BLANK for r in studies]

@@ -379,13 +379,21 @@ def validate_expectation(scenario: Scenario, sizes):
     """Check the raw subgroup-level tau^2 estimator against its analytic
     mean at fixed weights.
 
-    The k study `sizes` are given and held fixed; only the effects are
-    resampled. Passes iff the Monte Carlo mean of the raw estimator, as the
-    kernel the commands run computes it, is within 3 Monte Carlo SEs of
+    The k study `sizes`, integers in [2, 2**63) so that both arms hold a
+    subject, are given and held fixed; only the effects are resampled.
+    Passes iff the Monte Carlo mean of the raw estimator, as the kernel the
+    commands run computes it, is within 3 Monte Carlo SEs of
     A * tau^2 + (Delta^2 + sigma_Delta^2) * B_coefficient.
     """
+    try:
+        fixed = [operator.index(n) for n in sizes]
+    except TypeError:
+        fixed = []
+    if len(fixed) != scenario.k or not all(2 <= n < 2 ** 63 for n in fixed):
+        raise ValidationError(f"validate_expectation: sizes must be {scenario.k} integers "
+                              f"in [2, 2**63), got {sizes!r}")
     rng = scenario_rng(scenario)
-    y_sub, se_sub, n_arm = _draw_replicates(scenario, rng, scenario.n_reps, sizes=sizes)
+    y_sub, se_sub, n_arm = _draw_replicates(scenario, rng, scenario.n_reps, sizes=fixed)
     result = meta_kernel(None, None, y_sub, se_sub)
     if result.errors:
         raise ValidationError(next(iter(result.errors.values())))

@@ -1,9 +1,12 @@
+import csv
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from fewmeta.data import (
+    CSV_COLUMNS,
     MetaDataset,
     Study,
     SubgroupArm,
@@ -64,13 +67,33 @@ def selected_arms(dataset):
     return dataset.arm_y[rows], dataset.arm_se[rows], n[:, 0] / (n[:, 0] + n[:, 1])
 
 
+def write_rows(path, rows):
+    """Dict rows of the CSV schema, p_interaction among them or not, as a
+    fewmeta CSV: csv.DictWriter writes a missing field blank and any other
+    value as its str."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, CSV_COLUMNS + ["p_interaction"])
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def load_rows(rows):
+    """The dataset load_csv reads from the rows written by write_rows, to a
+    file of its own temporary directory (hypothesis refuses tmp_path in
+    @given tests)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        write_rows(path, rows)
+        return load_csv(path)
+
+
 def table_rows(dataset, **columns):
     """The dataset's table as dict rows of the CSV schema, study rows first,
     every float as its repr (which keeps its bits); p_interaction on arm 1's
     row, blank where absent. A keyword replaces the table's column of that
     name (y, se, arm_y, arm_se, arm_n or p_interaction). Loading the rows
-    orders each study's splits by name, so it gives the same table back
-    only when they are in name order already."""
+    (load_rows) orders each study's splits by name, so it gives the same
+    table back only when they are in name order already."""
     y, se, arm_y, arm_se, arm_n, p = (
         np.asarray(columns.get(name, getattr(dataset, name))).tolist()
         for name in ("y", "se", "arm_y", "arm_se", "arm_n", "p_interaction"))

@@ -16,11 +16,10 @@ from fewmeta.data import (
     aggregate_study,
     consistency_gaps,
     load_csv,
-    validate_dataset,
 )
 
 import reference_loader
-from conftest import PVALUE_DATASET, dataset_path, make_dataset, make_split
+from conftest import PVALUE_DATASET, dataset_path, load_rows, make_dataset, make_split
 
 
 def test_arm_validation():
@@ -144,7 +143,7 @@ def _rows(*tuples):
 
 
 def test_validate_study_only():
-    ds = validate_dataset(
+    ds = load_rows(
         _rows(("s1", "", "study", "", "", "0.1", "0.2", ""),
               ("s2", "", "study", "", "", "0.3", "0.4", "")))
     assert ds.k == 2
@@ -153,7 +152,7 @@ def test_validate_study_only():
 
 def test_validate_orphan_subgroup():
     with pytest.raises(ValidationError, match="orphan"):
-        validate_dataset(
+        load_rows(
             _rows(("s1", "", "study", "", "", "0.1", "0.2", ""),
                   ("s2", "", "study", "", "", "0.3", "0.4", ""),
                   ("zz", "", "subgroup", "sex", "1", "0.0", "1.0", "5"),
@@ -162,7 +161,7 @@ def test_validate_orphan_subgroup():
 
 def test_validate_duplicate_arm():
     with pytest.raises(ValidationError, match="duplicate"):
-        validate_dataset(
+        load_rows(
             _rows(("s1", "", "study", "", "", "0.1", "0.2", ""),
                   ("s2", "", "study", "", "", "0.3", "0.4", ""),
                   ("s1", "", "subgroup", "sex", "1", "0.0", "1.0", "5"),
@@ -171,14 +170,14 @@ def test_validate_duplicate_arm():
 
 def test_validate_missing_arm():
     with pytest.raises(ValidationError, match="missing arm"):
-        validate_dataset(
+        load_rows(
             _rows(("s1", "", "study", "", "", "0.1", "0.2", ""),
                   ("s2", "", "study", "", "", "0.3", "0.4", ""),
                   ("s1", "", "subgroup", "sex", "1", "0.0", "1.0", "5")))
 
 
 def test_validate_groups_interleaved_subgroup_rows():
-    ds = validate_dataset(
+    ds = load_rows(
         _rows(("s2", "", "subgroup", "sex", "2", "0.2", "1.0", "5"),
               ("s1", "", "study", "", "", "0.1", "0.2", ""),
               ("s1", "", "subgroup", "sex", "1", "0.0", "1.0", "5"),
@@ -201,12 +200,12 @@ def test_validate_error_precedence():
             ("s1", "", "subgroup", "a", "1", "0.0", "1.0", "")]
     # splits are built in name order: a's missing n is found before b's missing arm
     with pytest.raises(ValidationError, match="'s1'/'a' arm 1: n is required"):
-        validate_dataset(_rows(*rows))
+        load_rows(_rows(*rows))
     # orphans are found before any split is built
     orphans = [("z2", "", "subgroup", "a", "1", "0.0", "1.0", "5"),
                ("z1", "", "subgroup", "a", "1", "0.0", "1.0", "5")]
     with pytest.raises(ValidationError, match="unknown study_id 'z2'"):
-        validate_dataset(_rows(*rows, *orphans))
+        load_rows(_rows(*rows, *orphans))
 
 
 _SEX_ROWS = (("s1", "", "study", "", "", "0.1", "0.2", ""),
@@ -215,28 +214,12 @@ _SEX_ROWS = (("s1", "", "study", "", "", "0.1", "0.2", ""),
              ("s1", "", "subgroup", "sex", "2", "0.0", "1.0", "5"))
 
 
-@pytest.mark.parametrize("row, field, value, message", [
-    (2, "arm", 1, "arm must be a string, got 1"),
-    (0, "study_id", 7, "study_id must be a string, got 7"),
-    (1, "level", 2.0, "level must be a string, got 2.0"),
-    (3, "split", ("sex",), "split must be a string, got ('sex',)"),
-])
-def test_validate_dataset_names_a_field_that_is_not_a_string(row, field, value, message):
-    """A dict row's study_id, level, split or arm that is not a string (or
-    None) is a ValidationError naming the field and the value; it used to
-    escape as AttributeError from str.strip."""
-    rows = _rows(*_SEX_ROWS)
-    rows[row][field] = value
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        validate_dataset(rows)
-
-
 def test_validate_dataset_reads_no_split_or_arm_on_a_study_row():
     """A study row's split and arm are not read, so they may hold anything,
-    such as the nan that pandas reads from a blank cell."""
+    such as nan and 1.0."""
     rows = _rows(*_SEX_ROWS)
-    rows[0].update(split=math.nan, arm=1.0)
-    assert validate_dataset(rows).split_names == ("sex",)
+    rows[0].update(split="nan", arm="1.0")
+    assert load_rows(rows).split_names == ("sex",)
 
 
 @pytest.mark.parametrize("n_arms", [0, 1, 3])
@@ -270,7 +253,7 @@ def test_split_accepts_a_p_interaction_of_0_or_1(p):
 
 def test_validate_too_few_studies():
     with pytest.raises(ValidationError):
-        validate_dataset(_rows(("s1", "", "study", "", "", "0.1", "0.2", "")))
+        load_rows(_rows(("s1", "", "study", "", "", "0.1", "0.2", "")))
 
 
 def test_one_study_dataset_is_rejected_when_built():
@@ -290,7 +273,7 @@ def test_study_rejects_duplicate_split_names():
 
 
 def test_study_estimate_derived_from_split():
-    ds = validate_dataset(
+    ds = load_rows(
         _rows(("s1", "", "study", "", "", "", "", ""),
               ("s2", "", "study", "", "", "0.3", "0.4", ""),
               ("s1", "", "subgroup", "sex", "1", "1.0", "1.0", "5"),
@@ -307,11 +290,10 @@ def test_blank_study_row_is_derived_from_the_first_split_in_name_order(tmp_path)
              "s1,,subgroup,alpha,1,2.0,0.5,5", "s1,,subgroup,alpha,2,2.0,0.5,5"]
     path = tmp_path / "d.csv"
     path.write_text(_csv(*lines), encoding="utf-8")
-    keys = ["study_id", "label", "level", "split", "arm", "y", "se", "n"]
-    for ds in (load_csv(path), validate_dataset([dict(zip(keys, line.split(","))) for line in lines])):
-        assert (ds.split_count[0], ds.split_names[:2]) == (2, ("alpha", "zeta"))
-        assert (ds.y[0], ds.se[0]) == (ds.agg_y[0], ds.agg_se[0])
-        assert ds.y[0] == 2.0 and ds.se[0] == pytest.approx(math.sqrt(0.125), rel=1e-15)
+    ds = load_csv(path)
+    assert (ds.split_count[0], ds.split_names[:2]) == (2, ("alpha", "zeta"))
+    assert (ds.y[0], ds.se[0]) == (ds.agg_y[0], ds.agg_se[0])
+    assert ds.y[0] == 2.0 and ds.se[0] == pytest.approx(math.sqrt(0.125), rel=1e-15)
 
 
 def _respire14_rows():
@@ -328,45 +310,47 @@ def _respire14_rows():
     (2, "p_interaction", "0.0_5", "RESPIRE-1/sex: cannot parse number '0.0_5'"),
 ], ids=["study-n", "study-y", "arm-y", "arm-n", "p_interaction"])
 def test_dict_rows_keep_to_the_number_grammar(row, column, value, message):
-    """The dict-row door reads its texts as the CSV door does: ASCII with
-    no '_', which float alone does not ask."""
+    """respire14's rows, one number replaced and written back as CSV, load
+    only in the number grammar: ASCII with no '_', which float alone does
+    not ask."""
     rows = _respire14_rows()
     rows[row][column] = value
     with pytest.raises(ValidationError) as exc:
-        validate_dataset(rows)
-    assert str(exc.value) == message
-
-
-@pytest.mark.parametrize("row, column, value, message", [
-    (2, "y", bytearray(b"-0.1_275"), "RESPIRE-1/sex/arm1: cannot parse number bytearray(b'-0.1_275')"),
-    (2, "n", b"2_89", "RESPIRE-1/sex/arm1: cannot parse number b'2_89'"),
-    (0, "se", b"0.2", "RESPIRE-1: cannot parse number b'0.2'"),
-    (2, "p_interaction", b"0.5", "RESPIRE-1/sex: cannot parse number b'0.5'"),
-], ids=["arm-y", "arm-n", "study-se", "p_interaction"])
-def test_dict_rows_refuse_bytes(row, column, value, message):
-    """float reads bytes, b'2_89' as 289; no door does."""
-    rows = _respire14_rows()
-    rows[row][column] = value
-    with pytest.raises(ValidationError) as exc:
-        validate_dataset(rows)
+        load_rows(rows)
     assert str(exc.value) == message
 
 
 def test_dict_rows_may_hold_numbers_rather_than_texts(monkeypatch):
-    """A value that is not text, such as a float or an int, is read by
-    float as it is: the same dataset as its repr. The grammar is checked
-    once, over the texts among the numbers joined, so a text out of it
+    """Rows written with csv.DictWriter may hold a float or an int, which
+    it writes as its str: the same dataset as the texts'. Each file is
+    checked in the grammar once, so a text out of it among the numbers
     still fails with the all-text rows' message."""
     texts = _respire14_rows()
     numbers = [dict(row, y=float(row["y"]), n=int(row["n"])) for row in texts]
     checked = []
     plain = data.plain_number
     monkeypatch.setattr(data, "plain_number", lambda text: checked.append(text) or plain(text))
-    assert validate_dataset(numbers) == validate_dataset(texts)
+    assert load_rows(numbers) == load_rows(texts)
     assert len(checked) == 2
     numbers[0]["se"] = "0.1_5"
     with pytest.raises(ValidationError) as exc:
-        validate_dataset(numbers)
+        load_rows(numbers)
+    assert str(exc.value) == "RESPIRE-1: cannot parse number '0.1_5'"
+
+
+def test_a_clean_csv_keeps_to_the_grammar_in_one_check(monkeypatch):
+    """A file whose every number parses passes plain_number once, over all
+    its number texts joined; one text out of the grammar still fails with
+    the walk's message."""
+    checked = []
+    plain = data.plain_number
+    monkeypatch.setattr(data, "plain_number", lambda text: checked.append(text) or plain(text))
+    load_csv(dataset_path("respire14"))
+    assert len(checked) == 1
+    rows = _respire14_rows()
+    rows[0]["se"] = "0.1_5"
+    with pytest.raises(ValidationError) as exc:
+        load_rows(rows)
     assert str(exc.value) == "RESPIRE-1: cannot parse number '0.1_5'"
 
 
@@ -425,7 +409,8 @@ def test_selection_application():
 
 
 def _load_by_dictreader(path):
-    """The loader as it was: csv.DictReader rows into validate_dataset."""
+    """The loader as it was: csv.DictReader rows, each as its _FIELDS
+    values, into the row checks and columns load_csv's rows go to."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -437,7 +422,7 @@ def _load_by_dictreader(path):
             rows = list(reader)
     except csv.Error as exc:
         raise ValidationError(f"{path}: line {reader.reader.line_num}: {exc}") from None
-    return validate_dataset(rows)
+    return data._build_dataset([tuple(map(row.get, data._FIELDS)) for row in rows])
 
 
 def _outcome(load, path):
@@ -502,7 +487,7 @@ _LOADER_CASES = {
 @pytest.mark.parametrize("text", _LOADER_CASES.values(), ids=_LOADER_CASES.keys())
 def test_load_csv_reads_as_dictreader_rows(tmp_path, text):
     """load_csv reads its rows with csv.reader, as lists; the dataset, or
-    the error, is what csv.DictReader's rows through validate_dataset give."""
+    the error, is what csv.DictReader's rows give."""
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(load_csv, path) == _outcome(_load_by_dictreader, path)
@@ -646,33 +631,25 @@ _CORRUPTIONS = ["abc", "", " ", "nan", "inf", "-inf", "1e41", "-1e41", "1e-41", 
 
 
 def _same_as_reference_in_the_grammar(tmp_path, rows):
-    """The rows (header first), from a file and as dicts, give the dataset
-    or the error that the reference loader gives once each 1_0 reads 1_0?
-    to it; returns the file's outcome. The reference reads 1_0 as 10,
-    while in the number grammar (data.plain_number) 1_0 does not parse, as
-    1_0? does not for both: the message names the text the rows hold."""
+    """The rows (header first), from a file, give the dataset or the error
+    that the reference loader gives once each 1_0 reads 1_0? to it; returns
+    the outcome. The reference reads 1_0 as 10, while in the number grammar
+    (data.plain_number) 1_0 does not parse, as 1_0? does not for both: the
+    message names the text the rows hold."""
     reference_rows = [["1_0?" if value == "1_0" else value for value in row] for row in rows]
-    outcomes = []
-    for live, reference, args in (
-        (load_csv, reference_loader.load_csv,
-         [_write(tmp_path, "\n".join(",".join(row) for row in r) + "\n", name)
-          for r, name in ((rows, "d.csv"), (reference_rows, "r.csv"))]),
-        (validate_dataset, reference_loader.validate_dataset,
-         [[dict(zip(r[0], row)) for row in r[1:]] for r in (rows, reference_rows)]),
-    ):
-        expected = _dumped_outcome(reference, args[1])
-        if isinstance(expected, str):
-            expected = expected.replace("'1_0?'", "'1_0'")
-        assert _dumped_outcome(live, args[0]) == expected
-        outcomes.append(expected)
-    return outcomes[0]
+    live, reference = (_write(tmp_path, "\n".join(",".join(row) for row in r) + "\n", name)
+                       for r, name in ((rows, "d.csv"), (reference_rows, "r.csv")))
+    expected = _dumped_outcome(reference_loader.load_csv, reference)
+    if isinstance(expected, str):
+        expected = expected.replace("'1_0?'", "'1_0'")
+    assert _dumped_outcome(load_csv, live) == expected
+    return expected
 
 
 def test_corrupted_files_match_the_reference_loader(tmp_path):
     """Seeded corruptions of one to three value fields (y, se, n and
     p_interaction, on study and arm rows): the same dataset or error as the
-    reference loader in the number grammar, from a file and from rows as
-    dicts."""
+    reference loader in the number grammar."""
     rng = np.random.default_rng(54)
     base = [line.split(",") for line in _generated_csv(rng, (2, 3, 1)).splitlines()]
     base = [row + (["p_interaction"] if r == 0 else [f"{rng.uniform():.2f}" if row[4] == "1" else ""])
@@ -689,8 +666,8 @@ def test_structural_corruptions_match_the_reference_loader(tmp_path):
     """Seeded structural faults (a deleted arm row, a study row's y and se
     both blanked, so that it is derived, only one of them blanked, and a
     derived study without splits) mixed with the value corruptions above:
-    the same dataset or error as the reference loader in the number grammar,
-    from a file and from rows as dicts."""
+    the same dataset or error as the reference loader in the number
+    grammar."""
     rng = np.random.default_rng(30)
     base = [line.split(",") for line in _generated_csv(rng, (2, 3, 1, 0)).splitlines()]
     base = [row + (["p_interaction"] if r == 0 else [f"{rng.uniform():.2f}" if row[4] == "1" else ""])
@@ -752,17 +729,13 @@ _EQUAL_CSV = _csv(*(line + "," for line in _STUDIES), _ARMS[0] + ",0.5",
 
 
 def test_datasets_are_equal_by_their_tables(tmp_path):
-    """One dataset from each door compares equal, with equal hashes: the
-    CSV's, the dict rows' and the records'. NaN equals NaN in p_interaction,
-    where it means absent."""
-    path = _write(tmp_path, _EQUAL_CSV)
-    with open(path, encoding="utf-8", newline="") as fh:
-        from_rows = validate_dataset(csv.DictReader(fh))
-    datasets = [load_csv(path), from_rows, _sex_split_records()]
-    assert np.isnan(datasets[0].p_interaction[1])
-    for other in datasets[1:]:
-        assert other == datasets[0] and hash(other) == hash(datasets[0])
-    assert datasets[0] != _STUDIES
+    """The dataset from each door compares equal, with equal hashes: the
+    CSV's (load_csv) and the records' (MetaDataset(studies)). NaN equals
+    NaN in p_interaction, where it means absent."""
+    from_csv, from_records = load_csv(_write(tmp_path, _EQUAL_CSV)), _sex_split_records()
+    assert np.isnan(from_csv.p_interaction[1])
+    assert from_records == from_csv and hash(from_records) == hash(from_csv)
+    assert from_csv != _STUDIES
 
 
 @pytest.mark.parametrize("change", ["arm n", "p_interaction absent", "selection"])

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from fewmeta.data import aggregate_study, load_csv, validate_dataset
+from fewmeta.data import aggregate_study, load_csv
 from fewmeta.estimators import (
     cochran_q,
     dl_raw,
@@ -29,7 +29,7 @@ from fewmeta.intervals import ZH, hksj_scale, meta_kernel, variance_hcs
 from fewmeta.report import build_report
 from fewmeta.selection import select_global, select_local
 
-from conftest import dataset_path, make_dataset, make_split, selected_arms, table_rows
+from conftest import dataset_path, load_rows, make_dataset, make_split, selected_arms, table_rows
 
 N_INSTANCES = 10000
 
@@ -147,9 +147,9 @@ def test_global_at_least_local_randomized():
 def _arms_reversed(dataset):
     """The dataset, its splits in name order, with the two arms of every
     split in reverse order."""
-    return validate_dataset(table_rows(dataset, arm_y=dataset.arm_y[:, ::-1],
-                                       arm_se=dataset.arm_se[:, ::-1],
-                                       arm_n=dataset.arm_n[:, ::-1]))
+    return load_rows(table_rows(dataset, arm_y=dataset.arm_y[:, ::-1],
+                                arm_se=dataset.arm_se[:, ::-1],
+                                arm_n=dataset.arm_n[:, ::-1]))
 
 
 def _assert_close(a, b, where):

@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import math
 import os
@@ -16,11 +15,9 @@ from fewmeta import report, selection
 from fewmeta.cli import main
 
 from fewmeta.data import (
-    CSV_COLUMNS,
     ValidationError,
     aggregate_study,
     load_csv,
-    validate_dataset,
 )
 from fewmeta.estimators import qs_raw
 from fewmeta.selection import (
@@ -36,10 +33,12 @@ from fewmeta.selection import (
 from conftest import (
     PVALUE_DATASET,
     dataset_path,
+    load_rows,
     make_dataset,
     make_split,
     selected_arms,
     table_rows,
+    write_rows,
 )
 
 
@@ -364,7 +363,7 @@ def test_sglt2_local_vs_global_disagree_only_on_one_study(sglt2):
 def _affine(dataset, shift, scale):
     """The dataset, its splits in name order, with every effect y mapped to
     scale * y + shift and every se to scale * se."""
-    return validate_dataset(table_rows(
+    return load_rows(table_rows(
         dataset, y=scale * dataset.y + shift, se=scale * dataset.se,
         arm_y=scale * dataset.arm_y + shift, arm_se=scale * dataset.arm_se))
 
@@ -528,10 +527,7 @@ def test_select_global_skips_nan(monkeypatch):
 
 def _csv_of(dataset, path):
     """`dataset`, its splits in name order, as a fewmeta CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, CSV_COLUMNS + ["p_interaction"])
-        writer.writeheader()
-        writer.writerows(table_rows(dataset))
+    write_rows(path, table_rows(dataset))
     return str(path)
 
 

@@ -688,3 +688,22 @@ def test_variance_ordering_counts_nan_variances(monkeypatch):
     [(q_low, rows, _)] = seen
     assert qualifying == np.count_nonzero(q_low)
     assert violations == np.count_nonzero(q_low & rows) > 0
+
+
+@pytest.mark.parametrize("sizes", [[1, 12], [0, 12], [-5, 12], [12], [12.5, 12], [12, 10 ** 30]],
+                         ids=["one", "zero", "negative", "too-few", "fractional", "beyond-int64"])
+def test_validate_expectation_refuses_bad_fixed_sizes(sizes):
+    """Each study needs n >= 2, so that both arms hold a subject, as a whole
+    number that numpy's int64 holds; a short list is not broadcast. These
+    used to give NaN means, a broadcast, a truncated 12 or an
+    OverflowError."""
+    with pytest.raises(ValidationError) as exc:
+        validate_expectation(_scenario(n_reps=50), sizes)
+    assert str(exc.value) == f"validate_expectation: sizes must be 2 integers in [2, 2**63), got {sizes!r}"
+
+
+def test_validate_expectation_reports_the_kernels_error():
+    """Sizes the check takes can still give weights too far apart for the
+    kernel: its message is raised."""
+    with pytest.raises(ValidationError, match="^tau2_dl: degenerate weight configuration$"):
+        validate_expectation(_scenario(n_reps=50), [12, 10 ** 16])
